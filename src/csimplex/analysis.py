@@ -143,118 +143,28 @@ def _sort_spectrum(vals: np.ndarray) -> np.ndarray:
     return vals[order]
 
 
-def _char_poly_coeffs(M: np.ndarray) -> tuple[float, float, float]:
-    # det(lam I - M) = lam^3 + a lam^2 + b lam + c
-    tr = M[0, 0] + M[1, 1] + M[2, 2]
-    m2 = (
-        M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-        + M[0, 0] * M[2, 2] - M[0, 2] * M[2, 0]
-        + M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1]
-    )
-    det = (
-        M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
-        - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
-        + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0])
-    )
-    return -tr, m2, -det
-
-
-def _cubic_roots(a: float, b: float, c: float) -> np.ndarray:
-    """Roots of lam^3 + a lam^2 + b lam + c via the depressed cubic."""
-    p = b - a * a / 3.0
-    q = 2.0 * a ** 3 / 27.0 - a * b / 3.0 + c
-    shift = -a / 3.0
-    eps = 1e-14 * max(1.0, abs(p) ** 1.5, abs(q))
-    disc = -4.0 * p ** 3 - 27.0 * q ** 2
-    if abs(p) < eps and abs(q) < eps:
-        t = np.zeros(3, dtype=complex)
-    elif disc >= -eps * max(1.0, abs(p) ** 3, q * q):
-        # three real roots: trigonometric form (p < 0 here up to noise)
-        pm = min(p, 0.0)
-        mscale = 2.0 * np.sqrt(-pm / 3.0) if pm < 0 else 0.0
-        if mscale == 0.0:
-            t = np.full(3, np.cbrt(-q), dtype=complex)
-        else:
-            arg = 3.0 * q / (pm * mscale)
-            arg = min(1.0, max(-1.0, arg))
-            theta = np.arccos(arg) / 3.0
-            ks = np.arange(3)
-            t = (mscale * np.cos(theta - 2.0 * np.pi * ks / 3.0)).astype(complex)
-    else:
-        # one real root + complex pair: Cardano with the stabler cube root
-        sq = np.sqrt(q * q / 4.0 + p ** 3 / 27.0)
-        u3 = -q / 2.0 + sq if abs(-q / 2.0 + sq) >= abs(-q / 2.0 - sq) else -q / 2.0 - sq
-        u = np.cbrt(u3)
-        v = 0.0 if u == 0.0 else -p / (3.0 * u)
-        t1 = u + v
-        rad = 3.0 * t1 * t1 + 4.0 * p
-        imag = np.sqrt(max(rad, 0.0)) / 2.0
-        t = np.array([t1, -t1 / 2.0 + 1j * imag, -t1 / 2.0 - 1j * imag], dtype=complex)
-    return t + shift
-
-
-def eigen3(M: np.ndarray, polish: bool = True) -> np.ndarray:
-    """Eigenvalues of a real matrix, sorted by modulus ascending.
-
-    For n <= 3 this is the closed-form characteristic polynomial (Cardano for
-    the cubic) plus one Newton polish step per root to suppress cancellation;
-    larger matrices fall back to the iterative QR solver.
-    """
+def eigen3(M: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a real square matrix (LAPACK), sorted by modulus
+    ascending; imaginary parts below 1e-12 max(1, max|M|) are set to zero."""
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
     if M.shape != (n, n):
         raise ValueError("eigen3 expects a square matrix")
-    if n == 1:
-        return np.array([M[0, 0]], dtype=complex)
-    if n == 2:
-        tr = M[0, 0] + M[1, 1]
-        det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-        d = tr * tr / 4.0 - det
-        s = np.sqrt(complex(d))
-        return _sort_spectrum(np.array([tr / 2.0 - s, tr / 2.0 + s]))
-    if n > 3:
-        return _sort_spectrum(np.linalg.eigvals(M))
-
-    scale = max(1.0, float(np.max(np.abs(M))))
-    a, b, c = _char_poly_coeffs(M / scale)
-    roots = _cubic_roots(a, b, c)
-    if polish:
-        for i, lam in enumerate(roots):
-            pv = ((lam + a) * lam + b) * lam + c
-            dv = (3.0 * lam + 2.0 * a) * lam + b
-            if abs(dv) > 1e-30:
-                roots[i] = lam - pv / dv
-    roots = roots * scale
-    tiny = 1e-12 * scale
-    roots = np.where(np.abs(roots.imag) < tiny, roots.real + 0j, roots)
-    return _sort_spectrum(roots)
+    vals = np.linalg.eigvals(M)
+    tiny = 1e-12 * max(1.0, float(np.max(np.abs(M))))
+    vals = np.where(np.abs(vals.imag) < tiny, vals.real + 0j, vals)
+    return _sort_spectrum(vals)
 
 
 def eigvec_for(M: np.ndarray, lam: complex) -> np.ndarray:
-    """Unit eigenvector of M for the (known) eigenvalue lam.
-
-    Uses cross products of rows of M - lam*I, which is exact for rank-2
-    deficiency patterns of 3x3 matrices; falls back to the SVD null vector.
-    """
+    """Unit eigenvector of M for the (known) eigenvalue lam: the SVD null
+    vector of M - lam*I, scaled so that its largest-modulus component is real
+    and positive.  The result is real when lam is a real float."""
     M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    B = M.astype(complex) - lam * np.eye(n)
-    best = None
-    if n == 3:
-        for i, j in combinations(range(3), 2):
-            v = np.cross(B[i], B[j])
-            nv = np.linalg.norm(v)
-            if best is None or nv > best[0]:
-                best = (nv, v)
-        nv, v = best
-        if nv > 1e-12 * max(1.0, np.linalg.norm(B)):
-            v = v / nv
-            if np.max(np.abs(v.imag)) < 1e-12:
-                v = v.real.astype(complex)
-            return v
-    _, _, vh = np.linalg.svd(B)
+    _, _, vh = np.linalg.svd(M - lam * np.eye(M.shape[0]))
     v = vh[-1].conj()
-    return v / np.linalg.norm(v)
+    k = int(np.argmax(np.abs(v)))
+    return v * (abs(v[k]) / v[k])
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +191,10 @@ def verify_C1(m: CompetitiveMap, location: np.ndarray) -> C1Report:
     mu_r = float(mu.real)
     if not (0.0 < mu_r < 1.0):
         return C1Report(det, inv_min, mu, None, False, f"mu={mu_r:.6g} outside (0, 1)")
-    v = eigvec_for(DT, mu_r).real
-    v = v * np.sign(v[np.argmax(np.abs(v))])
+    v = eigvec_for(DT, mu_r)
     if np.any(v <= 0):
         return C1Report(det, inv_min, mu_r, None, False, "Perron vector not strictly positive")
-    return C1Report(det, inv_min, mu_r, v / np.linalg.norm(v), True)
+    return C1Report(det, inv_min, mu_r, v, True)
 
 
 def _classify_moduli(moduli: np.ndarray, tol: float) -> str:

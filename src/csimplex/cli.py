@@ -1,8 +1,9 @@
 """Command line interface: analyze, classify, simplex, portrait, verify.
 
 Exit codes: 0 success, 1 analysis/diagnostic failure, 2 configuration error,
-3 missing input artifact.  Every JSON artifact embeds the config hash and the
-seed, and identical config + seed produce byte-identical output.
+3 missing or unreadable input artifact.  Every JSON artifact embeds the
+config hash and the seed, and identical config + seed produce byte-identical
+output.
 """
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -23,7 +25,7 @@ from .classify import (
     TieOnBoundaryError,
     classify_table1,
 )
-from .existence import ricker_condition, verify_existence
+from .existence import axial_caps, ricker_condition, verify_existence
 from .manifolds import (
     ManifoldError,
     conjugacy_decay_report,
@@ -39,6 +41,7 @@ from .models import ConfigError, map_from_config
 from .portrait import basin_raster, render_portrait
 from .simplex import (
     NonConvergenceError,
+    SimplexError,
     SimplexMesh,
     compute_carrying_simplex,
     estimate_tangent_cone,
@@ -53,22 +56,43 @@ EXIT_ANALYSIS = 1
 EXIT_CONFIG = 2
 EXIT_MISSING = 3
 
-_NUMERIC_DEFAULTS = {
-    "mesh_resolution": 64,
-    "mesh_tol": 1e-8,
-    "mesh_max_iters": 5000,
-    "existence_grid": 25,
-    "basin_raster": 200,
-    "basin_max_iter": 50000,
-    "basin_tol": 1e-6,
-    "fan_resolution": 33,
-    "unit_tol": 1e-9,
-    "leaf_radius_rel": 1e-3,
-    "conjugacy_radius_rel": 1e-2,
-    "rho": None,
-    "sigma": None,
-    "orbit_streaks": 8,
+# Numeric config keys: (default, type, lower bound).  Integers must be at
+# least the bound; reals must be finite and strictly above it.  A None default
+# is derived at run time (rho and sigma: midpoints of their admissible
+# intervals, which pseudo_splitting checks).
+_NUMERIC_SCHEMA: dict[str, tuple[int | float | None, type, float]] = {
+    "mesh_resolution": (64, int, 8),
+    "mesh_tol": (1e-8, float, 0.0),
+    "mesh_max_iters": (5000, int, 1),
+    "existence_grid": (25, int, 1),
+    "basin_raster": (200, int, 2),
+    "basin_max_iter": (50000, int, 1),
+    "basin_tol": (1e-6, float, 0.0),
+    "fan_resolution": (33, int, 2),
+    "leaf_radius_rel": (1e-3, float, 0.0),
+    "conjugacy_radius_rel": (1e-2, float, 0.0),
+    "rho": (None, float, 0.0),
+    "sigma": (None, float, 0.0),
+    "orbit_streaks": (8, int, 0),
 }
+
+
+def _check_numeric(key: str, val):
+    default, kind, low = _NUMERIC_SCHEMA[key]
+    if val is None and default is None:
+        return val
+    field = f"numeric.{key}"
+    if kind is int:
+        if isinstance(val, bool) or not isinstance(val, int) or val < low:
+            raise ConfigError(field, f"must be an integer >= {low}")
+    elif (
+        isinstance(val, bool)
+        or not isinstance(val, (int, float))
+        or not math.isfinite(val)
+        or val <= low
+    ):
+        raise ConfigError(field, f"must be a finite number > {low:g}")
+    return val
 
 
 class RunConfig:
@@ -85,22 +109,21 @@ class RunConfig:
             raise ConfigError("model", "missing required field")
         self.model_doc = doc["model"]
         self.map = map_from_config(self.model_doc)
-        numeric = dict(_NUMERIC_DEFAULTS)
-        for key, val in (doc.get("numeric") or {}).items():
-            if key not in _NUMERIC_DEFAULTS:
+        given = doc.get("numeric") or {}
+        if not isinstance(given, dict):
+            raise ConfigError("numeric", "must be an object")
+        for key in given:
+            if key not in _NUMERIC_SCHEMA:
                 raise ConfigError(f"numeric.{key}", "unknown field")
-            numeric[key] = val
-        for key in ("mesh_tol", "basin_tol", "unit_tol", "leaf_radius_rel", "conjugacy_radius_rel"):
-            if not (isinstance(numeric[key], (int, float)) and numeric[key] > 0):
-                raise ConfigError(f"numeric.{key}", "must be a positive number")
-        if not (isinstance(numeric["mesh_resolution"], int) and numeric["mesh_resolution"] >= 8):
-            raise ConfigError("numeric.mesh_resolution", "must be an integer >= 8")
-        self.numeric = numeric
+        self.numeric = {
+            key: _check_numeric(key, given[key]) if key in given else default
+            for key, (default, _, _) in _NUMERIC_SCHEMA.items()
+        }
         self.outputs = doc.get("outputs") or {}
         if not isinstance(self.outputs, dict):
             raise ConfigError("outputs", "must be an object of path strings")
         seed = doc.get("seed", 0)
-        if not isinstance(seed, int) or seed < 0:
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise ConfigError("seed", "must be a nonnegative integer")
         self.seed = seed
         canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -315,9 +338,17 @@ def cmd_simplex(cfg: RunConfig, out: str | None) -> int:
     return EXIT_OK
 
 
+# What reading a missing, corrupt or malformed JSON artifact can raise.
+_UNREADABLE = (OSError, ValueError, KeyError, TypeError, SimplexError)
+
+
 def _load_mesh(path: str) -> SimplexMesh:
     doc = json.loads(Path(path).read_text())
     return SimplexMesh.from_json(doc)
+
+
+def _load_curve(path: str):
+    return curve_from_json(json.loads(Path(path).read_text()))
 
 
 def cmd_portrait(
@@ -333,16 +364,20 @@ def cmd_portrait(
     if not mesh_path or not Path(mesh_path).exists():
         print(f"mesh file not found: {mesh_path}", file=sys.stderr)
         return EXIT_MISSING
-    mesh = _load_mesh(mesh_path)
+    loaded = []
+    sources = ((mesh_path, _load_mesh), (stable_path, _load_curve), (unstable_path, _load_curve))
+    for path, load in sources:
+        if path:
+            try:
+                loaded.append(load(path))
+            except _UNREADABLE as exc:
+                print(f"cannot load {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+                return EXIT_MISSING
+    mesh, *curves = loaded
     records = find_all_fixed_points(m)
     att, rep = _boundary_sets(records)
     interior = [r for r in records if r.support_type == "interior"]
-    curves = []
     try:
-        if stable_path:
-            curves.append(curve_from_json(json.loads(Path(stable_path).read_text())))
-        if unstable_path:
-            curves.append(curve_from_json(json.loads(Path(unstable_path).read_text())))
         if not curves and interior and interior[0].s_type == SType.SADDLE and len(att) == 2:
             q = interior[0].location
             unstable = trace_unstable(m, q, att)
@@ -429,7 +464,7 @@ def cmd_verify(cfg: RunConfig, out: str | None) -> int:
         checks["mesh_converged"] = {"passed": False, "residual": mesh.residual}
 
     records = find_all_fixed_points(m)
-    caps = 1.0 / np.diag(m.params.A) if m.params is not None else mesh.vertices.max(axis=0)
+    caps = axial_caps(m)
     wn = float(np.linalg.norm(caps))
     violations = unordered_check(mesh, 1e-6 * wn)
     checks["h1_unordered"] = {"passed": not violations, "violations": len(violations)}
@@ -455,9 +490,12 @@ def cmd_verify(cfg: RunConfig, out: str | None) -> int:
     interior = [r for r in records if r.support_type == "interior"]
     if interior and interior[0].c1_holds:
         q = interior[0].location
-        split = pseudo_splitting(
-            m, q, rho=cfg.numeric["rho"], sigma=cfg.numeric["sigma"]
-        )
+        try:
+            split = pseudo_splitting(
+                m, q, rho=cfg.numeric["rho"], sigma=cfg.numeric["sigma"]
+            )
+        except ValueError as exc:
+            raise ConfigError("numeric", str(exc)) from exc
         qn = float(np.linalg.norm(q))
         leaf = leaf_contraction_report(
             m, q, split.v, split.rho, radius=cfg.numeric["leaf_radius_rel"] * qn, rng=rng
@@ -548,7 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant/diagnostic battery")
     add_common(p)
-    p.add_argument("--strict", action="store_true")
     return parser
 
 

@@ -159,8 +159,7 @@ def pseudo_splitting(
     DT = m.jacobian(q)
     mu = float(rep.mu.real)
     v = rep.perron_vector
-    left = eigvec_for(DT.T, mu).real
-    left = left * np.sign(left[np.argmax(np.abs(left))])
+    left = eigvec_for(DT.T, mu)
     # orthonormal basis of the hyperplane orthogonal to the left eigenvector
     _, _, vh = np.linalg.svd(left[None, :])
     B = vh[1:].T
@@ -223,8 +222,7 @@ def trace_unstable(
     lam = split.w_eigenvalues[expanding[0]]
     if abs(lam.imag) > 1e-10 * abs(lam):
         raise NoUnstableEigendirectionError("expanding eigenvalue is complex")
-    e_u = eigvec_for(m.jacobian(q), float(lam.real)).real
-    e_u = e_u / np.linalg.norm(e_u)
+    e_u = eigvec_for(m.jacobian(q), float(lam.real))
     steps_per_sweep = 2 if lam.real < 0 else 1
 
     scale = float(np.linalg.norm(q))

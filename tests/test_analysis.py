@@ -118,6 +118,23 @@ class TestEigen3:
             for lam in eigen3(M):
                 v = eigvec_for(M, lam)
                 assert np.linalg.norm(M @ v - lam * v) < 1e-9
+                top = v[np.argmax(np.abs(v))]
+                assert abs(top.imag) < 1e-15 and top.real > 0.0
+
+    def test_ricker_axial_double_root(self):
+        # README Ricker system at axial_1 = e_1: DT is block triangular with
+        # exact spectrum {1 - r, e^{r/2}, e^{r/2}} for r = 0.2, a_21 = a_31 = 0.5.
+        m = make_ricker(ParameterSet(r=np.full(3, 0.2), A=A_CLASS19))
+        x = find_axial_fixed_points(m)[0].location
+        DT = m.jacobian(x)
+        vals = eigen3(DT)
+        exact = np.array([0.8, np.exp(0.1), np.exp(0.1)])
+        assert np.all(vals.imag == 0.0)
+        assert np.max(np.abs(vals.real - exact) / exact) < 1e-14
+        v = eigvec_for(DT, 0.8)
+        assert v.dtype == float
+        assert v[np.argmax(np.abs(v))] > 0.0
+        assert np.linalg.norm(DT @ v - 0.8 * v) < 1e-14
 
 
 class TestAxialPoints:

@@ -58,6 +58,28 @@ class TestConfigValidation:
         doc = anchor_config(numeric={"mesh_tol": -1.0})
         assert main(["analyze", "--config", config_path(doc)]) == 2
 
+    @pytest.mark.parametrize("numeric", [
+        {"existence_grid": "abc"},
+        {"basin_raster": -5},
+        {"orbit_streaks": "x"},
+        {"mesh_tol": True},
+        {"mesh_resolution": 16.0},
+        {"basin_tol": float("inf")},
+        {"unit_tol": 0.5},
+    ], ids=lambda numeric: next(iter(numeric)))
+    def test_bad_numeric_exits_2(self, config_path, capsys, numeric):
+        doc = anchor_config(numeric=numeric)
+        assert main(["analyze", "--config", config_path(doc)]) == 2
+        assert f"numeric.{next(iter(numeric))}" in capsys.readouterr().err
+
+    def test_bool_seed_exits_2(self, config_path):
+        assert main(["analyze", "--config", config_path(anchor_config(seed=True))]) == 2
+
+    def test_rho_out_of_range_exits_2(self, config_path, capsys):
+        doc = anchor_config(numeric={"mesh_resolution": 8, "rho": 2.0})
+        assert main(["verify", "--config", config_path(doc)]) == 2
+        assert "rho must lie in" in capsys.readouterr().err
+
     def test_small_resolution_exits_2(self, config_path):
         doc = anchor_config(numeric={"mesh_resolution": 4})
         assert main(["analyze", "--config", config_path(doc)]) == 2
@@ -172,6 +194,22 @@ class TestSimplexAndPortrait:
     def test_missing_mesh_exits_3(self, config_path, tmp_path):
         doc = anchor_config(outputs={"mesh": str(tmp_path / "absent.json")})
         assert main(["portrait", "--config", config_path(doc)]) == 3
+
+    @pytest.mark.parametrize("text", ["{not json", "{}", "[1, 2]"])
+    def test_corrupt_mesh_exits_3(self, config_path, tmp_path, capsys, text):
+        mesh_path = tmp_path / "mesh.json"
+        mesh_path.write_text(text)
+        doc = anchor_config(outputs={"mesh": str(mesh_path)})
+        assert main(["portrait", "--config", config_path(doc)]) == 3
+        assert f"cannot load {mesh_path}" in capsys.readouterr().err
+
+    def test_missing_curve_exits_3(self, config_path, tmp_path):
+        mesh_path = tmp_path / "mesh.json"
+        doc = anchor_config(outputs={"mesh": str(mesh_path)}, numeric={"mesh_resolution": 8})
+        cfg = config_path(doc)
+        assert main(["simplex", "--config", cfg]) == 0
+        absent = str(tmp_path / "absent.json")
+        assert main(["portrait", "--config", cfg, "--stable", absent]) == 3
 
     def test_no_basins_flag(self, config_path, tmp_path):
         mesh_path = tmp_path / "mesh.json"
