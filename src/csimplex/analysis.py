@@ -37,6 +37,7 @@ __all__ = [
     "find_planar_fixed_points",
     "find_interior_fixed_point",
     "find_all_fixed_points",
+    "boundary_sets",
     "record_at",
 ]
 
@@ -481,3 +482,14 @@ def find_all_fixed_points(m: CompetitiveMap) -> list[FixedPointRecord]:
         except NoInteriorFixedPointError:
             pass
     return records
+
+
+def boundary_sets(
+    records: list[FixedPointRecord],
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """The attractors and the repellers on S among the boundary (axial and
+    planar) fixed points, each as a name -> location map in record order."""
+    boundary = [r for r in records if r.support_type in ("axial", "planar")]
+    att = {r.name: r.location for r in boundary if r.s_type == SType.ATTRACTOR}
+    rep = {r.name: r.location for r in boundary if r.s_type == SType.REPELLER}
+    return att, rep

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import SingularJacobianError, SType, find_all_fixed_points, verify_C1
+from .analysis import SingularJacobianError, SType, boundary_sets, find_all_fixed_points, verify_C1
 from .classify import (
     ClassifyError,
     DegenerateDenominatorError,
@@ -68,13 +68,15 @@ _NUMERIC_SCHEMA: dict[str, tuple[int | float | None, type, float]] = {
     "basin_raster": (200, int, 2),
     "basin_max_iter": (50000, int, 1),
     "basin_tol": (1e-6, float, 0.0),
-    "fan_resolution": (33, int, 2),
     "leaf_radius_rel": (1e-3, float, 0.0),
     "conjugacy_radius_rel": (1e-2, float, 0.0),
     "rho": (None, float, 0.0),
     "sigma": (None, float, 0.0),
     "orbit_streaks": (8, int, 0),
 }
+
+
+_OUTPUT_KEYS = ("mesh", "svg", "stable", "unstable")
 
 
 def _check_numeric(key: str, val):
@@ -122,6 +124,11 @@ class RunConfig:
         self.outputs = doc.get("outputs") or {}
         if not isinstance(self.outputs, dict):
             raise ConfigError("outputs", "must be an object of path strings")
+        for key, path in self.outputs.items():
+            if key not in _OUTPUT_KEYS:
+                raise ConfigError(f"outputs.{key}", "unknown field")
+            if not isinstance(path, str) or not path:
+                raise ConfigError(f"outputs.{key}", "must be a non-empty path string")
         seed = doc.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise ConfigError("seed", "must be a nonnegative integer")
@@ -175,25 +182,20 @@ def _record_doc(rec) -> dict:
     }
 
 
+def _write_text(path, text: str) -> None:
+    """Write an output artifact; a path that cannot be written is a
+    configuration error naming the path."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(str(path), f"cannot write: {exc.strerror or exc}") from exc
+
+
 def _write_json(path: str | None, doc: dict) -> str:
     text = json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n"
     if path:
-        Path(path).write_text(text)
+        _write_text(path, text)
     return text
-
-
-def _boundary_sets(records):
-    att = {
-        r.name: r.location
-        for r in records
-        if r.support_type in ("axial", "planar") and r.s_type == SType.ATTRACTOR
-    }
-    rep = {
-        r.name: r.location
-        for r in records
-        if r.support_type in ("axial", "planar") and r.s_type == SType.REPELLER
-    }
-    return att, rep
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +296,6 @@ def cmd_classify(input_path: str, out: str | None, as_json: bool, strict: bool) 
                              "margins": {}, "error": f"{type(exc).__name__}: {exc}"})
     if as_json:
         text = json.dumps(_jsonable({"rows": rows}), sort_keys=True, indent=2) + "\n"
-        if out:
-            Path(out).write_text(text)
-        else:
-            print(text, end="")
     else:
         lines = ["a11,a12,a13,a21,a22,a23,a31,a32,a33,class_id,permutation,min_margin,error"]
         for r in rows:
@@ -305,10 +303,10 @@ def cmd_classify(input_path: str, out: str | None, as_json: bool, strict: bool) 
             a_cells = ",".join(str(v) for v in r["a"])
             lines.append(f'{a_cells},{r["class_id"]},{r["permutation"]},{margin},{r["error"]}')
         text = "\n".join(lines) + "\n"
-        if out:
-            Path(out).write_text(text)
-        else:
-            print(text, end="")
+    if out:
+        _write_text(out, text)
+    else:
+        print(text, end="")
     if errors and strict:
         return EXIT_ANALYSIS
     return EXIT_OK
@@ -333,7 +331,7 @@ def cmd_simplex(cfg: RunConfig, out: str | None) -> int:
     _write_json(out, doc)
     log_path = Path(out).with_suffix(Path(out).suffix + ".log")
     log_lines = [f"{i + 1} {r:.12e}" for i, r in enumerate(mesh.residual_history)]
-    log_path.write_text("\n".join(log_lines) + "\n")
+    _write_text(log_path, "\n".join(log_lines) + "\n")
     print(f"wrote {out} ({mesh.sweeps} sweeps, residual {mesh.residual:.3e}) and {log_path}")
     return EXIT_OK
 
@@ -375,7 +373,7 @@ def cmd_portrait(
                 return EXIT_MISSING
     mesh, *curves = loaded
     records = find_all_fixed_points(m)
-    att, rep = _boundary_sets(records)
+    att, rep = boundary_sets(records)
     interior = [r for r in records if r.support_type == "interior"]
     try:
         if not curves and interior and interior[0].s_type == SType.SADDLE and len(att) == 2:
@@ -387,12 +385,7 @@ def cmd_portrait(
                 doc.update(config_hash=cfg.config_hash, seed=cfg.seed)
                 _write_json(cfg.outputs["unstable"], doc)
             if len(rep) == 2:
-                stable = trace_stable_on_S(
-                    m, mesh, q, rep, att,
-                    resolution=cfg.numeric["fan_resolution"],
-                    max_iter=cfg.numeric["basin_max_iter"],
-                    basin_tol=cfg.numeric["basin_tol"],
-                )
+                stable = trace_stable_on_S(m, mesh, q, rep, att)
                 curves.append(stable)
                 if cfg.outputs.get("stable"):
                     doc = curve_to_json(stable)
@@ -425,7 +418,7 @@ def cmd_portrait(
         meta["attractors_share_edge"] = att_edge
     svg = render_portrait(records, curves, raster=raster, orbits=orbits, metadata=meta)
     out = out or cfg.outputs.get("svg") or "portrait.svg"
-    Path(out).write_text(svg)
+    _write_text(out, svg)
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -8,18 +8,20 @@ approximated at first order by translates of span{v}; the contraction rate
 rho is chosen in (mu, min{1, nu}) and the expansion parameter sigma in
 (rho, nu), midpoints by default.
 
-The unstable curve is grown by iterating a short eigendirection seed forward
-with arclength re-sampling; the stable curve is computed as the basin
-boundary between the two attractors, bisected along a fan of transversal
-segments in direction space and lifted onto the mesh.
+One routine grows both curves from a short seed along an eigendirection in
+W, mapping and re-sampling it by arclength sweep after sweep: the unstable
+curve under T, the stable curve as the unstable curve of T^-1 restricted to
+the mesh (Newton preimages projected radially onto the mesh).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .analysis import eigen3, eigvec_for, verify_C1
+from .existence import axial_caps
 from .models import CompetitiveMap
 from .simplex import SimplexMesh, radial_project
 
@@ -29,8 +31,6 @@ __all__ = [
     "NotASaddleError",
     "NoUnstableEigendirectionError",
     "BranchDidNotTerminateError",
-    "SegmentNotStraddlingError",
-    "UnresolvedOrbitError",
     "SpectralSplitting",
     "ManifoldCurve",
     "LeafContractionReport",
@@ -68,14 +68,6 @@ class NoUnstableEigendirectionError(ManifoldError):
 
 
 class BranchDidNotTerminateError(ManifoldError):
-    pass
-
-
-class SegmentNotStraddlingError(ManifoldError):
-    pass
-
-
-class UnresolvedOrbitError(ManifoldError):
     pass
 
 
@@ -178,7 +170,7 @@ def pseudo_splitting(
 
 
 # ---------------------------------------------------------------------------
-# Unstable manifold
+# Curve growing
 # ---------------------------------------------------------------------------
 
 def _resample_polyline(P: np.ndarray, spacing: float) -> np.ndarray:
@@ -197,6 +189,95 @@ def _resample_polyline(P: np.ndarray, spacing: float) -> np.ndarray:
     return out
 
 
+def _saddle_eigendirection(
+    m: CompetitiveMap, q: np.ndarray, expanding: bool
+) -> tuple[np.ndarray, int]:
+    """Eigenvector of DT(q) for the one expanding (or contracting) eigenvalue
+    in W, and the map steps per sweep: two when that eigenvalue is negative,
+    so that a branch does not flip sides at every step."""
+    split = pseudo_splitting(m, q)
+    mods = np.abs(split.w_eigenvalues)
+    word = "expanding" if expanding else "contracting"
+    chosen = np.nonzero(mods > 1.0 if expanding else mods < 1.0)[0]
+    if chosen.size == 0:
+        raise NotASaddleError(f"no {word} eigenvalue at q")
+    if chosen.size != 1:
+        raise NotASaddleError(f"{chosen.size} {word} eigenvalues; need exactly one")
+    lam = split.w_eigenvalues[chosen[0]]
+    if abs(lam.imag) > 1e-10 * abs(lam):
+        raise NoUnstableEigendirectionError(f"{word} eigenvalue is complex")
+    return eigvec_for(m.jacobian(q), float(lam.real)), 2 if lam.real < 0 else 1
+
+
+def _grow_curve(
+    kind: str,
+    step: Callable[[np.ndarray], np.ndarray],
+    q: np.ndarray,
+    seed: np.ndarray,
+    steps_per_sweep: int,
+    targets: dict[str, np.ndarray],
+    endpoint_tol: float,
+    h_max: float,
+    max_points: int = 20000,
+    max_sweeps: int = 1000,
+) -> ManifoldCurve:
+    """Unstable curve of `step` at its fixed point q, grown on both sides
+    from the segments [q, q +- seed]: every sweep maps a branch by
+    steps_per_sweep applications of `step` and re-samples it by arclength to
+    spacing h_max, until its end enters the endpoint_tol ball of a target."""
+    names = list(targets)
+    ends = np.array([targets[k] for k in names], dtype=float)
+
+    def fast_forward(P: np.ndarray) -> tuple[np.ndarray, str, float] | None:
+        """Extend the branch with the orbit of its endpoint; the orbit is part
+        of the curve, so this closes the slow final approach cheaply."""
+        y = P[-1].copy()
+        tail = [y]
+        for _ in range(20000):
+            y = step(y)
+            tail.append(y.copy())
+            d = np.linalg.norm(ends - y, axis=1)
+            j = int(np.argmin(d))
+            if d[j] < endpoint_tol:
+                ext = _resample_polyline(np.vstack([P, np.asarray(tail)]), h_max)
+                return ext, names[j], float(d[j])
+        return None
+
+    def trace_branch(direction: float) -> tuple[np.ndarray, str, float]:
+        P = q[None, :] + np.linspace(0.0, 1.0, 5)[:, None] * (direction * seed)[None, :]
+        for sweep in range(1, max_sweeps + 1):
+            img = P[1:]
+            for _ in range(steps_per_sweep):
+                img = step(img)
+            P = np.vstack([q[None, :], img])
+            P = _resample_polyline(P, h_max)
+            if P.shape[0] > max_points:
+                raise BranchDidNotTerminateError(
+                    f"branch exceeded {max_points} points before reaching {' or '.join(names)}"
+                )
+            d = np.linalg.norm(ends - P[-1], axis=1)
+            j = int(np.argmin(d))
+            if d[j] < endpoint_tol:
+                return P, names[j], float(d[j])
+            if sweep % 25 == 0:
+                closed = fast_forward(P)
+                if closed is not None:
+                    return closed
+        raise BranchDidNotTerminateError(
+            f"branch did not reach {' or '.join(names)} within {max_sweeps} sweeps "
+            f"(closest {np.min(np.linalg.norm(ends - P[-1], axis=1)):.3e})"
+        )
+
+    plus, name_p, d_p = trace_branch(+1.0)
+    minus, name_m, d_m = trace_branch(-1.0)
+    return ManifoldCurve(
+        points=np.vstack([minus[::-1], plus[1:]]),
+        kind=kind,
+        endpoints={name_m: d_m, name_p: d_p},
+        tol=float(endpoint_tol),
+    )
+
+
 def trace_unstable(
     m: CompetitiveMap,
     q: np.ndarray,
@@ -212,82 +293,17 @@ def trace_unstable(
     arclength after every sweep, until each branch enters the endpoint
     tolerance of one of the given attractors."""
     q = np.asarray(q, dtype=float)
-    split = pseudo_splitting(m, q)
-    mods = np.abs(split.w_eigenvalues)
-    expanding = np.nonzero(mods > 1.0)[0]
-    if expanding.size == 0:
-        raise NotASaddleError("no expanding eigenvalue at q")
-    if expanding.size != 1:
-        raise NotASaddleError(f"{expanding.size} expanding eigenvalues; need exactly one")
-    lam = split.w_eigenvalues[expanding[0]]
-    if abs(lam.imag) > 1e-10 * abs(lam):
-        raise NoUnstableEigendirectionError("expanding eigenvalue is complex")
-    e_u = eigvec_for(m.jacobian(q), float(lam.real))
-    steps_per_sweep = 2 if lam.real < 0 else 1
-
-    scale = float(np.linalg.norm(q))
+    e_u, steps_per_sweep = _saddle_eigendirection(m, q, expanding=True)
     if h0 is None:
-        h0 = 1e-6 * scale
-    if endpoint_tol is None or h_max is None:
-        from .existence import axial_caps
-
-        w_norm = float(np.linalg.norm(axial_caps(m)))
-        if endpoint_tol is None:
-            endpoint_tol = 1e-5 * w_norm
-        if h_max is None:
-            h_max = 1e-3 * w_norm
-
-    names = list(attractors)
-    att = np.array([attractors[k] for k in names], dtype=float)
-
-    def fast_forward(P: np.ndarray) -> tuple[np.ndarray, str, float] | None:
-        """Extend the branch with the orbit of its endpoint; the orbit is part
-        of the manifold, so this closes the slow final approach cheaply."""
-        y = P[-1].copy()
-        tail = [y]
-        for _ in range(20000):
-            y = m(y)
-            tail.append(y.copy())
-            d = np.linalg.norm(att - y, axis=1)
-            j = int(np.argmin(d))
-            if d[j] < endpoint_tol:
-                ext = _resample_polyline(np.vstack([P, np.asarray(tail)]), h_max)
-                return ext, names[j], float(d[j])
-        return None
-
-    def trace_branch(direction: float) -> tuple[np.ndarray, str, float]:
-        P = q[None, :] + np.linspace(0.0, 1.0, 5)[:, None] * (direction * h0 * e_u)[None, :]
-        for sweep in range(1, max_sweeps + 1):
-            img = m(P[1:])
-            for _ in range(steps_per_sweep - 1):
-                img = m(img)
-            P = np.vstack([q[None, :], img])
-            P = _resample_polyline(P, h_max)
-            if P.shape[0] > max_points:
-                raise BranchDidNotTerminateError(
-                    f"branch exceeded {max_points} points before reaching an attractor"
-                )
-            d = np.linalg.norm(att - P[-1], axis=1)
-            j = int(np.argmin(d))
-            if d[j] < endpoint_tol:
-                return P, names[j], float(d[j])
-            if sweep % 25 == 0:
-                closed = fast_forward(P)
-                if closed is not None:
-                    return closed
-        raise BranchDidNotTerminateError(
-            f"branch did not reach any attractor within {max_sweeps} sweeps "
-            f"(closest {np.min(np.linalg.norm(att - P[-1], axis=1)):.3e})"
-        )
-
-    plus, name_p, d_p = trace_branch(+1.0)
-    minus, name_m, d_m = trace_branch(-1.0)
-    points = np.vstack([minus[::-1], plus[1:]])
-    return ManifoldCurve(
-        points=points,
-        kind="unstable",
-        endpoints={name_m: d_m, name_p: d_p},
-        tol=float(endpoint_tol),
+        h0 = 1e-6 * float(np.linalg.norm(q))
+    w_norm = float(np.linalg.norm(axial_caps(m)))
+    if endpoint_tol is None:
+        endpoint_tol = 1e-5 * w_norm
+    if h_max is None:
+        h_max = 1e-3 * w_norm
+    return _grow_curve(
+        "unstable", m, q, h0 * e_u, steps_per_sweep, attractors, endpoint_tol, h_max,
+        max_points, max_sweeps,
     )
 
 
@@ -354,18 +370,24 @@ def _lift(mesh: SimplexMesh, d2: np.ndarray) -> np.ndarray:
     return radial_project(mesh, U)
 
 
-def _max_step_inside(P: np.ndarray, d: np.ndarray, margin: float = 1e-6) -> np.ndarray:
-    """Largest t with the 2-D direction point P + t d inside the simplex
-    (all three barycentric coordinates >= margin)."""
-    t = np.full(P.shape[0], np.inf)
-    for coef, bound in (
-        (-d[:, 0], P[:, 0] - margin),
-        (-d[:, 1], P[:, 1] - margin),
-        (d[:, 0] + d[:, 1], 1.0 - P[:, 0] - P[:, 1] - margin),
-    ):
-        pos = coef > 0
-        t[pos] = np.minimum(t[pos], bound[pos] / coef[pos])
-    return np.clip(t, 0.0, None)
+def _preimage(m: CompetitiveMap, Y: np.ndarray) -> np.ndarray:
+    """Rows x with T(x) = y for the rows y of Y, by batched Newton from x = y.
+    Raises ManifoldError unless every residual reaches 1e-12 (1 + ||y||)."""
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    X = Y.copy()
+    bound = 1e-12 * (1.0 + np.linalg.norm(Y, axis=1))
+    active = np.arange(Y.shape[0])
+    for _ in range(50):
+        R = m(X[active]) - Y[active]
+        open_rows = ~(np.linalg.norm(R, axis=1) <= bound[active])  # NaN stays open
+        active, R = active[open_rows], R[open_rows]
+        if active.size == 0:
+            return X
+        try:
+            X[active] -= np.linalg.solve(m.jacobian(X[active]), R[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError as exc:
+            raise ManifoldError(f"Newton preimage met a singular Jacobian: {exc}") from exc
+    raise ManifoldError(f"Newton preimage did not converge at {active.size} of {Y.shape[0]} points")
 
 
 def trace_stable_on_S(
@@ -374,175 +396,40 @@ def trace_stable_on_S(
     q: np.ndarray,
     repellers: dict[str, np.ndarray],
     attractors: dict[str, np.ndarray],
-    resolution: int = 33,
-    bisect_tol: float | None = None,
-    max_iter: int = 50000,
-    basin_tol: float = 1e-6,
+    h_max: float | None = None,
 ) -> ManifoldCurve:
-    """Stable curve of q on S as the boundary between the two basins.
+    """Stable curve of the saddle q on S, from repeller to repeller.
 
-    A fan of transversal segments sweeps in direction space from the first
-    repeller's direction through q's to the second's.  Each segment is grown
-    (and clipped into the simplex) until its endpoints resolve to different
-    attractors, then bisected on the lifted surface; stations whose
-    spine-perpendicular segment never straddles are re-spanned along the
-    chord between neighboring settled crossings, which follows bends of the
-    curve.  The crossings, chained in fan order and capped by the repeller
-    locations, form the curve.
+    T restricted to S is a homeomorphism and DT is inverse-positive, so the
+    stable curve of q on S is the unstable curve of T^-1 restricted to S.  It
+    is grown from the contracting W-eigendirection; each step is the Newton
+    preimage under T projected radially onto the mesh.  The projected map
+    fixes the lifts of q and the repellers, not the points, so the seed is
+    max(1e-6 ||q||, 10 ||radial_project(mesh, q) - q||) long and a branch
+    stops within 0.1 of the longest mesh edge of a repeller, whose location
+    caps the polyline.  The attractors are only checked for the 2+2 layout.
     """
     if len(repellers) != 2 or len(attractors) != 2:
         raise ValueError("need exactly two repellers and two attractors")
     q = np.asarray(q, dtype=float)
-    r_names = sorted(repellers)
-    if bisect_tol is None:
-        bisect_tol = 1e-5 * max(np.linalg.norm(q), 1.0)
+    e_s, steps_per_sweep = _saddle_eigendirection(m, q, expanding=False)
+    gap = float(np.linalg.norm(radial_project(mesh, q) - q))
+    h0 = max(1e-6 * float(np.linalg.norm(q)), 10.0 * gap)
+    if h_max is None:
+        h_max = 1e-3 * float(np.linalg.norm(axial_caps(m)))
 
-    def dir2(x: np.ndarray) -> np.ndarray:
-        u = x / x.sum()
-        return u[:2]
+    def step(X: np.ndarray) -> np.ndarray:
+        return radial_project(mesh, _preimage(m, X).reshape(np.shape(X)))
 
-    u_r1, u_r2 = dir2(repellers[r_names[0]]), dir2(repellers[r_names[1]])
-    u_q = dir2(q)
-
-    # fan stations along the two spine legs, station at u_q included
-    len1 = np.linalg.norm(u_q - u_r1)
-    len2 = np.linalg.norm(u_r2 - u_q)
-    k1 = max(2, int(round(resolution * len1 / (len1 + len2))))
-    k2 = max(2, resolution - k1)
-    leg1 = u_r1 + np.linspace(0.0, 1.0, k1 + 1)[1:, None] * (u_q - u_r1)
-    leg2 = u_q + np.linspace(0.0, 1.0, k2 + 1)[:-1, None] * (u_r2 - u_q)[None, :]
-    stations = np.vstack([leg1, leg2[1:]])
-    tangents = np.gradient(stations, axis=0)
-    tangents /= np.linalg.norm(tangents, axis=1, keepdims=True)
-    normals = np.column_stack([-tangents[:, 1], tangents[:, 0]])
-    spacing = (len1 + len2) / max(resolution - 1, 1)
-    K = stations.shape[0]
-
-    crossings = np.empty((K, q.shape[0]))
-    crossings_d2 = np.empty((K, 2))
-    settled = np.zeros(K, dtype=bool)
-
-    def attempt(idx: np.ndarray, centers: np.ndarray, normal_dirs: np.ndarray) -> None:
-        """Straddle-search and bisect transversal segments; record successes."""
-        e1 = np.empty((idx.size, 2))
-        e2 = np.empty((idx.size, 2))
-        found = np.zeros(idx.size, dtype=bool)
-        for grow in (0.5, 1.0, 2.0, 4.0, 8.0):
-            open_rows = np.nonzero(~found)[0]
-            if open_rows.size == 0:
-                break
-            half = grow * spacing
-            P = centers[open_rows]
-            n = normal_dirs[open_rows]
-            step_lo = np.minimum(half, 0.98 * _max_step_inside(P, -n))
-            step_hi = np.minimum(half, 0.98 * _max_step_inside(P, n))
-            lo = P - step_lo[:, None] * n
-            hi = P + step_hi[:, None] * n
-            lab_lo = basin_of_batch(m, _lift(mesh, lo), attractors, max_iter, basin_tol)
-            lab_hi = basin_of_batch(m, _lift(mesh, hi), attractors, max_iter, basin_tol)
-            straddle = ((lab_lo == 0) & (lab_hi == 1)) | ((lab_lo == 1) & (lab_hi == 0))
-            rows = open_rows[straddle]
-            flip = (lab_lo[straddle] == 1)[:, None]
-            e1[rows] = np.where(flip, hi[straddle], lo[straddle])
-            e2[rows] = np.where(flip, lo[straddle], hi[straddle])
-            found[rows] = True
-
-        active = np.nonzero(found)[0]
-        for _ in range(200):
-            if active.size == 0:
-                break
-            mid = 0.5 * (e1[active] + e2[active])
-            lifted = _lift(mesh, mid)
-            labels = basin_of_batch(m, lifted, attractors, max_iter, basin_tol)
-            # an unresolved midpoint between resolved endpoints converged to a
-            # non-attracting fixed point, i.e. it sits on the boundary; keep
-            # narrowing the bracket through a nudged probe unless it is
-            # already below tolerance
-            on_boundary = np.nonzero(labels < 0)[0]
-            if on_boundary.size:
-                width_b = np.linalg.norm(
-                    _lift(mesh, e1[active[on_boundary]]) - _lift(mesh, e2[active[on_boundary]]),
-                    axis=1,
-                )
-                narrow = width_b < bisect_tol
-                probe = mid[on_boundary] + 0.1 * (e2[active[on_boundary]] - e1[active[on_boundary]])
-                plabels = basin_of_batch(m, _lift(mesh, probe), attractors, max_iter, basin_tol)
-                for r, row in enumerate(on_boundary):
-                    if narrow[r] or plabels[r] < 0:
-                        crossings[idx[active[row]]] = lifted[row]
-                        crossings_d2[idx[active[row]]] = mid[row]
-                        settled[idx[active[row]]] = True
-                    elif plabels[r] == 0:
-                        e1[active[row]] = probe[r]
-                    else:
-                        e2[active[row]] = probe[r]
-            e1[active[labels == 0]] = mid[labels == 0]
-            e2[active[labels == 1]] = mid[labels == 1]
-            width = np.linalg.norm(_lift(mesh, e1[active]) - _lift(mesh, e2[active]), axis=1)
-            done = (width < bisect_tol) & (labels >= 0)
-            rows = active[done]
-            mids = 0.5 * (e1[rows] + e2[rows])
-            crossings[idx[rows]] = _lift(mesh, mids)
-            crossings_d2[idx[rows]] = mids
-            settled[idx[rows]] = True
-            newly_settled = settled[idx[active]]
-            active = active[~done & ~newly_settled]
-        if active.size:
-            raise UnresolvedOrbitError(
-                f"bisection failed to converge at stations {idx[active].tolist()}"
-            )
-
-    # pass 1: transversals perpendicular to the straight spine
-    attempt(np.arange(K), stations, normals)
-
-    # pass 2+: re-span runs of failed stations along the chord between their
-    # settled neighbors (follows bends of the curve away from the spine)
-    for _ in range(3):
-        if settled.all():
-            break
-        open_idx = np.nonzero(~settled)[0]
-        runs: list[tuple[int, int]] = []
-        start_run = open_idx[0]
-        prev = open_idx[0]
-        for i in open_idx[1:]:
-            if i != prev + 1:
-                runs.append((start_run, prev))
-                start_run = i
-            prev = i
-        runs.append((start_run, prev))
-        for lo_i, hi_i in runs:
-            left = crossings_d2[lo_i - 1] if lo_i > 0 else u_r1
-            right = crossings_d2[hi_i + 1] if hi_i + 1 < K else u_r2
-            count = hi_i - lo_i + 1
-            ts = np.linspace(0.0, 1.0, count + 2)[1:-1, None]
-            centers = left + ts * (right - left)
-            chord = right - left
-            norm = np.linalg.norm(chord)
-            if norm < 1e-14:
-                continue
-            n = np.array([-chord[1], chord[0]]) / norm
-            attempt(np.arange(lo_i, hi_i + 1), centers, np.tile(n, (count, 1)))
-    if not settled.all():
-        raise SegmentNotStraddlingError(
-            f"{int((~settled).sum())} fan segments found no straddling endpoints"
-        )
-
-    # q is on the stable curve by definition; when the station through u_q
-    # bisected onto q's ray, place q itself rather than its mesh lift (the
-    # lift would carry the surface interpolation error)
-    q_station = k1 - 1
-    if np.linalg.norm(crossings_d2[q_station] - u_q) * q.sum() <= 5 * bisect_tol:
-        crossings[q_station] = q
-        crossings_d2[q_station] = u_q
-
-    start = repellers[r_names[0]]
-    end = repellers[r_names[1]]
-    points = np.vstack([start[None, :], crossings, end[None, :]])
-    endpoints = {
-        r_names[0]: float(np.linalg.norm(crossings[0] - start)),
-        r_names[1]: float(np.linalg.norm(crossings[-1] - end)),
-    }
-    return ManifoldCurve(points=points, kind="stable", endpoints=endpoints, tol=float(bisect_tol))
+    curve = _grow_curve(
+        "stable", step, q, h0 * e_s, steps_per_sweep, repellers,
+        0.1 * mesh.max_edge_length(), h_max,
+    )
+    if len(curve.endpoints) != 2:
+        raise ManifoldError(f"both branches of the stable curve reached {list(curve.endpoints)}")
+    first, last = (np.asarray(repellers[name], dtype=float) for name in curve.endpoints)
+    curve.points = np.vstack([first, curve.points, last])
+    return curve
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from csimplex.analysis import SType, find_all_fixed_points, fixed_point_index
+from csimplex.analysis import boundary_sets, find_all_fixed_points, fixed_point_index
 from csimplex.classify import (
     DegenerateDenominatorError,
     classify_table1,
@@ -87,16 +87,7 @@ def structures(systems):
     for cid, kind, m in systems:
         recs = find_all_fixed_points(m)
         q = next(r for r in recs if r.support_type == "interior")
-        att = {
-            r.name: r.location
-            for r in recs
-            if r.support_type in ("axial", "planar") and r.s_type == SType.ATTRACTOR
-        }
-        rep = {
-            r.name: r.location
-            for r in recs
-            if r.support_type in ("axial", "planar") and r.s_type == SType.REPELLER
-        }
+        att, rep = boundary_sets(recs)
         split = pseudo_splitting(m, q.location)
         data.append(
             {"cid": cid, "kind": kind, "m": m, "records": recs, "q": q,

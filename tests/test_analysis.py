@@ -11,6 +11,7 @@ from csimplex.analysis import (
     NonHyperbolicError,
     SType,
     SingularJacobianError,
+    boundary_sets,
     classify_on_S,
     eigen3,
     eigvec_for,
@@ -308,6 +309,17 @@ class TestRecords:
         assert q.s_type == SType.SADDLE and q.index == -1 and q.c1_holds
         mods = np.abs(q.eigenvalues)
         assert mods[0] < mods[1] < 1.0 < mods[2]
+
+    def test_boundary_sets(self):
+        att, rep = boundary_sets(find_all_fixed_points(build_model("leslie_gower", A_CLASS19)))
+        assert list(att) == ["axial_2", "axial_3"]
+        assert list(rep) == ["axial_1", "planar_23"]
+        # an interior attractor is not a boundary attractor
+        weak = build_model("leslie_gower", [[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]])
+        recs = find_all_fixed_points(weak)
+        assert next(r for r in recs if r.support_type == "interior").s_type == SType.ATTRACTOR
+        att, rep = boundary_sets(recs)
+        assert att == {} and list(rep) == ["axial_1", "axial_2", "axial_3"]
 
     def test_residual_invariant(self):
         for kind in ("leslie_gower", "atkinson_allen", "ricker"):

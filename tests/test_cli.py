@@ -66,11 +66,27 @@ class TestConfigValidation:
         {"mesh_resolution": 16.0},
         {"basin_tol": float("inf")},
         {"unit_tol": 0.5},
+        {"fan_resolution": 33},
     ], ids=lambda numeric: next(iter(numeric)))
     def test_bad_numeric_exits_2(self, config_path, capsys, numeric):
         doc = anchor_config(numeric=numeric)
         assert main(["analyze", "--config", config_path(doc)]) == 2
         assert f"numeric.{next(iter(numeric))}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, outputs, out, field", [
+        ("simplex", {"mesh": 5}, None, "outputs.mesh"),
+        ("simplex", {"mesh": "absent/m.json"}, None, "absent/m.json"),
+        ("analyze", None, "absent/r.json", "absent/r.json"),
+        ("analyze", {"bogus": "b.json"}, None, "outputs.bogus"),
+    ], ids=["mesh_not_a_string", "mesh_dir_missing", "out_dir_missing", "unknown_output"])
+    def test_bad_output_exits_2(
+        self, config_path, tmp_path, monkeypatch, capsys, command, outputs, out, field
+    ):
+        monkeypatch.chdir(tmp_path)  # "absent/" is a missing directory under tmp_path
+        doc = anchor_config(outputs=outputs, numeric={"mesh_resolution": 8})
+        argv = [command, "--config", config_path(doc)] + (["--out", out] if out else [])
+        assert main(argv) == 2
+        assert field in capsys.readouterr().err
 
     def test_bool_seed_exits_2(self, config_path):
         assert main(["analyze", "--config", config_path(anchor_config(seed=True))]) == 2
@@ -176,7 +192,7 @@ class TestSimplexAndPortrait:
         svg_path = tmp_path / "portrait.svg"
         doc = anchor_config(
             outputs={"mesh": str(mesh_path), "svg": str(svg_path)},
-            numeric={"mesh_resolution": 24, "basin_raster": 60, "fan_resolution": 13},
+            numeric={"mesh_resolution": 24, "basin_raster": 60},
         )
         cfg = config_path(doc)
         assert main(["simplex", "--config", cfg]) == 0
@@ -216,7 +232,7 @@ class TestSimplexAndPortrait:
         svg_path = tmp_path / "p.svg"
         doc = anchor_config(
             outputs={"mesh": str(mesh_path), "svg": str(svg_path)},
-            numeric={"mesh_resolution": 24, "fan_resolution": 13},
+            numeric={"mesh_resolution": 24},
         )
         cfg = config_path(doc)
         assert main(["simplex", "--config", cfg]) == 0
@@ -231,7 +247,7 @@ class TestSimplexAndPortrait:
                 "stable": str(tmp_path / "stable.json"),
                 "unstable": str(tmp_path / "unstable.json"),
             },
-            numeric={"mesh_resolution": 24, "basin_raster": 40, "fan_resolution": 13},
+            numeric={"mesh_resolution": 24, "basin_raster": 40},
         )
         cfg = config_path(doc)
         assert main(["simplex", "--config", cfg]) == 0
@@ -280,7 +296,7 @@ class TestPortraitDeterminism:
         mesh_path = tmp_path / "mesh.json"
         doc = anchor_config(
             outputs={"mesh": str(mesh_path)},
-            numeric={"mesh_resolution": 24, "basin_raster": 50, "fan_resolution": 13},
+            numeric={"mesh_resolution": 24, "basin_raster": 50},
         )
         cfg = config_path(doc)
         main(["simplex", "--config", cfg])

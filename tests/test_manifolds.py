@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from csimplex.analysis import SType, find_all_fixed_points
+from csimplex.analysis import boundary_sets, find_all_fixed_points
 from csimplex.manifolds import (
     C1ViolatedError,
+    ManifoldError,
     basin_of,
     basin_of_batch,
     conjugacy_decay_report,
@@ -19,9 +20,11 @@ from csimplex.manifolds import (
     trace_stable_on_S,
     trace_unstable,
 )
+from csimplex.existence import axial_caps
+from csimplex.manifolds import _lift, _preimage
 from csimplex.models import make_custom
-from csimplex.simplex import surface_distance
-from conftest import A_CLASS19, build_model
+from csimplex.simplex import compute_carrying_simplex, radial_project, surface_distance
+from conftest import A_CLASS19, ANCHOR_MATRICES, build_model
 
 
 @pytest.fixture(scope="module")
@@ -29,16 +32,7 @@ def ref(class19_lg, class19_mesh):
     """Reference class-19 system with its records, splitting and mesh."""
     recs = find_all_fixed_points(class19_lg)
     q = next(r for r in recs if r.support_type == "interior")
-    att = {
-        r.name: r.location
-        for r in recs
-        if r.s_type == SType.ATTRACTOR and r.support_type in ("axial", "planar")
-    }
-    rep = {
-        r.name: r.location
-        for r in recs
-        if r.s_type == SType.REPELLER and r.support_type in ("axial", "planar")
-    }
+    att, rep = boundary_sets(recs)
     split = pseudo_splitting(class19_lg, q.location)
     return {
         "m": class19_lg,
@@ -153,53 +147,76 @@ class TestBasins:
 
 class TestStable:
     def test_joins_the_two_repellers_through_q(self, ref):
-        curve = trace_stable_on_S(
-            ref["m"], ref["mesh"], ref["q"], ref["rep"], ref["att"], resolution=33
-        )
+        curve = trace_stable_on_S(ref["m"], ref["mesh"], ref["q"], ref["rep"], ref["att"])
         assert curve.kind == "stable"
         assert set(curve.endpoints) == set(ref["rep"])
         assert curve.distance_to(ref["q"]) <= curve.tol
-        # first/last interior crossings sit close to the pinned repellers
-        assert max(curve.endpoints.values()) < 0.1
+        # the branch ends sit close to the pinned repellers
+        assert max(curve.endpoints.values()) <= curve.tol
 
-    def test_fan_refinement_self_convergence(self, ref):
-        c1 = trace_stable_on_S(
-            ref["m"], ref["mesh"], ref["q"], ref["rep"], ref["att"], resolution=17
-        )
-        c2 = trace_stable_on_S(
-            ref["m"], ref["mesh"], ref["q"], ref["rep"], ref["att"], resolution=34
-        )
-        d12 = cKDTree(c2.points).query(c1.points)[0].max()
-        h = ref["mesh"].max_edge_length()
-        assert d12 < 5 * (c1.tol + h ** 2)
+    def test_invariant_under_projected_map(self, ref):
+        mesh = ref["mesh"]
+        curve = trace_stable_on_S(ref["m"], mesh, ref["q"], ref["rep"], ref["att"])
+        images = radial_project(mesh, ref["m"](curve.points))
+        assert max(curve.distance_to(y) for y in images) <= curve.tol
+
+    def test_halved_step_self_convergence(self):
+        # an asymmetric system: on the reference the stable curve lies on the
+        # symmetry line x2 = x3 at every step, which hides the step error
+        m = build_model("leslie_gower", ANCHOR_MATRICES[0][1])
+        mesh = compute_carrying_simplex(m, resolution=32, tol=1e-8)
+        recs = find_all_fixed_points(m)
+        q = next(r for r in recs if r.support_type == "interior").location
+        att, rep = boundary_sets(recs)
+        h_max = 1e-3 * float(np.linalg.norm(axial_caps(m)))
+        c1 = trace_stable_on_S(m, mesh, q, rep, att, h_max=h_max)
+        c2 = trace_stable_on_S(m, mesh, q, rep, att, h_max=h_max / 2.0)
+        d12 = max(c2.distance_to(p) for p in c1.points)
+        d21 = max(c1.distance_to(p) for p in c2.points)
+        assert max(d12, d21) < 0.1 * h_max  # measured 0.036 * h_max
 
     def test_curves_meet_only_at_q(self, ref):
-        stable = trace_stable_on_S(
-            ref["m"], ref["mesh"], ref["q"], ref["rep"], ref["att"], resolution=33
-        )
+        stable = trace_stable_on_S(ref["m"], ref["mesh"], ref["q"], ref["rep"], ref["att"])
         unstable = trace_unstable(ref["m"], ref["q"], ref["att"])
         d_to_unst = cKDTree(unstable.points).query(stable.points)[0]
         far = np.linalg.norm(stable.points - ref["q"], axis=1) > 10 * stable.tol
         assert d_to_unst[far].min() > stable.tol
 
     def test_opposite_sides_resolve_to_opposite_attractors(self, ref):
-        curve = trace_stable_on_S(
-            ref["m"], ref["mesh"], ref["q"], ref["rep"], ref["att"], resolution=17
-        )
-        mid = curve.points[len(curve.points) // 2]
-        u = mid / mid.sum()
-        tangent = curve.points[len(curve.points) // 2 + 1] - curve.points[len(curve.points) // 2 - 1]
-        t2 = (tangent / np.linalg.norm(tangent))[:2]
-        n2 = np.array([-t2[1], t2[0]])
-        names = sorted(ref["att"])
-        offsets = (0.02, 0.05)
-        plus = [u[:2] + d * n2 for d in offsets]
-        minus = [u[:2] - d * n2 for d in offsets]
-        from csimplex.manifolds import _lift
+        curve = trace_stable_on_S(ref["m"], ref["mesh"], ref["q"], ref["rep"], ref["att"])
+        s = curve.arc_params
+        labels = []
+        for frac in (0.2, 0.35, 0.5, 0.65, 0.8):
+            k = int(np.searchsorted(s, frac * s[-1]))
+            u = curve.points[k] / curve.points[k].sum()
+            tangent = curve.points[k + 1] - curve.points[k - 1]
+            t2 = (tangent / np.linalg.norm(tangent))[:2]
+            n2 = np.array([-t2[1], t2[0]])
+            offsets = np.array([0.02, 0.05])[:, None]
+            sides = np.vstack([u[:2] + offsets * n2, u[:2] - offsets * n2])
+            labels.append(basin_of_batch(ref["m"], _lift(ref["mesh"], sides), ref["att"]))
+        labels = np.array(labels)
+        plus, minus = labels[:, :2], labels[:, 2:]
+        assert np.all(plus == plus[0, 0]) and np.all(minus == minus[0, 0])
+        assert plus[0, 0] != minus[0, 0] and min(plus[0, 0], minus[0, 0]) >= 0
 
-        lab_plus = basin_of_batch(ref["m"], _lift(ref["mesh"], np.array(plus)), ref["att"])
-        lab_minus = basin_of_batch(ref["m"], _lift(ref["mesh"], np.array(minus)), ref["att"])
-        assert lab_plus[0] == lab_plus[1] != lab_minus[0] == lab_minus[1]
+
+class TestPreimage:
+    @pytest.mark.parametrize("kind", ["leslie_gower", "atkinson_allen", "ricker"])
+    def test_round_trip(self, kind):
+        # preimages of the images of random points x in [0, 2w]
+        m = build_model(kind, A_CLASS19)
+        rng = np.random.default_rng(11)
+        X = rng.uniform(0.0, 2.0, (200, 3)) * axial_caps(m)
+        Y = m(X)
+        back = m(_preimage(m, Y))
+        err = np.linalg.norm(back - Y, axis=1)
+        assert np.all(err <= 1e-12 * (1.0 + np.linalg.norm(Y, axis=1)))
+
+    def test_singular_jacobian_raises(self):
+        dead = make_custom(3, lambda x: np.zeros(np.shape(x)), lambda x: np.zeros((3, 3)))
+        with pytest.raises(ManifoldError):
+            _preimage(dead, np.array([[0.2, 0.3, 0.4]]))
 
 
 class TestLeafContraction:

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from csimplex.analysis import SType, find_all_fixed_points
+from csimplex.analysis import boundary_sets, find_all_fixed_points
 from csimplex.manifolds import trace_stable_on_S, trace_unstable
 from csimplex.portrait import (
     TRIANGLE_CORNERS,
@@ -23,10 +23,9 @@ def scene(class19_lg, class19_mesh):
     m, mesh = class19_lg, class19_mesh
     recs = find_all_fixed_points(m)
     q = next(r for r in recs if r.support_type == "interior")
-    att = {r.name: r.location for r in recs if r.s_type == SType.ATTRACTOR and r.support}
-    rep = {r.name: r.location for r in recs if r.s_type == SType.REPELLER and r.support}
+    att, rep = boundary_sets(recs)
     unstable = trace_unstable(m, q.location, att)
-    stable = trace_stable_on_S(m, mesh, q.location, rep, att, resolution=17)
+    stable = trace_stable_on_S(m, mesh, q.location, rep, att)
     raster = basin_raster(m, mesh, att, resolution=61)
     return {"m": m, "mesh": mesh, "recs": recs, "q": q, "att": att,
             "unstable": unstable, "stable": stable, "raster": raster}
