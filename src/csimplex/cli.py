@@ -101,9 +101,20 @@ class RunConfig:
     """Validated run configuration: model document, numeric knobs, output
     paths and the sampling seed."""
 
-    def __init__(self, doc: dict):
+    def __init__(self, doc: dict, seed: int | None = None, resolution: int | None = None):
+        """``seed`` and ``resolution`` override the document's ``seed`` and
+        ``numeric.mesh_resolution`` (the CLI's --seed and --resolution)."""
         if not isinstance(doc, dict):
             raise ConfigError("<root>", "run config must be a JSON object")
+        if seed is not None or resolution is not None:
+            doc = dict(doc)
+            if seed is not None:
+                doc["seed"] = seed
+            if resolution is not None:
+                numeric = doc.get("numeric") or {}
+                if not isinstance(numeric, dict):
+                    raise ConfigError("numeric", "must be an object")
+                doc["numeric"] = {**numeric, "mesh_resolution": resolution}
         for key in doc:
             if key not in {"model", "numeric", "outputs", "seed"}:
                 raise ConfigError(key, "unknown field")
@@ -598,11 +609,7 @@ def main(argv: list[str] | None = None) -> int:
         except json.JSONDecodeError as exc:
             print(f"config error: line {exc.lineno}, col {exc.colno}: {exc.msg}", file=sys.stderr)
             return EXIT_CONFIG
-        if args.seed is not None:
-            doc["seed"] = args.seed
-        if args.resolution is not None:
-            doc.setdefault("numeric", {})["mesh_resolution"] = args.resolution
-        cfg = RunConfig(doc)
+        cfg = RunConfig(doc, seed=args.seed, resolution=args.resolution)
         if args.command == "analyze":
             return cmd_analyze(cfg, args.out, args.strict)
         if args.command == "simplex":

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
 from .analysis import FixedPointRecord, SType
 from .manifolds import ManifoldCurve, basin_of_batch
@@ -84,6 +85,28 @@ def basin_raster(
     return BasinRaster(resolution=R, labels=labels, attractor_names=sorted(attractors))
 
 
+def _near_curves(
+    resolution: int, curves: list[ManifoldCurve], exclusion: float
+) -> np.ndarray:
+    """Raster cells whose grid direction lies closer than ``exclusion`` to a
+    curve, measured in the (u1, u2) plane against the densified polyline."""
+    R = resolution
+    cell = 1.0 / (R - 1)
+    u1, u2 = np.meshgrid(np.linspace(0.0, 1.0, R), np.linspace(0.0, 1.0, R), indexing="ij")
+    grid2 = np.stack([u1.ravel(), u2.ravel()], axis=1)
+    near_curve = np.zeros(R * R, dtype=bool)
+    for curve in curves:
+        p = curve.points / curve.points.sum(axis=1, keepdims=True)
+        # densify the polyline so cell-scale gaps cannot leak through
+        dense = [p[:1, :2]]
+        for a, b in zip(p[:-1, :2], p[1:, :2]):
+            steps = max(2, int(np.ceil(np.linalg.norm(b - a) / (0.5 * cell))))
+            dense.append(np.linspace(a, b, steps)[1:])
+        d, _ = cKDTree(np.vstack(dense)).query(grid2, distance_upper_bound=exclusion)
+        near_curve |= d < exclusion
+    return near_curve.reshape(R, R)
+
+
 def count_basin_components(
     raster: BasinRaster,
     curves: list[ManifoldCurve],
@@ -97,25 +120,9 @@ def count_basin_components(
     are exclusion-band speckles at the raster scale (single cells pinched off
     where a curve passes near the simplex boundary) and are not counted.
     """
-    R = raster.resolution
-    cell = raster.cell_size()
     if exclusion is None:
-        exclusion = 2.0 * cell
-    u1, u2 = np.meshgrid(np.linspace(0.0, 1.0, R), np.linspace(0.0, 1.0, R), indexing="ij")
-    grid2 = np.stack([u1, u2], axis=-1)
-    near_curve = np.zeros((R, R), dtype=bool)
-    for curve in curves:
-        p = curve.points / curve.points.sum(axis=1, keepdims=True)
-        # densify the polyline so cell-scale gaps cannot leak through
-        dense = [p[:1, :2]]
-        for a, b in zip(p[:-1, :2], p[1:, :2]):
-            steps = max(2, int(np.ceil(np.linalg.norm(b - a) / (0.5 * cell))))
-            dense.append(np.linspace(a, b, steps)[1:])
-        p2 = np.vstack(dense)
-        d = np.min(
-            np.linalg.norm(grid2[:, :, None, :] - p2[None, None, :, :], axis=3), axis=2
-        )
-        near_curve |= d < exclusion
+        exclusion = 2.0 * raster.cell_size()
+    near_curve = _near_curves(raster.resolution, curves, exclusion)
     kept = (raster.labels >= 0) & ~near_curve
     floor = max(2.0, min_component_fraction * float(kept.sum()))
     total = 0

@@ -76,36 +76,37 @@ class EmptyNeighborhoodError(SimplexError):
 # Lattice
 # ---------------------------------------------------------------------------
 
-def _row_offset(i: int, N: int) -> int:
-    return i * (N + 1) - i * (i - 1) // 2
-
-
 def _lattice_index(i: np.ndarray, j: np.ndarray, N: int) -> np.ndarray:
     return i * (N + 1) - (i * (i - 1)) // 2 + j
 
 
+def _lattice_ij(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice coordinates (i, j) of every vertex, in index order."""
+    i, c = np.triu_indices(N + 1)
+    return i, c - i
+
+
 def barycentric_lattice(N: int) -> np.ndarray:
     """All directions (i, j, N-i-j)/N, ordered by i then j."""
-    pts = []
-    for i in range(N + 1):
-        for j in range(N + 1 - i):
-            pts.append((i, j, N - i - j))
-    return np.asarray(pts, dtype=float) / N
+    i, j = _lattice_ij(N)
+    return np.stack([i, j, N - i - j], axis=1) / N
 
 
 def lattice_triangulation(N: int) -> np.ndarray:
-    """Faces of the regular lattice: N^2 triangles, counterclockwise in (i, j)."""
-    faces = []
-    for i in range(N):
-        for j in range(N - i):
-            v00 = _row_offset(i, N) + j
-            v10 = _row_offset(i + 1, N) + j
-            v01 = v00 + 1
-            faces.append((v00, v10, v01))
-            if j < N - i - 1:
-                v11 = v10 + 1
-                faces.append((v10, v11, v01))
-    return np.asarray(faces, dtype=np.intp)
+    """Faces of the regular lattice: N^2 triangles, counterclockwise in (i, j).
+
+    Cell (i, j) with i + j < N contributes its up triangle, followed by its
+    down triangle unless the cell lies on the hypotenuse row."""
+    i, j = _lattice_ij(N - 1)
+    v00 = _lattice_index(i, j, N)
+    v10 = _lattice_index(i + 1, j, N)
+    v01 = v00 + 1
+    faces = np.empty((2 * i.size, 3), dtype=np.intp)
+    faces[0::2] = np.stack([v00, v10, v01], axis=1)
+    faces[1::2] = np.stack([v10, v10 + 1, v01], axis=1)
+    keep = np.ones(2 * i.size, dtype=bool)
+    keep[1::2] = i + j < N - 1
+    return faces[keep]
 
 
 @dataclass
@@ -145,18 +146,18 @@ class SimplexMesh:
         return self._cache["vtree"]
 
     def _incident_faces(self) -> np.ndarray:
-        """(M, 6) incident face indices per vertex, padded by repetition."""
+        """(M, 6) incident face indices per vertex, ascending, padded by
+        repeating the list from its start (every vertex lies on a face)."""
         if "incidence" not in self._cache:
             M = self.directions.shape[0]
-            lists: list[list[int]] = [[] for _ in range(M)]
-            for f, tri in enumerate(self.triangulation):
-                for v in tri:
-                    lists[v].append(f)
-            out = np.zeros((M, 6), dtype=np.intp)
-            for v, fs in enumerate(lists):
-                row = (fs * 6)[:6] if fs else [0] * 6
-                out[v] = row[:6]
-            self._cache["incidence"] = out
+            tri = self.triangulation
+            vert = tri.ravel()
+            order = np.argsort(vert, kind="stable")  # face order kept per vertex
+            faces_by_vertex = np.repeat(np.arange(tri.shape[0]), tri.shape[1])[order]
+            counts = np.bincount(vert, minlength=M)
+            starts = np.cumsum(counts) - counts
+            slot = np.arange(6)[None, :] % counts[:, None]
+            self._cache["incidence"] = faces_by_vertex[starts[:, None] + slot]
         return self._cache["incidence"]
 
     def to_json(self) -> dict:
@@ -252,21 +253,76 @@ def radial_project(mesh: SimplexMesh, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _barycentric_2d(q: np.ndarray, t0: np.ndarray, t1: np.ndarray, t2: np.ndarray):
-    """Barycentric coordinates of 2-D points q in triangles (t0, t1, t2);
-    all arguments broadcast together on the leading axes."""
-    d = (t1[..., 0] - t0[..., 0]) * (t2[..., 1] - t0[..., 1]) - (
-        t2[..., 0] - t0[..., 0]
-    ) * (t1[..., 1] - t0[..., 1])
+    """Barycentric coordinates (c0, c1, c2) of 2-D points q in triangles
+    (t0, t1, t2).  Axis 0 of every argument holds the two coordinates; the
+    remaining axes broadcast together."""
+    d = (t1[0] - t0[0]) * (t2[1] - t0[1]) - (t2[0] - t0[0]) * (t1[1] - t0[1])
     d = np.where(d == 0.0, 1e-300, d)
-    c1 = (
-        (q[..., 0] - t0[..., 0]) * (t2[..., 1] - t0[..., 1])
-        - (t2[..., 0] - t0[..., 0]) * (q[..., 1] - t0[..., 1])
-    ) / d
-    c2 = (
-        (t1[..., 0] - t0[..., 0]) * (q[..., 1] - t0[..., 1])
-        - (q[..., 0] - t0[..., 0]) * (t1[..., 1] - t0[..., 1])
-    ) / d
-    return np.stack([1.0 - c1 - c2, c1, c2], axis=-1)
+    c1 = ((q[0] - t0[0]) * (t2[1] - t0[1]) - (t2[0] - t0[0]) * (q[1] - t0[1])) / d
+    c2 = ((t1[0] - t0[0]) * (q[1] - t0[1]) - (q[0] - t0[0]) * (t1[1] - t0[1])) / d
+    return 1.0 - c1 - c2, c1, c2
+
+
+# A direction counts as inside a face when its smallest barycentric weight is
+# at least -_FOUND_TOL.
+_FOUND_TOL = 1e-6
+
+
+def _locate_interior(P: np.ndarray, faces: np.ndarray, N: int):
+    """Locate the interior lattice directions among the image triangles.
+
+    ``P`` (2, M) holds the first two coordinates of the image direction of
+    every lattice vertex.  The queries are the interior lattice directions
+    (i/N, j/N), 1 <= i, j and i + j <= N - 1, in index order.  Each face is
+    scattered onto the lattice points inside its bounding box, padded so that
+    no point with every barycentric weight >= -_FOUND_TOL is left out; every
+    query keeps the face with the largest minimum barycentric weight, the
+    lowest face index on ties.  This is the argmax over all faces that an
+    exhaustive scan computes, restricted to the faces that can pass.
+
+    Returns (face (Q,), barycentric weights (Q, 3), found (Q,)); a query that
+    no face covers within -_FOUND_TOL has found = False.
+    """
+    # the interior points are the lattice of N - 3 shifted by (1, 1)
+    qi, qj = _lattice_ij(N - 3)
+    queries = np.stack([(qi + 1) / N, (qj + 1) / N])
+    # (coordinate, corner, face); np.take is much faster here than indexing
+    T = np.take(P, faces.T, axis=1)
+    # lattice-index units: the queries sit on the integer points (i, j)
+    lo = T.min(axis=1) * N
+    hi = T.max(axis=1) * N
+    # a point whose barycentric weights are all >= -eps lies at most 2 eps
+    # times the extent of the box outside it
+    pad = 1e-5 * (hi - lo) + 1e-9
+    first = np.maximum(np.ceil(lo - pad), 1.0)
+    span = np.minimum(np.floor(hi + pad), N - 2.0) - first + 1.0
+    hit = np.nonzero((span[0] > 0) & (span[1] > 0))[0]  # NaN spans fail too
+    nj = span[1, hit].astype(np.intp)
+    count = span[0, hit].astype(np.intp) * nj
+    pair_face = np.repeat(hit, count)
+    k = np.arange(pair_face.size) - np.repeat(np.cumsum(count) - count, count)
+    nj = np.repeat(nj, count)
+    pi = np.repeat(first[0, hit].astype(np.intp), count) + k // nj
+    pj = np.repeat(first[1, hit].astype(np.intp), count) + k % nj
+    inside = pi + pj <= N - 1
+    pair_face = pair_face[inside]
+    pair_query = _lattice_index(pi[inside] - 1, pj[inside] - 1, N - 3)
+
+    T_pair = np.take(T, pair_face, axis=2)
+    c0, c1, c2 = _barycentric_2d(
+        np.take(queries, pair_query, axis=1), T_pair[:, 0], T_pair[:, 1], T_pair[:, 2]
+    )
+    pair_min = np.minimum(np.minimum(c0, c1), c2)
+    best = np.full(qi.size, -np.inf)
+    np.maximum.at(best, pair_query, pair_min)
+    win = pair_min == best[pair_query]
+    face = np.full(qi.size, faces.shape[0], dtype=np.intp)
+    np.minimum.at(face, pair_query[win], pair_face[win])
+    found = best >= -_FOUND_TOL
+    face[~found] = 0
+    T_face = np.take(T, face, axis=2)
+    bary = np.stack(_barycentric_2d(queries, T_face[:, 0], T_face[:, 1], T_face[:, 2]), axis=1)
+    return face, bary, found
 
 
 class _Transform:
@@ -291,15 +347,22 @@ class _Transform:
         self.interior_idx = np.nonzero(np.min(self.U, axis=1) > 0.0)[0]
         self.neighbors = self._build_neighbors()
 
-    def _build_neighbors(self) -> list[np.ndarray]:
-        M = self.U.shape[0]
-        nbrs: list[set] = [set() for _ in range(M)]
-        for tri in self.faces:
-            a, b, c = tri
-            nbrs[a].update((b, c))
-            nbrs[b].update((a, c))
-            nbrs[c].update((a, b))
-        return [np.fromiter(s, dtype=np.intp) for s in nbrs]
+    def _build_neighbors(self) -> np.ndarray:
+        """(M, 6) lattice neighbours per vertex, ascending, padded with -1.
+
+        The neighbours of (i, j) are the six lattice points at offsets
+        (-1, 0), (-1, +1), (0, -1), (0, +1), (+1, -1), (+1, 0), which is
+        ascending index order; points outside the lattice are dropped."""
+        N = self.N
+        i, j = _lattice_ij(N)
+        di = np.array([-1, -1, 0, 0, 1, 1])
+        dj = np.array([0, 1, -1, 1, -1, 0])
+        ni = i[:, None] + di
+        nj = j[:, None] + dj
+        inside = (ni >= 0) & (nj >= 0) & (ni + nj <= N)
+        nbrs = np.where(inside, _lattice_index(ni, nj, N), -1)
+        # keep the valid entries first, in ascending order
+        return np.take_along_axis(nbrs, np.argsort(~inside, axis=1, kind="stable"), axis=1)
 
     def sweep(self, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map the surface forward and re-sample it radially.
@@ -329,40 +392,14 @@ class _Transform:
             new[query_idx] = 1.0 / g
 
         # interior: 2-D point location among image-direction triangles
-        D2 = (Y / s[:, None])[:, :2]
-        tri0 = D2[self.faces[:, 0]]
-        tri1 = D2[self.faces[:, 1]]
-        tri2 = D2[self.faces[:, 2]]
-        centroids = (tri0 + tri1 + tri2) / 3.0
-        tree = cKDTree(centroids)
-        queries = self.U[self.interior_idx, :2]
-        kq = min(32, self.faces.shape[0])
-        _, cand = tree.query(queries, k=kq)
-        cand = np.atleast_2d(cand)
-        bary = _barycentric_2d(
-            queries[:, None, :], tri0[cand], tri1[cand], tri2[cand]
+        face_pick, best_bary, ok = _locate_interior(
+            (Y[:, :2] / s[:, None]).T.copy(), self.faces, self.N
         )
-        min_bary = bary.min(axis=2)
-        best = np.argmax(min_bary, axis=1)
-        rows = np.arange(queries.shape[0])
-        ok = min_bary[rows, best] >= -1e-9
-        # rare fallback: exhaustive scan for queries the candidate set missed
-        missed_rows = np.nonzero(~ok)[0]
-        face_pick = cand[rows, best]
-        best_bary = bary[rows, best]
-        for r in missed_rows:
-            all_bary = _barycentric_2d(queries[r], tri0, tri1, tri2)
-            f = int(np.argmax(all_bary.min(axis=1)))
-            if all_bary[f].min() >= -1e-6:
-                face_pick[r] = f
-                best_bary[r] = all_bary[f]
-                ok[r] = True
-        c = np.clip(best_bary, 0.0, None)
+        c = np.clip(best_bary[ok], 0.0, None)
         c /= c.sum(axis=1, keepdims=True)
-        s_face = s[self.faces[face_pick]]
-        t = 1.0 / (c / s_face).sum(axis=1)
+        s_face = s[self.faces[face_pick[ok]]]
         found = self.interior_idx[ok]
-        new[found] = t[ok]
+        new[found] = 1.0 / (c / s_face).sum(axis=1)
 
         flagged = self.interior_idx[~ok]
         pending = list(flagged)
@@ -371,7 +408,8 @@ class _Transform:
                 break
             still = []
             for v in pending:
-                vals = new[self.neighbors[v]]
+                nb = self.neighbors[v]
+                vals = new[nb[nb >= 0]]
                 vals = vals[~np.isnan(vals)]
                 if vals.size:
                     u = self.U[v]
@@ -436,19 +474,75 @@ def compute_carrying_simplex(
 # Mesh diagnostics
 # ---------------------------------------------------------------------------
 
+def _orthant_occupied(s, a, b, qs, qa, qb) -> np.ndarray:
+    """For each query q: is there a point p with s[p] > qs[q], a[p] >= qa[q]
+    and b[p] >= qb[q]?
+
+    Offline 3-D dominance in O(M log^2 M).  Points ordered by s descending
+    make {s > qs} a prefix of length cnt[q]; split into aligned blocks of
+    2^L points at each set bit L of cnt, as a Fenwick tree would.  Within a
+    block, points ordered by a descending make {a >= qa} a prefix, whose
+    smallest rank in b descending decides {b >= qb}.  Comparisons happen only
+    through searchsorted on the sorted values, so the answer is exact in
+    floating point.
+    """
+    M = s.size
+    cnt = M - np.searchsorted(np.sort(s), qs, side="right")
+    r_a = M - np.searchsorted(np.sort(a), qa, side="left")
+    r_b = M - np.searchsorted(np.sort(b), qb, side="left")
+    pos = np.empty(M, dtype=np.intp)
+    pos[np.argsort(-s, kind="stable")] = np.arange(M)
+    rank_a = np.empty(M, dtype=np.intp)
+    rank_a[np.argsort(-a, kind="stable")] = np.arange(M)
+    rank_b = np.empty(M, dtype=np.intp)
+    rank_b[np.argsort(-b, kind="stable")] = np.arange(M)
+    best_b = np.full(qs.size, M, dtype=np.intp)
+    for L in range(M.bit_length()):
+        sel = np.nonzero((cnt >> L) & 1)[0]
+        if sel.size == 0:
+            continue
+        block = pos >> L
+        key = block * M + rank_a
+        order = np.argsort(key)
+        key = key[order]
+        offset = block[order] * M
+        # running minimum of rank_b that restarts at every block
+        run = np.minimum.accumulate(rank_b[order] - offset) + offset
+        q_block = (cnt[sel] >> L) - 1
+        at = np.searchsorted(key, q_block * M + r_a[sel] - 1, side="right") - 1
+        ok = (at >= 0) & (key[np.maximum(at, 0)] >= q_block * M)
+        hit = sel[ok]
+        best_b[hit] = np.minimum(best_b[hit], run[at[ok]])
+    return best_b < r_b
+
+
 def unordered_check(mesh: SimplexMesh, tol: float) -> list[tuple[int, int]]:
     """Vertex pairs violating unorderedness: x <= y + tol in every coordinate
-    and x_j < y_j - tol in some coordinate.  Empty list = pass."""
+    and x_j < y_j - tol in some coordinate.  Empty list = pass.
+
+    Pairs come ordered by x then y.  For each coordinate j, an orthant query
+    over y + tol and y - tol finds the vertices x that take part in some
+    pair; only their rows are compared against every vertex.
+    """
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol!r}")
     V = mesh.vertices
-    M = V.shape[0]
+    up = V + tol
+    down = V - tol
+    rows = np.zeros(V.shape[0], dtype=bool)
+    for j, k, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        # y_j - tol > x_j already implies y_j + tol >= x_j
+        rows |= _orthant_occupied(down[:, j], up[:, k], up[:, l], V[:, j], V[:, k], V[:, l])
+    rows = np.nonzero(rows)[0]
     out: list[tuple[int, int]] = []
     block = 256
-    for start in range(0, M, block):
-        va = V[start : start + block][:, None, :]
-        below = np.all(va <= V[None, :, :] + tol, axis=2)
-        strict = np.any(va < V[None, :, :] - tol, axis=2)
-        rows, cols = np.nonzero(below & strict)
-        out.extend((int(r + start), int(c)) for r, c in zip(rows, cols))
+    for start in range(0, rows.size, block):
+        r = rows[start : start + block]
+        va = V[r][:, None, :]
+        below = np.all(va <= up[None, :, :], axis=2)
+        strict = np.any(va < down[None, :, :], axis=2)
+        pr, pc = np.nonzero(below & strict)
+        out.extend((int(x), int(y)) for x, y in zip(r[pr], pc))
     return out
 
 

@@ -88,6 +88,14 @@ class TestConfigValidation:
         assert main(argv) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, override", [
+        ([1, 2], ["--seed", "3"]),
+        ({**anchor_config(), "numeric": [1]}, ["--resolution", "16"]),
+    ], ids=["list_config_with_seed", "list_numeric_with_resolution"])
+    def test_override_on_malformed_config_exits_2(self, config_path, capsys, doc, override):
+        assert main(["analyze", "--config", config_path(doc), *override]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_bool_seed_exits_2(self, config_path):
         assert main(["analyze", "--config", config_path(anchor_config(seed=True))]) == 2
 

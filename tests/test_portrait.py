@@ -15,6 +15,7 @@ from csimplex.portrait import (
     render_portrait,
     to_plane,
 )
+from csimplex.portrait import _near_curves
 from conftest import build_model, ANCHOR_MATRICES
 
 
@@ -52,6 +53,26 @@ class TestRaster:
     def test_components_separated_by_curves(self, scene):
         n = count_basin_components(scene["raster"], [scene["stable"], scene["unstable"]])
         assert n == 4
+
+    def test_curve_exclusion_matches_brute_force(self, scene):
+        R = 41
+        cell = 1.0 / (R - 1)
+        curves = [scene["stable"], scene["unstable"]]
+        u1, u2 = np.meshgrid(np.linspace(0.0, 1.0, R), np.linspace(0.0, 1.0, R), indexing="ij")
+        grid2 = np.stack([u1, u2], axis=-1)
+        want = np.zeros((R, R), dtype=bool)
+        for curve in curves:
+            p = curve.points / curve.points.sum(axis=1, keepdims=True)
+            dense = [p[:1, :2]]
+            for a, b in zip(p[:-1, :2], p[1:, :2]):
+                steps = max(2, int(np.ceil(np.linalg.norm(b - a) / (0.5 * cell))))
+                dense.append(np.linspace(a, b, steps)[1:])
+            p2 = np.vstack(dense)
+            d = np.min(np.linalg.norm(grid2[:, :, None, :] - p2[None, None], axis=3), axis=2)
+            want |= d < 2.0 * cell
+        got = _near_curves(R, curves, 2.0 * cell)
+        assert 0 < want.sum() < want.size
+        assert np.array_equal(got, want)
 
     def test_attractor_direction_has_own_label(self, scene):
         raster = scene["raster"]

@@ -22,6 +22,11 @@ from csimplex.simplex import (
     radial_project,
     surface_distance,
     unordered_check,
+    _FOUND_TOL,
+    _Transform,
+    _barycentric_2d,
+    _locate_interior,
+    _orthant_occupied,
 )
 from conftest import A_CLASS19, build_model
 
@@ -76,6 +81,104 @@ class TestLattice:
         U = barycentric_lattice(12)
         boundary = U[np.min(U, axis=1) == 0.0]
         assert boundary.shape[0] == 36  # 3 * N vertices on the rim
+
+
+def _loop_lattice(N):
+    """Reference lattice geometry built with explicit loops: directions,
+    faces, incident faces (padded by repetition) and sorted neighbours
+    (padded with -1)."""
+    offset = [i * (N + 1) - i * (i - 1) // 2 for i in range(N + 2)]
+    U = np.asarray(
+        [(i, j, N - i - j) for i in range(N + 1) for j in range(N + 1 - i)], dtype=float
+    ) / N
+    faces = []
+    for i in range(N):
+        for j in range(N - i):
+            v00, v10 = offset[i] + j, offset[i + 1] + j
+            faces.append((v00, v10, v00 + 1))
+            if j < N - i - 1:
+                faces.append((v10, v10 + 1, v00 + 1))
+    faces = np.asarray(faces, dtype=np.intp)
+    M = U.shape[0]
+    incident = [[] for _ in range(M)]
+    nbrs = [set() for _ in range(M)]
+    for f, tri in enumerate(faces):
+        for v in tri:
+            incident[v].append(f)
+            nbrs[v].update(int(x) for x in tri if x != v)
+    incidence = np.asarray([(fs * 6)[:6] for fs in incident], dtype=np.intp)
+    neighbors = np.asarray([sorted(ns) + [-1] * (6 - len(ns)) for ns in nbrs], dtype=np.intp)
+    return U, faces, incidence, neighbors
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_lattice_builders_match_loop_reference(class19_lg, N):
+    U, faces, incidence, neighbors = _loop_lattice(N)
+    for got, want in (
+        (barycentric_lattice(N), U),
+        (lattice_triangulation(N), faces),
+        (SimplexMesh(N, U, np.ones(U.shape[0]), faces, 0.0)._incident_faces(), incidence),
+        (_Transform(class19_lg, N).neighbors, neighbors),
+    ):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+class TestLocateInterior:
+    """The rasterized locator against an argmax over every face."""
+
+    @staticmethod
+    def brute_force(P, faces, N):
+        U = barycentric_lattice(N)
+        queries = U[np.min(U, axis=1) > 0, :2]
+        t0, t1, t2 = (P[:, faces[:, v]] for v in range(3))
+        face = np.empty(queries.shape[0], dtype=np.intp)
+        best = np.empty(queries.shape[0])
+        for r, q in enumerate(queries):
+            score = np.min(_barycentric_2d(q[:, None], t0, t1, t2), axis=0)
+            face[r] = np.argmax(score)
+            best[r] = score[face[r]]
+        return face, best >= -_FOUND_TOL
+
+    @pytest.mark.parametrize("N", [6, 9, 12, 16])
+    @pytest.mark.parametrize("case", ["jittered", "folded", "shrunk", "grazing"])
+    def test_matches_exhaustive_scan(self, N, case):
+        rng = np.random.default_rng(N)
+        U = barycentric_lattice(N)
+        faces = lattice_triangulation(N)
+        D = U[:, :2].copy()
+        if case == "jittered":
+            D += rng.uniform(-0.3, 0.3, D.shape) / N
+        elif case == "folded":
+            # vertices pushed past their neighbours turn some faces over
+            D += rng.uniform(-0.9, 0.9, D.shape) / N
+        elif case == "shrunk":
+            # the image misses the queries next to the rim
+            D = 1.0 / 3.0 + 0.4 * (D - 1.0 / 3.0) + rng.uniform(-0.1, 0.1, D.shape) / N
+        else:
+            # the image rim passes 1e-9 inside the outermost queries, which
+            # lie outside every face but within the found tolerance
+            D = 1.0 / 3.0 + (1.0 - 3.0 * (1.0 / N + 1e-9)) * (D - 1.0 / 3.0)
+        P = D.T.copy()
+        face, bary, found = _locate_interior(P, faces, N)
+        want_face, want_found = self.brute_force(P, faces, N)
+        assert np.array_equal(found, want_found)
+        assert np.array_equal(face[found], want_face[found])
+        queries = U[np.min(U, axis=1) > 0, :2].T
+        tri = [P[:, faces[face, v]] for v in range(3)]
+        assert np.array_equal(bary[found], np.stack(_barycentric_2d(queries, *tri), axis=1)[found])
+        if case == "shrunk":
+            assert 0 < np.count_nonzero(~found) < found.size
+        if case == "grazing":
+            assert found.all()
+        if case == "folded":
+            # overlapping faces: some query lies inside more than one face
+            t0, t1, t2 = (P[:, faces[:, v]] for v in range(3))
+            covered = [
+                np.count_nonzero(np.min(_barycentric_2d(q[:, None], t0, t1, t2), axis=0) >= 0)
+                for q in queries.T
+            ]
+            assert max(covered) > 1
 
 
 class TestConvergence:
@@ -177,6 +280,42 @@ class TestUnordered:
                 if np.all(V[i] <= V[j] + tol) and np.any(V[i] < V[j] - tol):
                     slow.add((i, j))
         assert fast == slow
+
+    @pytest.mark.parametrize("N", [16, 20, 24])
+    def test_matches_definition_on_perturbed_meshes(self, class19_lg, N):
+        base = compute_carrying_simplex(class19_lg, resolution=N, tol=1e-9)
+        wn = float(np.linalg.norm(axial_caps(class19_lg)))
+        rng = np.random.default_rng(N)
+        radii = [base.radii]
+        radii += [base.radii * (1.0 + rng.normal(0.0, scale, base.radii.size))
+                  for scale in (1e-9, 1e-6, 1e-3, 3e-2)]
+        radii.append(np.round(radii[-1], 2))  # many equal coordinates
+        for r in radii:
+            mesh = SimplexMesh(N, base.directions, r, base.triangulation, 0.0)
+            V = mesh.vertices
+            for tol in (0.0, 1e-8, 1e-6 * wn):
+                want = []
+                for i in range(V.shape[0]):
+                    viol = np.all(V[i] <= V + tol, axis=1) & np.any(V[i] < V - tol, axis=1)
+                    want.extend((i, int(j)) for j in np.nonzero(viol)[0])
+                assert unordered_check(mesh, tol) == want
+
+    @pytest.mark.parametrize("M", [1, 2, 7, 64, 300])
+    @pytest.mark.parametrize("values", ["ties", "floats"])
+    def test_orthant_query_matches_definition(self, M, values):
+        rng = np.random.default_rng(M)
+        draw = (lambda n: rng.integers(0, 4, n).astype(float)) if values == "ties" else rng.random
+        pts = [draw(M) for _ in range(3)]
+        queries = [np.concatenate([c, draw(50)]) for c in pts]
+        got = _orthant_occupied(*pts, *queries)
+        s, a, b = pts
+        qs, qa, qb = (q[:, None] for q in queries)
+        want = np.any((s > qs) & (a >= qa) & (b >= qb), axis=1)
+        assert np.array_equal(got, want)
+
+    def test_negative_tol_rejected(self, class19_mesh):
+        with pytest.raises(ValueError):
+            unordered_check(class19_mesh, -1e-9)
 
 
 class TestInvariance:
