@@ -26,6 +26,7 @@ __all__ = [
     "CLASS_RULES",
     "compute_alpha_beta",
     "classify_table1",
+    "classify_table1_batch",
     "classify_and_analyze",
 ]
 
@@ -81,50 +82,169 @@ CLASS_RULES: dict[int, dict] = {
 }
 
 _ALPHA_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+_ALPHA_KEYS = tuple(f"alpha_{i+1}{j+1}" for i, j in _ALPHA_PAIRS)
+_PAIR_I, _PAIR_J = np.array(_ALPHA_PAIRS).T
+_DIAG = np.arange(3)
+# Invasion sum k is a_kj b_jl + a_kl b_lj over the other two species j < l.
+_SUM_J, _SUM_L = np.array([1, 0, 0]), np.array([2, 2, 1])
+_SUM_KEYS = ("inv1", "inv2", "inv3")
+
+# The six relabelings in lexicographic order, and the (class, permutation)
+# candidates in scan order: permutation-major.  Relabeling p maps entry
+# (i, j) of any table to entry (p_i, p_j) of the identity labelling's table.
+_PERMS = tuple(permutations(range(3)))
+_P = np.array(_PERMS)  # (6, 3)
+_PERM_ROWS, _PERM_COLS = _P[:, :, None], _P[:, None, :]
+_CANDIDATES = tuple((cid, perm) for perm in _PERMS for cid in CLASS_RULES)
+_N_CLASSES = len(CLASS_RULES)
+
+# Per class: the sign each alpha margin carries, and per invasion sum +1 for
+# ">" (margin s - 1), -1 for "<" (margin 1 - s), 0 when the class has no
+# condition on it.
+_SIGNS = np.array([rules["signs"] for rules in CLASS_RULES.values()], dtype=float)
+_SUM_REL = np.array(
+    [[{">": 1, "<": -1}.get(rules["sums"].get(key), 0) for key in _SUM_KEYS]
+     for rules in CLASS_RULES.values()]
+)
 
 
-def compute_alpha_beta(A: np.ndarray) -> AlphaBeta:
-    """Exact alpha/beta tables for a positive 3x3 matrix."""
+def _tables(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """alpha_ij = p_ii - p_ji, den_ij = p_ii p_jj - p_ij p_ji and
+    beta_ij = (p_jj - p_ij)/den_ij for matrices P (..., 3, 3), each entry
+    one elementwise float expression; alpha and beta have NaN diagonals."""
+    d = np.diagonal(P, axis1=-2, axis2=-1)
+    PT = np.swapaxes(P, -1, -2)
+    alpha = d[..., :, None] - PT
+    den = d[..., :, None] * d[..., None, :] - P * PT
+    beta = (d[..., None, :] - P) / den
+    alpha[..., _DIAG, _DIAG] = np.nan
+    beta[..., _DIAG, _DIAG] = np.nan
+    return alpha, den, beta
+
+
+def _refusals(As: np.ndarray, den: np.ndarray) -> list[Exception | None]:
+    """Why each matrix of As (K, 3, 3) with 2x2 determinants den (K, 3, 3)
+    has no alpha/beta tables, or None.  The first vanishing determinant is
+    reported in (i, j) loop order."""
+    nonpositive = np.any(As <= 0, axis=(1, 2)).tolist()
+    nonfinite = (~np.all(np.isfinite(As), axis=(1, 2))).tolist()
+    scale = np.max(As, axis=(1, 2)) ** 2
+    overflow = np.isinf(scale).tolist()
+    vanishing = np.abs(den[:, _PAIR_I, _PAIR_J]) < 1e-12 * scale[:, None]
+    first = np.where(vanishing.any(axis=1), np.argmax(vanishing, axis=1), -1).tolist()
+    out: list[Exception | None] = []
+    for k in range(len(As)):
+        if nonpositive[k]:
+            out.append(ValueError("entries must be positive"))
+        elif nonfinite[k]:
+            out.append(ValueError("entries must be finite"))
+        elif overflow[k]:
+            out.append(ValueError("entries too large: the squared maximum overflows"))
+        elif first[k] >= 0:
+            i, j = _ALPHA_PAIRS[first[k]]
+            out.append(DegenerateDenominatorError(
+                f"a_{i+1}{i+1} a_{j+1}{j+1} - a_{i+1}{j+1} a_{j+1}{i+1} vanishes"
+            ))
+        else:
+            out.append(None)
+    return out
+
+
+def _as_3x3(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.shape != (3, 3):
         raise ValueError("classification is defined for 3x3 matrices")
-    if np.any(A <= 0):
-        raise ValueError("interaction matrix must be entrywise positive")
-    alpha = np.full((3, 3), np.nan)
-    beta = np.full((3, 3), np.nan)
-    scale = float(np.max(A)) ** 2
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            alpha[i, j] = A[i, i] - A[j, i]
-            den = A[i, i] * A[j, j] - A[i, j] * A[j, i]
-            if abs(den) < 1e-12 * scale:
-                raise DegenerateDenominatorError(
-                    f"a_{i+1}{i+1} a_{j+1}{j+1} - a_{i+1}{j+1} a_{j+1}{i+1} vanishes"
-                )
-            beta[i, j] = (A[j, j] - A[i, j]) / den
+    return A
+
+
+def compute_alpha_beta(A: np.ndarray) -> AlphaBeta:
+    """Exact alpha/beta tables for a positive 3x3 matrix.
+
+    Raises ValueError for a non-positive, non-finite or overflowing entry and
+    DegenerateDenominatorError when some a_ii a_jj - a_ij a_ji vanishes.
+    """
+    A = _as_3x3(A)
+    with np.errstate(all="ignore"):
+        alpha, den, beta = _tables(A)
+        refusal = _refusals(A[None], den[None])[0]
+    if refusal is not None:
+        raise refusal
     return AlphaBeta(alpha=alpha, beta=beta)
 
 
-def _invasion_sums(A: np.ndarray, ab: AlphaBeta) -> dict[str, float]:
-    b = ab.beta
-    return {
-        "inv1": A[0, 1] * b[1, 2] + A[0, 2] * b[2, 1],
-        "inv2": A[1, 0] * b[0, 2] + A[1, 2] * b[2, 0],
-        "inv3": A[2, 0] * b[0, 1] + A[2, 1] * b[1, 0],
-    }
+def classify_table1_batch(
+    As: np.ndarray, band: float = DEGENERACY_BAND
+) -> list[ClassificationResult | ValueError | ClassifyError]:
+    """``classify_table1`` for every matrix of As (K, 3, 3) at once.
 
+    Item k is the ClassificationResult of As[k], or the exception that
+    ``classify_table1(As[k], band)`` raises, with the same message.  All
+    six relabelings and seven classes are decided in array operations; only
+    the assembly of each row's result is a loop over rows.  The tables of a
+    relabeled matrix are gathered from those of the matrix, which is exact:
+    each entry is one expression in the same four entries.
+    """
+    As = np.asarray(As, dtype=float)
+    if As.ndim != 3 or As.shape[1:] != (3, 3):
+        raise ValueError("classification is defined for (K, 3, 3) stacks of matrices")
+    with np.errstate(all="ignore"):
+        alpha, den, beta = _tables(As)
+        refusals = _refusals(As, den)
+        # every relabeling at once, gathered from the identity tables:
+        # alpha_ij for i != j in _ALPHA_PAIRS order, (K, 6, 6) ...
+        a = alpha[:, _P[:, _PAIR_I], _P[:, _PAIR_J]]
+        # ... and the three invasion sums a_kj b_jl + a_kl b_lj, (K, 6, 3)
+        pk, pj, pl = _P, _P[:, _SUM_J], _P[:, _SUM_L]
+        sums = As[:, pk, pj] * beta[:, pj, pl] + As[:, pk, pl] * beta[:, pl, pj]
+        above, below = sums - 1.0, 1.0 - sums
+        # alpha margins scale with A, sum margins are dimensionless
+        alpha_band = band * np.maximum(1.0, np.max(np.abs(As), axis=(1, 2)))[:, None, None]
+    # A margin is met above its band and failed below minus its band; alpha
+    # margins are sign * alpha, so a sign of -1 swaps met and failed.
+    met, failed = a > alpha_band, a < -alpha_band  # (K, 6, 6)
+    plus = _SIGNS > 0  # (7, 6) against (K, 6, 1, 6)
+    alpha_met = np.where(plus, met[:, :, None], failed[:, :, None]).all(axis=-1)
+    alpha_failed = np.where(plus, failed[:, :, None], met[:, :, None]).any(axis=-1)
+    gt, used = _SUM_REL > 0, _SUM_REL != 0  # (7, 3) against (K, 6, 1, 3)
+    sum_met = np.where(gt, (above > band)[:, :, None], (below > band)[:, :, None])
+    sum_failed = np.where(gt, (above < -band)[:, :, None], (below < -band)[:, :, None])
+    match = alpha_met & (sum_met | ~used).all(axis=-1)  # (K, 6, 7)
+    ambiguous = ~match & ~alpha_failed & ~(sum_failed & used).any(axis=-1)
+    match = match.reshape(len(As), len(_CANDIDATES))
+    ambiguous = ambiguous.reshape(len(As), len(_CANDIDATES))
+    first = np.where(match.any(axis=1), np.argmax(match, axis=1), len(_CANDIDATES))
+    tied = np.any(ambiguous & (np.arange(len(_CANDIDATES)) < first[:, None]), axis=1)
 
-def _margins_for(A: np.ndarray, ab: AlphaBeta, rules: dict) -> dict[str, float]:
-    """Signed slack of every inequality in the class; positive = satisfied."""
-    margins: dict[str, float] = {}
-    for sign, (i, j) in zip(rules["signs"], _ALPHA_PAIRS):
-        margins[f"alpha_{i+1}{j+1}"] = sign * ab.alpha[i, j]
-    sums = _invasion_sums(A, ab)
-    for key, rel in rules["sums"].items():
-        margins[key] = (1.0 - sums[key]) if rel == "<" else (sums[key] - 1.0)
-    return margins
+    out: list[ClassificationResult | ValueError | ClassifyError] = []
+    for k, (refusal, t, is_tied) in enumerate(zip(refusals, first.tolist(), tied.tolist())):
+        if refusal is not None:
+            out.append(refusal)
+        elif is_tied:
+            ahead = [_CANDIDATES[c] for c in np.flatnonzero(ambiguous[k, :t])]
+            if t < len(_CANDIDATES):
+                # an earlier candidate could flip to a match under a
+                # band-sized perturbation, changing the verdict
+                msg = (f"candidates {ahead} sit on the boundary ahead of a clean match "
+                       f"for class {_CANDIDATES[t][0]}; refusing to classify")
+            else:
+                msg = f"margins within {band:g} of zero for candidates {ahead}; refusing to classify"
+            out.append(TieOnBoundaryError(msg))
+        elif t < len(_CANDIDATES):
+            p, c = divmod(t, _N_CLASSES)
+            class_id, perm = _CANDIDATES[t]
+            margins = dict(zip(_ALPHA_KEYS, (_SIGNS[c] * a[k, p]).tolist()))
+            for key, rel, hi, lo in zip(_SUM_KEYS, _SUM_REL[c].tolist(),
+                                        above[k, p].tolist(), below[k, p].tolist()):
+                if rel:
+                    margins[key] = hi if rel > 0 else lo
+            rows, cols = _PERM_ROWS[p], _PERM_COLS[p]
+            ab = AlphaBeta(alpha=alpha[k][rows, cols], beta=beta[k][rows, cols])
+            out.append(ClassificationResult(class_id, perm, ab, margins))
+        else:
+            ab = AlphaBeta(alpha=alpha[k].copy(), beta=beta[k].copy())
+            signs = dict(zip(_ALPHA_KEYS, np.sign(a[k, 0]).tolist()))
+            out.append(ClassificationResult(OUT_OF_TABULATED_RANGE, (0, 1, 2), ab, signs))
+    return out
 
 
 def classify_table1(A: np.ndarray, band: float = DEGENERACY_BAND) -> ClassificationResult:
@@ -132,44 +252,16 @@ def classify_table1(A: np.ndarray, band: float = DEGENERACY_BAND) -> Classificat
     tabulated classes; return the first strict match.
 
     Raises TieOnBoundaryError when any candidate's verdict depends on a
-    margin inside the degeneracy band, and DegenerateDenominatorError when
-    beta is undefined.  Matrices matching no tabulated class come back with
+    margin inside the degeneracy band, DegenerateDenominatorError when
+    beta is undefined, and ValueError for a non-positive, non-finite or
+    overflowing entry.  Matrices matching no tabulated class come back with
     class_id OUT_OF_TABULATED_RANGE and the identity permutation's sign
     pattern to aid a manual lookup.
     """
-    A = np.asarray(A, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(A))))
-    alpha_band = band * scale  # alpha margins scale with A, sum margins are dimensionless
-    ambiguous: list[tuple[int, tuple[int, ...]]] = []
-    for perm in permutations(range(3)):
-        P = A[np.ix_(perm, perm)]
-        ab = compute_alpha_beta(P)
-        for class_id, rules in CLASS_RULES.items():
-            margins = _margins_for(P, ab, rules)
-            decided = []
-            for key, val in margins.items():
-                b = alpha_band if key.startswith("alpha") else band
-                decided.append(1 if val > b else (-1 if val < -b else 0))
-            if all(d > 0 for d in decided):
-                if ambiguous:
-                    # an earlier candidate could flip to a match under a
-                    # band-sized perturbation, changing the verdict
-                    raise TieOnBoundaryError(
-                        f"candidates {ambiguous} sit on the boundary ahead of a "
-                        f"clean match for class {class_id}; refusing to classify"
-                    )
-                return ClassificationResult(class_id, tuple(perm), ab, margins)
-            if all(d >= 0 for d in decided) and any(d == 0 for d in decided):
-                ambiguous.append((class_id, perm))
-    if ambiguous:
-        raise TieOnBoundaryError(
-            f"margins within {band:g} of zero for candidates {ambiguous}; refusing to classify"
-        )
-    identity_ab = compute_alpha_beta(A)
-    sign_pattern = {
-        f"alpha_{i+1}{j+1}": float(np.sign(identity_ab.alpha[i, j])) for i, j in _ALPHA_PAIRS
-    }
-    return ClassificationResult(OUT_OF_TABULATED_RANGE, (0, 1, 2), identity_ab, sign_pattern)
+    (result,) = classify_table1_batch(_as_3x3(A)[None], band)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def classify_and_analyze(m: CompetitiveMap) -> dict:

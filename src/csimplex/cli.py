@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import sys
@@ -19,12 +20,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import SingularJacobianError, SType, boundary_sets, find_all_fixed_points, verify_C1
-from .classify import (
-    ClassifyError,
-    DegenerateDenominatorError,
-    TieOnBoundaryError,
-    classify_table1,
-)
+from .classify import ClassifyError, classify_table1, classify_table1_batch
 from .existence import axial_caps, ricker_condition, verify_existence
 from .manifolds import (
     ManifoldError,
@@ -111,7 +107,7 @@ class RunConfig:
             if seed is not None:
                 doc["seed"] = seed
             if resolution is not None:
-                numeric = doc.get("numeric") or {}
+                numeric = doc.get("numeric", {})
                 if not isinstance(numeric, dict):
                     raise ConfigError("numeric", "must be an object")
                 doc["numeric"] = {**numeric, "mesh_resolution": resolution}
@@ -122,7 +118,7 @@ class RunConfig:
             raise ConfigError("model", "missing required field")
         self.model_doc = doc["model"]
         self.map = map_from_config(self.model_doc)
-        given = doc.get("numeric") or {}
+        given = doc.get("numeric", {})
         if not isinstance(given, dict):
             raise ConfigError("numeric", "must be an object")
         for key in given:
@@ -132,7 +128,7 @@ class RunConfig:
             key: _check_numeric(key, given[key]) if key in given else default
             for key, (default, _, _) in _NUMERIC_SCHEMA.items()
         }
-        self.outputs = doc.get("outputs") or {}
+        self.outputs = doc.get("outputs", {})
         if not isinstance(self.outputs, dict):
             raise ConfigError("outputs", "must be an object of path strings")
         for key, path in self.outputs.items():
@@ -270,13 +266,27 @@ def cmd_analyze(cfg: RunConfig, out: str | None, strict: bool) -> int:
     return EXIT_OK
 
 
-def cmd_classify(input_path: str, out: str | None, as_json: bool, strict: bool) -> int:
-    path = Path(input_path)
-    if not path.exists():
-        print(f"input CSV not found: {input_path}", file=sys.stderr)
-        return EXIT_MISSING
-    rows = []
-    errors = 0
+def _parse_row(row: list[str]) -> list[float]:
+    """The nine entries a11..a33 of a CSV row; ValueError when it has fewer
+    or more non-empty cells or a cell is not a number."""
+    extra = sum(1 for c in row[9:] if c.strip())
+    if extra:
+        raise ValueError(f"expected 9 columns a11..a33, got {9 + extra} non-empty cells")
+    vals = [float(c) for c in row[:9]]
+    if len(vals) != 9:
+        raise ValueError("expected 9 columns a11..a33")
+    return vals
+
+
+# Rows per classify_table1_batch call.  Blocks keep the kernel's arrays, the
+# results and the raw cells bounded by the block, not by the CSV length.
+_CLASSIFY_BLOCK = 1024
+
+
+def _classified_rows(path: Path) -> list[dict]:
+    """Output rows for the data rows of the CSV, in order, classified
+    ``_CLASSIFY_BLOCK`` rows at a time."""
+    rows, block = [], []
     with path.open(newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not c.strip() for c in row):
@@ -284,29 +294,55 @@ def cmd_classify(input_path: str, out: str | None, as_json: bool, strict: bool) 
             if lineno == 1 and not row[0].strip().lstrip("-").replace(".", "", 1).isdigit():
                 continue  # header row
             try:
-                vals = [float(c) for c in row[:9]]
-                if len(vals) != 9:
-                    raise ValueError("expected 9 columns a11..a33")
-                A = np.array(vals).reshape(3, 3)
-                if np.any(A <= 0):
-                    raise ValueError("entries must be positive")
-                res = classify_table1(A)
-                rows.append(
-                    {
-                        "row": lineno,
-                        "a": vals,
-                        "class_id": res.class_id,
-                        "permutation": "".join(str(p + 1) for p in res.permutation),
-                        "margins": res.margins,
-                        "error": "",
-                    }
-                )
-            except (ValueError, DegenerateDenominatorError, TieOnBoundaryError) as exc:
-                errors += 1
-                rows.append({"row": lineno, "a": row[:9], "class_id": "", "permutation": "",
-                             "margins": {}, "error": f"{type(exc).__name__}: {exc}"})
+                block.append((lineno, row[:9], _parse_row(row)))
+            except ValueError as exc:
+                block.append((lineno, row[:9], exc))
+            if len(block) == _CLASSIFY_BLOCK:
+                rows += _classify_block(block)
+                block = []
+    rows += _classify_block(block)
+    return rows
+
+
+def _classify_block(block: list[tuple[int, list[str], list[float] | ValueError]]) -> list[dict]:
+    """Output rows for parsed CSV rows; the valid ones are classified in one
+    batch.  Refused rows echo their raw cells."""
+    valid = [vals for _, _, vals in block if isinstance(vals, list)]
+    outcomes = iter(classify_table1_batch(np.array(valid, dtype=float).reshape(-1, 3, 3)))
+    rows = []
+    for lineno, cells, vals in block:
+        res = next(outcomes) if isinstance(vals, list) else vals
+        if isinstance(res, Exception):
+            rows.append({"row": lineno, "a": cells, "class_id": "", "permutation": "",
+                         "margins": {}, "error": f"{type(res).__name__}: {res}"})
+        else:
+            rows.append({
+                "row": lineno,
+                "a": vals,
+                "class_id": res.class_id,
+                "permutation": "".join(str(p + 1) for p in res.permutation),
+                "margins": res.margins,
+                "error": "",
+            })
+    return rows
+
+
+def cmd_classify(input_path: str, out: str | None, as_json: bool, strict: bool) -> int:
+    path = Path(input_path)
+    if not path.exists():
+        print(f"input CSV not found: {input_path}", file=sys.stderr)
+        return EXIT_MISSING
+    try:
+        rows = _classified_rows(path)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        print(f"cannot read {input_path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_MISSING
     if as_json:
-        text = json.dumps(_jsonable({"rows": rows}), sort_keys=True, indent=2) + "\n"
+        # json.dump streams; json.dumps with indent would first hold every chunk
+        buf = io.StringIO()
+        json.dump({"rows": rows}, buf, sort_keys=True, indent=2)
+        buf.write("\n")
+        text = buf.getvalue()
     else:
         lines = ["a11,a12,a13,a21,a22,a23,a31,a32,a33,class_id,permutation,min_margin,error"]
         for r in rows:
@@ -318,7 +354,7 @@ def cmd_classify(input_path: str, out: str | None, as_json: bool, strict: bool) 
         _write_text(out, text)
     else:
         print(text, end="")
-    if errors and strict:
+    if strict and any(r["error"] for r in rows):
         return EXIT_ANALYSIS
     return EXIT_OK
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .analysis import FixedPointRecord, SType
 from .manifolds import ManifoldCurve, basin_of_batch
@@ -90,6 +88,8 @@ def _near_curves(
 ) -> np.ndarray:
     """Raster cells whose grid direction lies closer than ``exclusion`` to a
     curve, measured in the (u1, u2) plane against the densified polyline."""
+    from scipy.spatial import cKDTree
+
     R = resolution
     cell = 1.0 / (R - 1)
     u1, u2 = np.meshgrid(np.linspace(0.0, 1.0, R), np.linspace(0.0, 1.0, R), indexing="ij")
@@ -120,6 +120,8 @@ def count_basin_components(
     are exclusion-band speckles at the raster scale (single cells pinched off
     where a curve passes near the simplex boundary) and are not counted.
     """
+    from scipy import ndimage
+
     if exclusion is None:
         exclusion = 2.0 * raster.cell_size()
     near_curve = _near_curves(raster.resolution, curves, exclusion)

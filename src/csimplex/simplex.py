@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .existence import axial_caps
 from .models import CompetitiveMap
@@ -140,8 +139,11 @@ class SimplexMesh:
         )
         return float(np.sqrt((e * e).sum(axis=1).max()))
 
-    def _vertex_tree(self) -> cKDTree:
+    def _vertex_tree(self):
+        """kd-tree of the vertices (scipy.spatial is imported on first use)."""
         if "vtree" not in self._cache:
+            from scipy.spatial import cKDTree
+
             self._cache["vtree"] = cKDTree(self.vertices)
         return self._cache["vtree"]
 

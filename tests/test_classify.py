@@ -1,21 +1,27 @@
 """Table-based classification of 3x3 interaction matrices."""
 from __future__ import annotations
 
+import warnings
 from itertools import permutations
 
 import numpy as np
 import pytest
 
 from csimplex.classify import (
+    CLASS_RULES,
+    DEGENERACY_BAND,
+    AlphaBeta,
+    ClassificationResult,
     DegenerateDenominatorError,
     OUT_OF_TABULATED_RANGE,
     TieOnBoundaryError,
     classify_and_analyze,
     classify_table1,
+    classify_table1_batch,
     compute_alpha_beta,
 )
 from csimplex.models import ParameterSet, make_ricker
-from conftest import A_CLASS19, build_model
+from conftest import A_CLASS19, ANCHOR_MATRICES, build_model
 
 
 def brute_force_matches(A: np.ndarray) -> list[tuple[int, tuple[int, ...]]]:
@@ -61,6 +67,198 @@ def brute_force_matches(A: np.ndarray) -> list[tuple[int, tuple[int, ...]]]:
             if ok:
                 matches.append((cid, perm))
     return matches
+
+
+_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+
+
+def loop_alpha_beta(A: np.ndarray) -> AlphaBeta:
+    """Per-entry loop reference for the alpha/beta tables of a finite
+    positive matrix."""
+    alpha = np.full((3, 3), np.nan)
+    beta = np.full((3, 3), np.nan)
+    scale = float(np.max(A)) ** 2
+    for i, j in _PAIRS:
+        alpha[i, j] = A[i, i] - A[j, i]
+        den = A[i, i] * A[j, j] - A[i, j] * A[j, i]
+        if abs(den) < 1e-12 * scale:
+            raise DegenerateDenominatorError(
+                f"a_{i+1}{i+1} a_{j+1}{j+1} - a_{i+1}{j+1} a_{j+1}{i+1} vanishes"
+            )
+        beta[i, j] = (A[j, j] - A[i, j]) / den
+    return AlphaBeta(alpha=alpha, beta=beta)
+
+
+def loop_classify(A: np.ndarray, band: float = DEGENERACY_BAND):
+    """Per-row loop reference for classify_table1 on a finite positive
+    matrix: scan relabelings x classes with dicts, return the result or the
+    exception it refuses with."""
+    scale = max(1.0, float(np.max(np.abs(A))))
+    alpha_band = band * scale
+    ambiguous = []
+    try:
+        for perm in permutations(range(3)):
+            P = A[np.ix_(perm, perm)]
+            ab = loop_alpha_beta(P)
+            b = ab.beta
+            sums = {
+                "inv1": P[0, 1] * b[1, 2] + P[0, 2] * b[2, 1],
+                "inv2": P[1, 0] * b[0, 2] + P[1, 2] * b[2, 0],
+                "inv3": P[2, 0] * b[0, 1] + P[2, 1] * b[1, 0],
+            }
+            for class_id, rules in CLASS_RULES.items():
+                margins = {}
+                for sign, (i, j) in zip(rules["signs"], _PAIRS):
+                    margins[f"alpha_{i+1}{j+1}"] = sign * ab.alpha[i, j]
+                for key, rel in rules["sums"].items():
+                    margins[key] = (1.0 - sums[key]) if rel == "<" else (sums[key] - 1.0)
+                decided = []
+                for key, val in margins.items():
+                    bd = alpha_band if key.startswith("alpha") else band
+                    decided.append(1 if val > bd else (-1 if val < -bd else 0))
+                if all(d > 0 for d in decided):
+                    if ambiguous:
+                        raise TieOnBoundaryError(
+                            f"candidates {ambiguous} sit on the boundary ahead of a "
+                            f"clean match for class {class_id}; refusing to classify"
+                        )
+                    return ClassificationResult(class_id, tuple(perm), ab, margins)
+                if all(d >= 0 for d in decided) and any(d == 0 for d in decided):
+                    ambiguous.append((class_id, perm))
+        if ambiguous:
+            raise TieOnBoundaryError(
+                f"margins within {band:g} of zero for candidates {ambiguous}; "
+                "refusing to classify"
+            )
+    except (DegenerateDenominatorError, TieOnBoundaryError) as exc:
+        return exc
+    ab = loop_alpha_beta(A)
+    signs = {f"alpha_{i+1}{j+1}": float(np.sign(ab.alpha[i, j])) for i, j in _PAIRS}
+    return ClassificationResult(OUT_OF_TABULATED_RANGE, (0, 1, 2), ab, signs)
+
+
+def assert_same_outcome(got, want):
+    """Equal class, permutation, margin keys in order, and bit-identical
+    margins and tables (NaN diagonals included); or the same exception."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert isinstance(got, ClassificationResult)
+    assert got.class_id == want.class_id and type(got.class_id) is type(want.class_id)
+    assert got.permutation == want.permutation
+    assert list(got.margins) == list(want.margins)
+    assert [float(v).hex() for v in got.margins.values()] == [
+        float(v).hex() for v in want.margins.values()
+    ]
+    assert got.alpha_beta.alpha.tobytes() == want.alpha_beta.alpha.tobytes()
+    assert got.alpha_beta.beta.tobytes() == want.alpha_beta.beta.tobytes()
+
+
+def oracle_rows() -> np.ndarray:
+    """Uniform rows, one-decimal rows (ties), degenerate rows (all entries
+    equal; a_ii a_jj = a_ij a_ji exactly with powers of two) and jittered
+    anchor matrices."""
+    rng = np.random.default_rng(53)
+    rows = [rng.uniform(0.2, 3.0, (3, 3)) for _ in range(300)]
+    rows += [np.round(rng.uniform(0.2, 3.0, (3, 3)), 1) for _ in range(400)]
+    for k in range(40):
+        if k % 2 == 0:
+            rows.append(np.full((3, 3), rng.uniform(0.2, 3.0)))
+        else:
+            A = rng.uniform(0.2, 3.0, (3, 3))
+            i, j = sorted(rng.choice(3, 2, replace=False))
+            p, q, s = rng.integers(-1, 2, 3)
+            A[i, i], A[j, j], A[i, j], A[j, i] = 2.0**p, 2.0**q, 2.0**s, 2.0**(p + q - s)
+            rows.append(A)
+    for k in range(240):
+        A = np.asarray(ANCHOR_MATRICES[k % len(ANCHOR_MATRICES)][1])
+        rows.append(A * np.exp(rng.normal(0.0, 0.05, (3, 3))))
+    return np.array(rows)
+
+
+class TestBatchKernel:
+    def test_matches_loop_reference(self):
+        As = oracle_rows()
+        got = classify_table1_batch(As)
+        want = [loop_classify(A) for A in As]
+        for g, w in zip(got, want):
+            assert_same_outcome(g, w)
+        kinds = {type(w).__name__ for w in want}
+        assert {"ClassificationResult", "TieOnBoundaryError",
+                "DegenerateDenominatorError"} <= kinds
+        assert any(isinstance(w, ClassificationResult) and not w.tabulated for w in want)
+
+    def test_other_band_matches_loop_reference(self):
+        As = oracle_rows()[::3]
+        for g, w in zip(classify_table1_batch(As, band=0.05), [loop_classify(A, 0.05) for A in As]):
+            assert_same_outcome(g, w)
+
+    def test_margin_equal_to_band(self):
+        """A margin exactly at the band is undecided, for alpha margins
+        (band scale 1 when max|A| <= 1) and for invasion-sum margins."""
+        rng = np.random.default_rng(59)
+        checked = 0
+        for A in rng.uniform(0.2, 1.0, (150, 3, 3)):
+            res = loop_classify(A)
+            if not isinstance(res, ClassificationResult) or not res.tabulated:
+                continue
+            for band in res.margins.values():
+                (got,) = classify_table1_batch(A[None], band)
+                assert_same_outcome(got, loop_classify(A, band))
+                checked += 1
+        assert checked > 50
+
+    def test_batch_equals_single_calls(self):
+        As = oracle_rows()[::4]
+        for A, got in zip(As, classify_table1_batch(As)):
+            try:
+                want = classify_table1(A)
+            except (ValueError, DegenerateDenominatorError, TieOnBoundaryError) as exc:
+                want = exc
+            assert_same_outcome(got, want)
+        assert classify_table1_batch(np.empty((0, 3, 3))) == []
+
+    def test_compute_alpha_beta_matches_loop_reference(self):
+        for A in oracle_rows():
+            try:
+                want = loop_alpha_beta(A)
+            except DegenerateDenominatorError as exc:
+                with pytest.raises(DegenerateDenominatorError, match=str(exc)):
+                    compute_alpha_beta(A)
+                continue
+            got = compute_alpha_beta(A)
+            assert got.alpha.tobytes() == want.alpha.tobytes()
+            assert got.beta.tobytes() == want.beta.tobytes()
+
+    def test_no_warning_escapes(self):
+        bad = np.array([np.full((3, 3), np.nan), np.full((3, 3), np.inf),
+                        np.full((3, 3), 1e308), -np.ones((3, 3)), np.full((3, 3), 1e-200)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = classify_table1_batch(np.concatenate([oracle_rows(), bad]))
+            compute_alpha_beta(np.full((3, 3), 1e-200))  # products underflow to 0/0
+        assert all(isinstance(o, ValueError) for o in out[-5:-1])
+
+    @pytest.mark.parametrize("value, message", [
+        (np.nan, "entries must be finite"),
+        (np.inf, "entries must be finite"),
+        (1e308, "the squared maximum overflows"),
+        (0.0, "entries must be positive"),
+        (-np.inf, "entries must be positive"),
+    ], ids=["nan", "inf", "1e308", "zero", "minus_inf"])
+    def test_bad_entry_refused(self, value, message):
+        A = A_CLASS19.copy()
+        A[1, 2] = value
+        with pytest.raises(ValueError, match=message):
+            classify_table1(A)
+        with pytest.raises(ValueError, match=message):
+            compute_alpha_beta(A)
+
+    def test_non_3x3_refused(self):
+        with pytest.raises(ValueError):
+            classify_table1(np.ones((4, 4)))
+        with pytest.raises(ValueError):
+            classify_table1_batch(np.ones((2, 3, 4)))
 
 
 class TestAlphaBeta:

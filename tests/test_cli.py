@@ -2,10 +2,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import csimplex
 from csimplex.cli import main
 from conftest import A_CLASS19, ANCHOR_MATRICES
 
@@ -96,6 +101,13 @@ class TestConfigValidation:
         assert main(["analyze", "--config", config_path(doc), *override]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["numeric", "outputs"])
+    @pytest.mark.parametrize("value", [[], 0, False, ""], ids=["list", "zero", "false", "empty"])
+    def test_falsy_non_object_exits_2(self, config_path, capsys, field, value):
+        doc = {**anchor_config(), field: value}
+        assert main(["analyze", "--config", config_path(doc)]) == 2
+        assert field in capsys.readouterr().err
+
     def test_bool_seed_exits_2(self, config_path):
         assert main(["analyze", "--config", config_path(anchor_config(seed=True))]) == 2
 
@@ -183,6 +195,62 @@ class TestClassify:
     def test_missing_input_exits_3(self, tmp_path):
         assert main(["classify", "--input", str(tmp_path / "nope.csv")]) == 3
 
+    @pytest.mark.parametrize("cells, message", [
+        (["nan"] + ["1"] * 8, "entries must be finite"),
+        (["1"] * 8 + ["inf"], "entries must be finite"),
+        (["1e308"] + ["1"] * 8, "the squared maximum overflows"),
+        ([str(v) for v in A_CLASS19.ravel()] + ["2.0"], "got 10 non-empty cells"),
+    ], ids=["nan", "inf", "1e308", "ten_cells"])
+    def test_bad_row_refused(self, tmp_path, cells, message):
+        src = tmp_path / "in.csv"
+        src.write_text(",".join(str(v) for v in A_CLASS19.ravel()) + "\n" + ",".join(cells) + "\n")
+        out = tmp_path / "out.json"
+        assert main(["classify", "--input", str(src), "--out", str(out), "--json"]) == 0
+        good, bad = json.loads(out.read_text())["rows"]
+        assert bad["error"].startswith("ValueError: ") and message in bad["error"]
+        assert bad["class_id"] == "" and good["class_id"] == 19
+        assert main(["classify", "--input", str(src), "--strict"]) == 1
+
+    def test_rows_across_blocks(self, tmp_path, monkeypatch):
+        """Rows keep their order and verdicts when the batch is split into
+        blocks, with refused rows at and across the block edges."""
+        import csimplex.cli as cli
+        from csimplex.classify import classify_table1
+
+        monkeypatch.setattr(cli, "_CLASSIFY_BLOCK", 4)
+        rng = np.random.default_rng(3)
+        lines = [",".join(str(v) for v in rng.uniform(0.2, 3.0, 9)) for _ in range(13)]
+        lines[3] = "1,1,1,0,1,1,1,1,1"
+        lines[4] = "2,2,2,2,2,2,2,2,2"
+        lines[8] = "1,2,3"
+        src = tmp_path / "in.csv"
+        src.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.json"
+        assert main(["classify", "--input", str(src), "--out", str(out), "--json"]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [r["row"] for r in rows] == list(range(1, 14))
+        for line, r in zip(lines, rows):
+            cells = line.split(",")
+            if len(cells) != 9:
+                assert r["error"] == "ValueError: expected 9 columns a11..a33"
+                continue
+            try:
+                res = classify_table1(np.array([float(c) for c in cells]).reshape(3, 3))
+            except (ValueError, RuntimeError) as exc:
+                assert r["error"] == f"{type(exc).__name__}: {exc}"
+                assert r["a"] == cells
+                continue
+            assert (r["class_id"], r["permutation"], r["error"]) == (
+                res.class_id, "".join(str(p + 1) for p in res.permutation), "")
+
+    def test_unreadable_input_exits_3(self, tmp_path, capsys):
+        assert main(["classify", "--input", str(tmp_path)]) == 3
+        assert f"cannot read {tmp_path}" in capsys.readouterr().err
+        src = tmp_path / "utf16.csv"
+        src.write_bytes(b"\xff\xfe1\x00,\x002\x00\n\x00")
+        assert main(["classify", "--input", str(src)]) == 3
+        assert f"cannot read {src}" in capsys.readouterr().err
+
     def test_header_row_skipped(self, tmp_path):
         src = tmp_path / "in.csv"
         header = "a11,a12,a13,a21,a22,a23,a31,a32,a33"
@@ -192,6 +260,17 @@ class TestClassify:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 2  # header + one data row
         assert lines[1].split(",")[9] == "19"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy.spatial and scipy.ndimage are imported only where they are used."""
+    src = str(Path(csimplex.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, csimplex.cli; "
+            "print(sorted(m for m in ('scipy.spatial', 'scipy.ndimage') if m in sys.modules))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert run.stdout.strip() == "[]"
 
 
 class TestSimplexAndPortrait:
