@@ -278,6 +278,18 @@ def _parse_row(row: list[str]) -> list[float]:
     return vals
 
 
+def _is_header(row: list[str]) -> bool:
+    """A first line is a header when a non-empty cell among a11..a33 is not
+    a number; a data row written as 1e-3, +1 or nan is not one."""
+    for cell in row[:9]:
+        if cell.strip():
+            try:
+                float(cell)
+            except ValueError:
+                return True
+    return False
+
+
 # Rows per classify_table1_batch call.  Blocks keep the kernel's arrays, the
 # results and the raw cells bounded by the block, not by the CSV length.
 _CLASSIFY_BLOCK = 1024
@@ -291,8 +303,8 @@ def _classified_rows(path: Path) -> list[dict]:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not c.strip() for c in row):
                 continue
-            if lineno == 1 and not row[0].strip().lstrip("-").replace(".", "", 1).isdigit():
-                continue  # header row
+            if lineno == 1 and _is_header(row):
+                continue
             try:
                 block.append((lineno, row[:9], _parse_row(row)))
             except ValueError as exc:

@@ -38,7 +38,6 @@ __all__ = [
     "M2ExpansionReport",
     "pseudo_splitting",
     "trace_unstable",
-    "basin_of",
     "basin_of_batch",
     "trace_stable_on_S",
     "leaf_contraction_report",
@@ -47,9 +46,6 @@ __all__ = [
     "curve_to_json",
     "curve_from_json",
 ]
-
-UNRESOLVED = None
-
 
 class ManifoldError(RuntimeError):
     pass
@@ -222,54 +218,76 @@ def _grow_curve(
     max_sweeps: int = 1000,
 ) -> ManifoldCurve:
     """Unstable curve of `step` at its fixed point q, grown on both sides
-    from the segments [q, q +- seed]: every sweep maps a branch by
-    steps_per_sweep applications of `step` and re-samples it by arclength to
-    spacing h_max, until its end enters the endpoint_tol ball of a target."""
+    from the segments [q, q +- seed]: every sweep maps the open branches by
+    steps_per_sweep applications of `step` and re-samples each by arclength
+    to spacing h_max, until its end enters the endpoint_tol ball of a target.
+    The branches advance in lockstep, so each application of `step` maps the
+    points of both in one batch; `step` must map rows independently."""
     names = list(targets)
     ends = np.array([targets[k] for k in names], dtype=float)
+    fan = np.linspace(0.0, 1.0, 5)[:, None]
+    branches = [q[None, :] + fan * (sign * seed)[None, :] for sign in (1.0, -1.0)]
+    arrivals: list[tuple[str, float] | None] = [None, None]
 
-    def fast_forward(P: np.ndarray) -> tuple[np.ndarray, str, float] | None:
-        """Extend the branch with the orbit of its endpoint; the orbit is part
-        of the curve, so this closes the slow final approach cheaply."""
-        y = P[-1].copy()
-        tail = [y]
+    def arrival(y: np.ndarray) -> tuple[str, float] | None:
+        d = np.linalg.norm(ends - y, axis=1)
+        j = int(np.argmin(d))
+        return (names[j], float(d[j])) if d[j] < endpoint_tol else None
+
+    def fast_forward(ids: list[int]) -> None:
+        """Extend the branches with the orbits of their endpoints, mapped
+        together; the orbit is part of the curve, so this closes the slow
+        final approach cheaply.  A branch whose orbit does not arrive within
+        20000 steps is left as it was."""
+        tails = {b: [branches[b][-1]] for b in ids}
+        Y = np.array([branches[b][-1] for b in ids])
         for _ in range(20000):
-            y = step(y)
-            tail.append(y.copy())
-            d = np.linalg.norm(ends - y, axis=1)
-            j = int(np.argmin(d))
-            if d[j] < endpoint_tol:
-                ext = _resample_polyline(np.vstack([P, np.asarray(tail)]), h_max)
-                return ext, names[j], float(d[j])
-        return None
+            Y = step(Y)
+            for row, b in enumerate(ids):
+                tails[b].append(Y[row])
+            d = np.linalg.norm(Y[:, None, :] - ends[None, :, :], axis=2)
+            if d.min() >= endpoint_tol:
+                continue
+            j = np.argmin(d, axis=1)
+            for row, b in enumerate(ids):
+                if d[row, j[row]] < endpoint_tol:
+                    arrivals[b] = (names[j[row]], float(d[row, j[row]]))
+                    ext = np.vstack([branches[b], np.asarray(tails[b])])
+                    branches[b] = _resample_polyline(ext, h_max)
+            still = [row for row, b in enumerate(ids) if arrivals[b] is None]
+            if not still:
+                return
+            ids = [ids[row] for row in still]
+            Y = Y[still]
 
-    def trace_branch(direction: float) -> tuple[np.ndarray, str, float]:
-        P = q[None, :] + np.linspace(0.0, 1.0, 5)[:, None] * (direction * seed)[None, :]
-        for sweep in range(1, max_sweeps + 1):
-            img = P[1:]
-            for _ in range(steps_per_sweep):
-                img = step(img)
-            P = np.vstack([q[None, :], img])
-            P = _resample_polyline(P, h_max)
+    for sweep in range(1, max_sweeps + 1):
+        ids = [b for b in range(2) if arrivals[b] is None]
+        heads = [branches[b][1:] for b in ids]
+        img = np.vstack(heads)
+        for _ in range(steps_per_sweep):
+            img = step(img)
+        cuts = np.cumsum([h.shape[0] for h in heads])[:-1]
+        for b, part in zip(ids, np.split(img, cuts)):
+            P = _resample_polyline(np.vstack([q[None, :], part]), h_max)
             if P.shape[0] > max_points:
                 raise BranchDidNotTerminateError(
                     f"branch exceeded {max_points} points before reaching {' or '.join(names)}"
                 )
-            d = np.linalg.norm(ends - P[-1], axis=1)
-            j = int(np.argmin(d))
-            if d[j] < endpoint_tol:
-                return P, names[j], float(d[j])
-            if sweep % 25 == 0:
-                closed = fast_forward(P)
-                if closed is not None:
-                    return closed
+            branches[b] = P
+            arrivals[b] = arrival(P[-1])
+        still_open = [b for b in ids if arrivals[b] is None]
+        if still_open and sweep % 25 == 0:
+            fast_forward(still_open)
+        if all(a is not None for a in arrivals):
+            break
+    else:
+        closest = min(np.min(np.linalg.norm(ends - branches[b][-1], axis=1))
+                      for b in range(2) if arrivals[b] is None)
         raise BranchDidNotTerminateError(
             f"branch did not reach {' or '.join(names)} within {max_sweeps} sweeps "
-            f"(closest {np.min(np.linalg.norm(ends - P[-1], axis=1)):.3e})"
+            f"(closest {closest:.3e})"
         )
-
-    plus, name_p, d_p = trace_branch(+1.0)
-    minus, name_m, d_m = trace_branch(-1.0)
+    (plus, minus), ((name_p, d_p), (name_m, d_m)) = branches, arrivals
     return ManifoldCurve(
         points=np.vstack([minus[::-1], plus[1:]]),
         kind=kind,
@@ -311,6 +329,98 @@ def trace_unstable(
 # Basins
 # ---------------------------------------------------------------------------
 
+def _profile_slopes(m: CompetitiveMap, x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """|g_i'(s_i)| and |g_i''(s_i)| at s = A x for the builtin laws, whose
+    growth rates are F_i = g_i(s_i); None for other maps.  Both decrease in
+    s_i."""
+    if m.params is None or m.kind not in ("leslie_gower", "atkinson_allen", "ricker"):
+        return None
+    r = m.params.r
+    s = x @ m.params.A.T
+    if m.kind == "ricker":
+        g1 = r * np.exp(r * (1.0 - s))
+        return g1, r * g1
+    c = m.params.c if m.params.c is not None else 0.0
+    d = 1.0 + r * s
+    g1 = (1.0 + r) * (1.0 - c) * r / d**2
+    return g1, 2.0 * r * g1 / d
+
+
+def _second_derivative_bound(m: CompetitiveMap, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+    """Bounds on sup ||D^2 T|| over the boxes [lo_k, hi_k] in R^n_+ (rows of
+    lo, hi) for the builtin laws; None for other maps.
+
+    With F_i = g_i(s_i), D^2 T_i[h, h] = 2 h_i g_i'(s_i) (a_i . h)
+    + x_i g_i''(s_i) (a_i . h)^2, and s_i is smallest at lo.  For unit h the
+    vector of these is at most max_i 2 |a_i| |g_i'| + ||(x_i |a_i|^2 |g_i''|)_i||.
+    """
+    slopes = _profile_slopes(m, lo)
+    if slopes is None:
+        return None
+    g1, g2 = slopes
+    a = np.linalg.norm(m.params.A, axis=1)
+    return np.max(2.0 * a * g1, axis=-1) + np.linalg.norm(hi * a * a * g2, axis=-1)
+
+
+@dataclass(frozen=True)
+class _Capture:
+    """Ellipsoid {x >= 0 : ||x - p||_P <= radius} around an attractor p,
+    where ||y||_P^2 = y^T P y, that T maps into itself, moving every point
+    closer to p by the factor (1 + theta) / 2 up to the residual of p.  It
+    contains the Euclidean ball of radius `inner` around p."""
+
+    P: np.ndarray
+    radius: float
+    theta: float
+    inner: float
+
+
+def _capture_ellipsoid(
+    m: CompetitiveMap, p: np.ndarray, others: np.ndarray, tol: float
+) -> _Capture | None:
+    """Certified capture ellipsoid of the attractor p, or None.
+
+    P solves J^T P J - P = -I with J = DT(p), so ||J y||_P <= theta ||y||_P
+    with theta = sqrt(1 - 1/lambda_max(P)).  With M2 a bound on ||D^2 T|| over
+    a box p +- delta, the Taylor remainder adds at most (1 - theta)/2 ||y||_P
+    on radius (1 - theta) lambda_min / (sqrt(lambda_max) M2); the radius is
+    also capped at sqrt(lambda_min) delta, which keeps the ellipsoid in the
+    ball of radius delta inside the box.  delta is the best of a dyadic scan
+    below min(||p||, d/2 - tol), d running over the distances to the other
+    attractors (the rows of `others`), so no ellipsoid meets another
+    attractor's tol ball.  The ellipsoid is returned only when it contains
+    the tol ball of p and the orbits in it settle inside that ball despite
+    the residual ||T(p) - p||.  Custom maps and spectral radius >= 1 give
+    None."""
+    n = p.shape[0]
+    J = m.jacobian(p)
+    if not np.all(np.isfinite(J)) or np.max(np.abs(np.linalg.eigvals(J))) >= 1.0:
+        return None
+    K = np.kron(J.T, J.T) - np.eye(n * n)
+    P = np.linalg.solve(K, -np.eye(n).ravel()).reshape(n, n)
+    P = 0.5 * (P + P.T)
+    lam_min, lam_max = np.linalg.eigvalsh(P)[[0, -1]]
+    if not lam_min > 0.0:
+        return None
+    theta = float(np.sqrt(1.0 - 1.0 / lam_max))
+    reach = min([float(np.linalg.norm(p))] + [0.5 * float(np.linalg.norm(p - o)) - tol for o in others])
+    if not reach > 0.0:
+        return None
+    delta = reach * 0.5 ** np.arange(16)[:, None]
+    M2 = _second_derivative_bound(m, np.clip(p - delta, 0.0, None), p + delta)
+    if M2 is None:
+        return None
+    radius = float(np.max(np.minimum(
+        (1.0 - theta) * lam_min / (np.sqrt(lam_max) * M2), np.sqrt(lam_min) * delta[:, 0]
+    )))
+    residual = float(np.linalg.norm(m(p) - p))
+    settles = 2.0 * np.sqrt(lam_max) * residual / (1.0 - theta) < np.sqrt(lam_min) * tol
+    inner = radius / float(np.sqrt(lam_max))
+    if not (settles and inner >= tol):
+        return None
+    return _Capture(P=P, radius=radius, theta=theta, inner=inner)
+
+
 def basin_of_batch(
     m: CompetitiveMap,
     X: np.ndarray,
@@ -319,10 +429,25 @@ def basin_of_batch(
     tol: float = 1e-6,
 ) -> np.ndarray:
     """Labels (index into sorted attractor names) of the attractor whose
-    tol-ball each orbit enters; -1 where unresolved after max_iter."""
+    tol-ball each orbit enters; -1 where unresolved after max_iter.
+
+    For the builtin laws and points of R^n_+, an orbit is labelled as soon as
+    it enters the largest ball inside the certified capture ellipsoid of an
+    attractor (see _capture_ellipsoid).  The ellipsoid contains the tol ball,
+    T maps it into itself, and an orbit in it reaches the tol ball of its
+    attractor before any other, so the labels are those of the tol balls
+    alone, and each is a certificate.  Orbits arrive along the slow
+    eigendirection, the short axis of the ellipsoid, so the ball captures
+    them almost as early at no extra cost per iteration."""
     names = sorted(attractors)
     att = np.array([attractors[k] for k in names], dtype=float)
     X = np.array(np.atleast_2d(X), dtype=float)
+    radius = np.full(len(names), tol)
+    if not np.any(X < 0.0):
+        for k, p in enumerate(att):
+            cap = _capture_ellipsoid(m, p, np.delete(att, k, axis=0), tol)
+            if cap is not None:
+                radius[k] = cap.inner
     labels = np.full(X.shape[0], -1, dtype=np.intp)
     active = np.arange(X.shape[0])
     pts = X
@@ -331,7 +456,7 @@ def basin_of_batch(
             break
         d = np.linalg.norm(pts[:, None, :] - att[None, :, :], axis=2)
         j = np.argmin(d, axis=1)
-        hit = d[np.arange(pts.shape[0]), j] < tol
+        hit = d[np.arange(pts.shape[0]), j] < radius[j]
         if np.any(hit):
             labels[active[hit]] = j[hit]
             active = active[~hit]
@@ -340,20 +465,6 @@ def basin_of_batch(
                 break
         pts = m(pts)
     return labels
-
-
-def basin_of(
-    m: CompetitiveMap,
-    x: np.ndarray,
-    attractors: dict[str, np.ndarray],
-    max_iter: int = 50000,
-    tol: float = 1e-6,
-) -> str | None:
-    """Attractor id whose tol-ball the orbit of x enters, or None (unresolved)."""
-    label = basin_of_batch(m, np.asarray(x, dtype=float)[None, :], attractors, max_iter, tol)[0]
-    if label < 0:
-        return UNRESOLVED
-    return sorted(attractors)[label]
 
 
 # ---------------------------------------------------------------------------
@@ -402,29 +513,39 @@ def trace_stable_on_S(
 
     T restricted to S is a homeomorphism and DT is inverse-positive, so the
     stable curve of q on S is the unstable curve of T^-1 restricted to S.  It
-    is grown from the contracting W-eigendirection; each step is the Newton
-    preimage under T projected radially onto the mesh.  The projected map
-    fixes the lifts of q and the repellers, not the points, so the seed is
-    max(1e-6 ||q||, 10 ||radial_project(mesh, q) - q||) long and a branch
-    stops within 0.1 of the longest mesh edge of a repeller, whose location
-    caps the polyline.  The attractors are only checked for the 2+2 layout.
+    is grown from the contracting W-eigendirection e_s; each step is the
+    Newton preimage under T projected radially onto the mesh.  A branch
+    stops within tol = 0.1 of the longest mesh edge of a repeller, whose
+    location caps the polyline.  The seed is as long as one step keeps
+    straight: starting from a tenth of the distance to the nearer repeller,
+    its length is halved until the steps of q +- h e_s lie within 0.01 tol of
+    the line through q along e_s.  It is never shorter than
+    max(1e-6 ||q||, 10 ||radial_project(mesh, q) - q||), because the
+    projected map fixes the lift of q, not q.  The attractors are only
+    checked for the 2+2 layout.
     """
     if len(repellers) != 2 or len(attractors) != 2:
         raise ValueError("need exactly two repellers and two attractors")
     q = np.asarray(q, dtype=float)
     e_s, steps_per_sweep = _saddle_eigendirection(m, q, expanding=False)
-    gap = float(np.linalg.norm(radial_project(mesh, q) - q))
-    h0 = max(1e-6 * float(np.linalg.norm(q)), 10.0 * gap)
     if h_max is None:
         h_max = 1e-3 * float(np.linalg.norm(axial_caps(m)))
+    tol = 0.1 * mesh.max_edge_length()
 
     def step(X: np.ndarray) -> np.ndarray:
-        return radial_project(mesh, _preimage(m, X).reshape(np.shape(X)))
+        return radial_project(mesh, _preimage(m, X))
 
-    curve = _grow_curve(
-        "stable", step, q, h0 * e_s, steps_per_sweep, repellers,
-        0.1 * mesh.max_edge_length(), h_max,
-    )
+    gap = float(np.linalg.norm(radial_project(mesh, q) - q))
+    h_min = max(1e-6 * float(np.linalg.norm(q)), 10.0 * gap)
+    h0 = 0.1 * min(float(np.linalg.norm(q - np.asarray(r, dtype=float))) for r in repellers.values())
+    while h0 > h_min:
+        off = step(q[None, :] + np.outer([h0, -h0], e_s)) - q
+        off -= np.outer(off @ e_s, e_s)  # e_s is a unit vector
+        if np.linalg.norm(off, axis=1).max() <= 0.01 * tol:
+            break
+        h0 *= 0.5
+    h0 = max(h0, h_min)
+    curve = _grow_curve("stable", step, q, h0 * e_s, steps_per_sweep, repellers, tol, h_max)
     if len(curve.endpoints) != 2:
         raise ManifoldError(f"both branches of the stable curve reached {list(curve.endpoints)}")
     first, last = (np.asarray(repellers[name], dtype=float) for name in curve.endpoints)

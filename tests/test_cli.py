@@ -261,6 +261,28 @@ class TestClassify:
         assert len(lines) == 2  # header + one data row
         assert lines[1].split(",")[9] == "19"
 
+    @pytest.mark.parametrize("first", ["1e-3", "+1", "nan"])
+    def test_numeric_first_row_is_data(self, tmp_path, first):
+        """A first line whose cells are all numbers is a data row: it gets the
+        verdict it gets below a header, and a nan row is refused."""
+        row = ",".join([first] + [str(v) for v in A_CLASS19.ravel()[1:]])
+        header = "a11,a12,a13,a21,a22,a23,a31,a32,a33"
+        docs = []
+        for name, text in (("first", row + "\n" + row + "\n"), ("below", header + "\n" + row + "\n")):
+            src = tmp_path / f"{name}.csv"
+            src.write_text(text)
+            out = tmp_path / f"{name}.json"
+            assert main(["classify", "--input", str(src), "--out", str(out), "--json"]) == 0
+            docs.append(json.loads(out.read_text())["rows"])
+        first_rows, below_rows = docs
+        assert [r["row"] for r in first_rows] == [1, 2] and [r["row"] for r in below_rows] == [2]
+        for r in first_rows:
+            assert {k: v for k, v in r.items() if k != "row"} == \
+                {k: v for k, v in below_rows[0].items() if k != "row"}
+        if first == "nan":
+            assert first_rows[0]["error"].startswith("ValueError: ")
+            assert first_rows[0]["class_id"] == ""
+
 
 def test_cli_import_leaves_scipy_unloaded():
     """scipy.spatial and scipy.ndimage are imported only where they are used."""

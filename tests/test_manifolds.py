@@ -1,15 +1,17 @@
 """Invariant manifold tracing and the foliation/conjugacy diagnostics."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from csimplex import manifolds
 from csimplex.analysis import boundary_sets, find_all_fixed_points
 from csimplex.manifolds import (
     C1ViolatedError,
     ManifoldError,
-    basin_of,
     basin_of_batch,
     conjugacy_decay_report,
     curve_from_json,
@@ -21,7 +23,16 @@ from csimplex.manifolds import (
     trace_unstable,
 )
 from csimplex.existence import axial_caps
-from csimplex.manifolds import _lift, _preimage
+from csimplex.manifolds import (
+    _capture_ellipsoid,
+    _grow_curve,
+    _lift,
+    _preimage,
+    _profile_slopes,
+    _resample_polyline,
+    _saddle_eigendirection,
+    _second_derivative_bound,
+)
 from csimplex.models import make_custom
 from csimplex.simplex import compute_carrying_simplex, radial_project, surface_distance
 from conftest import A_CLASS19, ANCHOR_MATRICES, build_model
@@ -49,6 +60,81 @@ def halving_map():
     return make_custom(
         3, lambda x: np.full(np.shape(x), 0.5), lambda x: np.zeros((3, 3))
     )
+
+
+def anchor_system(kind, k, resolution=None):
+    """Builtin map on anchor k with its saddle, attractors, repellers and,
+    when a resolution is given, its mesh."""
+    m = build_model(kind, ANCHOR_MATRICES[k][1])
+    recs = find_all_fixed_points(m)
+    q = next(r for r in recs if r.support_type == "interior").location
+    att, rep = boundary_sets(recs)
+    mesh = compute_carrying_simplex(m, resolution=resolution, tol=1e-8) if resolution else None
+    return m, q, att, rep, mesh
+
+
+def projected_preimage(m, mesh):
+    return lambda X: radial_project(mesh, _preimage(m, X))
+
+
+def grow_branch_alone(step, q, seed, steps_per_sweep, targets, endpoint_tol, h_max):
+    """One branch grown on its own, one endpoint at a time in the fast
+    forward: the per-branch loop that the lockstep grower replaced."""
+    names = list(targets)
+    ends = np.array([targets[k] for k in names], dtype=float)
+
+    def arrival(y):
+        d = np.linalg.norm(ends - y, axis=1)
+        j = int(np.argmin(d))
+        return (names[j], float(d[j])) if d[j] < endpoint_tol else None
+
+    P = q[None, :] + np.linspace(0.0, 1.0, 5)[:, None] * seed[None, :]
+    for sweep in range(1, 1001):
+        img = P[1:]
+        for _ in range(steps_per_sweep):
+            img = step(img)
+        P = _resample_polyline(np.vstack([q[None, :], img]), h_max)
+        hit = arrival(P[-1])
+        if hit is not None:
+            return P, hit
+        if sweep % 25 == 0:
+            y = P[-1].copy()
+            tail = [y]
+            for _ in range(20000):
+                y = step(y[None, :])[0]
+                tail.append(y.copy())
+                hit = arrival(y)
+                if hit is not None:
+                    return _resample_polyline(np.vstack([P, np.asarray(tail)]), h_max), hit
+    raise AssertionError("reference branch did not terminate")
+
+
+def tol_ball_labels(m, X, attractors, max_iter=50000, tol=1e-6):
+    """Basin labels by the tol balls alone: the loop that the capture
+    ellipsoids shortcut."""
+    att = np.array([attractors[k] for k in sorted(attractors)], dtype=float)
+    labels = np.full(X.shape[0], -1, dtype=np.intp)
+    active = np.arange(X.shape[0])
+    pts = np.array(X, dtype=float)
+    for _ in range(max_iter + 1):
+        if active.size == 0:
+            break
+        d = np.linalg.norm(pts[:, None, :] - att[None, :, :], axis=2)
+        j = np.argmin(d, axis=1)
+        hit = d[np.arange(pts.shape[0]), j] < tol
+        labels[active[hit]] = j[hit]
+        active, pts = active[~hit], pts[~hit]
+        pts = m(pts)
+    return labels
+
+
+def raster_points(mesh, resolution):
+    """The lifted directions of a basin raster."""
+    g = np.linspace(0.0, 1.0, resolution)
+    u1, u2 = np.meshgrid(g, g, indexing="ij")
+    inside = u1 + u2 <= 1.0 + 1e-12
+    U = np.clip(np.column_stack([u1[inside], u2[inside], 1.0 - u1[inside] - u2[inside]]), 1e-12, None)
+    return radial_project(mesh, U / U.sum(axis=1, keepdims=True))
 
 
 class TestSplitting:
@@ -125,24 +211,122 @@ class TestUnstable:
 class TestBasins:
     def test_attractor_resolves_immediately(self, ref):
         name = sorted(ref["att"])[0]
-        assert basin_of(ref["m"], ref["att"][name], ref["att"]) == name
+        labels = basin_of_batch(ref["m"], ref["att"][name][None, :], ref["att"])
+        assert sorted(ref["att"])[labels[0]] == name
 
     def test_axis_point_converges_to_axial_attractor(self, ref):
         # axis 2 carries the attracting axial point
-        x = np.array([0.0, 0.4, 0.0])
-        assert basin_of(ref["m"], x, ref["att"]) == "axial_2"
+        x = np.array([[0.0, 0.4, 0.0]])
+        labels = basin_of_batch(ref["m"], x, ref["att"])
+        assert sorted(ref["att"])[labels[0]] == "axial_2"
 
     def test_q_is_unresolved(self, ref):
-        assert basin_of(ref["m"], ref["q"], ref["att"], max_iter=2000) is None
+        labels = basin_of_batch(ref["m"], ref["q"][None, :], ref["att"], max_iter=2000)
+        assert labels[0] == -1
 
     def test_batch_labels_match_scalar(self, ref):
         rng = np.random.default_rng(3)
         X = rng.uniform(0.05, 1.0, (20, 3))
         labels = basin_of_batch(ref["m"], X, ref["att"], max_iter=20000)
-        names = sorted(ref["att"])
         for x, lab in zip(X, labels):
-            got = basin_of(ref["m"], x, ref["att"], max_iter=20000)
-            assert got == (names[lab] if lab >= 0 else None)
+            assert basin_of_batch(ref["m"], x[None, :], ref["att"], max_iter=20000)[0] == lab
+
+
+    @pytest.mark.parametrize("kind", ["leslie_gower", "atkinson_allen", "ricker"])
+    @pytest.mark.parametrize("k", [0, 3, 8])
+    def test_capture_ellipsoid_contracts(self, kind, k):
+        """Sampled points of the capture ellipsoid in R^3_+ move closer to
+        the attractor by the certified factor (1 + theta) / 2 in the P norm."""
+        m, _, att, _, _ = anchor_system(kind, k)
+        rng = np.random.default_rng(k)
+        pts = np.array([att[name] for name in sorted(att)])
+        for i, p in enumerate(pts):
+            cap = _capture_ellipsoid(m, p, np.delete(pts, i, axis=0), 1e-6)
+            assert cap is not None and cap.theta < 1.0
+            z = rng.normal(size=(80000, 3))
+            z *= cap.radius * rng.uniform(size=(80000, 1)) ** (1 / 3) / np.linalg.norm(z, axis=1, keepdims=True)
+            x = p + np.linalg.solve(np.linalg.cholesky(cap.P).T, z.T).T
+            x = x[np.all(x >= 0.0, axis=1)][:10000]
+            assert x.shape[0] == 10000
+
+            def norm_p(y):
+                return np.sqrt(np.einsum("ni,ij,nj->n", y, cap.P, y))
+
+            assert np.all(norm_p(m(x) - p) <= 0.5 * (1.0 + cap.theta) * norm_p(x - p))
+
+    @pytest.mark.parametrize("kind", ["leslie_gower", "atkinson_allen", "ricker"])
+    def test_profile_slopes_match_growth(self, kind):
+        """F_i(x + t e_j) = g_i(s_i + t a_ij), so the slopes of the growth
+        profile are second-order central differences of F along e_j."""
+        m, _, _, _, _ = anchor_system(kind, 0)
+        A = m.params.A
+        x = np.random.default_rng(2).uniform(0.0, 1.5, (50, 3))
+        g1, g2 = _profile_slopes(m, x)
+        t = 1e-4
+        for j in range(3):
+            e = np.zeros(3)
+            e[j] = t
+            up, mid, down = m.growth(x + e), m.growth(x), m.growth(x - e)
+            assert np.allclose((down - up) / (2.0 * t) / A[:, j], g1, rtol=1e-6)
+            assert np.allclose((up - 2.0 * mid + down) / t**2 / A[:, j] ** 2, g2, rtol=1e-4)
+        assert _profile_slopes(make_custom(3, m.growth, m.growth_jacobian), x) is None
+
+    @pytest.mark.parametrize("kind", ["leslie_gower", "atkinson_allen", "ricker"])
+    def test_second_derivative_bound_holds(self, kind):
+        """Second differences of T along unit directions, sampled in boxes
+        around an attractor, stay below the closed-form bound."""
+        m, _, att, _, _ = anchor_system(kind, 0)
+        rng = np.random.default_rng(1)
+        p = att[sorted(att)[0]]
+        for delta in (0.5, 0.05):
+            lo, hi = np.clip(p - delta, 0.0, None), p + delta
+            bound = _second_derivative_bound(m, lo[None, :], hi[None, :])[0]
+            x = rng.uniform(lo, hi, (2000, 3))
+            h = rng.normal(size=(2000, 3))
+            h /= np.linalg.norm(h, axis=1, keepdims=True)
+            eps = 1e-3 * delta
+            x = np.clip(x, eps, hi - eps)
+            d2 = (m(x + eps * h) - 2.0 * m(x) + m(x - eps * h)) / eps**2
+            sampled = np.linalg.norm(d2, axis=1).max()
+            assert sampled <= bound * (1.0 + 1e-4)
+            assert sampled >= 0.05 * bound  # the bound is not vacuous
+
+    @pytest.mark.parametrize("kind", ["leslie_gower", "atkinson_allen", "ricker"])
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_labels_equal_tol_ball_loop(self, kind, k):
+        """On a jittered anchor raster the capture ellipsoids change no
+        label, and they do capture (every attractor is certified)."""
+        rng = np.random.default_rng(k)
+        A = np.asarray(ANCHOR_MATRICES[k][1]) * np.exp(rng.normal(0.0, 0.002, (3, 3)))
+        m = build_model(kind, A)
+        att, _ = boundary_sets(find_all_fixed_points(m))
+        pts = np.array([att[name] for name in sorted(att)])
+        for i, p in enumerate(pts):
+            assert _capture_ellipsoid(m, p, np.delete(pts, i, axis=0), 1e-6) is not None
+        X = raster_points(compute_carrying_simplex(m, resolution=24, tol=1e-8), 41)
+        rows = []
+
+        def growth(x):
+            rows.append(len(x))
+            return m.growth(x)
+
+        counted = dataclasses.replace(m, growth=growth)
+        labels = basin_of_batch(counted, X, att)
+        captured_rows = sum(rows)
+        rows.clear()
+        assert np.all(labels >= 0)
+        assert np.array_equal(labels, tol_ball_labels(counted, X, att))
+        assert captured_rows < 0.75 * sum(rows)  # orbits stop early
+
+    def test_custom_ricker_labels_equal_builtin(self):
+        """A builtin Ricker map and the same law wrapped by make_custom (no
+        capture ellipsoid) give the same labels."""
+        m, _, att, _, mesh = anchor_system("ricker", 2, resolution=24)
+        custom = make_custom(3, m.growth, m.growth_jacobian)
+        p = att[sorted(att)[0]]
+        assert _capture_ellipsoid(custom, p, np.array([att[sorted(att)[1]]]), 1e-6) is None
+        X = raster_points(mesh, 31)
+        assert np.array_equal(basin_of_batch(m, X, att), basin_of_batch(custom, X, att))
 
 
 class TestStable:
@@ -199,6 +383,78 @@ class TestStable:
         plus, minus = labels[:, :2], labels[:, 2:]
         assert np.all(plus == plus[0, 0]) and np.all(minus == minus[0, 0])
         assert plus[0, 0] != minus[0, 0] and min(plus[0, 0], minus[0, 0]) >= 0
+
+
+    @pytest.mark.parametrize("kind", ["unstable", "stable"])
+    @pytest.mark.parametrize("system", [("leslie_gower", 0), ("ricker", 4)])
+    def test_lockstep_matches_separate_branches(self, kind, system):
+        """Growing both branches in one batch per step gives each branch as
+        grown on its own, to rounding, with the same number of points."""
+        m, q, att, rep, mesh = anchor_system(*system, resolution=32)
+        wn = float(np.linalg.norm(axial_caps(m)))
+        h_max = 1e-3 * wn
+        if kind == "unstable":
+            e, steps = _saddle_eigendirection(m, q, expanding=True)
+            step, seed, targets, tol = m, 1e-6 * np.linalg.norm(q) * e, att, 1e-5 * wn
+        else:
+            e, steps = _saddle_eigendirection(m, q, expanding=False)
+            step, targets, tol = projected_preimage(m, mesh), rep, 0.1 * mesh.max_edge_length()
+            seed = 1e-3 * wn * e
+        curve = _grow_curve(kind, step, q, seed, steps, targets, tol, h_max)
+        plus, (name_p, d_p) = grow_branch_alone(step, q, seed, steps, targets, tol, h_max)
+        minus, (name_m, d_m) = grow_branch_alone(step, q, -seed, steps, targets, tol, h_max)
+        alone = np.vstack([minus[::-1], plus[1:]])
+        assert curve.points.shape == alone.shape
+        assert np.abs(curve.points - alone).max() <= 1e-11 * wn
+        assert list(curve.endpoints) == [name_m, name_p]
+        assert curve.endpoints[name_m] == pytest.approx(d_m, abs=1e-11 * wn)
+        assert curve.endpoints[name_p] == pytest.approx(d_p, abs=1e-11 * wn)
+
+    def test_branches_arriving_together_on_a_fast_forward_sweep(self):
+        """Both branches of a linear expansion by 2 arrive in sweep 25, where
+        the fast forward would run; the curve closes with nothing left to
+        forward."""
+        q, e = np.full(3, 0.5), np.array([1.0, 0.0, 0.0])
+        reach = 1e-8 * 2.0**25
+        targets = {"a": q + reach * e, "b": q - reach * e}
+        curve = _grow_curve("unstable", lambda X: q + 2.0 * (X - q), q, 1e-8 * e, 1,
+                            targets, 1e-3 * reach, 0.1 * reach)
+        assert list(curve.endpoints) == ["b", "a"]
+        assert np.allclose(curve.points[[0, -1]], [targets["b"], targets["a"]], atol=1e-3 * reach)
+
+    @pytest.mark.parametrize("system, floored", [
+        (("leslie_gower", 0), False), (("atkinson_allen", 6), False), (("ricker", 10), False),
+        (("leslie_gower", 4), True),
+    ])
+    def test_seed_stays_straight(self, system, floored, monkeypatch):
+        """trace_stable_on_S grows from the longest dyadic fraction of a
+        tenth of the distance to the nearer repeller, above the mesh-error
+        floor, whose steps on both sides stay within 0.01 curve.tol of the
+        line through q along e_s; from the floor when there is none."""
+        m, q, att, rep, mesh = anchor_system(*system, resolution=32)
+        seeds = []
+
+        def spy(kind, step, q, seed, *args):
+            seeds.append(seed)
+            return grow(kind, step, q, seed, *args)
+
+        grow = manifolds._grow_curve
+        monkeypatch.setattr(manifolds, "_grow_curve", spy)
+        tol = trace_stable_on_S(m, mesh, q, rep, att).tol
+        e_s, _ = _saddle_eigendirection(m, q, expanding=False)
+        step = projected_preimage(m, mesh)
+
+        def straight(h):
+            Y = step(np.array([q + h * e_s, q - h * e_s])) - q
+            return np.linalg.norm(Y - np.outer(Y @ e_s, e_s), axis=1).max() <= 0.01 * tol
+
+        start = 0.1 * min(np.linalg.norm(q - r) for r in rep.values())
+        h_min = max(1e-6 * np.linalg.norm(q), 10.0 * np.linalg.norm(radial_project(mesh, q) - q))
+        dyadic = start * 0.5 ** np.arange(60)
+        passing = [h for h in dyadic[dyadic > h_min] if straight(h)]
+        assert (not passing) == floored
+        expected = passing[0] if passing else h_min
+        assert np.allclose(seeds[0], expected * e_s, rtol=1e-12, atol=0.0)
 
 
 class TestPreimage:
