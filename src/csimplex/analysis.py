@@ -246,7 +246,7 @@ def _solve_support_system(m: CompetitiveMap, support: tuple[int, ...]) -> np.nda
     sub = A[np.ix_(idx, idx)]
     k = len(idx)
     det = np.linalg.det(sub)
-    if abs(det) < 1e-12 * max(1.0, float(np.max(np.abs(sub))) ** k):
+    if abs(det) < 1e-12 * float(np.max(np.abs(sub))) ** k:
         raise DegenerateSystemError(f"singular support system for {support}")
     q_sub = np.linalg.solve(sub, np.ones(k))
     if np.any(q_sub <= 0):

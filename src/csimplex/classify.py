@@ -14,8 +14,6 @@ from itertools import permutations
 
 import numpy as np
 
-from .models import CompetitiveMap
-
 __all__ = [
     "AlphaBeta",
     "ClassificationResult",
@@ -27,7 +25,6 @@ __all__ = [
     "compute_alpha_beta",
     "classify_table1",
     "classify_table1_batch",
-    "classify_and_analyze",
 ]
 
 OUT_OF_TABULATED_RANGE = "out_of_tabulated_range"
@@ -262,49 +259,3 @@ def classify_table1(A: np.ndarray, band: float = DEGENERACY_BAND) -> Classificat
     if isinstance(result, Exception):
         raise result
     return result
-
-
-def classify_and_analyze(m: CompetitiveMap) -> dict:
-    """Join the Table-1 classification with the interior fixed-point record
-    and the existence verdicts; inconsistencies between the regime and the
-    computed spectrum are reported as warnings, never corrected."""
-    from .analysis import NoInteriorFixedPointError, SType, find_interior_fixed_point
-    from .existence import ricker_condition, verify_existence
-
-    if m.params is None:
-        raise ValueError("classification applies to builtin parameterized maps")
-    result = classify_table1(m.params.A)
-    warnings: list[str] = []
-    interior = None
-    try:
-        interior = find_interior_fixed_point(m)
-    except NoInteriorFixedPointError:
-        warnings.append("no interior fixed point; classes 19-25 expect a unique one")
-    existence = verify_existence(m)
-    if not existence.passed:
-        warnings.append("existence checks (A1)-(A3) failed; carrying simplex unverified")
-    if m.kind == "ricker":
-        rc = ricker_condition(m.params)
-        if not rc.passed:
-            warnings.append(
-                "Ricker closed-form condition fails; carrying simplex unverified"
-            )
-    if result.tabulated and interior is not None:
-        if interior.index != -1:
-            warnings.append(f"expected index -1 in class {result.class_id}, got {interior.index}")
-        if interior.s_type != SType.SADDLE:
-            warnings.append(f"expected a saddle on S, got {interior.s_type}")
-        mods = np.abs(interior.eigenvalues)
-        expected = (
-            interior.c1_holds
-            and mods.shape[0] == 3
-            and mods[0] < mods[1] < 1.0 < mods[2]
-        )
-        if not expected:
-            warnings.append(f"eigenvalue moduli {mods} do not follow 0 < mu < l1 < 1 < l2")
-    return {
-        "classification": result,
-        "interior": interior,
-        "existence": existence,
-        "warnings": warnings,
-    }

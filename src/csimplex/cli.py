@@ -14,6 +14,7 @@ import io
 import json
 import math
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -144,16 +145,18 @@ class RunConfig:
         self.config_hash = hashlib.sha256(canon.encode()).hexdigest()[:16]
 
     @classmethod
-    def load(cls, path: str) -> "RunConfig":
+    def load(cls, path: str, seed: int | None = None, resolution: int | None = None) -> "RunConfig":
+        """The run config in the JSON file at ``path``, with the overrides of
+        the constructor."""
         try:
             text = Path(path).read_text()
         except OSError as exc:
-            raise ConfigError("<config>", f"cannot read {path}: {exc}") from exc
+            raise ConfigError(f"cannot read {path}", str(exc)) from exc
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"<json:line {exc.lineno}, col {exc.colno}>", exc.msg) from exc
-        return cls(doc)
+            raise ConfigError(f"line {exc.lineno}, col {exc.colno}", exc.msg) from exc
+        return cls(doc, seed=seed, resolution=resolution)
 
 
 def _jsonable(obj):
@@ -198,32 +201,100 @@ def _write_text(path, text: str) -> None:
         raise ConfigError(str(path), f"cannot write: {exc.strerror or exc}") from exc
 
 
-def _write_json(path: str | None, doc: dict) -> str:
-    text = json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n"
-    if path:
-        _write_text(path, text)
-    return text
+class _Run:
+    """One command's picture of the system, each part computed on first use:
+    w and its norm, the fixed points with the interior record and the
+    boundary attractors and repellers, the invariant curves through q that
+    exist, and the mesh from ``numeric``."""
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self.map = cfg.map
+        self.stamp = {"config_hash": cfg.config_hash, "seed": cfg.seed}
+        self.mesh_error: NonConvergenceError | None = None
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return axial_caps(self.map)
+
+    @cached_property
+    def w_norm(self) -> float:
+        return float(np.linalg.norm(self.w))
+
+    @cached_property
+    def records(self) -> list:
+        return find_all_fixed_points(self.map)
+
+    @cached_property
+    def interior(self):
+        """The interior fixed-point record, or None."""
+        return next((r for r in self.records if r.support_type == "interior"), None)
+
+    @cached_property
+    def boundary(self) -> tuple[dict, dict]:
+        """(attractors, repellers) on S, name -> location."""
+        return boundary_sets(self.records)
+
+    @cached_property
+    def curve_kinds(self) -> tuple[str, ...]:
+        """The invariant curves through q on S: the unstable curve when q is a
+        saddle between two attractors, and the stable curve when two repellers
+        are there as well."""
+        att, rep = self.boundary
+        if self.interior is None or self.interior.s_type != SType.SADDLE or len(att) != 2:
+            return ()
+        return ("unstable", "stable") if len(rep) == 2 else ("unstable",)
+
+    @cached_property
+    def attractors_share_edge(self) -> bool | None:
+        """Whether the two boundary attractors lie on one edge of S; None
+        unless there are exactly two."""
+        att, _ = self.boundary
+        if len(att) != 2:
+            return None
+        miss = [set(range(3)) - set(r.support) for r in self.records if r.name in att]
+        return bool(set.intersection(*miss))
+
+    @cached_property
+    def mesh(self) -> SimplexMesh:
+        """The mesh from ``numeric``.  When the graph transform does not
+        converge this is its last iterate and ``mesh_error`` holds the error."""
+        numeric = self.cfg.numeric
+        try:
+            return compute_carrying_simplex(
+                self.map,
+                resolution=numeric["mesh_resolution"],
+                tol=numeric["mesh_tol"],
+                max_iters=numeric["mesh_max_iters"],
+            )
+        except NonConvergenceError as exc:
+            self.mesh_error = exc
+            return exc.mesh
+
+    def write_json(self, path: str | None, doc: dict) -> str:
+        """The JSON text of ``doc`` stamped with the config hash and the
+        seed, written to ``path`` when one is given."""
+        text = json.dumps(_jsonable({**doc, **self.stamp}), sort_keys=True, indent=2) + "\n"
+        if path:
+            _write_text(path, text)
+        return text
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(cfg: RunConfig, out: str | None, strict: bool) -> int:
-    m = cfg.map
+def cmd_analyze(run: _Run, out: str | None, strict: bool) -> int:
+    m = run.map
     report: dict = {
         "tool": f"csimplex analyze {__version__}",
-        "config_hash": cfg.config_hash,
-        "seed": cfg.seed,
-        "model": cfg.model_doc,
+        "model": run.cfg.model_doc,
         "warnings": [],
     }
-    records = find_all_fixed_points(m)
-    report["fixed_points"] = [_record_doc(r) for r in records]
-    interior = [r for r in records if r.support_type == "interior"]
-    if interior:
+    report["fixed_points"] = [_record_doc(r) for r in run.records]
+    if run.interior is not None:
         try:
-            rep_c1 = verify_C1(m, interior[0].location)
+            rep_c1 = verify_C1(m, run.interior.location)
             report["c1"] = {
                 "det": rep_c1.det,
                 "inverse_min_entry": rep_c1.inverse_min_entry,
@@ -234,8 +305,8 @@ def cmd_analyze(cfg: RunConfig, out: str | None, strict: bool) -> int:
             }
         except SingularJacobianError as exc:
             report["c1"] = {"passed": False, "reason": str(exc)}
-        report["index"] = interior[0].index
-    existence = verify_existence(m, grid=cfg.numeric["existence_grid"])
+        report["index"] = run.interior.index
+    existence = verify_existence(m, grid=run.cfg.numeric["existence_grid"])
     report["existence"] = {
         "a1": {"passed": existence.a1.passed, "margin": existence.a1.margin},
         "a2": {"passed": existence.a2.passed, "margin": existence.a2.margin},
@@ -258,7 +329,7 @@ def cmd_analyze(cfg: RunConfig, out: str | None, strict: bool) -> int:
             }
         except ClassifyError as exc:
             report["warnings"].append(f"classification refused: {exc}")
-    text = _write_json(out, report)
+    text = run.write_json(out, report)
     if out is None:
         print(text, end="")
     if strict and not existence.passed:
@@ -371,23 +442,13 @@ def cmd_classify(input_path: str, out: str | None, as_json: bool, strict: bool) 
     return EXIT_OK
 
 
-def cmd_simplex(cfg: RunConfig, out: str | None) -> int:
-    m = cfg.map
-    try:
-        mesh = compute_carrying_simplex(
-            m,
-            resolution=cfg.numeric["mesh_resolution"],
-            tol=cfg.numeric["mesh_tol"],
-            max_iters=cfg.numeric["mesh_max_iters"],
-        )
-    except NonConvergenceError as exc:
-        print(f"graph transform did not converge: {exc}", file=sys.stderr)
+def cmd_simplex(run: _Run, out: str | None) -> int:
+    mesh = run.mesh
+    if run.mesh_error is not None:
+        print(f"graph transform did not converge: {run.mesh_error}", file=sys.stderr)
         return EXIT_ANALYSIS
-    doc = mesh.to_json()
-    doc["config_hash"] = cfg.config_hash
-    doc["seed"] = cfg.seed
-    out = out or cfg.outputs.get("mesh") or "mesh.json"
-    _write_json(out, doc)
+    out = out or run.cfg.outputs.get("mesh") or "mesh.json"
+    run.write_json(out, mesh.to_json())
     log_path = Path(out).with_suffix(Path(out).suffix + ".log")
     log_lines = [f"{i + 1} {r:.12e}" for i, r in enumerate(mesh.residual_history)]
     _write_text(log_path, "\n".join(log_lines) + "\n")
@@ -409,14 +470,14 @@ def _load_curve(path: str):
 
 
 def cmd_portrait(
-    cfg: RunConfig,
+    run: _Run,
     mesh_path: str | None,
     out: str | None,
     stable_path: str | None,
     unstable_path: str | None,
     no_basins: bool,
 ) -> int:
-    m = cfg.map
+    m, cfg = run.map, run.cfg
     mesh_path = mesh_path or cfg.outputs.get("mesh")
     if not mesh_path or not Path(mesh_path).exists():
         print(f"mesh file not found: {mesh_path}", file=sys.stderr)
@@ -431,25 +492,18 @@ def cmd_portrait(
                 print(f"cannot load {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
                 return EXIT_MISSING
     mesh, *curves = loaded
-    records = find_all_fixed_points(m)
-    att, rep = boundary_sets(records)
-    interior = [r for r in records if r.support_type == "interior"]
+    att, rep = run.boundary
     try:
-        if not curves and interior and interior[0].s_type == SType.SADDLE and len(att) == 2:
-            q = interior[0].location
-            unstable = trace_unstable(m, q, att)
-            curves.append(unstable)
-            if cfg.outputs.get("unstable"):
-                doc = curve_to_json(unstable)
-                doc.update(config_hash=cfg.config_hash, seed=cfg.seed)
-                _write_json(cfg.outputs["unstable"], doc)
-            if len(rep) == 2:
-                stable = trace_stable_on_S(m, mesh, q, rep, att)
-                curves.append(stable)
-                if cfg.outputs.get("stable"):
-                    doc = curve_to_json(stable)
-                    doc.update(config_hash=cfg.config_hash, seed=cfg.seed)
-                    _write_json(cfg.outputs["stable"], doc)
+        if not curves:
+            for kind in run.curve_kinds:
+                q = run.interior.location
+                if kind == "unstable":
+                    curve = trace_unstable(m, q, att)
+                else:
+                    curve = trace_stable_on_S(m, mesh, q, rep, att)
+                curves.append(curve)
+                if cfg.outputs.get(kind):
+                    run.write_json(cfg.outputs[kind], curve_to_json(curve))
     except ManifoldError as exc:
         print(f"curve tracing failed: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
@@ -467,31 +521,21 @@ def cmd_portrait(
     for _ in range(int(cfg.numeric["orbit_streaks"])):
         x0 = rng.uniform(0.05, 1.0, 3) * w_scale
         orbits.append(m.orbit(x0, 40))
-    att_edge = None
-    if len(att) == 2:
-        miss = [set(range(3)) - set(r.support) for r in records if r.name in att]
-        shared = set.intersection(*miss) if miss else set()
-        att_edge = bool(shared)
-    meta = {"config_hash": cfg.config_hash, "seed": cfg.seed}
-    if att_edge is not None:
-        meta["attractors_share_edge"] = att_edge
-    svg = render_portrait(records, curves, raster=raster, orbits=orbits, metadata=meta)
+    meta = dict(run.stamp)
+    if run.attractors_share_edge is not None:
+        meta["attractors_share_edge"] = run.attractors_share_edge
+    svg = render_portrait(run.records, curves, raster=raster, orbits=orbits, metadata=meta)
     out = out or cfg.outputs.get("svg") or "portrait.svg"
     _write_text(out, svg)
     print(f"wrote {out}")
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, out: str | None) -> int:
-    m = cfg.map
+def cmd_verify(run: _Run, out: str | None) -> int:
+    m, cfg = run.map, run.cfg
     rng = np.random.default_rng(cfg.seed)
     checks: dict[str, dict] = {}
-    report = {
-        "tool": f"csimplex verify {__version__}",
-        "config_hash": cfg.config_hash,
-        "seed": cfg.seed,
-        "checks": checks,
-    }
+    report = {"tool": f"csimplex verify {__version__}", "checks": checks}
 
     existence = verify_existence(m, grid=cfg.numeric["existence_grid"])
     checks["existence"] = {
@@ -503,21 +547,13 @@ def cmd_verify(cfg: RunConfig, out: str | None) -> int:
         },
     }
 
-    try:
-        mesh = compute_carrying_simplex(
-            m,
-            resolution=cfg.numeric["mesh_resolution"],
-            tol=cfg.numeric["mesh_tol"],
-            max_iters=cfg.numeric["mesh_max_iters"],
-        )
+    mesh = run.mesh
+    if run.mesh_error is None:
         checks["mesh_converged"] = {"passed": True, "sweeps": mesh.sweeps, "residual": mesh.residual}
-    except NonConvergenceError as exc:
-        mesh = exc.mesh
+    else:
         checks["mesh_converged"] = {"passed": False, "residual": mesh.residual}
 
-    records = find_all_fixed_points(m)
-    caps = axial_caps(m)
-    wn = float(np.linalg.norm(caps))
+    wn = run.w_norm
     violations = unordered_check(mesh, 1e-6 * wn)
     checks["h1_unordered"] = {"passed": not violations, "violations": len(violations)}
     inv_res = invariance_residual(m, mesh)
@@ -526,9 +562,9 @@ def cmd_verify(cfg: RunConfig, out: str | None) -> int:
         "residual": inv_res,
         "bound": 1e-4 * wn,
     }
-    inside = bool(np.all(mesh.vertices <= caps[None, :] * (1.0 + 1e-6)))
+    inside = bool(np.all(mesh.vertices <= run.w[None, :] * (1.0 + 1e-6)))
     checks["h5_localized"] = {"passed": inside}
-    nonzero = [r for r in records if r.support]
+    nonzero = [r for r in run.records if r.support]
     fp_dist = max(
         float(surface_distance(mesh, r.location[None])[0]) for r in nonzero
     )
@@ -539,9 +575,8 @@ def cmd_verify(cfg: RunConfig, out: str | None) -> int:
         "mesh_edge": edge,
     }
 
-    interior = [r for r in records if r.support_type == "interior"]
-    if interior and interior[0].c1_holds:
-        q = interior[0].location
+    if run.interior is not None and run.interior.c1_holds:
+        q = run.interior.location
         try:
             split = pseudo_splitting(
                 m, q, rho=cfg.numeric["rho"], sigma=cfg.numeric["sigma"]
@@ -589,7 +624,7 @@ def cmd_verify(cfg: RunConfig, out: str | None) -> int:
 
     all_passed = all(c.get("passed", False) for c in checks.values())
     report["passed"] = all_passed
-    text = _write_json(out, report)
+    text = run.write_json(out, report)
     if out is None:
         print(text, end="")
     else:
@@ -647,30 +682,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "classify":
             return cmd_classify(args.input, args.out, args.as_json, args.strict)
-        try:
-            text = Path(args.config).read_text()
-        except OSError as exc:
-            print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            print(f"config error: line {exc.lineno}, col {exc.colno}: {exc.msg}", file=sys.stderr)
-            return EXIT_CONFIG
-        cfg = RunConfig(doc, seed=args.seed, resolution=args.resolution)
+        run = _Run(RunConfig.load(args.config, seed=args.seed, resolution=args.resolution))
         if args.command == "analyze":
-            return cmd_analyze(cfg, args.out, args.strict)
+            return cmd_analyze(run, args.out, args.strict)
         if args.command == "simplex":
-            return cmd_simplex(cfg, args.out)
+            return cmd_simplex(run, args.out)
         if args.command == "portrait":
-            return cmd_portrait(cfg, args.mesh, args.out, args.stable, args.unstable, args.no_basins)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.out)
-        parser.error(f"unknown command {args.command}")
+            return cmd_portrait(run, args.mesh, args.out, args.stable, args.unstable, args.no_basins)
+        return cmd_verify(run, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return EXIT_OK
 
 
 if __name__ == "__main__":

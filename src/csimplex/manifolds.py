@@ -23,7 +23,7 @@ import numpy as np
 from .analysis import eigen3, eigvec_for, verify_C1
 from .existence import axial_caps
 from .models import CompetitiveMap
-from .simplex import SimplexMesh, radial_project
+from .simplex import SimplexMesh, directions_from_uv, radial_project
 
 __all__ = [
     "ManifoldError",
@@ -471,16 +471,6 @@ def basin_of_batch(
 # Stable manifold on S
 # ---------------------------------------------------------------------------
 
-def _lift(mesh: SimplexMesh, d2: np.ndarray) -> np.ndarray:
-    """Direction-space (u1, u2) points onto the mesh surface."""
-    d2 = np.atleast_2d(d2)
-    u3 = 1.0 - d2.sum(axis=1)
-    U = np.column_stack([d2, u3])
-    U = np.clip(U, 1e-12, None)
-    U /= U.sum(axis=1, keepdims=True)
-    return radial_project(mesh, U)
-
-
 def _preimage(m: CompetitiveMap, Y: np.ndarray) -> np.ndarray:
     """Rows x with T(x) = y for the rows y of Y, by batched Newton from x = y.
     Raises ManifoldError unless every residual reaches 1e-12 (1 + ||y||)."""
@@ -659,7 +649,7 @@ def conjugacy_decay_report(
         z = rng.normal(size=(8 * sample_count, 2))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         offs = r_dir * np.sqrt(rng.uniform(0.0, 1.0, 8 * sample_count))[:, None] * z
-        lifted = _lift(mesh, u_q[:2] + offs)
+        lifted = radial_project(mesh, directions_from_uv(u_q[:2] + offs))
         dist = np.linalg.norm(lifted - q, axis=1)
         keep = (dist <= radius) & (dist > 1e-12)
         cand = lifted[keep][:sample_count]

@@ -16,7 +16,7 @@ import numpy as np
 from .analysis import FixedPointRecord, SType
 from .manifolds import ManifoldCurve, basin_of_batch
 from .models import CompetitiveMap
-from .simplex import SimplexMesh, radial_project
+from .simplex import SimplexMesh, directions_from_uv, radial_project
 
 __all__ = [
     "TRIANGLE_CORNERS",
@@ -75,10 +75,7 @@ def basin_raster(
     u1, u2 = np.meshgrid(np.linspace(0.0, 1.0, R), np.linspace(0.0, 1.0, R), indexing="ij")
     inside = u1 + u2 <= 1.0 + 1e-12
     labels = np.full((R, R), -2, dtype=np.intp)
-    U = np.column_stack([u1[inside], u2[inside], 1.0 - u1[inside] - u2[inside]])
-    U = np.clip(U, 1e-12, None)
-    U /= U.sum(axis=1, keepdims=True)
-    pts = radial_project(mesh, U)
+    pts = radial_project(mesh, directions_from_uv(np.column_stack([u1[inside], u2[inside]])))
     labels[inside] = basin_of_batch(m, pts, attractors, max_iter=max_iter, tol=tol)
     return BasinRaster(resolution=R, labels=labels, attractor_names=sorted(attractors))
 

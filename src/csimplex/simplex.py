@@ -35,6 +35,7 @@ __all__ = [
     "lattice_triangulation",
     "compute_carrying_simplex",
     "radial_project",
+    "directions_from_uv",
     "unordered_check",
     "invariance_residual",
     "surface_distance",
@@ -248,6 +249,16 @@ def radial_project(mesh: SimplexMesh, x: np.ndarray) -> np.ndarray:
     rho = (mesh.radii[verts] * wts).sum(axis=1)
     out = rho[:, None] * U
     return out[0] if single else out
+
+
+def directions_from_uv(uv: np.ndarray) -> np.ndarray:
+    """Rows (u1, u2) of the direction plane as directions (u1, u2, 1 - u1 - u2),
+    clipped to 1e-12 and renormalised to unit sum, ready for radial_project."""
+    uv = np.atleast_2d(uv)
+    U = np.column_stack([uv, 1.0 - uv[:, 0] - uv[:, 1]])
+    U = np.clip(U, 1e-12, None)
+    U /= U.sum(axis=1, keepdims=True)
+    return U
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +615,11 @@ def _closest_point_on_triangles(p: np.ndarray, a: np.ndarray, b: np.ndarray, c: 
     return out
 
 
+# Query rows per block in surface_distance.  Blocks keep the (rows, 6k, 3)
+# candidate arrays bounded by the block, not by the number of queries.
+_DISTANCE_BLOCK = 1024
+
+
 def surface_distance(mesh: SimplexMesh, pts: np.ndarray, k_vertices: int = 8) -> np.ndarray:
     """Euclidean distance from each point to the triangulated surface,
     searching the faces incident to the k nearest vertices."""
@@ -611,17 +627,20 @@ def surface_distance(mesh: SimplexMesh, pts: np.ndarray, k_vertices: int = 8) ->
     V = mesh.vertices
     tree = mesh._vertex_tree()
     k = min(k_vertices, V.shape[0])
-    _, nearest = tree.query(pts, k=k)
-    nearest = np.atleast_2d(nearest)
     incidence = mesh._incident_faces()
-    cand = incidence[nearest].reshape(pts.shape[0], -1)  # (Q, k*6)
-    tris = mesh.triangulation[cand]  # (Q, k*6, 3)
-    a = V[tris[..., 0]]
-    b = V[tris[..., 1]]
-    c = V[tris[..., 2]]
-    closest = _closest_point_on_triangles(pts[:, None, :], a, b, c)
-    d = np.linalg.norm(closest - pts[:, None, :], axis=2)
-    return d.min(axis=1)
+    dist = np.empty(pts.shape[0])
+    for start in range(0, pts.shape[0], _DISTANCE_BLOCK):
+        block = pts[start:start + _DISTANCE_BLOCK]
+        _, nearest = tree.query(block, k=k)
+        cand = incidence[np.atleast_2d(nearest)].reshape(block.shape[0], -1)  # (B, k*6)
+        tris = mesh.triangulation[cand]  # (B, k*6, 3)
+        a = V[tris[..., 0]]
+        b = V[tris[..., 1]]
+        c = V[tris[..., 2]]
+        closest = _closest_point_on_triangles(block[:, None, :], a, b, c)
+        d = np.linalg.norm(closest - block[:, None, :], axis=2)
+        dist[start:start + block.shape[0]] = d.min(axis=1)
+    return dist
 
 
 def invariance_residual(m: CompetitiveMap, mesh: SimplexMesh) -> float:

@@ -321,6 +321,18 @@ class TestRecords:
         att, rep = boundary_sets(recs)
         assert att == {} and list(rep) == ["axial_1", "axial_2", "axial_3"]
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e-90, 1e4])
+    @pytest.mark.parametrize("kind", ["leslie_gower", "atkinson_allen", "ricker"])
+    def test_records_equivariant_under_scaled_A(self, kind, scale):
+        """A -> s A conjugates T by x -> x / s: the same records, with the
+        same types, each located at x / s."""
+        ref = find_all_fixed_points(build_model(kind, A_CLASS19))
+        scaled = find_all_fixed_points(build_model(kind, scale * A_CLASS19))
+        key = lambda recs: [(r.name, r.s_type, r.index) for r in recs]
+        assert len(ref) == 6 and key(scaled) == key(ref)
+        for a, b in zip(ref, scaled):
+            np.testing.assert_allclose(b.location * scale, a.location, rtol=1e-12)
+
     def test_residual_invariant(self):
         for kind in ("leslie_gower", "atkinson_allen", "ricker"):
             m = build_model(kind, A_CLASS19)

@@ -15,13 +15,11 @@ from csimplex.classify import (
     DegenerateDenominatorError,
     OUT_OF_TABULATED_RANGE,
     TieOnBoundaryError,
-    classify_and_analyze,
     classify_table1,
     classify_table1_batch,
     compute_alpha_beta,
 )
-from csimplex.models import ParameterSet, make_ricker
-from conftest import A_CLASS19, ANCHOR_MATRICES, build_model
+from conftest import A_CLASS19, ANCHOR_MATRICES
 
 
 def brute_force_matches(A: np.ndarray) -> list[tuple[int, tuple[int, ...]]]:
@@ -368,23 +366,3 @@ class TestClassify:
         assert set(res.margins) == {
             "alpha_12", "alpha_13", "alpha_21", "alpha_23", "alpha_31", "alpha_32",
         }
-
-
-class TestClassifyAndAnalyze:
-    def test_reference_joined_report(self):
-        rep = classify_and_analyze(build_model("leslie_gower", A_CLASS19))
-        assert rep["classification"].class_id == 19
-        assert rep["interior"].index == -1
-        assert rep["warnings"] == []
-
-    def test_ricker_in_condition_same_class(self):
-        rep = classify_and_analyze(build_model("ricker", A_CLASS19))
-        assert rep["classification"].class_id == 19
-        assert rep["interior"].index == -1
-        assert rep["warnings"] == []
-
-    def test_ricker_violating_condition_warns(self):
-        m = make_ricker(ParameterSet(r=np.full(3, 5.0), A=A_CLASS19))
-        rep = classify_and_analyze(m)
-        assert rep["classification"].class_id == 19
-        assert any("unverified" in w for w in rep["warnings"])

@@ -26,7 +26,6 @@ from csimplex.existence import axial_caps
 from csimplex.manifolds import (
     _capture_ellipsoid,
     _grow_curve,
-    _lift,
     _preimage,
     _profile_slopes,
     _resample_polyline,
@@ -34,7 +33,12 @@ from csimplex.manifolds import (
     _second_derivative_bound,
 )
 from csimplex.models import make_custom
-from csimplex.simplex import compute_carrying_simplex, radial_project, surface_distance
+from csimplex.simplex import (
+    compute_carrying_simplex,
+    directions_from_uv,
+    radial_project,
+    surface_distance,
+)
 from conftest import A_CLASS19, ANCHOR_MATRICES, build_model
 
 
@@ -378,7 +382,8 @@ class TestStable:
             n2 = np.array([-t2[1], t2[0]])
             offsets = np.array([0.02, 0.05])[:, None]
             sides = np.vstack([u[:2] + offsets * n2, u[:2] - offsets * n2])
-            labels.append(basin_of_batch(ref["m"], _lift(ref["mesh"], sides), ref["att"]))
+            lifted = radial_project(ref["mesh"], directions_from_uv(sides))
+            labels.append(basin_of_batch(ref["m"], lifted, ref["att"]))
         labels = np.array(labels)
         plus, minus = labels[:, :2], labels[:, 2:]
         assert np.all(plus == plus[0, 0]) and np.all(minus == minus[0, 0])

@@ -22,6 +22,7 @@ from csimplex.simplex import (
     radial_project,
     surface_distance,
     unordered_check,
+    _DISTANCE_BLOCK,
     _FOUND_TOL,
     _Transform,
     _barycentric_2d,
@@ -342,6 +343,17 @@ class TestInvariance:
         fast = surface_distance(class19_mesh, pts)
         for p, d in zip(pts, fast):
             assert d == pytest.approx(brute_force_surface_distance(class19_mesh, p), abs=2e-4)
+
+
+    def test_surface_distance_blocks_match_single_rows(self, class19_lg, class19_mesh):
+        """Over more than one query block the distances equal the per-row
+        calls exactly."""
+        rng = np.random.default_rng(5)
+        off = radial_project(class19_mesh, rng.dirichlet(np.ones(3), 300)) * 1.05
+        pts = np.vstack([class19_lg(class19_mesh.vertices), off])
+        assert pts.shape[0] > 2 * _DISTANCE_BLOCK
+        single = np.array([surface_distance(class19_mesh, p)[0] for p in pts])
+        assert np.array_equal(surface_distance(class19_mesh, pts), single)
 
 
 class TestTangentCone:
