@@ -466,20 +466,27 @@ def record_at(
 
 def find_all_fixed_points(m: CompetitiveMap) -> list[FixedPointRecord]:
     """Origin, axial, planar and (when present) interior fixed points of a
-    builtin 3-species map, each with a full record."""
+    3-species map, each with a full record.  Builtins solve the linear
+    support systems; custom maps run damped Newton from the axial points, and
+    a Newton run that diverges or ends outside the open orthant means no
+    fixed point on that support."""
     records = [record_at(m, np.zeros(m.n), ())]
-    records.extend(find_axial_fixed_points(m))
-    if m.n == 3 and m.params is not None:
+    axial = find_axial_fixed_points(m)
+    records.extend(axial)
+    if m.n == 3:
+        w = np.sum([r.location for r in axial], axis=0)
         for pair in combinations(range(3), 2):
+            seed = np.zeros(3)
+            seed[list(pair)] = w[list(pair)] / 2.0
             try:
-                rec = find_planar_fixed_points(m, pair)
-            except DegenerateSystemError:
+                rec = find_planar_fixed_points(m, pair, seed)
+            except (DegenerateSystemError, NewtonDivergedError):
                 rec = None
             if rec is not None:
                 records.append(rec)
         try:
-            records.append(find_interior_fixed_point(m))
-        except NoInteriorFixedPointError:
+            records.append(find_interior_fixed_point(m, w / 3.0))
+        except (NoInteriorFixedPointError, NewtonDivergedError):
             pass
     return records
 

@@ -109,12 +109,26 @@ def lattice_triangulation(N: int) -> np.ndarray:
     return faces[keep]
 
 
+def _vertex_faces(triangulation: np.ndarray, M: int) -> np.ndarray:
+    """(M, 6) incident face indices per vertex, ascending, padded by
+    repeating the list from its start (every vertex lies on a face)."""
+    vert = triangulation.ravel()
+    order = np.argsort(vert, kind="stable")  # face order kept per vertex
+    faces_by_vertex = np.repeat(np.arange(triangulation.shape[0]), triangulation.shape[1])[order]
+    counts = np.bincount(vert, minlength=M)
+    starts = np.cumsum(counts) - counts
+    slot = np.arange(6)[None, :] % counts[:, None]
+    return faces_by_vertex[starts[:, None] + slot]
+
+
 @dataclass
 class SimplexMesh:
     """Radial graph r(u) over the barycentric lattice with its triangulation.
 
     ``residual`` is the size of the final graph-transform update,
-    max over directions of |delta rho| * ||u||.
+    max over directions of |delta rho| * ||u||.  ``full_scans`` counts the
+    sweeps that located their rays by the exhaustive scan rather than from
+    the previous sweep's faces; it is not part of the JSON form.
     """
 
     resolution: int
@@ -126,6 +140,7 @@ class SimplexMesh:
     sweeps: int = 0
     flagged: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
     residual_history: list = field(default_factory=list)
+    full_scans: int = 0
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -149,18 +164,9 @@ class SimplexMesh:
         return self._cache["vtree"]
 
     def _incident_faces(self) -> np.ndarray:
-        """(M, 6) incident face indices per vertex, ascending, padded by
-        repeating the list from its start (every vertex lies on a face)."""
+        """(M, 6) incident face indices per vertex (see _vertex_faces)."""
         if "incidence" not in self._cache:
-            M = self.directions.shape[0]
-            tri = self.triangulation
-            vert = tri.ravel()
-            order = np.argsort(vert, kind="stable")  # face order kept per vertex
-            faces_by_vertex = np.repeat(np.arange(tri.shape[0]), tri.shape[1])[order]
-            counts = np.bincount(vert, minlength=M)
-            starts = np.cumsum(counts) - counts
-            slot = np.arange(6)[None, :] % counts[:, None]
-            self._cache["incidence"] = faces_by_vertex[starts[:, None] + slot]
+            self._cache["incidence"] = _vertex_faces(self.triangulation, self.directions.shape[0])
         return self._cache["incidence"]
 
     def to_json(self) -> dict:
@@ -281,34 +287,53 @@ def _barycentric_2d(q: np.ndarray, t0: np.ndarray, t1: np.ndarray, t2: np.ndarra
 _FOUND_TOL = 1e-6
 
 
+def _interior_queries(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The interior lattice directions (i/N, j/N), 1 <= i, j and
+    i + j <= N - 1, in index order: as lattice coordinates (2, Q) and as
+    direction coordinates (2, Q)."""
+    # the interior points are the lattice of N - 3 shifted by (1, 1)
+    qi, qj = _lattice_ij(N - 3)
+    ij = np.stack([qi + 1, qj + 1])
+    return ij, ij / N
+
+
+def _scan_box(t_min: np.ndarray, t_max: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and last lattice coordinates (2, F) of the queries that the scan
+    pairs with each face, from the faces' coordinate ranges t_min, t_max
+    (2, F).  The bounding box is padded so that no point with every
+    barycentric weight >= -_FOUND_TOL is left out; NaN for a face with a NaN
+    coordinate."""
+    # lattice-index units: the queries sit on the integer points (i, j)
+    lo = t_min * N
+    hi = t_max * N
+    # a point whose barycentric weights are all >= -eps lies at most 2 eps
+    # times the extent of the box outside it
+    pad = 1e-5 * (hi - lo) + 1e-9
+    first = np.maximum(np.ceil(lo - pad), 1.0)
+    last = np.minimum(np.floor(hi + pad), N - 2.0)
+    return first, last
+
+
 def _locate_interior(P: np.ndarray, faces: np.ndarray, N: int):
     """Locate the interior lattice directions among the image triangles.
 
     ``P`` (2, M) holds the first two coordinates of the image direction of
     every lattice vertex.  The queries are the interior lattice directions
-    (i/N, j/N), 1 <= i, j and i + j <= N - 1, in index order.  Each face is
-    scattered onto the lattice points inside its bounding box, padded so that
-    no point with every barycentric weight >= -_FOUND_TOL is left out; every
-    query keeps the face with the largest minimum barycentric weight, the
-    lowest face index on ties.  This is the argmax over all faces that an
-    exhaustive scan computes, restricted to the faces that can pass.
+    (see _interior_queries).  Each face is scattered onto the lattice points
+    of its padded bounding box (_scan_box); every query keeps the face with
+    the largest minimum barycentric weight, the lowest face index on ties.
+    This is the argmax over all faces that an exhaustive scan computes,
+    restricted to the faces that can pass.
 
     Returns (face (Q,), barycentric weights (Q, 3), found (Q,)); a query that
     no face covers within -_FOUND_TOL has found = False.
     """
-    # the interior points are the lattice of N - 3 shifted by (1, 1)
-    qi, qj = _lattice_ij(N - 3)
-    queries = np.stack([(qi + 1) / N, (qj + 1) / N])
+    queries = _interior_queries(N)[1]
+    Q = queries.shape[1]
     # (coordinate, corner, face); np.take is much faster here than indexing
     T = np.take(P, faces.T, axis=1)
-    # lattice-index units: the queries sit on the integer points (i, j)
-    lo = T.min(axis=1) * N
-    hi = T.max(axis=1) * N
-    # a point whose barycentric weights are all >= -eps lies at most 2 eps
-    # times the extent of the box outside it
-    pad = 1e-5 * (hi - lo) + 1e-9
-    first = np.maximum(np.ceil(lo - pad), 1.0)
-    span = np.minimum(np.floor(hi + pad), N - 2.0) - first + 1.0
+    first, last = _scan_box(T.min(axis=1), T.max(axis=1), N)
+    span = last - first + 1.0
     hit = np.nonzero((span[0] > 0) & (span[1] > 0))[0]  # NaN spans fail too
     nj = span[1, hit].astype(np.intp)
     count = span[0, hit].astype(np.intp) * nj
@@ -326,16 +351,25 @@ def _locate_interior(P: np.ndarray, faces: np.ndarray, N: int):
         np.take(queries, pair_query, axis=1), T_pair[:, 0], T_pair[:, 1], T_pair[:, 2]
     )
     pair_min = np.minimum(np.minimum(c0, c1), c2)
-    best = np.full(qi.size, -np.inf)
+    best = np.full(Q, -np.inf)
     np.maximum.at(best, pair_query, pair_min)
     win = pair_min == best[pair_query]
-    face = np.full(qi.size, faces.shape[0], dtype=np.intp)
+    face = np.full(Q, faces.shape[0], dtype=np.intp)
     np.minimum.at(face, pair_query[win], pair_face[win])
     found = best >= -_FOUND_TOL
     face[~found] = 0
     T_face = np.take(T, face, axis=2)
     bary = np.stack(_barycentric_2d(queries, T_face[:, 0], T_face[:, 1], T_face[:, 2]), axis=1)
     return face, bary, found
+
+
+# The warm-started locator keeps a query's face when its barycentric weights
+# there all exceed _WARM_EPS, and it accepts an image only if rounding moves
+# no face's weights by _WARM_EPS or more (see _Transform._locate_warm).
+_WARM_EPS = 1e-9
+# units of roundoff in that bound; 45 suffice for the arithmetic of
+# _barycentric_2d
+_ROUNDING = 64 * np.finfo(float).eps / 2
 
 
 class _Transform:
@@ -348,6 +382,7 @@ class _Transform:
         self.N = N
         self.U = barycentric_lattice(N)
         self.faces = lattice_triangulation(N)
+        self.corners = np.ascontiguousarray(self.faces.T)  # (corner, face)
         self.unorm = np.linalg.norm(self.U, axis=1)
         self.w = axial_caps(m)
         corner_mask = np.max(self.U, axis=1) == 1.0
@@ -359,6 +394,10 @@ class _Transform:
             self.edges.append((axis, full, np.nonzero(on)[0]))
         self.interior_idx = np.nonzero(np.min(self.U, axis=1) > 0.0)[0]
         self.neighbors = self._build_neighbors()
+        self.incidence = _vertex_faces(self.faces, self.U.shape[0])
+        self.ij, self.queries = _interior_queries(N)
+        self.face = None  # the previous sweep's face per interior query
+        self.full_scans = 0  # sweeps located by the exhaustive scan
 
     def _build_neighbors(self) -> np.ndarray:
         """(M, 6) lattice neighbours per vertex, ascending, padded with -1.
@@ -376,6 +415,105 @@ class _Transform:
         nbrs = np.where(inside, _lattice_index(ni, nj, N), -1)
         # keep the valid entries first, in ascending order
         return np.take_along_axis(nbrs, np.argsort(~inside, axis=1, kind="stable"), axis=1)
+
+    def locate(self, P: np.ndarray, rim_on_edges: bool):
+        """_locate_interior(P, faces, N), from the previous sweep's faces
+        where that can be certified and by the exhaustive scan otherwise."""
+        located = None
+        if self.face is not None and rim_on_edges:
+            located = self._locate_warm(P)
+        if located is None:
+            located = _locate_interior(P, self.faces, self.N)
+            self.full_scans += 1
+        self.face = located[0]
+        return located
+
+    def _locate_warm(self, P: np.ndarray):
+        """_locate_interior's result, found from the previous sweep's face of
+        each query, or None unless it is certified for every query.
+
+        The caller checks that each rim vertex of the lattice maps onto its
+        edge of the simplex (its zero coordinates stay exactly zero).
+
+        Embedding.  With (sx, sy) the sums of the absolute coordinate
+        differences along a face's two edges from its first corner (bounds on
+        its coordinate ranges) and d twice its signed area, the minimum
+        weight that _barycentric_2d computes for the face at a query of its
+        scan box (_scan_box) is within _ROUNDING * (6 sx sy + 1e-9 (sx + sy))
+        / d of the exact one, or below -1/4 where that is negative.  Every
+        face must be positively oriented and have this bound under _WARM_EPS.
+        The image of the rim then winds once around every query, so the
+        faces cover a neighbourhood of each query exactly once: a query
+        inside one face is outside every other.
+
+        1. A query whose computed weights in its guess all exceed _WARM_EPS
+           lies strictly inside it (the same bound holds there, since those
+           weights are below 2 in size).  Every other face that the scan
+           pairs with it has a negative exact minimum weight, so a computed
+           one below _WARM_EPS: the guess is the argmax.
+        2. The other queries take the argmax over the faces of the guess's
+           one-ring R (the faces that share a vertex with it) that the scan
+           pairs with them, lowest face index on ties.  It is accepted if its
+           minimum weight m > -_WARM_EPS and the query lies D >=
+           16 _WARM_EPS diam from the rim of the star (the union of the
+           faces) of a vertex that the winner shares with the guess, where
+           diam bounds every face's diameter.  The query is then inside that
+           star, which R contains, and a face outside R has exact minimum
+           weight <= -D / (2 diam), so a computed one below -_WARM_EPS < m:
+           the argmax over R is the argmax over all faces.
+        """
+        faces, guess, queries = self.faces, self.face, self.queries
+        # (coordinate, corner, face), as in _locate_interior
+        T = np.take(P, self.corners, axis=1)
+        e1 = T[:, 1] - T[:, 0]
+        e2 = T[:, 2] - T[:, 0]
+        d = e1[0] * e2[1] - e2[0] * e1[1]
+        sx, sy = np.abs(e1) + np.abs(e2)
+        if not np.all(_WARM_EPS * d > _ROUNDING * (6.0 * sx * sy + 1e-9 * (sx + sy))):
+            return None  # a face that is flat, flipped, NaN or too thin to trust
+        T_guess = np.take(T, guess, axis=2)
+        c = _barycentric_2d(queries, T_guess[:, 0], T_guess[:, 1], T_guess[:, 2])
+        face = guess.copy()
+        bary = np.stack(c, axis=1)
+        rest = np.nonzero(~(np.minimum(np.minimum(c[0], c[1]), c[2]) > _WARM_EPS))[0]
+        if rest.size == 0:
+            return face, bary, np.ones(face.size, dtype=bool)
+        if rest.size > face.size // 8:
+            return None  # a moved query costs about as much as eight in the scan
+
+        own = faces[guess[rest]]  # (query, vertex of the guess)
+        star = self.incidence[own]  # (query, vertex, face): the stars of those vertices
+        ring = star.reshape(rest.size, -1)
+        T_ring = np.take(T, ring, axis=2)  # (coordinate, corner, query, face)
+        c = _barycentric_2d(queries[:, rest, None], T_ring[:, 0], T_ring[:, 1], T_ring[:, 2])
+        first, last = _scan_box(T_ring.min(axis=1), T_ring.max(axis=1), self.N)
+        ij = self.ij[:, rest, None]
+        paired = np.all((first <= ij) & (ij <= last), axis=0)
+        score = np.where(paired, np.minimum(np.minimum(c[0], c[1]), c[2]), -np.inf)
+        best = score.max(axis=1)
+        rows = np.arange(rest.size)
+        col = np.argmin(np.where(score == best[:, None], ring, faces.shape[0]), axis=1)
+        win = ring[rows, col]
+
+        # the rim of a guess vertex's star: the edges opposite the vertex in
+        # its faces, and the edges of the simplex
+        corners = faces[star]  # (query, vertex, face, corner)
+        at = np.argmax(corners == own[..., None, None], axis=-1)[..., None]
+        a = np.take(P, np.take_along_axis(corners, (at + 1) % 3, axis=-1)[..., 0], axis=1)
+        e = np.take(P, np.take_along_axis(corners, (at + 2) % 3, axis=-1)[..., 0], axis=1) - a
+        r = queries[:, rest, None, None] - a
+        t = np.clip((r * e).sum(axis=0) / (e * e).sum(axis=0), 0.0, 1.0)
+        # the queries lie at least 1 / (N sqrt 2) from the simplex's edges
+        dist = np.minimum(np.hypot(*(r - t * e)).min(axis=-1), 0.5 / self.N)
+        # take the star of a guess vertex that the winner shares
+        shared = (own[:, :, None] == faces[win][:, None, :]).any(axis=-1)
+        dist = np.where(shared, dist, 0.0).max(axis=1)
+        diam = np.max(sx + sy)
+        if not np.all((best > -_WARM_EPS) & (dist >= 16.0 * _WARM_EPS * diam)):
+            return None
+        face[rest] = win
+        bary[rest] = np.stack([ci[rows, col] for ci in c], axis=1)
+        return face, bary, np.ones(face.size, dtype=bool)
 
     def sweep(self, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map the surface forward and re-sample it radially.
@@ -405,14 +543,15 @@ class _Transform:
             new[query_idx] = 1.0 / g
 
         # interior: 2-D point location among image-direction triangles
-        face_pick, best_bary, ok = _locate_interior(
-            (Y[:, :2] / s[:, None]).T.copy(), self.faces, self.N
-        )
-        c = np.clip(best_bary[ok], 0.0, None)
-        c /= c.sum(axis=1, keepdims=True)
-        s_face = s[self.faces[face_pick[ok]]]
-        found = self.interior_idx[ok]
-        new[found] = 1.0 / (c / s_face).sum(axis=1)
+        rim_on_edges = all(np.all(Y[full_idx, axis] == 0.0) for axis, full_idx, _ in self.edges)
+        face_pick, best_bary, ok = self.locate((Y[:, :2] / s[:, None]).T.copy(), rim_on_edges)
+        if not ok.all():
+            face_pick, best_bary = face_pick[ok], best_bary[ok]
+        c = np.clip(best_bary, 0.0, None)
+        # rows are summed left to right, as sum(axis=1) does, but faster
+        c /= (c[:, 0] + c[:, 1] + c[:, 2])[:, None]
+        c /= np.take(s, np.take(self.faces, face_pick, axis=0))
+        new[self.interior_idx[ok]] = 1.0 / (c[:, 0] + c[:, 1] + c[:, 2])
 
         flagged = self.interior_idx[~ok]
         pending = list(flagged)
@@ -475,6 +614,7 @@ def compute_carrying_simplex(
         sweeps=sweeps,
         flagged=flagged,
         residual_history=history,
+        full_scans=transform.full_scans,
     )
     if not mesh.converged:
         raise NonConvergenceError(

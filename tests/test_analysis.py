@@ -24,7 +24,7 @@ from csimplex.analysis import (
     verify_C1,
 )
 from csimplex.models import ParameterSet, make_custom, make_leslie_gower, make_ricker
-from conftest import A_CLASS19, build_model
+from conftest import A_CLASS19, ANCHOR_MATRICES, build_model
 
 
 def jacobi_eigenvalues(M: np.ndarray, sweeps: int = 50) -> np.ndarray:
@@ -332,6 +332,20 @@ class TestRecords:
         assert len(ref) == 6 and key(scaled) == key(ref)
         for a, b in zip(ref, scaled):
             np.testing.assert_allclose(b.location * scale, a.location, rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["leslie_gower", "atkinson_allen", "ricker"])
+    @pytest.mark.parametrize("A", [A_CLASS19] + [A for _, A in ANCHOR_MATRICES])
+    def test_custom_map_gives_builtin_records(self, kind, A):
+        """The same law wrapped by make_custom, whose fixed points come from
+        Newton rather than the linear support systems: the same records in
+        the same order, with the same types, at the same locations."""
+        m = build_model(kind, A)
+        ref = find_all_fixed_points(m)
+        custom = find_all_fixed_points(make_custom(3, m.growth, m.growth_jacobian))
+        key = lambda recs: [(r.name, r.s_type) for r in recs]
+        assert key(custom) == key(ref)
+        for a, b in zip(ref, custom):
+            np.testing.assert_allclose(b.location, a.location, rtol=1e-9, atol=0.0)
 
     def test_residual_invariant(self):
         for kind in ("leslie_gower", "atkinson_allen", "ricker"):

@@ -6,7 +6,7 @@ import pytest
 
 from csimplex.existence import axial_caps
 from csimplex.manifolds import pseudo_splitting
-from csimplex.models import ParameterSet, make_leslie_gower
+from csimplex.models import ParameterSet, make_leslie_gower, make_ricker
 from csimplex.simplex import (
     EmptyNeighborhoodError,
     NonConvergenceError,
@@ -29,7 +29,7 @@ from csimplex.simplex import (
     _locate_interior,
     _orthant_occupied,
 )
-from conftest import A_CLASS19, build_model
+from conftest import A_CLASS19, ANCHOR_MATRICES, build_model
 
 
 def brute_force_surface_distance(mesh: SimplexMesh, p: np.ndarray) -> float:
@@ -180,6 +180,160 @@ class TestLocateInterior:
                 for q in queries.T
             ]
             assert max(covered) > 1
+
+
+def readme_ricker():
+    """The README example: Ricker with r = 0.2 and the class-19 matrix.  Its
+    species 2 and 3 are interchangeable, which puts some queries exactly on
+    shared edges of the image faces."""
+    return make_ricker(ParameterSet(r=np.full(3, 0.2), A=A_CLASS19))
+
+
+def image_directions(m, mesh):
+    """First two coordinates (2, M) of the image direction of every vertex."""
+    Y = m(mesh.vertices)
+    return (Y[:, :2] / Y.sum(axis=1)[:, None]).T.copy()
+
+
+class TestWarmLocator:
+    """Rays located from the previous sweep's faces against the exhaustive
+    scan."""
+
+    @pytest.mark.parametrize(
+        "kind, A",
+        [
+            ("readme", A_CLASS19),
+            ("leslie_gower", ANCHOR_MATRICES[0][1]),
+            ("atkinson_allen", ANCHOR_MATRICES[3][1]),
+            ("ricker", ANCHOR_MATRICES[9][1]),
+        ],
+    )
+    def test_every_sweep_matches_exhaustive_scan(self, monkeypatch, kind, A):
+        warm = _Transform._locate_warm
+        certified = []
+
+        def checked(transform, P):
+            got = warm(transform, P)
+            if got is not None:
+                want = _locate_interior(P, transform.faces, transform.N)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype
+                    assert np.array_equal(g, w)
+            certified.append(got is not None)
+            return got
+
+        monkeypatch.setattr(_Transform, "_locate_warm", checked)
+        m = readme_ricker() if kind == "readme" else build_model(kind, A)
+        mesh = compute_carrying_simplex(m, resolution=32, tol=1e-10)
+        assert len(certified) == mesh.sweeps - 1  # the first sweep has no guess
+        assert all(certified)
+        assert mesh.full_scans == 1
+
+    @pytest.fixture(scope="class")
+    def readme_image(self):
+        m = readme_ricker()
+        mesh = compute_carrying_simplex(m, resolution=32, tol=1e-10)
+        return m, image_directions(m, mesh)
+
+    @pytest.mark.parametrize("guess", ["exact", "moved", "shuffled", "stale", "zeros"])
+    def test_any_guess_gives_exhaustive_result(self, readme_image, guess):
+        m, P = readme_image
+        transform = _Transform(m, 32)
+        want = _locate_interior(P, transform.faces, 32)
+        face = want[0].copy()
+        rng = np.random.default_rng(3)
+        if guess == "moved":
+            # a tenth of the queries guess a face across an edge of theirs
+            moved = rng.choice(face.size, face.size // 10, replace=False)
+            ring = transform.incidence[transform.faces[face[moved], 0]]
+            across = (transform.faces[ring] == transform.faces[face[moved], 1][:, None, None]).any(-1)
+            across &= ring != face[moved][:, None]
+            face[moved] = ring[np.arange(moved.size), np.argmax(across, axis=1)]
+            assert np.all(face[moved] != want[0][moved])
+        elif guess == "shuffled":
+            face = rng.permutation(face)
+        elif guess == "stale":
+            plane = compute_carrying_simplex(m, resolution=32, max_iters=1, tol=np.inf)
+            face = _locate_interior(image_directions(m, plane), transform.faces, 32)[0]
+        elif guess == "zeros":
+            face[:] = 0
+        transform.face = face
+        got = transform.locate(P, True)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        if guess in ("exact", "moved"):
+            assert transform.full_scans == 0  # one face off is still certified
+        if guess in ("shuffled", "zeros"):
+            assert transform.full_scans == 1
+
+    def test_queries_on_image_vertices(self):
+        """A jittered lattice image whose vertices at a few lattice points stay
+        put: the queries there tie at weight 0 in all six faces around the
+        vertex.  Exact guesses are certified and keep the lowest face index;
+        guesses whose one-ring misses that face fall back to the scan."""
+        N = 32
+        U = barycentric_lattice(N)
+        transform = _Transform(make_leslie_gower(ParameterSet(r=np.ones(3), A=A_CLASS19)), N)
+        P = U[:, :2].T.copy()
+        jitter = np.random.default_rng(7).uniform(-0.15, 0.15, P.shape) / N
+        jitter[:, np.min(U, axis=1) == 0.0] = 0.0  # the rim stays on its edges
+        pinned = [(5, 5), (10, 3), (3, 12), (8, 8), (12, 6)]
+        vertex = [np.flatnonzero((U[:, 0] == i / N) & (U[:, 1] == j / N))[0] for i, j in pinned]
+        jitter[:, vertex] = 0.0
+        P += jitter
+        t0, t1, t2 = (P[:, transform.faces[:, k]] for k in range(3))
+        assert np.all((t1[0] - t0[0]) * (t2[1] - t0[1]) - (t2[0] - t0[0]) * (t1[1] - t0[1]) > 0)
+        want = _locate_interior(P, transform.faces, N)
+        query = [np.flatnonzero((transform.ij[0] == i) & (transform.ij[1] == j))[0] for i, j in pinned]
+        assert np.all(np.min(want[1][query], axis=1) == 0.0)
+
+        transform.face = want[0].copy()
+        for g, w in zip(transform.locate(P, True), want):
+            assert np.array_equal(g, w)
+        assert transform.full_scans == 0
+
+        # guess the up face of cell (i + 1, j): its one-ring holds only the
+        # faces around (i, j) that touch (i + 1, j), not the lowest one
+        guess = want[0].copy()
+        cells = [{tuple(np.rint(U[v, :2] * N).astype(int)) for v in f} for f in transform.faces]
+        for q, (i, j) in zip(query, pinned):
+            guess[q] = cells.index({(i + 1, j), (i + 2, j), (i + 1, j + 1)})
+        transform.face = guess
+        for g, w in zip(transform.locate(P, True), want):
+            assert np.array_equal(g, w)
+        assert transform.full_scans == 1
+
+    def test_flipped_face_falls_back_to_scan(self, readme_image):
+        m, P = readme_image
+        transform = _Transform(m, 32)
+        transform.face = _locate_interior(P, transform.faces, 32)[0]
+        # reflect one interior vertex across the opposite edge of a face
+        v = transform.interior_idx[200]
+        f = transform.incidence[v, 0]
+        a, b = (P[:, u] for u in transform.faces[f] if u != v)
+        n = np.array([a[1] - b[1], b[0] - a[0]]) / np.hypot(*(a - b))
+        P = P.copy()
+        P[:, v] -= 2.0 * ((P[:, v] - a) @ n) * n
+        t0, t1, t2 = (P[:, transform.faces[:, k]] for k in range(3))
+        area = (t1[0] - t0[0]) * (t2[1] - t0[1]) - (t2[0] - t0[0]) * (t1[1] - t0[1])
+        assert area[f] < 0
+        assert transform._locate_warm(P) is None
+        got = transform.locate(P, True)
+        for g, w in zip(got, _locate_interior(P, transform.faces, 32)):
+            assert np.array_equal(g, w)
+        assert transform.full_scans == 1
+
+    def test_rim_off_its_edge_falls_back_to_scan(self, readme_image):
+        m, P = readme_image
+        transform = _Transform(m, 32)
+        transform.face = _locate_interior(P, transform.faces, 32)[0]
+        transform.locate(P, False)
+        assert transform.full_scans == 1
+
+    def test_full_scans_counted_and_not_serialized(self):
+        mesh = compute_carrying_simplex(readme_ricker(), resolution=64, tol=1e-8)
+        assert 1 <= mesh.full_scans <= mesh.sweeps // 10
+        assert "full_scans" not in mesh.to_json()
 
 
 class TestConvergence:
