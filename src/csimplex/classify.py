@@ -119,14 +119,15 @@ def _tables(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return alpha, den, beta
 
 
-def _refusals(As: np.ndarray, den: np.ndarray) -> list[Exception | None]:
-    """Why each matrix of As (K, 3, 3) with 2x2 determinants den (K, 3, 3)
-    has no alpha/beta tables, or None.  The first vanishing determinant is
-    reported in (i, j) loop order."""
+def _refusals(As: np.ndarray, S: np.ndarray, den: np.ndarray) -> list[Exception | None]:
+    """Why each matrix of As (K, 3, 3) has no alpha/beta tables, or None.
+    den (K, 3, 3) holds the 2x2 determinants of S, As or As rescaled by
+    powers of two; they vanish below 1e-12 times the squared maximum of S.
+    The first vanishing determinant is reported in (i, j) loop order."""
     nonpositive = np.any(As <= 0, axis=(1, 2)).tolist()
     nonfinite = (~np.all(np.isfinite(As), axis=(1, 2))).tolist()
-    scale = np.max(As, axis=(1, 2)) ** 2
-    overflow = np.isinf(scale).tolist()
+    overflow = np.isinf(np.max(As, axis=(1, 2)) ** 2).tolist()
+    scale = np.max(S, axis=(1, 2)) ** 2
     vanishing = np.abs(den[:, _PAIR_I, _PAIR_J]) < 1e-12 * scale[:, None]
     first = np.where(vanishing.any(axis=1), np.argmax(vanishing, axis=1), -1).tolist()
     out: list[Exception | None] = []
@@ -163,7 +164,7 @@ def compute_alpha_beta(A: np.ndarray) -> AlphaBeta:
     A = _as_3x3(A)
     with np.errstate(all="ignore"):
         alpha, den, beta = _tables(A)
-        refusal = _refusals(A[None], den[None])[0]
+        refusal = _refusals(A[None], A[None], den[None])[0]
     if refusal is not None:
         raise refusal
     return AlphaBeta(alpha=alpha, beta=beta)
@@ -180,25 +181,34 @@ def classify_table1_batch(
     the assembly of each row's result is a loop over rows.  The tables of a
     relabeled matrix are gathered from those of the matrix, which is exact:
     each entry is one expression in the same four entries.
+
+    The decisions are made on A 2^-e, with e the binary exponent of max|A|,
+    so that max|A 2^-e| lies in [1/2, 1).  Scaling by a power of two is
+    exact, so the alpha band is band * max|A| at every scale and the
+    determinant threshold cannot underflow; margins and tables are those of
+    A, scaled back.
     """
     As = np.asarray(As, dtype=float)
     if As.ndim != 3 or As.shape[1:] != (3, 3):
         raise ValueError("classification is defined for (K, 3, 3) stacks of matrices")
     with np.errstate(all="ignore"):
-        alpha, den, beta = _tables(As)
-        refusals = _refusals(As, den)
+        e = np.frexp(np.max(np.abs(As), axis=(1, 2)))[1][:, None, None]
+        S = np.ldexp(As, -e)
+        alpha, den, beta = _tables(S)
+        refusals = _refusals(As, S, den)
         # every relabeling at once, gathered from the identity tables:
         # alpha_ij for i != j in _ALPHA_PAIRS order, (K, 6, 6) ...
         a = alpha[:, _P[:, _PAIR_I], _P[:, _PAIR_J]]
         # ... and the three invasion sums a_kj b_jl + a_kl b_lj, (K, 6, 3)
         pk, pj, pl = _P, _P[:, _SUM_J], _P[:, _SUM_L]
-        sums = As[:, pk, pj] * beta[:, pj, pl] + As[:, pk, pl] * beta[:, pl, pj]
+        sums = S[:, pk, pj] * beta[:, pj, pl] + S[:, pk, pl] * beta[:, pl, pj]
         above, below = sums - 1.0, 1.0 - sums
         # alpha margins scale with A, sum margins are dimensionless
-        alpha_band = band * np.maximum(1.0, np.max(np.abs(As), axis=(1, 2)))[:, None, None]
-    # A margin is met above its band and failed below minus its band; alpha
-    # margins are sign * alpha, so a sign of -1 swaps met and failed.
-    met, failed = a > alpha_band, a < -alpha_band  # (K, 6, 6)
+        alpha_band = band * np.max(np.abs(S), axis=(1, 2))[:, None, None]
+        # A margin is met above its band and failed below minus its band;
+        # alpha margins are sign * alpha, so a sign of -1 swaps met and failed.
+        met, failed = a > alpha_band, a < -alpha_band  # (K, 6, 6)
+        a, alpha, beta = np.ldexp(a, e), np.ldexp(alpha, e), np.ldexp(beta, -e)
     plus = _SIGNS > 0  # (7, 6) against (K, 6, 1, 6)
     alpha_met = np.where(plus, met[:, :, None], failed[:, :, None]).all(axis=-1)
     alpha_failed = np.where(plus, failed[:, :, None], met[:, :, None]).any(axis=-1)

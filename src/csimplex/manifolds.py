@@ -8,10 +8,10 @@ approximated at first order by translates of span{v}; the contraction rate
 rho is chosen in (mu, min{1, nu}) and the expansion parameter sigma in
 (rho, nu), midpoints by default.
 
-One routine grows both curves from a short seed along an eigendirection in
-W, mapping and re-sampling it by arclength sweep after sweep: the unstable
-curve under T, the stable curve as the unstable curve of T^-1 restricted to
-the mesh (Newton preimages projected radially onto the mesh).
+One routine grows both curves as the orbits of a short seed along an
+eigendirection in W, re-sampled by arclength: the unstable curve under T,
+the stable curve as the unstable curve of T^-1 restricted to the mesh
+(Newton preimages projected radially onto the mesh).
 """
 from __future__ import annotations
 
@@ -189,8 +189,8 @@ def _saddle_eigendirection(
     m: CompetitiveMap, q: np.ndarray, expanding: bool
 ) -> tuple[np.ndarray, int]:
     """Eigenvector of DT(q) for the one expanding (or contracting) eigenvalue
-    in W, and the map steps per sweep: two when that eigenvalue is negative,
-    so that a branch does not flip sides at every step."""
+    in W, and the map steps per orbit point: two when that eigenvalue is
+    negative, so that a branch does not flip sides at every step."""
     split = pseudo_splitting(m, q)
     mods = np.abs(split.w_eigenvalues)
     word = "expanding" if expanding else "contracting"
@@ -205,89 +205,56 @@ def _saddle_eigendirection(
     return eigvec_for(m.jacobian(q), float(lam.real)), 2 if lam.real < 0 else 1
 
 
+# Iterations after which _grow_curve gives up on a branch.
+_MAX_ITERATIONS = 20000
+
+
 def _grow_curve(
     kind: str,
     step: Callable[[np.ndarray], np.ndarray],
     q: np.ndarray,
     seed: np.ndarray,
-    steps_per_sweep: int,
+    steps: int,
     targets: dict[str, np.ndarray],
     endpoint_tol: float,
     h_max: float,
-    max_points: int = 20000,
-    max_sweeps: int = 1000,
 ) -> ManifoldCurve:
-    """Unstable curve of `step` at its fixed point q, grown on both sides
-    from the segments [q, q +- seed]: every sweep maps the open branches by
-    steps_per_sweep applications of `step` and re-samples each by arclength
-    to spacing h_max, until its end enters the endpoint_tol ball of a target.
-    The branches advance in lockstep, so each application of `step` maps the
-    points of both in one batch; `step` must map rows independently."""
+    """Unstable curve of `step` at its fixed point q, as the orbits of the
+    seed tips q +- seed: each iteration maps the open tips by `steps`
+    applications of `step` and appends the images to their branches
+    [q, q +- seed, ...], until a tip enters the endpoint_tol ball of a
+    target.  With the seed in the linear regime the orbit lies on the curve,
+    one point per fundamental domain, so each branch is the polyline through
+    it, re-sampled by arclength to spacing h_max at the end.  The tips
+    advance in lockstep, so each application of `step` maps both in one
+    batch; `step` must map rows independently."""
     names = list(targets)
     ends = np.array([targets[k] for k in names], dtype=float)
-    fan = np.linspace(0.0, 1.0, 5)[:, None]
-    branches = [q[None, :] + fan * (sign * seed)[None, :] for sign in (1.0, -1.0)]
+    orbits = [[q, q + seed], [q, q - seed]]
     arrivals: list[tuple[str, float] | None] = [None, None]
-
-    def arrival(y: np.ndarray) -> tuple[str, float] | None:
-        d = np.linalg.norm(ends - y, axis=1)
-        j = int(np.argmin(d))
-        return (names[j], float(d[j])) if d[j] < endpoint_tol else None
-
-    def fast_forward(ids: list[int]) -> None:
-        """Extend the branches with the orbits of their endpoints, mapped
-        together; the orbit is part of the curve, so this closes the slow
-        final approach cheaply.  A branch whose orbit does not arrive within
-        20000 steps is left as it was."""
-        tails = {b: [branches[b][-1]] for b in ids}
-        Y = np.array([branches[b][-1] for b in ids])
-        for _ in range(20000):
+    ids = [0, 1]
+    Y = np.array([orbit[-1] for orbit in orbits])
+    for _ in range(_MAX_ITERATIONS):
+        for _ in range(steps):
             Y = step(Y)
-            for row, b in enumerate(ids):
-                tails[b].append(Y[row])
-            d = np.linalg.norm(Y[:, None, :] - ends[None, :, :], axis=2)
-            if d.min() >= endpoint_tol:
-                continue
-            j = np.argmin(d, axis=1)
-            for row, b in enumerate(ids):
-                if d[row, j[row]] < endpoint_tol:
-                    arrivals[b] = (names[j[row]], float(d[row, j[row]]))
-                    ext = np.vstack([branches[b], np.asarray(tails[b])])
-                    branches[b] = _resample_polyline(ext, h_max)
-            still = [row for row, b in enumerate(ids) if arrivals[b] is None]
-            if not still:
-                return
-            ids = [ids[row] for row in still]
-            Y = Y[still]
-
-    for sweep in range(1, max_sweeps + 1):
-        ids = [b for b in range(2) if arrivals[b] is None]
-        heads = [branches[b][1:] for b in ids]
-        img = np.vstack(heads)
-        for _ in range(steps_per_sweep):
-            img = step(img)
-        cuts = np.cumsum([h.shape[0] for h in heads])[:-1]
-        for b, part in zip(ids, np.split(img, cuts)):
-            P = _resample_polyline(np.vstack([q[None, :], part]), h_max)
-            if P.shape[0] > max_points:
-                raise BranchDidNotTerminateError(
-                    f"branch exceeded {max_points} points before reaching {' or '.join(names)}"
-                )
-            branches[b] = P
-            arrivals[b] = arrival(P[-1])
-        still_open = [b for b in ids if arrivals[b] is None]
-        if still_open and sweep % 25 == 0:
-            fast_forward(still_open)
-        if all(a is not None for a in arrivals):
+        d = np.linalg.norm(Y[:, None, :] - ends[None, :, :], axis=2)
+        j = np.argmin(d, axis=1)
+        for row, b in enumerate(ids):
+            orbits[b].append(Y[row])
+            if d[row, j[row]] < endpoint_tol:
+                arrivals[b] = (names[j[row]], float(d[row, j[row]]))
+        still = [row for row, b in enumerate(ids) if arrivals[b] is None]
+        if not still:
             break
+        ids, Y = [ids[row] for row in still], Y[still]
     else:
-        closest = min(np.min(np.linalg.norm(ends - branches[b][-1], axis=1))
-                      for b in range(2) if arrivals[b] is None)
+        closest = float(np.min(np.linalg.norm(Y[:, None, :] - ends[None, :, :], axis=2)))
         raise BranchDidNotTerminateError(
-            f"branch did not reach {' or '.join(names)} within {max_sweeps} sweeps "
+            f"branch did not reach {' or '.join(names)} within {_MAX_ITERATIONS} iterations "
             f"(closest {closest:.3e})"
         )
-    (plus, minus), ((name_p, d_p), (name_m, d_m)) = branches, arrivals
+    plus, minus = (_resample_polyline(np.array(orbit), h_max) for orbit in orbits)
+    (name_p, d_p), (name_m, d_m) = arrivals
     return ManifoldCurve(
         points=np.vstack([minus[::-1], plus[1:]]),
         kind=kind,
@@ -303,15 +270,13 @@ def trace_unstable(
     h0: float | None = None,
     endpoint_tol: float | None = None,
     h_max: float | None = None,
-    max_points: int = 20000,
-    max_sweeps: int = 1000,
 ) -> ManifoldCurve:
-    """Grow both branches of the unstable curve of the saddle q by forward
-    iteration of a seed along the expanding eigendirection, re-sampling by
-    arclength after every sweep, until each branch enters the endpoint
-    tolerance of one of the given attractors."""
+    """Grow both branches of the unstable curve of the saddle q as the orbits
+    of a seed along the expanding eigendirection, until each enters the
+    endpoint tolerance of one of the given attractors, and re-sample them by
+    arclength."""
     q = np.asarray(q, dtype=float)
-    e_u, steps_per_sweep = _saddle_eigendirection(m, q, expanding=True)
+    e_u, steps = _saddle_eigendirection(m, q, expanding=True)
     if h0 is None:
         h0 = 1e-6 * float(np.linalg.norm(q))
     w_norm = float(np.linalg.norm(axial_caps(m)))
@@ -319,10 +284,7 @@ def trace_unstable(
         endpoint_tol = 1e-5 * w_norm
     if h_max is None:
         h_max = 1e-3 * w_norm
-    return _grow_curve(
-        "unstable", m, q, h0 * e_u, steps_per_sweep, attractors, endpoint_tol, h_max,
-        max_points, max_sweeps,
-    )
+    return _grow_curve("unstable", m, q, h0 * e_u, steps, attractors, endpoint_tol, h_max)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +479,7 @@ def trace_stable_on_S(
     if len(repellers) != 2 or len(attractors) != 2:
         raise ValueError("need exactly two repellers and two attractors")
     q = np.asarray(q, dtype=float)
-    e_s, steps_per_sweep = _saddle_eigendirection(m, q, expanding=False)
+    e_s, steps = _saddle_eigendirection(m, q, expanding=False)
     if h_max is None:
         h_max = 1e-3 * float(np.linalg.norm(axial_caps(m)))
     tol = 0.1 * mesh.max_edge_length()
@@ -535,7 +497,7 @@ def trace_stable_on_S(
             break
         h0 *= 0.5
     h0 = max(h0, h_min)
-    curve = _grow_curve("stable", step, q, h0 * e_s, steps_per_sweep, repellers, tol, h_max)
+    curve = _grow_curve("stable", step, q, h0 * e_s, steps, repellers, tol, h_max)
     if len(curve.endpoints) != 2:
         raise ManifoldError(f"both branches of the stable curve reached {list(curve.endpoints)}")
     first, last = (np.asarray(repellers[name], dtype=float) for name in curve.endpoints)

@@ -80,6 +80,25 @@ def basin_raster(
     return BasinRaster(resolution=R, labels=labels, attractor_names=sorted(attractors))
 
 
+def _densify(P: np.ndarray, spacing: float) -> np.ndarray:
+    """The polyline P (k, d) with the segments [a, b] cut into
+    div = max(2, ceil(|b - a| / spacing)) - 1 pieces: P[0], then points
+    1..div of each segment, each equal to np.linspace(a, b, div + 1)[j] bit
+    for bit (k (delta / div) + a; (k / div) delta + a when a step component
+    is zero; b at the end)."""
+    a, b = P[:-1], P[1:]
+    delta = b - a
+    div = np.maximum(2, np.ceil(np.linalg.norm(delta, axis=1) / spacing).astype(int)) - 1
+    seg = np.repeat(np.arange(len(div)), div)
+    last = np.cumsum(div) - 1
+    k = (np.arange(seg.size) - np.repeat(last - div, div)).astype(float)
+    step = delta / div[:, None]
+    zero = np.any(step == 0.0, axis=1)[seg, None]
+    dense = np.where(zero, (k / div[seg])[:, None] * delta[seg], k[:, None] * step[seg]) + a[seg]
+    dense[last] = b
+    return np.vstack([P[:1], dense])
+
+
 def _near_curves(
     resolution: int, curves: list[ManifoldCurve], exclusion: float
 ) -> np.ndarray:
@@ -95,11 +114,8 @@ def _near_curves(
     for curve in curves:
         p = curve.points / curve.points.sum(axis=1, keepdims=True)
         # densify the polyline so cell-scale gaps cannot leak through
-        dense = [p[:1, :2]]
-        for a, b in zip(p[:-1, :2], p[1:, :2]):
-            steps = max(2, int(np.ceil(np.linalg.norm(b - a) / (0.5 * cell))))
-            dense.append(np.linspace(a, b, steps)[1:])
-        d, _ = cKDTree(np.vstack(dense)).query(grid2, distance_upper_bound=exclusion)
+        dense = _densify(p[:, :2], 0.5 * cell)
+        d, _ = cKDTree(dense).query(grid2, distance_upper_bound=exclusion)
         near_curve |= d < exclusion
     return near_curve.reshape(R, R)
 

@@ -1,8 +1,11 @@
 """Fixed point location, spectra, condition (C1), on-simplex type, index."""
 from __future__ import annotations
 
+from itertools import permutations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csimplex.analysis import (
     DegenerateSystemError,
@@ -23,6 +26,7 @@ from csimplex.analysis import (
     record_at,
     verify_C1,
 )
+from csimplex.classify import ClassifyError, classify_table1
 from csimplex.models import ParameterSet, make_custom, make_leslie_gower, make_ricker
 from conftest import A_CLASS19, ANCHOR_MATRICES, build_model
 
@@ -346,6 +350,35 @@ class TestRecords:
         assert key(custom) == key(ref)
         for a, b in zip(ref, custom):
             np.testing.assert_allclose(b.location, a.location, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["leslie_gower", "atkinson_allen", "ricker"])
+    @settings(derandomize=True, max_examples=52, deadline=None)
+    @given(
+        anchor=st.integers(0, len(ANCHOR_MATRICES) - 1),
+        jitter=st.lists(st.floats(-0.01, 0.01), min_size=9, max_size=9),
+    )
+    def test_relabeling_permutes_records(self, kind, anchor, jitter):
+        """Relabeling the species by p (A -> A[p][:, p]) conjugates T by
+        x -> x[p]: each record reappears on the relabeled support, with the
+        same type and index, at its location permuted; the Table-1 class (or
+        refusal) is unchanged."""
+        A = np.asarray(ANCHOR_MATRICES[anchor][1]) * np.exp(np.reshape(jitter, (3, 3)))
+
+        def table1(A):
+            try:
+                return classify_table1(A).class_id
+            except ClassifyError as exc:
+                return type(exc)
+
+        ref = find_all_fixed_points(build_model(kind, A))
+        for p in permutations(range(3)):
+            got = {r.support: r for r in find_all_fixed_points(build_model(kind, A[np.ix_(p, p)]))}
+            assert len(got) == len(ref)
+            for r in ref:
+                g = got[tuple(k for k in range(3) if p[k] in r.support)]
+                assert (g.s_type, g.index) == (r.s_type, r.index)
+                np.testing.assert_allclose(g.location, r.location[list(p)], rtol=1e-9, atol=0.0)
+            assert table1(A[np.ix_(p, p)]) == table1(A)
 
     def test_residual_invariant(self):
         for kind in ("leslie_gower", "atkinson_allen", "ricker"):

@@ -91,8 +91,7 @@ def loop_classify(A: np.ndarray, band: float = DEGENERACY_BAND):
     """Per-row loop reference for classify_table1 on a finite positive
     matrix: scan relabelings x classes with dicts, return the result or the
     exception it refuses with."""
-    scale = max(1.0, float(np.max(np.abs(A))))
-    alpha_band = band * scale
+    alpha_band = band * float(np.max(np.abs(A)))
     ambiguous = []
     try:
         for perm in permutations(range(3)):
@@ -193,7 +192,7 @@ class TestBatchKernel:
 
     def test_margin_equal_to_band(self):
         """A margin exactly at the band is undecided, for alpha margins
-        (band scale 1 when max|A| <= 1) and for invasion-sum margins."""
+        (band scaled by max|A|, here below 1) and for invasion-sum margins."""
         rng = np.random.default_rng(59)
         checked = 0
         for A in rng.uniform(0.2, 1.0, (150, 3, 3)):
@@ -343,13 +342,26 @@ class TestClassify:
             assert res_p.class_id == res.class_id
 
     def test_scale_invariance(self):
+        """The alpha band and the determinant threshold scale with A, so a
+        multiple of the reference, however small, is class 19 with the same
+        permutation and margins scaled by s, exactly for a power of two."""
         res = classify_table1(A_CLASS19)
-        for c in (0.01, 0.5, 7.0, 300.0):
-            assert classify_table1(c * A_CLASS19).class_id == res.class_id
+        for s in (0.01, 0.5, 7.0, 300.0, 1e-10, 1e-200, 2.0**-600):
+            got = classify_table1(s * A_CLASS19)
+            assert (got.class_id, got.permutation) == (res.class_id, res.permutation)
+            want = {k: s * v if k.startswith("alpha") else v for k, v in res.margins.items()}
+            assert got.margins == pytest.approx(want, rel=1e-12)
+            if s in (0.5, 2.0**-600):
+                assert got.margins == want
+                np.testing.assert_array_equal(got.alpha_beta.alpha, s * res.alpha_beta.alpha)
+                np.testing.assert_array_equal(got.alpha_beta.beta, res.alpha_beta.beta / s)
 
     def test_all_equal_refused(self):
-        with pytest.raises(DegenerateDenominatorError):
-            classify_table1(np.full((3, 3), 2.5))
+        # at 1e-200 the determinants underflow to 0, and so would the
+        # threshold 1e-12 max|A|^2 without rescaling A: degenerate, not a tie
+        for value in (2.5, 1e-200):
+            with pytest.raises(DegenerateDenominatorError):
+                classify_table1(np.full((3, 3), value))
 
     def test_boundary_tie_refused(self):
         A = A_CLASS19.copy()

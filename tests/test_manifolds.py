@@ -10,6 +10,7 @@ from scipy.spatial import cKDTree
 from csimplex import manifolds
 from csimplex.analysis import boundary_sets, find_all_fixed_points
 from csimplex.manifolds import (
+    BranchDidNotTerminateError,
     C1ViolatedError,
     ManifoldError,
     basin_of_batch,
@@ -81,35 +82,21 @@ def projected_preimage(m, mesh):
     return lambda X: radial_project(mesh, _preimage(m, X))
 
 
-def grow_branch_alone(step, q, seed, steps_per_sweep, targets, endpoint_tol, h_max):
-    """One branch grown on its own, one endpoint at a time in the fast
-    forward: the per-branch loop that the lockstep grower replaced."""
+def grow_branch_alone(step, q, seed, steps, targets, endpoint_tol, h_max):
+    """One branch grown on its own: the orbit of q + seed, one point at a
+    time, until it enters a target's ball, re-sampled by arclength."""
     names = list(targets)
     ends = np.array([targets[k] for k in names], dtype=float)
-
-    def arrival(y):
+    orbit = [q, q + seed]
+    y = q + seed
+    for _ in range(20000):
+        for _ in range(steps):
+            y = step(y[None, :])[0]
+        orbit.append(y)
         d = np.linalg.norm(ends - y, axis=1)
         j = int(np.argmin(d))
-        return (names[j], float(d[j])) if d[j] < endpoint_tol else None
-
-    P = q[None, :] + np.linspace(0.0, 1.0, 5)[:, None] * seed[None, :]
-    for sweep in range(1, 1001):
-        img = P[1:]
-        for _ in range(steps_per_sweep):
-            img = step(img)
-        P = _resample_polyline(np.vstack([q[None, :], img]), h_max)
-        hit = arrival(P[-1])
-        if hit is not None:
-            return P, hit
-        if sweep % 25 == 0:
-            y = P[-1].copy()
-            tail = [y]
-            for _ in range(20000):
-                y = step(y[None, :])[0]
-                tail.append(y.copy())
-                hit = arrival(y)
-                if hit is not None:
-                    return _resample_polyline(np.vstack([P, np.asarray(tail)]), h_max), hit
+        if d[j] < endpoint_tol:
+            return _resample_polyline(np.array(orbit), h_max), (names[j], float(d[j]))
     raise AssertionError("reference branch did not terminate")
 
 
@@ -415,10 +402,9 @@ class TestStable:
         assert curve.endpoints[name_m] == pytest.approx(d_m, abs=1e-11 * wn)
         assert curve.endpoints[name_p] == pytest.approx(d_p, abs=1e-11 * wn)
 
-    def test_branches_arriving_together_on_a_fast_forward_sweep(self):
-        """Both branches of a linear expansion by 2 arrive in sweep 25, where
-        the fast forward would run; the curve closes with nothing left to
-        forward."""
+    def test_branches_arriving_together_on_the_same_step(self):
+        """Both branches of a linear expansion by 2 arrive on the same (25th)
+        step; the curve closes with no branch left open."""
         q, e = np.full(3, 0.5), np.array([1.0, 0.0, 0.0])
         reach = 1e-8 * 2.0**25
         targets = {"a": q + reach * e, "b": q - reach * e}
@@ -426,6 +412,37 @@ class TestStable:
                             targets, 1e-3 * reach, 0.1 * reach)
         assert list(curve.endpoints) == ["b", "a"]
         assert np.allclose(curve.points[[0, -1]], [targets["b"], targets["a"]], atol=1e-3 * reach)
+
+    def test_flip_saddle_grows_monotone(self):
+        """A saddle with a negative expanding multiplier: t -> -(t + 0.05 t
+        (1 - t^2)) along e, contraction by 0.5 across it.  Grown with two
+        steps per orbit point, each branch stays on its side of q, so the
+        curve from q - e to q + e is monotone along e and has about
+        length / h_max points."""
+        q, e = np.full(3, 0.5), np.array([0.6, 0.8, 0.0])
+
+        def step(X):
+            t = (X - q) @ e
+            return q - np.outer(t + 0.05 * t * (1.0 - t * t), e) + 0.5 * (X - q - np.outer(t, e))
+
+        h_max = 0.01
+        curve = _grow_curve("unstable", step, q, 1e-6 * e, 2, {"a": q + e, "b": q - e}, 1e-4, h_max)
+        assert list(curve.endpoints) == ["b", "a"]
+        t = (curve.points - q) @ e
+        assert np.all(np.diff(t) > 0.0)
+        assert t[0] == pytest.approx(-1.0, abs=1e-4) and t[-1] == pytest.approx(1.0, abs=1e-4)
+        assert abs(curve.points.shape[0] - 2.0 / h_max) <= 3
+
+    def test_branch_without_arrival_raises(self):
+        """The minus branch settles at q - e, which is no target."""
+        q, e = np.full(3, 0.5), np.array([1.0, 0.0, 0.0])
+
+        def step(X):
+            t = (X - q) @ e
+            return X + np.outer(0.05 * t * (1.0 - t * t), e)
+
+        with pytest.raises(BranchDidNotTerminateError, match="did not reach a within"):
+            _grow_curve("unstable", step, q, 1e-6 * e, 1, {"a": q + e}, 1e-4, 0.01)
 
     @pytest.mark.parametrize("system, floored", [
         (("leslie_gower", 0), False), (("atkinson_allen", 6), False), (("ricker", 10), False),

@@ -15,7 +15,7 @@ from csimplex.portrait import (
     render_portrait,
     to_plane,
 )
-from csimplex.portrait import _near_curves
+from csimplex.portrait import _densify, _near_curves
 from conftest import build_model, ANCHOR_MATRICES
 
 
@@ -73,6 +73,25 @@ class TestRaster:
         got = _near_curves(R, curves, 2.0 * cell)
         assert 0 < want.sum() < want.size
         assert np.array_equal(got, want)
+
+    def test_densify_matches_linspace_loop(self):
+        """The array densification gives the points of one np.linspace per
+        segment bit for bit, on random polylines with repeated coordinates,
+        zero-length segments and tiny steps."""
+        rng = np.random.default_rng(17)
+        for trial in range(200):
+            k = int(rng.integers(1, 40))
+            P = rng.uniform(0.0, 1.0, (k, 2))
+            if trial % 2:
+                P = np.round(P, 1)  # repeated coordinates and points
+            P[rng.uniform(size=k) < 0.2] *= 1e-300  # steps that underflow
+            spacing = float(rng.choice([0.5 / 40, 0.5 / 200, 0.3]))
+            want = [P[:1]]
+            for a, b in zip(P[:-1], P[1:]):
+                steps = max(2, int(np.ceil(np.linalg.norm(b - a) / spacing)))
+                want.append(np.linspace(a, b, steps)[1:])
+            got = _densify(P, spacing)
+            assert got.tobytes() == np.vstack(want).tobytes()
 
     def test_attractor_direction_has_own_label(self, scene):
         raster = scene["raster"]
