@@ -81,11 +81,11 @@ def basin_raster(
 
 
 def _densify(P: np.ndarray, spacing: float) -> np.ndarray:
-    """The polyline P (k, d) with the segments [a, b] cut into
-    div = max(2, ceil(|b - a| / spacing)) - 1 pieces: P[0], then points
-    1..div of each segment, each equal to np.linspace(a, b, div + 1)[j] bit
-    for bit (k (delta / div) + a; (k / div) delta + a when a step component
-    is zero; b at the end)."""
+    """The polyline P (n, d) with each segment [a, b] cut into
+    div = max(2, ceil(|b - a| / spacing)) - 1 pieces: P[0], then the points
+    k = 1..div of each segment, equal to np.linspace(a, b, div + 1)[k] bit
+    for bit: k (delta / div) + a, or (k / div) delta + a when a component of
+    delta / div is zero, and b at k = div."""
     a, b = P[:-1], P[1:]
     delta = b - a
     div = np.maximum(2, np.ceil(np.linalg.norm(delta, axis=1) / spacing).astype(int)) - 1
