@@ -155,19 +155,33 @@ def _as_3x3(A) -> np.ndarray:
     return A
 
 
+def _scaled_tables(As: np.ndarray):
+    """(e, S, alpha, beta, refusals) for matrices As (K, 3, 3).
+
+    S = As 2^-e, with e (K, 1, 1) the binary exponent of max|A|, so that
+    max|S| lies in [1/2, 1); alpha and beta are the tables of S and refusals
+    those of As.  Scaling by a power of two is exact, so the determinant
+    threshold cannot underflow, and the tables of A are alpha 2^e and
+    beta 2^-e."""
+    with np.errstate(all="ignore"):
+        e = np.frexp(np.max(np.abs(As), axis=(1, 2)))[1][:, None, None]
+        S = np.ldexp(As, -e)
+        alpha, den, beta = _tables(S)
+        return e, S, alpha, beta, _refusals(As, S, den)
+
+
 def compute_alpha_beta(A: np.ndarray) -> AlphaBeta:
-    """Exact alpha/beta tables for a positive 3x3 matrix.
+    """Exact alpha/beta tables for a positive 3x3 matrix, computed on the
+    rescaled matrix as in ``classify_table1_batch``.
 
     Raises ValueError for a non-positive, non-finite or overflowing entry and
     DegenerateDenominatorError when some a_ii a_jj - a_ij a_ji vanishes.
     """
-    A = _as_3x3(A)
-    with np.errstate(all="ignore"):
-        alpha, den, beta = _tables(A)
-        refusal = _refusals(A[None], A[None], den[None])[0]
+    e, _, alpha, beta, (refusal,) = _scaled_tables(_as_3x3(A)[None])
     if refusal is not None:
         raise refusal
-    return AlphaBeta(alpha=alpha, beta=beta)
+    with np.errstate(all="ignore"):
+        return AlphaBeta(alpha=np.ldexp(alpha[0], e[0]), beta=np.ldexp(beta[0], -e[0]))
 
 
 def classify_table1_batch(
@@ -191,11 +205,8 @@ def classify_table1_batch(
     As = np.asarray(As, dtype=float)
     if As.ndim != 3 or As.shape[1:] != (3, 3):
         raise ValueError("classification is defined for (K, 3, 3) stacks of matrices")
+    e, S, alpha, beta, refusals = _scaled_tables(As)
     with np.errstate(all="ignore"):
-        e = np.frexp(np.max(np.abs(As), axis=(1, 2)))[1][:, None, None]
-        S = np.ldexp(As, -e)
-        alpha, den, beta = _tables(S)
-        refusals = _refusals(As, S, den)
         # every relabeling at once, gathered from the identity tables:
         # alpha_ij for i != j in _ALPHA_PAIRS order, (K, 6, 6) ...
         a = alpha[:, _P[:, _PAIR_I], _P[:, _PAIR_J]]

@@ -132,6 +132,19 @@ class CompetitiveMap:
         return out
 
 
+def _finite_at_origin(m: CompetitiveMap) -> CompetitiveMap:
+    """m, after checking that F and dF/dx are finite at the origin.
+
+    Every builtin F and |dF/dx| decrease in each x_j, so on R^n_+ both are
+    largest at the origin: a model that passes is finite on all of R^n_+."""
+    origin = np.zeros(m.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        F, dF = m.growth(origin), m.growth_jacobian(origin)
+    if not (np.isfinite(F).all() and np.isfinite(dF).all()):
+        raise InvalidParameterError("F or dF/dx is not finite at the origin (r or A too large)")
+    return m
+
+
 def make_leslie_gower(params: ParameterSet) -> CompetitiveMap:
     """Leslie-Gower map: T_i(x) = (1+r_i) x_i / (1 + r_i sum_j a_ij x_j)."""
     r, A = params.r, params.A
@@ -146,7 +159,8 @@ def make_leslie_gower(params: ParameterSet) -> CompetitiveMap:
         denom = 1.0 + r * (x @ A.T)
         return -(num * r)[:, None] * A / (denom[..., :, None] ** 2)
 
-    return CompetitiveMap("leslie_gower", params.n, growth, growth_jacobian, params)
+    m = CompetitiveMap("leslie_gower", params.n, growth, growth_jacobian, params)
+    return _finite_at_origin(m)
 
 
 def make_atkinson_allen(params: ParameterSet) -> CompetitiveMap:
@@ -165,7 +179,8 @@ def make_atkinson_allen(params: ParameterSet) -> CompetitiveMap:
         denom = 1.0 + r * (x @ A.T)
         return -(num * r)[:, None] * A / (denom[..., :, None] ** 2)
 
-    return CompetitiveMap("atkinson_allen", params.n, growth, growth_jacobian, params)
+    m = CompetitiveMap("atkinson_allen", params.n, growth, growth_jacobian, params)
+    return _finite_at_origin(m)
 
 
 def make_ricker(params: ParameterSet) -> CompetitiveMap:
@@ -182,7 +197,8 @@ def make_ricker(params: ParameterSet) -> CompetitiveMap:
         F = growth(x)
         return -(r[:, None] * A) * F[..., :, None]
 
-    return CompetitiveMap("ricker", params.n, growth, growth_jacobian, params)
+    m = CompetitiveMap("ricker", params.n, growth, growth_jacobian, params)
+    return _finite_at_origin(m)
 
 
 def make_custom(
@@ -262,10 +278,9 @@ def map_from_config(doc: dict | str) -> CompetitiveMap:
     elif "c" in doc:
         raise ConfigError("c", f"not allowed for kind {kind!r}")
     try:
-        params = ParameterSet(r=r, A=A, c=c)
+        return _MAKERS[kind](ParameterSet(r=r, A=A, c=c))
     except InvalidParameterError as exc:
         raise ConfigError("<params>", str(exc)) from exc
-    return _MAKERS[kind](params)
 
 
 def map_to_config(m: CompetitiveMap) -> dict:

@@ -126,9 +126,11 @@ class SimplexMesh:
     """Radial graph r(u) over the barycentric lattice with its triangulation.
 
     ``residual`` is the size of the final graph-transform update,
-    max over directions of |delta rho| * ||u||.  ``full_scans`` counts the
-    sweeps that located their rays by the exhaustive scan rather than from
-    the previous sweep's faces; it is not part of the JSON form.
+    max over directions of |delta rho| * ||u||.  ``flagged`` lists the
+    interior directions whose ray no face of the last sweep's image covered;
+    their radii are NaN.  ``full_scans`` counts the sweeps that located
+    their rays by the exhaustive scan rather than from the previous sweep's
+    faces; it is not part of the JSON form.
     """
 
     resolution: int
@@ -219,20 +221,16 @@ def _locate_regular(u: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     fi = a1 - i
     fj = a2 - j
     # cells on the hypotenuse row have no down triangle; spill there is noise
-    up = (fi + fj <= 1.0 + 1e-12) | (i + j == N - 1)
-    verts = np.empty((u.shape[0], 3), dtype=np.intp)
-    wts = np.empty((u.shape[0], 3))
+    dn = (fi + fj > 1.0 + 1e-12) & (i + j < N - 1)
     v00 = _lattice_index(i, j, N)
     v10 = _lattice_index(i + 1, j, N)
-    v01 = v00 + 1
-    # up triangle: (i, j), (i+1, j), (i, j+1)
-    verts[up] = np.stack([v00[up], v10[up], v01[up]], axis=1)
-    wts[up] = np.stack([1.0 - fi[up] - fj[up], fi[up], fj[up]], axis=1)
-    dn = ~up
-    if np.any(dn):
-        v11 = v10 + 1
-        verts[dn] = np.stack([v10[dn], v11[dn], v01[dn]], axis=1)
-        wts[dn] = np.stack([1.0 - fj[dn], fi[dn] + fj[dn] - 1.0, 1.0 - fi[dn]], axis=1)
+    # up triangle (i, j), (i+1, j), (i, j+1); down (i+1, j), (i+1, j+1), (i, j+1)
+    verts = np.stack([np.where(dn, v10, v00), v10 + dn, v00 + 1], axis=1)
+    wts = np.stack([
+        np.where(dn, 1.0 - fj, 1.0 - fi - fj),
+        np.where(dn, fi + fj - 1.0, fi),
+        np.where(dn, 1.0 - fi, fj),
+    ], axis=1)
     wts = np.clip(wts, 0.0, None)
     wts /= wts.sum(axis=1, keepdims=True)
     return verts, wts
@@ -384,7 +382,6 @@ class _Transform:
         self.faces = lattice_triangulation(N)
         self.corners = np.ascontiguousarray(self.faces.T)  # (corner, face)
         self.unorm = np.linalg.norm(self.U, axis=1)
-        self.w = axial_caps(m)
         corner_mask = np.max(self.U, axis=1) == 1.0
         self.corner_idx = np.nonzero(corner_mask)[0]
         self.edges = []
@@ -393,28 +390,10 @@ class _Transform:
             full = np.nonzero(self.U[:, axis] == 0.0)[0]
             self.edges.append((axis, full, np.nonzero(on)[0]))
         self.interior_idx = np.nonzero(np.min(self.U, axis=1) > 0.0)[0]
-        self.neighbors = self._build_neighbors()
         self.incidence = _vertex_faces(self.faces, self.U.shape[0])
         self.ij, self.queries = _interior_queries(N)
         self.face = None  # the previous sweep's face per interior query
         self.full_scans = 0  # sweeps located by the exhaustive scan
-
-    def _build_neighbors(self) -> np.ndarray:
-        """(M, 6) lattice neighbours per vertex, ascending, padded with -1.
-
-        The neighbours of (i, j) are the six lattice points at offsets
-        (-1, 0), (-1, +1), (0, -1), (0, +1), (+1, -1), (+1, 0), which is
-        ascending index order; points outside the lattice are dropped."""
-        N = self.N
-        i, j = _lattice_ij(N)
-        di = np.array([-1, -1, 0, 0, 1, 1])
-        dj = np.array([0, 1, -1, 1, -1, 0])
-        ni = i[:, None] + di
-        nj = j[:, None] + dj
-        inside = (ni >= 0) & (nj >= 0) & (ni + nj <= N)
-        nbrs = np.where(inside, _lattice_index(ni, nj, N), -1)
-        # keep the valid entries first, in ascending order
-        return np.take_along_axis(nbrs, np.argsort(~inside, axis=1, kind="stable"), axis=1)
 
     def locate(self, P: np.ndarray, rim_on_edges: bool):
         """_locate_interior(P, faces, N), from the previous sweep's faces
@@ -518,8 +497,10 @@ class _Transform:
     def sweep(self, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map the surface forward and re-sample it radially.
 
-        Returns (new radii, indices whose ray missed the image surface and
-        were extrapolated from lattice neighbors).
+        Returns (new radii, interior indices whose ray no image face covers).
+        A finite image maps the lattice's rim onto the simplex's edges, so
+        its faces cover every interior direction; a ray that misses means a
+        non-finite image, and its radius is NaN.
         """
         V = radii[:, None] * self.U
         Y = self.m(V)
@@ -552,29 +533,7 @@ class _Transform:
         c /= (c[:, 0] + c[:, 1] + c[:, 2])[:, None]
         c /= np.take(s, np.take(self.faces, face_pick, axis=0))
         new[self.interior_idx[ok]] = 1.0 / (c[:, 0] + c[:, 1] + c[:, 2])
-
-        flagged = self.interior_idx[~ok]
-        pending = list(flagged)
-        for _ in range(3):
-            if not pending:
-                break
-            still = []
-            for v in pending:
-                nb = self.neighbors[v]
-                vals = new[nb[nb >= 0]]
-                vals = vals[~np.isnan(vals)]
-                if vals.size:
-                    u = self.U[v]
-                    t_max = float(np.min(self.w[u > 0] / u[u > 0]))
-                    new[v] = min(float(vals.mean()), t_max)
-                else:
-                    still.append(v)
-            if len(still) == len(pending):
-                break
-            pending = still
-        for v in pending:  # isolated misses keep their previous radius
-            new[v] = radii[v]
-        return new, flagged
+        return new, self.interior_idx[~ok]
 
 
 def compute_carrying_simplex(
@@ -587,8 +546,9 @@ def compute_carrying_simplex(
     points until the maximal radial displacement drops below tol.
 
     Raises NonConvergenceError (mesh attached) when max_iters sweeps do not
-    reach tolerance.  Directions whose re-sampling ray missed the image
-    surface are extrapolated from neighbors and reported in ``flagged``.
+    reach tolerance, and after the first sweep whose residual is not finite
+    (a map that is NaN or overflows somewhere on the surface); the mesh's
+    ``flagged`` then lists the interior rays that no image face covered.
     """
     transform = _Transform(m, resolution)
     w = axial_caps(m)
@@ -602,7 +562,7 @@ def compute_carrying_simplex(
         residual = float(np.max(np.abs(new - radii) * transform.unorm))
         radii = new
         history.append(residual)
-        if residual < tol:
+        if residual < tol or not np.isfinite(residual):
             break
     mesh = SimplexMesh(
         resolution=resolution,

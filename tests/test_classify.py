@@ -233,7 +233,9 @@ class TestBatchKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = classify_table1_batch(np.concatenate([oracle_rows(), bad]))
-            compute_alpha_beta(np.full((3, 3), 1e-200))  # products underflow to 0/0
+            # unscaled, the products would underflow to 0/0
+            with pytest.raises(DegenerateDenominatorError):
+                compute_alpha_beta(np.full((3, 3), 1e-200))
         assert all(isinstance(o, ValueError) for o in out[-5:-1])
 
     @pytest.mark.parametrize("value, message", [
@@ -273,6 +275,17 @@ class TestAlphaBeta:
     def test_all_equal_matrix_degenerate(self):
         with pytest.raises(DegenerateDenominatorError):
             compute_alpha_beta(np.ones((3, 3)))
+
+    @pytest.mark.parametrize("s", [1e-10, 1e-200, 2.0**-600], ids=["1e-10", "1e-200", "2^-600"])
+    def test_tiny_scale_matches_classify(self, s):
+        """The tables come from the same rescaled matrix as classify_table1's,
+        so they stay finite where unscaled determinants would underflow."""
+        got = compute_alpha_beta(s * A_CLASS19)
+        want = classify_table1(s * A_CLASS19).alpha_beta
+        off = ~np.eye(3, dtype=bool)
+        assert np.all(np.isfinite(got.alpha[off])) and np.all(np.isfinite(got.beta[off]))
+        assert got.alpha.tobytes() == want.alpha.tobytes()
+        assert got.beta.tobytes() == want.beta.tobytes()
 
     def test_relabeling_permutes_tables(self):
         rng = np.random.default_rng(1)

@@ -120,6 +120,14 @@ class TestConfigValidation:
         doc = anchor_config(numeric={"mesh_resolution": 4})
         assert main(["analyze", "--config", config_path(doc)]) == 2
 
+    @pytest.mark.parametrize("command", ["analyze", "simplex", "verify"])
+    def test_overflowing_growth_exits_2(self, config_path, capsys, command):
+        """exp(1500) overflows: the model is refused when it is built, not
+        left to fail inside the analysis with a linear-algebra error."""
+        doc = {"model": {"kind": "ricker", "r": [1500.0] * 3, "A": A_CLASS19.tolist()}}
+        assert main([command, "--config", config_path(doc)]) == 2
+        assert "config error: <params>: F or dF/dx is not finite" in capsys.readouterr().err
+
     def test_missing_model_field_reported(self, config_path, capsys):
         doc = {"model": {"kind": "ricker", "r": [1, 1, 1]}, "seed": 0}
         assert main(["analyze", "--config", config_path(doc)]) == 2

@@ -195,6 +195,21 @@ class TestConfig:
             map_from_config(doc)
         assert err.value.field_path == field
 
+    @pytest.mark.parametrize("kind, too_large, large", [
+        ("leslie_gower", 1e200, 1e150),
+        ("atkinson_allen", 1e200, 1e150),
+        ("ricker", 1500.0, 700.0),  # exp(1500) overflows, exp(700) does not
+    ])
+    def test_growth_not_finite_at_origin_rejected(self, kind, too_large, large):
+        doc = {"kind": kind, "r": [too_large] * 3, "A": A_CLASS19.tolist()}
+        if kind == "atkinson_allen":
+            doc["c"] = [0.4] * 3
+        with pytest.raises(ConfigError, match="not finite at the origin") as err:
+            map_from_config(doc)
+        assert err.value.field_path == "<params>"
+        doc["r"] = [large] * 3
+        assert map_from_config(doc).kind == kind
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigError):
             map_from_config({"kind": "ricker", "r": [1, -1], "A": [[1, 1], [1, 1]]})

@@ -1,12 +1,14 @@
 """Graph-transform mesh: lattice geometry, convergence, invariants, cones."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from csimplex.existence import axial_caps
 from csimplex.manifolds import pseudo_splitting
-from csimplex.models import ParameterSet, make_leslie_gower, make_ricker
+from csimplex.models import ParameterSet, make_custom, make_leslie_gower, make_ricker
 from csimplex.simplex import (
     EmptyNeighborhoodError,
     NonConvergenceError,
@@ -27,6 +29,7 @@ from csimplex.simplex import (
     _Transform,
     _barycentric_2d,
     _locate_interior,
+    _locate_regular,
     _orthant_occupied,
 )
 from conftest import A_CLASS19, ANCHOR_MATRICES, build_model
@@ -86,8 +89,7 @@ class TestLattice:
 
 def _loop_lattice(N):
     """Reference lattice geometry built with explicit loops: directions,
-    faces, incident faces (padded by repetition) and sorted neighbours
-    (padded with -1)."""
+    faces and incident faces (padded by repetition)."""
     offset = [i * (N + 1) - i * (i - 1) // 2 for i in range(N + 2)]
     U = np.asarray(
         [(i, j, N - i - j) for i in range(N + 1) for j in range(N + 1 - i)], dtype=float
@@ -102,27 +104,71 @@ def _loop_lattice(N):
     faces = np.asarray(faces, dtype=np.intp)
     M = U.shape[0]
     incident = [[] for _ in range(M)]
-    nbrs = [set() for _ in range(M)]
     for f, tri in enumerate(faces):
         for v in tri:
             incident[v].append(f)
-            nbrs[v].update(int(x) for x in tri if x != v)
     incidence = np.asarray([(fs * 6)[:6] for fs in incident], dtype=np.intp)
-    neighbors = np.asarray([sorted(ns) + [-1] * (6 - len(ns)) for ns in nbrs], dtype=np.intp)
-    return U, faces, incidence, neighbors
+    return U, faces, incidence
 
 
 @pytest.mark.parametrize("N", range(1, 13))
-def test_lattice_builders_match_loop_reference(class19_lg, N):
-    U, faces, incidence, neighbors = _loop_lattice(N)
+def test_lattice_builders_match_loop_reference(N):
+    U, faces, incidence = _loop_lattice(N)
     for got, want in (
         (barycentric_lattice(N), U),
         (lattice_triangulation(N), faces),
         (SimplexMesh(N, U, np.ones(U.shape[0]), faces, 0.0)._incident_faces(), incidence),
-        (_Transform(class19_lg, N).neighbors, neighbors),
     ):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+def _masked_locate_regular(u, N):
+    """Reference for _locate_regular: the up and down triangles filled by
+    masked assignment."""
+    a1, a2 = u[:, 0] * N, u[:, 1] * N
+    i = np.clip(np.floor(a1).astype(np.intp), 0, N - 1)
+    j = np.clip(np.floor(a2).astype(np.intp), 0, np.maximum(N - 1 - i, 0))
+    fi, fj = a1 - i, a2 - j
+    up = (fi + fj <= 1.0 + 1e-12) | (i + j == N - 1)
+    dn = ~up
+    v00 = i * (N + 1) - (i * (i - 1)) // 2 + j
+    v10 = (i + 1) * (N + 1) - ((i + 1) * i) // 2 + j
+    verts = np.empty((u.shape[0], 3), dtype=np.intp)
+    wts = np.empty((u.shape[0], 3))
+    verts[up] = np.stack([v00[up], v10[up], v00[up] + 1], axis=1)
+    wts[up] = np.stack([1.0 - fi[up] - fj[up], fi[up], fj[up]], axis=1)
+    verts[dn] = np.stack([v10[dn], v10[dn] + 1, v00[dn] + 1], axis=1)
+    wts[dn] = np.stack([1.0 - fj[dn], fi[dn] + fj[dn] - 1.0, 1.0 - fi[dn]], axis=1)
+    wts = np.clip(wts, 0.0, None)
+    wts /= wts.sum(axis=1, keepdims=True)
+    return verts, wts
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 33, 128])
+def test_locate_regular_matches_masked_reference(N):
+    rng = np.random.default_rng(N)
+    # directions on the diagonal fi + fj = 1 of random cells
+    i = rng.integers(0, N, 300)
+    j = np.floor(rng.uniform(0, 1, 300) * (N - i)).astype(int)
+    f = rng.uniform(0, 1, 300)
+    diagonal = np.column_stack([(i + f) / N, (j + 1 - f) / N])
+    diagonal = np.column_stack([diagonal, 1.0 - diagonal.sum(axis=1)])
+    U = np.concatenate([
+        rng.dirichlet(np.ones(3), 500),
+        rng.dirichlet(np.full(3, 0.05), 500),  # near the corners and edges
+        barycentric_lattice(N),
+        np.eye(3),
+        np.clip(diagonal, 0.0, None),
+        # on and just past the hypotenuse u3 = 0 (radial_project admits
+        # x3 >= -1e-15, so u3 = -1e-11 for a point of sum 1e-4)
+        np.column_stack([edge := rng.uniform(0, 1, 300), 1.0 - edge, np.zeros(300)]),
+        np.column_stack([edge, 1.0 - edge + 1e-11, np.full(300, -1e-11)]),
+    ])
+    verts, wts = _locate_regular(U, N)
+    want_verts, want_wts = _masked_locate_regular(U, N)
+    assert np.array_equal(verts, want_verts)
+    assert np.array_equal(wts, want_wts)
 
 
 class TestLocateInterior:
@@ -368,6 +414,26 @@ class TestConvergence:
         with pytest.raises(NonConvergenceError) as err:
             compute_carrying_simplex(class19_lg, resolution=16, tol=1e-12, max_iters=2)
         assert err.value.mesh.sweeps == 2
+
+    def test_non_finite_image_stops_after_one_sweep(self, class19_lg):
+        """A Leslie-Gower map that is NaN where x1 > 0.3 and x2 > 0.2: the
+        first sweep leaves the rays under the hole uncovered, and the
+        transform stops there instead of iterating to max_iters."""
+
+        def growth(x):
+            x = np.asarray(x, dtype=float)
+            hole = (x[..., 0] > 0.3) & (x[..., 1] > 0.2)
+            return np.where(hole[..., None], np.nan, class19_lg.growth(x))
+
+        m = make_custom(3, growth, class19_lg.growth_jacobian)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergenceError) as err:
+                compute_carrying_simplex(m, resolution=32, tol=1e-8)
+        mesh = err.value.mesh
+        assert mesh.sweeps == 1
+        assert mesh.flagged.size > 0
+        assert np.all(np.isnan(mesh.radii[mesh.flagged]))
 
     def test_self_convergence_under_refinement(self, class19_lg):
         # radii at shared directions change by O(h) when N doubles
