@@ -9,6 +9,7 @@ exceeding one, but stays well-defined for complex pairs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -177,10 +178,12 @@ def verify_C1(m: CompetitiveMap, location: np.ndarray) -> C1Report:
     smallest-modulus eigenvalue mu is real with 0 < mu < 1."""
     x = np.asarray(location, dtype=float)
     DT = m.jacobian(x)
-    det = float(np.linalg.det(DT))
-    scale = max(1.0, float(np.max(np.abs(DT)))) ** m.n
-    if abs(det) < 1e-14 * scale:
-        raise SingularJacobianError(f"DT is singular at {x} (det={det:.3e})")
+    # singularity is decided on log |det|, which neither overflows nor underflows
+    sign, log_det = np.linalg.slogdet(DT)
+    log_scale = m.n * math.log(max(1.0, float(np.max(np.abs(DT)))))
+    if not log_det >= math.log(1e-14) + log_scale:
+        raise SingularJacobianError(f"DT is singular at {x} (log |det| = {log_det:.3e})")
+    det = float(sign) * (math.exp(log_det) if log_det < 709.0 else math.inf)  # e^709.79 overflows
     inv = np.linalg.inv(DT)
     inv_min = float(inv.min())
     eigs = eigen3(DT)
@@ -230,8 +233,8 @@ def fixed_point_index(m: CompetitiveMap, location: np.ndarray, tol: float = UNIT
     eigs = eigen3(DT)
     if np.min(np.abs(eigs - 1.0)) <= tol:
         raise EigenvalueOneError("1 is an eigenvalue of DT within tolerance")
-    det = float(np.linalg.det(np.eye(m.n) - DT))
-    return 1 if det > 0 else -1
+    sign, _ = np.linalg.slogdet(np.eye(m.n) - DT)
+    return 1 if sign > 0 else -1
 
 
 # ---------------------------------------------------------------------------

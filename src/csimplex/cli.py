@@ -554,26 +554,34 @@ def cmd_verify(run: _Run, out: str | None) -> int:
         checks["mesh_converged"] = {"passed": False, "residual": mesh.residual}
 
     wn = run.w_norm
-    violations = unordered_check(mesh, 1e-6 * wn)
-    checks["h1_unordered"] = {"passed": not violations, "violations": len(violations)}
-    inv_res = invariance_residual(m, mesh)
-    checks["h4_invariance"] = {
-        "passed": inv_res < 1e-4 * wn,
-        "residual": inv_res,
-        "bound": 1e-4 * wn,
-    }
-    inside = bool(np.all(mesh.vertices <= run.w[None, :] * (1.0 + 1e-6)))
-    checks["h5_localized"] = {"passed": inside}
-    nonzero = [r for r in run.records if r.support]
-    fp_dist = max(
-        float(surface_distance(mesh, r.location[None])[0]) for r in nonzero
-    )
-    edge = mesh.max_edge_length()
-    checks["fixed_points_on_surface"] = {
-        "passed": fp_dist <= edge,
-        "max_distance": fp_dist,
-        "mesh_edge": edge,
-    }
+    # a graph transform stopped by a map that is not finite on the surface
+    # leaves NaN radii, on which the checks of the surface are not defined
+    surface = bool(np.all(np.isfinite(mesh.radii)))
+    no_surface = {"passed": False, "reason": "the mesh has NaN radii"}
+    if surface:
+        violations = unordered_check(mesh, 1e-6 * wn)
+        checks["h1_unordered"] = {"passed": not violations, "violations": len(violations)}
+        inv_res = invariance_residual(m, mesh)
+        checks["h4_invariance"] = {
+            "passed": inv_res < 1e-4 * wn,
+            "residual": inv_res,
+            "bound": 1e-4 * wn,
+        }
+        inside = bool(np.all(mesh.vertices <= run.w[None, :] * (1.0 + 1e-6)))
+        checks["h5_localized"] = {"passed": inside}
+        nonzero = [r for r in run.records if r.support]
+        fp_dist = max(
+            float(surface_distance(mesh, r.location[None])[0]) for r in nonzero
+        )
+        edge = mesh.max_edge_length()
+        checks["fixed_points_on_surface"] = {
+            "passed": fp_dist <= edge,
+            "max_distance": fp_dist,
+            "mesh_edge": edge,
+        }
+    else:
+        for name in ("h1_unordered", "h4_invariance", "h5_localized", "fixed_points_on_surface"):
+            checks[name] = no_surface
 
     if run.interior is not None and run.interior.c1_holds:
         q = run.interior.location
@@ -594,33 +602,37 @@ def cmd_verify(run: _Run, out: str | None) -> int:
             "ratios_at_q": leaf.ratios_at_q,
             "mu": split.mu,
         }
-        conj = conjugacy_decay_report(
-            m, mesh, q, split.v, split.w_basis, split.rho,
-            radius=cfg.numeric["conjugacy_radius_rel"] * qn, rng=rng,
-        )
-        checks["conjugacy_decay"] = {
-            "passed": conj.pass_fraction >= 0.9,
-            "pass_fraction": conj.pass_fraction,
-            "n_samples": conj.n_samples,
-            "rho_plus_slack": conj.rho + conj.slack,
-        }
         m2 = m2_expansion_report(m, q, split.w_basis, split.sigma)
         checks["m2_expansion"] = {"passed": m2.found, "l": m2.l, "sigma": split.sigma}
-        theta = estimate_theta(mesh, q, split.v, split.w_basis, 6 * edge)
-        checks["theta_estimate"] = {"passed": bool(np.isfinite(theta)), "theta": theta}
-        angles = []
-        for radius in (8 * edge, 4 * edge, 2 * edge):
-            angles.append(
-                estimate_tangent_cone(mesh, q, radius, split.w_basis).angle_to_w
+        if surface:
+            conj = conjugacy_decay_report(
+                m, mesh, q, split.v, split.w_basis, split.rho,
+                radius=cfg.numeric["conjugacy_radius_rel"] * qn, rng=rng,
             )
-        noise = 2.0 * edge / wn
-        trend = angles[0] + noise >= angles[1] and angles[1] + noise >= angles[2]
-        checks["tangent_cone_trend"] = {
-            "passed": bool(trend),
-            "angles": angles,
-            "radii": [8 * edge, 4 * edge, 2 * edge],
-            "noise_floor": noise,
-        }
+            checks["conjugacy_decay"] = {
+                "passed": conj.pass_fraction >= 0.9,
+                "pass_fraction": conj.pass_fraction,
+                "n_samples": conj.n_samples,
+                "rho_plus_slack": conj.rho + conj.slack,
+            }
+            theta = estimate_theta(mesh, q, split.v, split.w_basis, 6 * edge)
+            checks["theta_estimate"] = {"passed": bool(np.isfinite(theta)), "theta": theta}
+            angles = []
+            for radius in (8 * edge, 4 * edge, 2 * edge):
+                angles.append(
+                    estimate_tangent_cone(mesh, q, radius, split.w_basis).angle_to_w
+                )
+            noise = 2.0 * edge / wn
+            trend = angles[0] + noise >= angles[1] and angles[1] + noise >= angles[2]
+            checks["tangent_cone_trend"] = {
+                "passed": bool(trend),
+                "angles": angles,
+                "radii": [8 * edge, 4 * edge, 2 * edge],
+                "noise_floor": noise,
+            }
+        else:
+            for name in ("conjugacy_decay", "theta_estimate", "tangent_cone_trend"):
+                checks[name] = no_surface
 
     all_passed = all(c.get("passed", False) for c in checks.values())
     report["passed"] = all_passed

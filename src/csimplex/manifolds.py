@@ -10,8 +10,10 @@ rho is chosen in (mu, min{1, nu}) and the expansion parameter sigma in
 
 One routine grows both curves as the orbits of a short seed along an
 eigendirection in W, re-sampled by arclength: the unstable curve under T,
-the stable curve as the unstable curve of T^-1 restricted to the mesh
-(Newton preimages projected radially onto the mesh).
+the stable curve as the unstable curve of T^-1 restricted to the mesh, where
+T^-1 is the mesh's piecewise-linear inverse (SimplexMesh.pull_back): point
+location among the image faces of the vertices, in closed form, with no map
+call per step.
 """
 from __future__ import annotations
 
@@ -400,7 +402,15 @@ def basin_of_batch(
     attractor before any other, so the labels are those of the tol balls
     alone, and each is a certificate.  Orbits arrive along the slow
     eigendirection, the short axis of the ellipsoid, so the ball captures
-    them almost as early at no extra cost per iteration."""
+    them almost as early at no extra cost per iteration.
+
+    Each iteration tests the orbits against each attractor's ball by one
+    squared distance, and drops the captured orbits only on iterations that
+    capture some.  The label is the ball that an orbit enters, not its
+    nearest attractor; the two agree because the balls are disjoint: an
+    ellipsoid lies within half the distance to every other attractor, less
+    tol, and tol balls are disjoint when the attractors are 2 tol apart.
+    (For attractors closer than that, the lowest index wins.)"""
     names = sorted(attractors)
     att = np.array([attractors[k] for k in names], dtype=float)
     X = np.array(np.atleast_2d(X), dtype=float)
@@ -410,21 +420,23 @@ def basin_of_batch(
             cap = _capture_ellipsoid(m, p, np.delete(att, k, axis=0), tol)
             if cap is not None:
                 radius[k] = cap.inner
+    # last to first, so that where balls overlap the lowest index is written last
+    balls = list(zip(range(len(names)), att, radius * radius))[::-1]
     labels = np.full(X.shape[0], -1, dtype=np.intp)
     active = np.arange(X.shape[0])
     pts = X
     for _ in range(max_iter + 1):
+        caught = None
+        for k, p, r2 in balls:
+            d = pts - p
+            inside = np.einsum("ij,ij->i", d, d) < r2
+            if inside.any():
+                labels[active[inside]] = k
+                caught = inside if caught is None else caught | inside
+        if caught is not None:
+            active, pts = active[~caught], pts[~caught]
         if active.size == 0:
             break
-        d = np.linalg.norm(pts[:, None, :] - att[None, :, :], axis=2)
-        j = np.argmin(d, axis=1)
-        hit = d[np.arange(pts.shape[0]), j] < radius[j]
-        if np.any(hit):
-            labels[active[hit]] = j[hit]
-            active = active[~hit]
-            pts = pts[~hit]
-            if active.size == 0:
-                break
         pts = m(pts)
     return labels
 
@@ -432,26 +444,6 @@ def basin_of_batch(
 # ---------------------------------------------------------------------------
 # Stable manifold on S
 # ---------------------------------------------------------------------------
-
-def _preimage(m: CompetitiveMap, Y: np.ndarray) -> np.ndarray:
-    """Rows x with T(x) = y for the rows y of Y, by batched Newton from x = y.
-    Raises ManifoldError unless every residual reaches 1e-12 (1 + ||y||)."""
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    X = Y.copy()
-    bound = 1e-12 * (1.0 + np.linalg.norm(Y, axis=1))
-    active = np.arange(Y.shape[0])
-    for _ in range(50):
-        R = m(X[active]) - Y[active]
-        open_rows = ~(np.linalg.norm(R, axis=1) <= bound[active])  # NaN stays open
-        active, R = active[open_rows], R[open_rows]
-        if active.size == 0:
-            return X
-        try:
-            X[active] -= np.linalg.solve(m.jacobian(X[active]), R[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError as exc:
-            raise ManifoldError(f"Newton preimage met a singular Jacobian: {exc}") from exc
-    raise ManifoldError(f"Newton preimage did not converge at {active.size} of {Y.shape[0]} points")
-
 
 def trace_stable_on_S(
     m: CompetitiveMap,
@@ -466,15 +458,19 @@ def trace_stable_on_S(
     T restricted to S is a homeomorphism and DT is inverse-positive, so the
     stable curve of q on S is the unstable curve of T^-1 restricted to S.  It
     is grown from the contracting W-eigendirection e_s; each step is the
-    Newton preimage under T projected radially onto the mesh.  A branch
+    mesh's PL inverse of T (SimplexMesh.pull_back), which raises
+    ManifoldError when the image of the mesh is not embedded.  A branch
     stops within tol = 0.1 of the longest mesh edge of a repeller, whose
-    location caps the polyline.  The seed is as long as one step keeps
-    straight: starting from a tenth of the distance to the nearer repeller,
-    its length is halved until the steps of q +- h e_s lie within 0.01 tol of
-    the line through q along e_s.  It is never shorter than
-    max(1e-6 ||q||, 10 ||radial_project(mesh, q) - q||), because the
-    projected map fixes the lift of q, not q.  The attractors are only
-    checked for the 2+2 layout.
+    location caps the polyline.  The PL map fixes a point p within O(h^2)
+    of q, not q, and along e_s that offset is amplified by 1 / (1/lambda_s
+    - 1) for the contracting eigenvalue lambda_s near 1; a seed centred on q
+    and shorter than the offset sends both branches to one repeller.  So
+    both branches grow from p (_PullBack.fixed_point).  The seed is as long
+    as one step keeps straight: starting from a tenth of the distance from
+    q to the nearer repeller, its length is halved until the steps of
+    p +- h e_s lie within 0.01 tol of the line through p along e_s, and it
+    is never shorter than 1e-6 ||q||.  The attractors are only checked for
+    the 2+2 layout.
     """
     if len(repellers) != 2 or len(attractors) != 2:
         raise ValueError("need exactly two repellers and two attractors")
@@ -484,20 +480,18 @@ def trace_stable_on_S(
         h_max = 1e-3 * float(np.linalg.norm(axial_caps(m)))
     tol = 0.1 * mesh.max_edge_length()
 
-    def step(X: np.ndarray) -> np.ndarray:
-        return radial_project(mesh, _preimage(m, X))
-
-    gap = float(np.linalg.norm(radial_project(mesh, q) - q))
-    h_min = max(1e-6 * float(np.linalg.norm(q)), 10.0 * gap)
+    step = mesh.pull_back(m)
+    p = step.fixed_point(q)
+    h_min = 1e-6 * float(np.linalg.norm(q))
     h0 = 0.1 * min(float(np.linalg.norm(q - np.asarray(r, dtype=float))) for r in repellers.values())
     while h0 > h_min:
-        off = step(q[None, :] + np.outer([h0, -h0], e_s)) - q
+        off = step(p[None, :] + np.outer([h0, -h0], e_s)) - p
         off -= np.outer(off @ e_s, e_s)  # e_s is a unit vector
         if np.linalg.norm(off, axis=1).max() <= 0.01 * tol:
             break
         h0 *= 0.5
     h0 = max(h0, h_min)
-    curve = _grow_curve("stable", step, q, h0 * e_s, steps, repellers, tol, h_max)
+    curve = _grow_curve("stable", step, p, h0 * e_s, steps, repellers, tol, h_max)
     if len(curve.endpoints) != 2:
         raise ManifoldError(f"both branches of the stable curve reached {list(curve.endpoints)}")
     first, last = (np.asarray(repellers[name], dtype=float) for name in curve.endpoints)

@@ -23,8 +23,6 @@ __all__ = [
     "make_ricker",
     "make_custom",
     "map_from_config",
-    "map_to_config",
-    "finite_difference_jacobian",
 ]
 
 KINDS = ("leslie_gower", "atkinson_allen", "ricker")
@@ -281,26 +279,3 @@ def map_from_config(doc: dict | str) -> CompetitiveMap:
         return _MAKERS[kind](ParameterSet(r=r, A=A, c=c))
     except InvalidParameterError as exc:
         raise ConfigError("<params>", str(exc)) from exc
-
-
-def map_to_config(m: CompetitiveMap) -> dict:
-    """Inverse of map_from_config for builtin maps."""
-    if m.params is None:
-        raise ValueError("custom maps have no config representation")
-    doc = {"kind": m.kind, "r": m.params.r.tolist(), "A": m.params.A.tolist()}
-    if m.params.c is not None:
-        doc["c"] = m.params.c.tolist()
-    return doc
-
-
-def finite_difference_jacobian(m: CompetitiveMap, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central-difference Jacobian of T at x, the independent check for
-    the analytic assembly (accurate to O(h^2))."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    J = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        J[:, j] = (m(x + e) - m(x - e)) / (2.0 * h)
-    return J

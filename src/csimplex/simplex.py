@@ -127,10 +127,12 @@ class SimplexMesh:
 
     ``residual`` is the size of the final graph-transform update,
     max over directions of |delta rho| * ||u||.  ``flagged`` lists the
-    interior directions whose ray no face of the last sweep's image covered;
-    their radii are NaN.  ``full_scans`` counts the sweeps that located
-    their rays by the exhaustive scan rather than from the previous sweep's
-    faces; it is not part of the JSON form.
+    directions whose ray the last sweep's image did not cover (interior rays
+    outside every image face, rim rays whose interpolation touches an
+    invalid image, corners without a valid image); their radii are NaN.
+    ``full_scans`` counts the sweeps that located their rays by the
+    exhaustive scan rather than from the previous sweep's faces; it is not
+    part of the JSON form.
     """
 
     resolution: int
@@ -171,6 +173,24 @@ class SimplexMesh:
             self._cache["incidence"] = _vertex_faces(self.triangulation, self.directions.shape[0])
         return self._cache["incidence"]
 
+    def pull_back(self, m: CompetitiveMap):
+        """The PL inverse of T on the mesh, as a function of point rows.
+
+        T maps lattice face f of the mesh onto image face f, whose corners
+        are the images of f's vertices, built with one map call.  A point
+        whose direction u lies in image face f with weights b pulls back to
+        sum_k b_k U_k / sum_k (b_k / rho_k): the point of the mesh's flat
+        face f with direction weights b, where U_k and rho_k are the
+        directions and radii of f's corners.  T restricted to S is a
+        homeomorphism, so this is a PL map only when the image faces tile
+        the simplex once; raises ManifoldError when the image fails the
+        embedding test of _Transform._locate_warm (a face flat, flipped,
+        NaN or too thin, or a rim vertex off its edge).  The returned
+        callable also has locate (image face and weights of directions) and
+        fixed_point (the PL map's fixed point near a point).
+        """
+        return _PullBack(self, m)
+
     def to_json(self) -> dict:
         return {
             "resolution": int(self.resolution),
@@ -210,22 +230,31 @@ class TangentConeEstimate:
 # Regular-lattice point location (closed form)
 # ---------------------------------------------------------------------------
 
-def _locate_regular(u: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Containing face and barycentric weights for directions u on the regular
-    lattice.  Returns (verts (m, 3) int, weights (m, 3))."""
-    u = np.atleast_2d(u)
+def _regular_face(u: np.ndarray, N: int):
+    """Index into lattice_triangulation(N) of the face that contains each
+    direction row of u, with the row's offsets (fi, fj) in its lattice cell
+    and whether it lies in the cell's down triangle."""
     a1 = u[:, 0] * N
     a2 = u[:, 1] * N
-    i = np.clip(np.floor(a1).astype(np.intp), 0, N - 1)
-    j = np.clip(np.floor(a2).astype(np.intp), 0, np.maximum(N - 1 - i, 0))
+    # np.minimum and np.maximum clip as np.clip does, at less cost per call
+    i = np.minimum(np.maximum(np.floor(a1).astype(np.intp), 0), N - 1)
+    j = np.minimum(np.maximum(np.floor(a2).astype(np.intp), 0), np.maximum(N - 1 - i, 0))
     fi = a1 - i
     fj = a2 - j
     # cells on the hypotenuse row have no down triangle; spill there is noise
     dn = (fi + fj > 1.0 + 1e-12) & (i + j < N - 1)
-    v00 = _lattice_index(i, j, N)
-    v10 = _lattice_index(i + 1, j, N)
-    # up triangle (i, j), (i+1, j), (i, j+1); down (i+1, j), (i+1, j+1), (i, j+1)
-    verts = np.stack([np.where(dn, v10, v00), v10 + dn, v00 + 1], axis=1)
+    # cell (i, j) holds faces 2k - i and, unless on the hypotenuse row,
+    # 2k - i + 1, where k indexes the cell among the lattice of N - 1
+    face = 2 * _lattice_index(i, j, N - 1) - i + dn
+    return face, fi, fj, dn
+
+
+def _locate_regular(u: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Containing face and barycentric weights for directions u on the regular
+    lattice.  Returns (face index into lattice_triangulation(N) (m,),
+    weights (m, 3) of its corners in order)."""
+    face, fi, fj, dn = _regular_face(np.atleast_2d(u), N)
+    # corners: up (i, j), (i+1, j), (i, j+1); down (i+1, j), (i+1, j+1), (i, j+1)
     wts = np.stack([
         np.where(dn, 1.0 - fj, 1.0 - fi - fj),
         np.where(dn, fi + fj - 1.0, fi),
@@ -233,7 +262,7 @@ def _locate_regular(u: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     ], axis=1)
     wts = np.clip(wts, 0.0, None)
     wts /= wts.sum(axis=1, keepdims=True)
-    return verts, wts
+    return face, wts
 
 
 def radial_project(mesh: SimplexMesh, x: np.ndarray) -> np.ndarray:
@@ -249,8 +278,8 @@ def radial_project(mesh: SimplexMesh, x: np.ndarray) -> np.ndarray:
     if np.any(sums <= 0) or np.any(X < -1e-15):
         raise ZeroVectorError("radial projection needs a nonzero nonnegative point")
     U = X / sums[:, None]
-    verts, wts = _locate_regular(U, mesh.resolution)
-    rho = (mesh.radii[verts] * wts).sum(axis=1)
+    face, wts = _locate_regular(U, mesh.resolution)
+    rho = (mesh.radii[mesh.triangulation[face]] * wts).sum(axis=1)
     out = rho[:, None] * U
     return out[0] if single else out
 
@@ -273,10 +302,24 @@ def _barycentric_2d(q: np.ndarray, t0: np.ndarray, t1: np.ndarray, t2: np.ndarra
     """Barycentric coordinates (c0, c1, c2) of 2-D points q in triangles
     (t0, t1, t2).  Axis 0 of every argument holds the two coordinates; the
     remaining axes broadcast together."""
-    d = (t1[0] - t0[0]) * (t2[1] - t0[1]) - (t2[0] - t0[0]) * (t1[1] - t0[1])
-    d = np.where(d == 0.0, 1e-300, d)
-    c1 = ((q[0] - t0[0]) * (t2[1] - t0[1]) - (t2[0] - t0[0]) * (q[1] - t0[1])) / d
-    c2 = ((t1[0] - t0[0]) * (q[1] - t0[1]) - (q[0] - t0[0]) * (t1[1] - t0[1])) / d
+    return _barycentric_from_edges(q, t0, *_triangle_edges(t0, t1, t2))
+
+
+def _triangle_edges(t0: np.ndarray, t1: np.ndarray, t2: np.ndarray):
+    """The edges e1 = t1 - t0 and e2 = t2 - t0 of triangles, and twice their
+    signed area (1e-300 where it is zero), as _barycentric_2d uses them."""
+    e1 = t1 - t0
+    e2 = t2 - t0
+    d = e1[0] * e2[1] - e2[0] * e1[1]
+    return e1, e2, np.where(d == 0.0, 1e-300, d)
+
+
+def _barycentric_from_edges(q, t0, e1, e2, d):
+    """_barycentric_2d from the triangles' first corners and _triangle_edges."""
+    r0 = q[0] - t0[0]
+    r1 = q[1] - t0[1]
+    c1 = (r0 * e2[1] - e2[0] * r1) / d
+    c2 = (e1[0] * r1 - r0 * e1[1]) / d
     return 1.0 - c1 - c2, c1, c2
 
 
@@ -370,6 +413,31 @@ _WARM_EPS = 1e-9
 _ROUNDING = 64 * np.finfo(float).eps / 2
 
 
+def _embedded_extents(T: np.ndarray) -> np.ndarray | None:
+    """sx + sy per face of the image triangles T (coordinate, corner, face)
+    when every face passes the embedding test of _Transform._locate_warm,
+    else None."""
+    e1 = T[:, 1] - T[:, 0]
+    e2 = T[:, 2] - T[:, 0]
+    d = e1[0] * e2[1] - e2[0] * e1[1]
+    sx, sy = np.abs(e1) + np.abs(e2)
+    if not np.all(_WARM_EPS * d > _ROUNDING * (6.0 * sx * sy + 1e-9 * (sx + sy))):
+        return None  # a face that is flat, flipped, NaN or too thin to trust
+    return sx + sy
+
+
+def _image(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate sums s and directions Y / s of the image points Y, both NaN
+    where s is not a normal positive float (a map that is NaN, overflows or
+    underflows to the origin there), so that 1 / s is finite elsewhere."""
+    s = Y.sum(axis=1)
+    bad = ~((s >= np.finfo(float).tiny) & (s < np.inf))
+    if np.any(bad):
+        Y = np.where(bad[:, None], np.nan, Y)
+        s = np.where(bad, np.nan, s)
+    return s, Y / s[:, None]
+
+
 class _Transform:
     """One prepared graph-transform pass: lattice bookkeeping reused across sweeps."""
 
@@ -444,12 +512,9 @@ class _Transform:
         faces, guess, queries = self.faces, self.face, self.queries
         # (coordinate, corner, face), as in _locate_interior
         T = np.take(P, self.corners, axis=1)
-        e1 = T[:, 1] - T[:, 0]
-        e2 = T[:, 2] - T[:, 0]
-        d = e1[0] * e2[1] - e2[0] * e1[1]
-        sx, sy = np.abs(e1) + np.abs(e2)
-        if not np.all(_WARM_EPS * d > _ROUNDING * (6.0 * sx * sy + 1e-9 * (sx + sy))):
-            return None  # a face that is flat, flipped, NaN or too thin to trust
+        extents = _embedded_extents(T)
+        if extents is None:
+            return None
         T_guess = np.take(T, guess, axis=2)
         c = _barycentric_2d(queries, T_guess[:, 0], T_guess[:, 1], T_guess[:, 2])
         face = guess.copy()
@@ -487,7 +552,7 @@ class _Transform:
         # take the star of a guess vertex that the winner shares
         shared = (own[:, :, None] == faces[win][:, None, :]).any(axis=-1)
         dist = np.where(shared, dist, 0.0).max(axis=1)
-        diam = np.max(sx + sy)
+        diam = np.max(extents)
         if not np.all((best > -_WARM_EPS) & (dist >= 16.0 * _WARM_EPS * diam)):
             return None
         face[rest] = win
@@ -497,14 +562,15 @@ class _Transform:
     def sweep(self, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map the surface forward and re-sample it radially.
 
-        Returns (new radii, interior indices whose ray no image face covers).
-        A finite image maps the lattice's rim onto the simplex's edges, so
-        its faces cover every interior direction; a ray that misses means a
-        non-finite image, and its radius is NaN.
+        Returns (new radii, the rays whose new radius is NaN).  A finite
+        image maps the lattice's rim onto the simplex's edges, so its faces
+        cover every interior direction; a ray that misses, or a rim ray
+        whose interpolation touches a vertex without a valid image (see
+        _image), means a non-finite image, and its radius is NaN.
         """
         V = radii[:, None] * self.U
         Y = self.m(V)
-        s = Y.sum(axis=1)
+        s, D = _image(Y)
         new = np.full_like(radii, np.nan)
 
         # corners: the axis dynamics is 1-D, the image stays on the axis
@@ -515,17 +581,13 @@ class _Transform:
             if query_idx.size == 0:
                 continue
             param_axis = 0 if axis != 0 else 1
-            alpha_img = Y[full_idx, param_axis] / s[full_idx]
-            order = np.argsort(alpha_img)
-            xs = alpha_img[order]
-            gs = (1.0 / s[full_idx])[order]
-            alpha_q = self.U[query_idx, param_axis]
-            g = np.interp(alpha_q, xs, gs)
-            new[query_idx] = 1.0 / g
+            new[query_idx] = _rim_radii(
+                D[full_idx, param_axis], s[full_idx], self.U[query_idx, param_axis]
+            )
 
         # interior: 2-D point location among image-direction triangles
         rim_on_edges = all(np.all(Y[full_idx, axis] == 0.0) for axis, full_idx, _ in self.edges)
-        face_pick, best_bary, ok = self.locate((Y[:, :2] / s[:, None]).T.copy(), rim_on_edges)
+        face_pick, best_bary, ok = self.locate(D[:, :2].T.copy(), rim_on_edges)
         if not ok.all():
             face_pick, best_bary = face_pick[ok], best_bary[ok]
         c = np.clip(best_bary, 0.0, None)
@@ -533,7 +595,119 @@ class _Transform:
         c /= (c[:, 0] + c[:, 1] + c[:, 2])[:, None]
         c /= np.take(s, np.take(self.faces, face_pick, axis=0))
         new[self.interior_idx[ok]] = 1.0 / (c[:, 0] + c[:, 1] + c[:, 2])
-        return new, self.interior_idx[~ok]
+        return new, np.nonzero(np.isnan(new))[0]
+
+
+def _rim_radii(alpha: np.ndarray, s: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Radii of the rim rays at the edge coordinates ``queries`` of one edge
+    of the simplex, from the images of the edge's lattice vertices in
+    lattice order (edge coordinate increasing): alpha, the image direction's
+    edge coordinate, and s, the image's coordinate sum, NaN where the image
+    is not valid (see _image).  1 / s is interpolated linearly in alpha over
+    the valid images.  A query in the alpha range between the valid lattice
+    neighbours of a run of invalid images would interpolate across them, so
+    its radius is NaN."""
+    ok = ~np.isnan(alpha)
+    if not ok.any():
+        return np.full(queries.shape, np.nan)
+    order = np.argsort(alpha[ok])
+    g = np.interp(queries, alpha[ok][order], (1.0 / s[ok])[order])
+    if not ok.all():
+        # pad with the ends of the edge, then take the neighbours of each run
+        a = np.concatenate([[-np.inf], alpha, [np.inf]])
+        bad = np.concatenate([[False], ~ok, [False]])
+        before = np.nonzero(bad[1:] & ~bad[:-1])[0]
+        after = np.nonzero(bad[:-1] & ~bad[1:])[0] + 1
+        lo = np.minimum(a[before], a[after])[:, None]
+        hi = np.maximum(a[before], a[after])[:, None]
+        g[np.any((lo <= queries) & (queries <= hi), axis=0)] = np.nan
+    return 1.0 / g
+
+
+class _PullBack:
+    """The PL inverse of T on a mesh (see SimplexMesh.pull_back)."""
+
+    def __init__(self, mesh: "SimplexMesh", m: CompetitiveMap):
+        from .manifolds import ManifoldError  # manifolds imports this module
+
+        self.N = mesh.resolution
+        self.U = mesh.directions
+        self.radii = mesh.radii
+        self.faces = mesh.triangulation
+        self.incidence = mesh._incident_faces()
+        Y = m(mesh.vertices)
+        _, D = _image(Y)
+        # (coordinate, corner, face), as in _locate_interior
+        T = np.take(D[:, :2].T, self.faces.T, axis=1)
+        if not np.all(Y[self.U == 0.0] == 0.0) or _embedded_extents(T) is None:
+            raise ManifoldError("the image of the mesh under T is not embedded")
+        # per face: first corner (2), edges (2 + 2) and twice the area
+        e1, e2, d = _triangle_edges(T[:, 0], T[:, 1], T[:, 2])
+        self.edges = np.concatenate([T[:, 0], e1, e2, d[None]])
+
+    def locate(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Image face and barycentric weights (m, 3) of each direction row of
+        U.  The first search covers the lattice face that contains the row
+        (for an orbit, the face of its previous step) and its one-ring, the
+        faces that share a vertex with it; a face is accepted there only
+        when every weight exceeds _WARM_EPS.  The other rows take the argmax
+        of the minimum weight over all faces, lowest face index on ties.
+        The image is embedded, so at most one face has every weight above
+        _WARM_EPS, and it is that argmax (see _Transform._locate_warm)."""
+        q = U[:, :2].T
+        rows = np.arange(U.shape[0])
+        ring = self.incidence[self.faces[_regular_face(U, self.N)[0]]].reshape(rows.size, -1)
+        g = self.edges[:, ring]  # (quantity, row, face)
+        c = np.stack(_barycentric_from_edges(q[:, :, None], g[0:2], g[2:4], g[4:6], g[6]), axis=-1)
+        inside = c.min(axis=-1) > _WARM_EPS
+        col = np.argmax(inside, axis=1)
+        face, c = ring[rows, col], c[rows, col]
+        rest = np.nonzero(~inside[rows, col])[0]
+        if rest.size:
+            g = self.edges[:, None, :]
+            c_all = np.stack(_barycentric_from_edges(q[:, rest, None], g[0:2], g[2:4], g[4:6], g[6]), axis=-1)
+            col = np.argmax(c_all.min(axis=-1), axis=1)
+            face[rest] = col
+            c[rest] = c_all[np.arange(rest.size), col]
+        return face, c
+
+    def fixed_point(self, x: np.ndarray) -> np.ndarray:
+        """The fixed point of the PL map near the point x, as a point of the
+        mesh.  On image face f the direction map is affine: with t0 and the
+        edges (e1, e2) of f and the corners U_k of lattice face f, a
+        direction v (first two coordinates) maps to U_0 + W B (v - t0),
+        where W = [U_1 - U_0, U_2 - U_0] and B = [e1, e2]^-1, so its fixed
+        point on f solves one 2 x 2 system.  The search starts on the face
+        that contains x's direction and moves to the face that contains
+        each solution outside its face; raises ManifoldError when 16 such
+        moves do not settle."""
+        from .manifolds import ManifoldError
+
+        x = np.asarray(x, dtype=float)
+        v = x[:2] / x.sum()
+        for _ in range(16):
+            f = self.locate(np.append(v, 1.0 - v.sum())[None, :])[0][0]
+            t0, e1, e2, d = np.split(self.edges[:, f], [2, 4, 6])
+            B = np.array([[e2[1], -e2[0]], [-e1[1], e1[0]]]) / d
+            corners = self.U[self.faces[f], :2]
+            L = (corners[1:] - corners[0]).T @ B
+            try:
+                v = np.linalg.solve(np.eye(2) - L, corners[0] - L @ t0)
+            except np.linalg.LinAlgError as exc:
+                raise ManifoldError(f"the PL map has multiplier 1 on face {f}") from exc
+            c = B @ (v - t0)
+            if min(c[0], c[1], 1.0 - c[0] - c[1]) >= -_WARM_EPS:
+                return self(np.append(v, 1.0 - v.sum())[None, :])[0]
+        raise ManifoldError(f"the PL map has no fixed point near {x}")
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        face, b = self.locate(X / X.sum(axis=1, keepdims=True))
+        b = np.maximum(b, 0.0)
+        b /= b.sum(axis=1, keepdims=True)
+        corners = self.faces[face]
+        num = np.einsum("ik,ikj->ij", b, self.U[corners])
+        return num / (b / self.radii[corners]).sum(axis=1, keepdims=True)
 
 
 def compute_carrying_simplex(
@@ -547,8 +721,9 @@ def compute_carrying_simplex(
 
     Raises NonConvergenceError (mesh attached) when max_iters sweeps do not
     reach tolerance, and after the first sweep whose residual is not finite
-    (a map that is NaN or overflows somewhere on the surface); the mesh's
-    ``flagged`` then lists the interior rays that no image face covered.
+    (a map that is NaN, overflows or underflows to the origin somewhere on
+    the surface); the mesh's ``flagged`` then lists the rays whose radius
+    that sweep left NaN.
     """
     transform = _Transform(m, resolution)
     w = axial_caps(m)

@@ -1,5 +1,6 @@
 """Shared fixtures: the reference class-19 system, the anchor interaction
-matrices used by the acceptance sampler, and session-scoped meshes."""
+matrices used by the acceptance sampler, session-scoped meshes, and two test
+helpers (a finite-difference Jacobian and the inverse of map_from_config)."""
 from __future__ import annotations
 
 import numpy as np
@@ -66,6 +67,29 @@ def build_model(kind: str, A: np.ndarray):
         r = 0.8 * np.diag(A) / A.sum(axis=1)  # passes the closed-form condition
         return make_ricker(ParameterSet(r=r, A=A))
     raise ValueError(kind)
+
+
+def map_to_config(m) -> dict:
+    """Inverse of map_from_config for builtin maps."""
+    if m.params is None:
+        raise ValueError("custom maps have no config representation")
+    doc = {"kind": m.kind, "r": m.params.r.tolist(), "A": m.params.A.tolist()}
+    if m.params.c is not None:
+        doc["c"] = m.params.c.tolist()
+    return doc
+
+
+def finite_difference_jacobian(m, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central-difference Jacobian of T at x, the independent check for
+    the analytic assembly (accurate to O(h^2))."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    J = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = h
+        J[:, j] = (m(x + e) - m(x - e)) / (2.0 * h)
+    return J
 
 
 @pytest.fixture(scope="session")

@@ -27,7 +27,6 @@ from csimplex.manifolds import (
     trace_stable_on_S,
     trace_unstable,
 )
-from csimplex.models import finite_difference_jacobian
 from csimplex.portrait import basin_raster, count_basin_components
 from csimplex.simplex import (
     compute_carrying_simplex,
@@ -36,7 +35,7 @@ from csimplex.simplex import (
     surface_distance,
     unordered_check,
 )
-from conftest import A_CLASS19, ANCHOR_MATRICES, build_model
+from conftest import A_CLASS19, ANCHOR_MATRICES, build_model, finite_difference_jacobian
 
 KINDS = ("leslie_gower", "atkinson_allen", "ricker")
 SAMPLER_SEED = 2026

@@ -407,6 +407,25 @@ class TestVerify:
         main(["verify", "--config", cfg, "--out", str(out), "--seed", "99"])
         assert json.loads(out.read_text())["seed"] == 99
 
+    def test_overflowing_ricker_reports_without_warnings(self, config_path, tmp_path):
+        """Ricker with r = 700 is accepted (F is finite at the origin), but
+        det(I - DT(0)) overflows and the graph transform's images underflow
+        to the origin.  analyze and verify report on it without a numpy
+        warning (the RuntimeWarning filter turns one into a failure), and
+        verify fails the surface checks on the mesh's NaN radii."""
+        doc = {"model": {"kind": "ricker", "r": [700.0] * 3, "A": A_CLASS19.tolist()}, "seed": 0}
+        cfg = config_path(doc)
+        report = tmp_path / "report.json"
+        assert main(["analyze", "--config", cfg, "--out", str(report)]) == 0
+        origin = json.loads(report.read_text())["fixed_points"][0]
+        assert origin["support"] == [] and origin["index"] == -1
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        checks = json.loads(out.read_text())["checks"]
+        assert not checks["mesh_converged"]["passed"]
+        for name in ("h1_unordered", "h4_invariance", "h5_localized", "fixed_points_on_surface"):
+            assert checks[name] == {"passed": False, "reason": "the mesh has NaN radii"}
+
 
 class TestPortraitDeterminism:
     def test_identical_up_to_banner(self, config_path, tmp_path):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from csimplex.existence import axial_caps
 from csimplex.manifolds import (
     _capture_ellipsoid,
     _grow_curve,
-    _preimage,
     _profile_slopes,
     _resample_polyline,
     _saddle_eigendirection,
@@ -35,6 +35,11 @@ from csimplex.manifolds import (
 )
 from csimplex.models import make_custom
 from csimplex.simplex import (
+    SimplexMesh,
+    _WARM_EPS,
+    _barycentric_2d,
+    _locate_regular,
+    barycentric_lattice,
     compute_carrying_simplex,
     directions_from_uv,
     radial_project,
@@ -76,10 +81,6 @@ def anchor_system(kind, k, resolution=None):
     att, rep = boundary_sets(recs)
     mesh = compute_carrying_simplex(m, resolution=resolution, tol=1e-8) if resolution else None
     return m, q, att, rep, mesh
-
-
-def projected_preimage(m, mesh):
-    return lambda X: radial_project(mesh, _preimage(m, X))
 
 
 def grow_branch_alone(step, q, seed, steps, targets, endpoint_tol, h_max):
@@ -329,6 +330,27 @@ class TestStable:
         # the branch ends sit close to the pinned repellers
         assert max(curve.endpoints.values()) <= curve.tol
 
+    def test_grows_from_the_pl_fixed_point(self):
+        """A jittered anchor-0 Leslie-Gower system with contracting
+        eigenvalue 0.965: the PL map's fixed point p lies 1.8e-3 from q
+        along e_s, twice the 8.9e-4 seed of a tracer centred on q, whose
+        branches both ran to axial_1.  Grown from p, the curve joins the two
+        repellers and passes within tol of q."""
+        A = [[1.1728824009388483, 0.8217430509363328, 0.8036996775942863],
+             [0.6720923614191893, 0.7467539154760181, 0.9336756068148474],
+             [0.7406856410436363, 1.2001683698551564, 0.7512119588476425]]
+        m = build_model("leslie_gower", A)
+        recs = find_all_fixed_points(m)
+        q = next(r for r in recs if r.support_type == "interior").location
+        att, rep = boundary_sets(recs)
+        mesh = compute_carrying_simplex(m, resolution=32, tol=1e-8)
+        e_s, _ = _saddle_eigendirection(m, q, expanding=False)
+        offset = mesh.pull_back(m).fixed_point(q) - q
+        assert abs(offset @ e_s) > 1.5e-3
+        curve = trace_stable_on_S(m, mesh, q, rep, att)
+        assert set(curve.endpoints) == set(rep)
+        assert curve.distance_to(q) <= curve.tol
+
     def test_invariant_under_projected_map(self, ref):
         mesh = ref["mesh"]
         curve = trace_stable_on_S(ref["m"], mesh, ref["q"], ref["rep"], ref["att"])
@@ -390,7 +412,7 @@ class TestStable:
             step, seed, targets, tol = m, 1e-6 * np.linalg.norm(q) * e, att, 1e-5 * wn
         else:
             e, steps = _saddle_eigendirection(m, q, expanding=False)
-            step, targets, tol = projected_preimage(m, mesh), rep, 0.1 * mesh.max_edge_length()
+            step, targets, tol = mesh.pull_back(m), rep, 0.1 * mesh.max_edge_length()
             seed = 1e-3 * wn * e
         curve = _grow_curve(kind, step, q, seed, steps, targets, tol, h_max)
         plus, (name_p, d_p) = grow_branch_alone(step, q, seed, steps, targets, tol, h_max)
@@ -446,13 +468,14 @@ class TestStable:
 
     @pytest.mark.parametrize("system, floored", [
         (("leslie_gower", 0), False), (("atkinson_allen", 6), False), (("ricker", 10), False),
-        (("leslie_gower", 4), True),
+        (("leslie_gower", 4), False),
     ])
     def test_seed_stays_straight(self, system, floored, monkeypatch):
         """trace_stable_on_S grows from the longest dyadic fraction of a
-        tenth of the distance to the nearer repeller, above the mesh-error
-        floor, whose steps on both sides stay within 0.01 curve.tol of the
-        line through q along e_s; from the floor when there is none."""
+        tenth of the distance to the nearer repeller, above the floor
+        1e-6 ||q||, whose steps on both sides of the PL map's fixed point p
+        stay within 0.01 curve.tol of the line through p along e_s; from the
+        floor when there is none."""
         m, q, att, rep, mesh = anchor_system(*system, resolution=32)
         seeds = []
 
@@ -464,14 +487,15 @@ class TestStable:
         monkeypatch.setattr(manifolds, "_grow_curve", spy)
         tol = trace_stable_on_S(m, mesh, q, rep, att).tol
         e_s, _ = _saddle_eigendirection(m, q, expanding=False)
-        step = projected_preimage(m, mesh)
+        step = mesh.pull_back(m)
+        p = step.fixed_point(q)
 
         def straight(h):
-            Y = step(np.array([q + h * e_s, q - h * e_s])) - q
+            Y = step(np.array([p + h * e_s, p - h * e_s])) - p
             return np.linalg.norm(Y - np.outer(Y @ e_s, e_s), axis=1).max() <= 0.01 * tol
 
         start = 0.1 * min(np.linalg.norm(q - r) for r in rep.values())
-        h_min = max(1e-6 * np.linalg.norm(q), 10.0 * np.linalg.norm(radial_project(mesh, q) - q))
+        h_min = 1e-6 * np.linalg.norm(q)
         dyadic = start * 0.5 ** np.arange(60)
         passing = [h for h in dyadic[dyadic > h_min] if straight(h)]
         assert (not passing) == floored
@@ -479,22 +503,123 @@ class TestStable:
         assert np.allclose(seeds[0], expected * e_s, rtol=1e-12, atol=0.0)
 
 
-class TestPreimage:
-    @pytest.mark.parametrize("kind", ["leslie_gower", "atkinson_allen", "ricker"])
-    def test_round_trip(self, kind):
-        # preimages of the images of random points x in [0, 2w]
-        m = build_model(kind, A_CLASS19)
-        rng = np.random.default_rng(11)
-        X = rng.uniform(0.0, 2.0, (200, 3)) * axial_caps(m)
-        Y = m(X)
-        back = m(_preimage(m, Y))
-        err = np.linalg.norm(back - Y, axis=1)
-        assert np.all(err <= 1e-12 * (1.0 + np.linalg.norm(Y, axis=1)))
+class TestPullBack:
+    """SimplexMesh.pull_back, the PL inverse of T that steps the stable curve."""
 
-    def test_singular_jacobian_raises(self):
-        dead = make_custom(3, lambda x: np.zeros(np.shape(x)), lambda x: np.zeros((3, 3)))
-        with pytest.raises(ManifoldError):
-            _preimage(dead, np.array([[0.2, 0.3, 0.4]]))
+    @pytest.mark.parametrize("kind", ["leslie_gower", "atkinson_allen", "ricker"])
+    def test_vertex_images_pull_back_to_their_vertices(self, kind):
+        m = build_model(kind, A_CLASS19)
+        mesh = compute_carrying_simplex(m, resolution=32, tol=1e-8)
+        inner = np.min(mesh.directions, axis=1) > 0.0
+        V = mesh.vertices[inner]
+        err = np.linalg.norm(mesh.pull_back(m)(m(V)) - V, axis=1)
+        assert err.max() <= 1e-12 * np.linalg.norm(axial_caps(m))
+
+    def test_folded_image_raises(self, class19_mesh):
+        """x1 exp(-8 x1) falls for x1 > 1/8, so the image folds back along
+        every line of growing x1, the edges of the simplex included."""
+        fold = make_custom(
+            3,
+            lambda x: np.stack([np.exp(-8.0 * x[..., 0]), np.ones(np.shape(x)[:-1]),
+                                np.ones(np.shape(x)[:-1])], axis=-1),
+            lambda x: np.zeros((3, 3)),
+        )
+        with pytest.raises(ManifoldError, match="not embedded"):
+            class19_mesh.pull_back(fold)
+
+    def test_non_finite_image_raises(self, class19_lg, class19_mesh):
+        def growth(x):
+            return np.where(np.asarray(x)[..., :1] > 0.5, np.nan, class19_lg.growth(x))
+
+        hole = make_custom(3, growth, class19_lg.growth_jacobian)
+        with pytest.raises(ManifoldError, match="not embedded"):
+            class19_mesh.pull_back(hole)
+
+    @pytest.mark.parametrize("system", [("leslie_gower", 0), ("ricker", 4), ("atkinson_allen", 9)])
+    def test_warm_search_matches_exhaustive_scan(self, system):
+        """On the stable curve's points, random directions and the vertices'
+        image directions (corners of image faces, which only the scan
+        resolves), the face and weights found from the lattice face and its
+        one-ring are those of the argmax over every image face, bit for bit.
+        Each of the three searches is taken by some of the rows."""
+        m, q, att, rep, mesh = anchor_system(*system, resolution=32)
+        pull = mesh.pull_back(m)
+        curve = trace_stable_on_S(m, mesh, q, rep, att)
+        rng = np.random.default_rng(5)
+        X = np.vstack([curve.points, rng.dirichlet(np.ones(3), 400), m(mesh.vertices[::7])])
+        U = X / X.sum(axis=1, keepdims=True)
+        face, c = pull.locate(U)
+
+        Y = m(mesh.vertices)
+        P = (Y[:, :2] / Y.sum(axis=1, keepdims=True)).T
+        T = P[:, mesh.triangulation.T][:, :, None, :]  # (coordinate, corner, 1, face)
+        c_all = np.stack(_barycentric_2d(U[:, :2].T[:, :, None], T[:, 0], T[:, 1], T[:, 2]), axis=-1)
+        want = np.argmax(c_all.min(axis=-1), axis=1)
+        assert np.array_equal(face, want)
+        assert np.array_equal(c, c_all[np.arange(U.shape[0]), want])
+
+        guess = _locate_regular(U, mesh.resolution)[0]
+        ring = mesh._incident_faces()[mesh.triangulation[guess]].reshape(U.shape[0], -1)
+        in_ring = (ring == face[:, None]).any(axis=1)
+        certified = c.min(axis=1) > _WARM_EPS
+        assert np.any(certified & (face == guess))
+        assert np.any(certified & in_ring & (face != guess))
+        assert np.any(~(certified & in_ring))
+
+    @pytest.mark.parametrize("system", [("leslie_gower", 0), ("ricker", 4)])
+    def test_fixed_point_converges_to_q(self, system):
+        """The PL map fixes the point that fixed_point returns, to rounding;
+        its distance to q falls at about second order in the mesh width
+        (measured 16x and 26x from N=32 to 128)."""
+        m, q, *_ = anchor_system(*system)
+        wn = np.linalg.norm(axial_caps(m))
+        gaps = []
+        for N in (32, 128):
+            pull = compute_carrying_simplex(m, resolution=N, tol=1e-8).pull_back(m)
+            p = pull.fixed_point(q)
+            assert np.linalg.norm(pull(p[None, :])[0] - p) <= 1e-14 * wn
+            gaps.append(np.linalg.norm(p - q))
+        assert gaps[0] <= 2e-3 * wn
+        assert gaps[1] <= gaps[0] / 8.0
+
+    def test_loaded_mesh_pulls_back_the_same(self, class19_lg, class19_mesh):
+        loaded = SimplexMesh.from_json(class19_mesh.to_json())
+        X = np.random.default_rng(2).uniform(0.1, 1.0, (50, 3))
+        assert np.array_equal(loaded.pull_back(class19_lg)(X), class19_mesh.pull_back(class19_lg)(X))
+
+
+class TestRelabeling:
+    """Relabeling the species permutes the mesh and the stable curve."""
+
+    @pytest.mark.parametrize("kind", ["leslie_gower", "ricker"])
+    @pytest.mark.parametrize("k", [0, 3, 11])
+    def test_permuted_mesh_and_stable_curve(self, kind, k):
+        N = 32
+        A = np.asarray(ANCHOR_MATRICES[k][1])
+        ij = np.rint(barycentric_lattice(N) * N).astype(int)
+        index = {tuple(c): v for v, c in enumerate(ij)}
+
+        def system(A):
+            m = build_model(kind, A)
+            recs = find_all_fixed_points(m)
+            q = next(r for r in recs if r.support_type == "interior").location
+            att, rep = boundary_sets(recs)
+            mesh = compute_carrying_simplex(m, resolution=N, tol=1e-8)
+            return m, mesh, trace_stable_on_S(m, mesh, q, rep, att), rep
+
+        m, mesh, curve, rep = system(A)
+        wn = np.linalg.norm(axial_caps(m))
+        ends = np.array(sorted(tuple(rep[name]) for name in curve.endpoints))
+        for perm in itertools.permutations(range(3)):
+            perm = list(perm)
+            m_p, mesh_p, curve_p, rep_p = system(A[np.ix_(perm, perm)])
+            # species a of the relabeled system is species perm[a]
+            moved = [index[tuple(c[perm])] for c in ij]
+            assert np.abs(mesh_p.radii[moved] - mesh.radii).max() <= 1e-14 * wn
+            assert mesh_p.sweeps == mesh.sweeps
+            ends_p = np.array(sorted(tuple(np.asarray(rep_p[name])[np.argsort(perm)])
+                                     for name in curve_p.endpoints))
+            assert np.allclose(ends_p, ends, rtol=0.0, atol=1e-12 * wn)
 
 
 class TestLeafContraction:

@@ -9,15 +9,13 @@ from csimplex.models import (
     ConfigError,
     InvalidParameterError,
     ParameterSet,
-    finite_difference_jacobian,
     make_atkinson_allen,
     make_custom,
     make_leslie_gower,
     make_ricker,
     map_from_config,
-    map_to_config,
 )
-from conftest import A_CLASS19, build_model
+from conftest import A_CLASS19, build_model, finite_difference_jacobian, map_to_config
 
 ALL_KINDS = ("leslie_gower", "atkinson_allen", "ricker")
 

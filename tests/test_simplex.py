@@ -165,7 +165,8 @@ def test_locate_regular_matches_masked_reference(N):
         np.column_stack([edge := rng.uniform(0, 1, 300), 1.0 - edge, np.zeros(300)]),
         np.column_stack([edge, 1.0 - edge + 1e-11, np.full(300, -1e-11)]),
     ])
-    verts, wts = _locate_regular(U, N)
+    face, wts = _locate_regular(U, N)
+    verts = lattice_triangulation(N)[face]
     want_verts, want_wts = _masked_locate_regular(U, N)
     assert np.array_equal(verts, want_verts)
     assert np.array_equal(wts, want_wts)
@@ -417,8 +418,9 @@ class TestConvergence:
 
     def test_non_finite_image_stops_after_one_sweep(self, class19_lg):
         """A Leslie-Gower map that is NaN where x1 > 0.3 and x2 > 0.2: the
-        first sweep leaves the rays under the hole uncovered, and the
-        transform stops there instead of iterating to max_iters."""
+        first sweep leaves the rays under the hole uncovered, the rim rays
+        on the edge x3 = 0 among them, and the transform stops there instead
+        of iterating to max_iters."""
 
         def growth(x):
             x = np.asarray(x, dtype=float)
@@ -434,6 +436,19 @@ class TestConvergence:
         assert mesh.sweeps == 1
         assert mesh.flagged.size > 0
         assert np.all(np.isnan(mesh.radii[mesh.flagged]))
+        # On the edge x3 = 0 the sweep starts from radius 1, so the images of
+        # the 16 vertices with u1 > 0.3 and u2 > 0.2 are NaN.  Their valid
+        # neighbours, u1 = 9/32 and 26/32, map to u1 = 0.253 and 0.772; the
+        # 16 rays between those would interpolate across the hole.
+        U = mesh.directions
+        edge = U[:, 2] == 0.0
+        assert np.count_nonzero(edge & (U[:, 0] > 0.3) & (U[:, 1] > 0.2)) == 16
+        lo, hi = (y[0] / y.sum() for y in class19_lg(np.array([[9, 23, 0], [26, 6, 0]]) / 32))
+        rim = np.nonzero(edge & (U[:, 0] >= lo) & (U[:, 0] <= hi))[0]
+        assert rim.size == 16
+        assert np.all(np.isnan(mesh.radii[rim]))
+        assert np.all(np.isin(rim, mesh.flagged))
+        assert not np.any(np.isnan(mesh.radii[edge & ~np.isin(np.arange(U.shape[0]), rim)]))
 
     def test_self_convergence_under_refinement(self, class19_lg):
         # radii at shared directions change by O(h) when N doubles
