@@ -248,8 +248,8 @@ def _solve_support_system(m: CompetitiveMap, support: tuple[int, ...]) -> np.nda
     idx = list(support)
     sub = A[np.ix_(idx, idx)]
     k = len(idx)
-    det = np.linalg.det(sub)
-    if abs(det) < 1e-12 * float(np.max(np.abs(sub))) ** k:
+    # the determinant of the scaled block, so that large entries cannot overflow
+    if abs(np.linalg.det(sub / np.max(np.abs(sub)))) < 1e-12:
         raise DegenerateSystemError(f"singular support system for {support}")
     q_sub = np.linalg.solve(sub, np.ones(k))
     if np.any(q_sub <= 0):

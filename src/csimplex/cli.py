@@ -22,8 +22,9 @@ import numpy as np
 from . import __version__
 from .analysis import SingularJacobianError, SType, boundary_sets, find_all_fixed_points, verify_C1
 from .classify import ClassifyError, classify_table1, classify_table1_batch
-from .existence import axial_caps, ricker_condition, verify_existence
+from .existence import DEFAULT_GRID, axial_caps, ricker_condition, verify_existence
 from .manifolds import (
+    DEFAULT_BASIN_TOL,
     ManifoldError,
     conjugacy_decay_report,
     curve_from_json,
@@ -35,8 +36,10 @@ from .manifolds import (
     trace_unstable,
 )
 from .models import ConfigError, map_from_config
-from .portrait import basin_raster, render_portrait
+from .portrait import DEFAULT_RASTER, basin_raster, render_portrait
 from .simplex import (
+    DEFAULT_RESOLUTION,
+    DEFAULT_TOL,
     NonConvergenceError,
     SimplexError,
     SimplexMesh,
@@ -58,19 +61,20 @@ EXIT_MISSING = 3
 # is derived at run time (rho and sigma: midpoints of their admissible
 # intervals, which pseudo_splitting checks).
 _NUMERIC_SCHEMA: dict[str, tuple[int | float | None, type, float]] = {
-    "mesh_resolution": (64, int, 8),
-    "mesh_tol": (1e-8, float, 0.0),
-    "mesh_max_iters": (5000, int, 1),
-    "existence_grid": (25, int, 1),
-    "basin_raster": (200, int, 2),
-    "basin_max_iter": (50000, int, 1),
-    "basin_tol": (1e-6, float, 0.0),
-    "leaf_radius_rel": (1e-3, float, 0.0),
-    "conjugacy_radius_rel": (1e-2, float, 0.0),
+    "mesh_resolution": (DEFAULT_RESOLUTION, int, 8),
+    "mesh_tol": (DEFAULT_TOL, float, 0.0),
+    "existence_grid": (DEFAULT_GRID, int, 1),
+    "basin_raster": (DEFAULT_RASTER, int, 2),
+    "basin_tol": (DEFAULT_BASIN_TOL, float, 0.0),
     "rho": (None, float, 0.0),
     "sigma": (None, float, 0.0),
-    "orbit_streaks": (8, int, 0),
 }
+
+# verify samples the leaf contraction and the conjugacy decay in balls of
+# these radii relative to ||q||; portrait draws this many sampled orbits.
+_LEAF_RADIUS_REL = 1e-3
+_CONJUGACY_RADIUS_REL = 1e-2
+_ORBIT_STREAKS = 8
 
 
 _OUTPUT_KEYS = ("mesh", "svg", "stable", "unstable")
@@ -95,23 +99,12 @@ def _check_numeric(key: str, val):
 
 
 class RunConfig:
-    """Validated run configuration: model document, numeric knobs, output
-    paths and the sampling seed."""
+    """Validated run configuration: model document, numeric settings, output
+    paths and the sampling seed, all from the one document."""
 
-    def __init__(self, doc: dict, seed: int | None = None, resolution: int | None = None):
-        """``seed`` and ``resolution`` override the document's ``seed`` and
-        ``numeric.mesh_resolution`` (the CLI's --seed and --resolution)."""
+    def __init__(self, doc: dict):
         if not isinstance(doc, dict):
             raise ConfigError("<root>", "run config must be a JSON object")
-        if seed is not None or resolution is not None:
-            doc = dict(doc)
-            if seed is not None:
-                doc["seed"] = seed
-            if resolution is not None:
-                numeric = doc.get("numeric", {})
-                if not isinstance(numeric, dict):
-                    raise ConfigError("numeric", "must be an object")
-                doc["numeric"] = {**numeric, "mesh_resolution": resolution}
         for key in doc:
             if key not in {"model", "numeric", "outputs", "seed"}:
                 raise ConfigError(key, "unknown field")
@@ -145,9 +138,8 @@ class RunConfig:
         self.config_hash = hashlib.sha256(canon.encode()).hexdigest()[:16]
 
     @classmethod
-    def load(cls, path: str, seed: int | None = None, resolution: int | None = None) -> "RunConfig":
-        """The run config in the JSON file at ``path``, with the overrides of
-        the constructor."""
+    def load(cls, path: str) -> "RunConfig":
+        """The run config in the JSON file at ``path``."""
         try:
             text = Path(path).read_text()
         except OSError as exc:
@@ -156,23 +148,19 @@ class RunConfig:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"line {exc.lineno}, col {exc.colno}", exc.msg) from exc
-        return cls(doc, seed=seed, resolution=resolution)
+        return cls(doc)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _json_default(obj):
+    """The JSON form of the values json cannot encode itself: arrays as
+    lists, complex numbers as [re, im], numpy scalars as Python ones."""
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
+        return obj.tolist()
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):
         return obj.item()
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _record_doc(rec) -> dict:
@@ -265,7 +253,6 @@ class _Run:
                 self.map,
                 resolution=numeric["mesh_resolution"],
                 tol=numeric["mesh_tol"],
-                max_iters=numeric["mesh_max_iters"],
             )
         except NonConvergenceError as exc:
             self.mesh_error = exc
@@ -274,7 +261,7 @@ class _Run:
     def write_json(self, path: str | None, doc: dict) -> str:
         """The JSON text of ``doc`` stamped with the config hash and the
         seed, written to ``path`` when one is given."""
-        text = json.dumps(_jsonable({**doc, **self.stamp}), sort_keys=True, indent=2) + "\n"
+        text = json.dumps({**doc, **self.stamp}, sort_keys=True, indent=2, default=_json_default) + "\n"
         if path:
             _write_text(path, text)
         return text
@@ -327,7 +314,7 @@ def cmd_analyze(run: _Run, out: str | None, strict: bool) -> int:
                 "permutation": list(cls.permutation),
                 "margins": cls.margins,
             }
-        except ClassifyError as exc:
+        except (ClassifyError, ValueError) as exc:
             report["warnings"].append(f"classification refused: {exc}")
     text = run.write_json(out, report)
     if out is None:
@@ -510,15 +497,12 @@ def cmd_portrait(
     raster = None
     if not no_basins and len(att) >= 2:
         raster = basin_raster(
-            m, mesh, att,
-            resolution=cfg.numeric["basin_raster"],
-            max_iter=cfg.numeric["basin_max_iter"],
-            tol=cfg.numeric["basin_tol"],
+            m, mesh, att, resolution=cfg.numeric["basin_raster"], tol=cfg.numeric["basin_tol"]
         )
     rng = np.random.default_rng(cfg.seed)
     orbits = []
     w_scale = mesh.vertices.max(axis=0)
-    for _ in range(int(cfg.numeric["orbit_streaks"])):
+    for _ in range(_ORBIT_STREAKS):
         x0 = rng.uniform(0.05, 1.0, 3) * w_scale
         orbits.append(m.orbit(x0, 40))
     meta = dict(run.stamp)
@@ -593,7 +577,7 @@ def cmd_verify(run: _Run, out: str | None) -> int:
             raise ConfigError("numeric", str(exc)) from exc
         qn = float(np.linalg.norm(q))
         leaf = leaf_contraction_report(
-            m, q, split.v, split.rho, radius=cfg.numeric["leaf_radius_rel"] * qn, rng=rng
+            m, q, split.v, split.rho, radius=_LEAF_RADIUS_REL * qn, rng=rng
         )
         checks["leaf_contraction"] = {
             "passed": leaf.passed,
@@ -607,7 +591,7 @@ def cmd_verify(run: _Run, out: str | None) -> int:
         if surface:
             conj = conjugacy_decay_report(
                 m, mesh, q, split.v, split.w_basis, split.rho,
-                radius=cfg.numeric["conjugacy_radius_rel"] * qn, rng=rng,
+                radius=_CONJUGACY_RADIUS_REL * qn, rng=rng,
             )
             checks["conjugacy_decay"] = {
                 "passed": conj.pass_fraction >= 0.9,
@@ -656,11 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"csimplex {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="run config JSON path")
-            p.add_argument("--seed", type=int, default=None, help="override config seed")
-            p.add_argument("--resolution", type=int, default=None, help="override mesh resolution")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="run config JSON path")
         p.add_argument("--out", default=None, help="output path")
 
     p = sub.add_parser("analyze", help="fixed points, spectra, (C1), index, existence")
@@ -694,7 +675,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "classify":
             return cmd_classify(args.input, args.out, args.as_json, args.strict)
-        run = _Run(RunConfig.load(args.config, seed=args.seed, resolution=args.resolution))
+        run = _Run(RunConfig.load(args.config))
         if args.command == "analyze":
             return cmd_analyze(run, args.out, args.strict)
         if args.command == "simplex":

@@ -33,7 +33,8 @@ __all__ = [
 ]
 
 DEFAULT_GRID = 25
-DEFAULT_PAD = 0.1
+# (A1) samples [0, w(1 + _A1_PAD)], a margin beyond the order interval.
+_A1_PAD = 0.1
 
 
 @dataclass(frozen=True)
@@ -63,11 +64,11 @@ def axial_caps(m: CompetitiveMap) -> np.ndarray:
     return np.array([r.location[r.support[0]] for r in find_axial_fixed_points(m)])
 
 
-def _support_grid(w: np.ndarray, support: tuple[int, ...], grid: int, pad: float) -> np.ndarray:
+def _support_grid(w: np.ndarray, support: tuple[int, ...], grid: int) -> np.ndarray:
     """Points with the given support, coordinates on a regular grid over
-    (0, w_i (1+pad)]."""
+    (0, w_i]."""
     n = w.shape[0]
-    axes = [np.linspace(0.0, w[i] * (1.0 + pad), grid + 1)[1:] for i in support]
+    axes = [np.linspace(0.0, w[i], grid + 1)[1:] for i in support]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.zeros((mesh[0].size, n))
     for ax, i in zip(mesh, support):
@@ -75,13 +76,13 @@ def _support_grid(w: np.ndarray, support: tuple[int, ...], grid: int, pad: float
     return pts
 
 
-def check_A1(m: CompetitiveMap, grid: int = DEFAULT_GRID, pad: float = DEFAULT_PAD) -> CheckResult:
-    """All partials dF_i/dx_j < 0 on a grid over [0, w(1+pad)].
+def check_A1(m: CompetitiveMap, grid: int = DEFAULT_GRID) -> CheckResult:
+    """All partials dF_i/dx_j < 0 on a grid over [0, w(1 + _A1_PAD)].
 
     margin is the maximum sampled partial; pass requires margin < 0.
     """
     w = axial_caps(m)
-    axes = [np.linspace(0.0, wi * (1.0 + pad), grid + 1) for wi in w]
+    axes = [np.linspace(0.0, wi * (1.0 + _A1_PAD), grid + 1) for wi in w]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([ax.ravel() for ax in mesh], axis=-1)
     dF = m.growth_jacobian(pts)
@@ -112,7 +113,7 @@ def check_A3(m: CompetitiveMap, grid: int = DEFAULT_GRID) -> CheckResult:
     count = 0
     for k in range(1, n + 1):
         for support in combinations(range(n), k):
-            pts = _support_grid(w, support, grid, pad=0.0)
+            pts = _support_grid(w, support, grid)
             count += pts.shape[0]
             F = m.growth(pts)
             dF = m.growth_jacobian(pts)
@@ -145,15 +146,13 @@ def ricker_condition(params: ParameterSet) -> CheckResult:
     )
 
 
-def verify_existence(
-    m: CompetitiveMap, grid: int = DEFAULT_GRID, pad: float = DEFAULT_PAD
-) -> ExistenceReport:
+def verify_existence(m: CompetitiveMap, grid: int = DEFAULT_GRID) -> ExistenceReport:
     """Run (A1)-(A3) and bundle the verdicts."""
     a2 = check_A2(m)
     if not a2.passed:
         zero = CheckResult(False, float("-inf"), {"skipped": "no axial fixed points"})
         return ExistenceReport(zero, a2, zero, grid, np.full(m.n, np.nan))
     w = axial_caps(m)
-    a1 = check_A1(m, grid=grid, pad=pad)
+    a1 = check_A1(m, grid=grid)
     a3 = check_A3(m, grid=grid)
     return ExistenceReport(a1, a2, a3, grid, w)

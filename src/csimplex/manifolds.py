@@ -49,6 +49,21 @@ __all__ = [
     "curve_from_json",
 ]
 
+# Basin labelling: the radius of each attractor's ball and the iterations an
+# orbit gets to enter one.
+DEFAULT_BASIN_TOL = 1e-6
+DEFAULT_BASIN_MAX_ITER = 50000
+
+# Foliation/conjugacy diagnostics: sampled points per report; the fitted decay
+# ratio may exceed rho by _CONJUGACY_SLACK (first-order leaves); an orbit pair
+# is followed for at most _CONJUGACY_STEPS steps, while both stay within
+# _CONJUGACY_LEAVE radii of q.
+_SAMPLE_COUNT = 200
+_CONJUGACY_SLACK = 0.1
+_CONJUGACY_STEPS = 10
+_CONJUGACY_LEAVE = 10.0
+
+
 class ManifoldError(RuntimeError):
     pass
 
@@ -389,8 +404,8 @@ def basin_of_batch(
     m: CompetitiveMap,
     X: np.ndarray,
     attractors: dict[str, np.ndarray],
-    max_iter: int = 50000,
-    tol: float = 1e-6,
+    max_iter: int = DEFAULT_BASIN_MAX_ITER,
+    tol: float = DEFAULT_BASIN_TOL,
 ) -> np.ndarray:
     """Labels (index into sorted attractor names) of the attractor whose
     tol-ball each orbit enters; -1 where unresolved after max_iter.
@@ -521,7 +536,6 @@ def leaf_contraction_report(
     v: np.ndarray,
     rho: float,
     radius: float,
-    sample_count: int = 200,
     secant: float | None = None,
     n_dyadic: int = 3,
     rng: np.random.Generator | None = None,
@@ -536,9 +550,9 @@ def leaf_contraction_report(
     v = v / np.linalg.norm(v)
     if secant is None:
         secant = 0.1 * radius
-    z = rng.normal(size=(sample_count, q.shape[0]))
+    z = rng.normal(size=(_SAMPLE_COUNT, q.shape[0]))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
-    r = radius * rng.uniform(0.0, 1.0, sample_count) ** (1.0 / q.shape[0])
+    r = radius * rng.uniform(0.0, 1.0, _SAMPLE_COUNT) ** (1.0 / q.shape[0])
     xi = q[None, :] + r[:, None] * z
     xi = np.clip(xi, 1e-12, None)
     xj = xi + secant * v[None, :]
@@ -556,7 +570,7 @@ def leaf_contraction_report(
         secant=float(secant),
         max_ratio=float(ratios.max()),
         passed=bool(violations == 0),
-        n_samples=sample_count,
+        n_samples=_SAMPLE_COUNT,
         n_violations=violations,
         ratios_at_q=at_q,
     )
@@ -581,10 +595,6 @@ def conjugacy_decay_report(
     w_basis: np.ndarray,
     rho: float,
     radius: float,
-    slack: float = 0.1,
-    k_max: int = 10,
-    sample_count: int = 200,
-    leave_factor: float = 10.0,
     points: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
 ) -> ConjugacyDecayReport:
@@ -602,13 +612,13 @@ def conjugacy_decay_report(
         # (the vertex lattice itself can be coarser than the radius)
         u_q = q / q.sum()
         r_dir = radius / max(np.linalg.norm(q), 1e-12)
-        z = rng.normal(size=(8 * sample_count, 2))
+        z = rng.normal(size=(8 * _SAMPLE_COUNT, 2))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
-        offs = r_dir * np.sqrt(rng.uniform(0.0, 1.0, 8 * sample_count))[:, None] * z
+        offs = r_dir * np.sqrt(rng.uniform(0.0, 1.0, 8 * _SAMPLE_COUNT))[:, None] * z
         lifted = radial_project(mesh, directions_from_uv(u_q[:2] + offs))
         dist = np.linalg.norm(lifted - q, axis=1)
         keep = (dist <= radius) & (dist > 1e-12)
-        cand = lifted[keep][:sample_count]
+        cand = lifted[keep][:_SAMPLE_COUNT]
         source = "mesh"
     else:
         cand = np.atleast_2d(np.asarray(points, dtype=float))
@@ -617,7 +627,7 @@ def conjugacy_decay_report(
     coeffs = np.linalg.solve(Mcols, (cand - q).T)
     proj = cand - np.outer(coeffs[0], v)  # R(xi) = xi - <v-component>
     scale = max(1.0, float(np.linalg.norm(q)))
-    leave = leave_factor * radius
+    leave = _CONJUGACY_LEAVE * radius
     ratios = np.full(cand.shape[0], np.nan)
     for i in range(cand.shape[0]):
         a, b = cand[i].copy(), proj[i].copy()
@@ -625,7 +635,7 @@ def conjugacy_decay_report(
         if d[0] < 1e-14 * scale:
             ratios[i] = 0.0  # already on the pseudo-unstable plane
             continue
-        for _ in range(k_max):
+        for _ in range(_CONJUGACY_STEPS):
             a, b = m(a), m(b)
             if np.linalg.norm(a - q) > leave or np.linalg.norm(b - q) > leave:
                 break
@@ -637,10 +647,10 @@ def conjugacy_decay_report(
             slope = np.polyfit(k, np.log(d[good]), 1)[0]
             ratios[i] = float(np.exp(slope))
     fitted = ratios[~np.isnan(ratios)]
-    ok = fitted <= rho + slack
+    ok = fitted <= rho + _CONJUGACY_SLACK
     return ConjugacyDecayReport(
         rho=float(rho),
-        slack=float(slack),
+        slack=_CONJUGACY_SLACK,
         radius=float(radius),
         fitted_ratios=fitted,
         pass_fraction=float(ok.mean()) if fitted.size else 0.0,

@@ -260,7 +260,7 @@ def map_from_config(doc: dict | str) -> CompetitiveMap:
         if key not in known:
             raise ConfigError(key, "unknown field")
     kind = _require(doc, "kind", "")
-    if kind not in _MAKERS:
+    if not isinstance(kind, str) or kind not in _MAKERS:
         raise ConfigError("kind", f"must be one of {sorted(_MAKERS)}, got {kind!r}")
     r = _float_vector(_require(doc, "r", ""), "r")
     n = r.shape[0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import FixedPointRecord, SType
-from .manifolds import ManifoldCurve, basin_of_batch
+from .manifolds import DEFAULT_BASIN_MAX_ITER, DEFAULT_BASIN_TOL, ManifoldCurve, basin_of_batch
 from .models import CompetitiveMap
 from .simplex import SimplexMesh, directions_from_uv, radial_project
 
@@ -30,6 +30,9 @@ __all__ = [
 TRIANGLE_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
 
 _BASIN_FILLS = ("#c7d9f2", "#f2d8c2", "#d6ecd2", "#e8d5ec")
+
+# Grid points per side of the basin raster.
+DEFAULT_RASTER = 200
 
 
 def to_plane(x: np.ndarray) -> np.ndarray:
@@ -65,9 +68,9 @@ def basin_raster(
     m: CompetitiveMap,
     mesh: SimplexMesh,
     attractors: dict[str, np.ndarray],
-    resolution: int = 200,
-    max_iter: int = 50000,
-    tol: float = 1e-6,
+    resolution: int = DEFAULT_RASTER,
+    max_iter: int = DEFAULT_BASIN_MAX_ITER,
+    tol: float = DEFAULT_BASIN_TOL,
 ) -> BasinRaster:
     """Label a direction-space raster by the attractor its lifted orbit
     reaches."""
@@ -120,26 +123,20 @@ def _near_curves(
     return near_curve.reshape(R, R)
 
 
-def count_basin_components(
-    raster: BasinRaster,
-    curves: list[ManifoldCurve],
-    exclusion: float | None = None,
-    min_component_fraction: float = 0.002,
-) -> int:
-    """Connected components of the basin raster after removing cells near the
-    given curves (the invariant curves themselves separate the components).
+def count_basin_components(raster: BasinRaster, curves: list[ManifoldCurve]) -> int:
+    """Connected components of the basin raster after removing cells within
+    two cells of the given curves (the invariant curves themselves separate
+    the components).
 
-    Components smaller than ``min_component_fraction`` of the labeled cells
-    are exclusion-band speckles at the raster scale (single cells pinched off
-    where a curve passes near the simplex boundary) and are not counted.
+    Components smaller than 0.2% of the labeled cells are exclusion-band
+    speckles at the raster scale (single cells pinched off where a curve
+    passes near the simplex boundary) and are not counted.
     """
     from scipy import ndimage
 
-    if exclusion is None:
-        exclusion = 2.0 * raster.cell_size()
-    near_curve = _near_curves(raster.resolution, curves, exclusion)
+    near_curve = _near_curves(raster.resolution, curves, 2.0 * raster.cell_size())
     kept = (raster.labels >= 0) & ~near_curve
-    floor = max(2.0, min_component_fraction * float(kept.sum()))
+    floor = max(2.0, 0.002 * float(kept.sum()))
     total = 0
     for label in range(len(raster.attractor_names)):
         mask = (raster.labels == label) & ~near_curve

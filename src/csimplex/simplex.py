@@ -207,8 +207,10 @@ class SimplexMesh:
         if directions.shape != lattice.shape or not np.allclose(directions, lattice, atol=1e-12):
             raise SimplexError("directions do not match the regular lattice for this resolution")
         radii = np.asarray(doc["radii"], dtype=float)
-        if radii.shape[0] != directions.shape[0]:
+        if radii.shape != (directions.shape[0],):
             raise SimplexError("radii length does not match directions")
+        if not np.all(np.isfinite(radii) & (radii > 0.0)):
+            raise SimplexError("radii must be finite and positive")
         return cls(
             resolution=N,
             directions=lattice,
@@ -895,13 +897,13 @@ def _closest_point_on_triangles(p: np.ndarray, a: np.ndarray, b: np.ndarray, c: 
 _DISTANCE_BLOCK = 1024
 
 
-def surface_distance(mesh: SimplexMesh, pts: np.ndarray, k_vertices: int = 8) -> np.ndarray:
+def surface_distance(mesh: SimplexMesh, pts: np.ndarray) -> np.ndarray:
     """Euclidean distance from each point to the triangulated surface,
-    searching the faces incident to the k nearest vertices."""
+    searching the faces incident to the 8 nearest vertices."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     V = mesh.vertices
     tree = mesh._vertex_tree()
-    k = min(k_vertices, V.shape[0])
+    k = min(8, V.shape[0])
     incidence = mesh._incident_faces()
     dist = np.empty(pts.shape[0])
     for start in range(0, pts.shape[0], _DISTANCE_BLOCK):
@@ -930,10 +932,10 @@ def estimate_tangent_cone(
     base_point: np.ndarray,
     radius: float,
     w_basis: np.ndarray,
-    min_neighbors: int = 3,
 ) -> TangentConeEstimate:
     """Secant directions from base_point to mesh vertices within radius and
-    the worst angle between them and the plane spanned by w_basis."""
+    the worst angle between them and the plane spanned by w_basis; raises
+    TooFewNeighborsError when fewer than 3 secants remain."""
     xi = np.asarray(base_point, dtype=float)
     idx = mesh._vertex_tree().query_ball_point(xi, r=radius)
     V = mesh.vertices[idx]
@@ -941,10 +943,8 @@ def estimate_tangent_cone(
     norms = np.linalg.norm(diffs, axis=1)
     # secants to near-coincident vertices carry only surface noise
     keep = norms > 1e-3 * radius
-    if keep.sum() < min_neighbors:
-        raise TooFewNeighborsError(
-            f"{int(keep.sum())} neighbors within radius {radius:g} (need {min_neighbors})"
-        )
+    if keep.sum() < 3:
+        raise TooFewNeighborsError(f"{int(keep.sum())} neighbors within radius {radius:g} (need 3)")
     z = diffs[keep] / norms[keep, None]
     Q, _ = np.linalg.qr(np.asarray(w_basis, dtype=float))
     resid = z - (z @ Q) @ Q.T

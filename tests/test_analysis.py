@@ -27,6 +27,7 @@ from csimplex.analysis import (
     verify_C1,
 )
 from csimplex.classify import ClassifyError, classify_table1
+from csimplex.existence import axial_caps
 from csimplex.models import ParameterSet, make_custom, make_leslie_gower, make_ricker
 from conftest import A_CLASS19, ANCHOR_MATRICES, build_model
 
@@ -336,6 +337,23 @@ class TestRecords:
         assert len(ref) == 6 and key(scaled) == key(ref)
         for a, b in zip(ref, scaled):
             np.testing.assert_allclose(b.location * scale, a.location, rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["leslie_gower", "atkinson_allen", "ricker"])
+    @pytest.mark.parametrize("A", [A_CLASS19] + [A for _, A in ANCHOR_MATRICES],
+                             ids=["class19"] + [f"anchor{k}" for k in range(len(ANCHOR_MATRICES))])
+    def test_records_scale_with_log_uniform_s(self, kind, A):
+        """A -> s A for six s drawn log-uniformly from [1e-3, 1e3]: the same
+        names, supports, types, indices and (C1) verdicts, and each location
+        times s within 1e-12 ||w|| of the unscaled one."""
+        m = build_model(kind, A)
+        ref = find_all_fixed_points(m)
+        tol = 1e-12 * np.linalg.norm(axial_caps(m))
+        key = lambda recs: [(r.name, r.support, r.s_type, r.index, r.c1_holds) for r in recs]
+        for s in 10.0 ** np.random.default_rng(19).uniform(-3.0, 3.0, 6):
+            scaled = find_all_fixed_points(build_model(kind, s * np.asarray(A)))
+            assert key(scaled) == key(ref)
+            for a, b in zip(ref, scaled):
+                assert np.linalg.norm(s * b.location - a.location) <= tol
 
     @pytest.mark.parametrize("kind", ["leslie_gower", "atkinson_allen", "ricker"])
     @pytest.mark.parametrize("A", [A_CLASS19] + [A for _, A in ANCHOR_MATRICES])

@@ -2,16 +2,20 @@
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import csimplex
-from csimplex.cli import main
+from csimplex.cli import _NUMERIC_SCHEMA, RunConfig, main
 from conftest import A_CLASS19, ANCHOR_MATRICES
 
 WEAK_SYMMETRIC = [[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]]
@@ -25,6 +29,22 @@ def config_path(tmp_path):
         return str(p)
 
     return write
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+RETIRED_NUMERIC = (
+    "mesh_max_iters", "basin_max_iter", "leaf_radius_rel", "conjugacy_radius_rel", "orbit_streaks",
+)
+
+
+def readme_command_line() -> str:
+    """The "Command line" section of README.md."""
+    return README.read_text().split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+def readme_config() -> dict:
+    """The example run config of README's "Command line" section."""
+    return json.loads(readme_command_line().split("```json\n", 1)[1].split("```", 1)[0])
 
 
 def anchor_config(outputs=None, numeric=None, seed=3):
@@ -93,13 +113,21 @@ class TestConfigValidation:
         assert main(argv) == 2
         assert field in capsys.readouterr().err
 
-    @pytest.mark.parametrize("doc, override", [
-        ([1, 2], ["--seed", "3"]),
-        ({**anchor_config(), "numeric": [1]}, ["--resolution", "16"]),
-    ], ids=["list_config_with_seed", "list_numeric_with_resolution"])
-    def test_override_on_malformed_config_exits_2(self, config_path, capsys, doc, override):
-        assert main(["analyze", "--config", config_path(doc), *override]) == 2
-        assert "config error" in capsys.readouterr().err
+    @pytest.mark.parametrize("key", RETIRED_NUMERIC)
+    def test_retired_numeric_key_exits_2(self, config_path, capsys, key):
+        """Settings no run varies are constants; naming one is a config error."""
+        doc = anchor_config(numeric={key: 1})
+        assert main(["analyze", "--config", config_path(doc)]) == 2
+        assert f"numeric.{key}: unknown field" in capsys.readouterr().err
+
+    def test_seed_and_resolution_flags_refused(self, config_path, capsys):
+        """The config file is the only source of a run's settings."""
+        cfg = config_path(anchor_config())
+        for flag, value in (("--seed", "3"), ("--resolution", "16")):
+            with pytest.raises(SystemExit) as exc:
+                main(["analyze", "--config", cfg, flag, value])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["numeric", "outputs"])
     @pytest.mark.parametrize("value", [[], 0, False, ""], ids=["list", "zero", "false", "empty"])
@@ -134,6 +162,67 @@ class TestConfigValidation:
         assert "A" in capsys.readouterr().err
 
 
+def test_readme_config_and_numeric_table():
+    """README's example config is valid, and its table of numeric keys names
+    exactly the schema's keys with the schema's defaults."""
+    cfg = RunConfig(readme_config())
+    assert cfg.numeric["mesh_resolution"] == 64 and cfg.seed == 7
+    rows = [line.split("|")[1:3] for line in readme_command_line().splitlines()
+            if line.startswith("| `")]
+    table = {re.fullmatch(r" `(\w+)` ", key).group(1): default.strip() for key, default in rows}
+    assert len(table) == len(rows) and sorted(table) == sorted(_NUMERIC_SCHEMA)
+    for key, (default, _, _) in _NUMERIC_SCHEMA.items():
+        if default is not None:
+            assert float(table[key]) == default, key
+
+
+# Fields of the README config that the fuzz replaces, as key paths.
+_FUZZ_PATHS = (
+    [(key,) for key in ("model", "numeric", "outputs", "seed", "extra")]
+    + [("numeric", key) for key in (*_NUMERIC_SCHEMA, *RETIRED_NUMERIC, "bogus")]
+    + [("outputs", key) for key in ("mesh", "svg", "stable", "unstable", "bogus")]
+    + [("model", key) for key in ("kind", "r", "A", "c", "extra")]
+    + [("model", "r", i) for i in range(3)]
+    + [("model", "A", i) for i in range(3)]
+    + [("model", "A", i, j) for i in range(3) for j in range(3)]
+)
+# Sizes stay small: the schema takes any integer >= 1 for existence_grid and
+# check_A1 samples (grid + 1)^3 points.  Reals are multiples of 1e-3 in
+# [-1000, 1000]: entries of A near 1e-300 or 1e300 overflow inside the
+# fixed-point analysis, which is not the config contract under test.
+_FUZZ_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-5, 40),
+    st.integers(-10**6, 10**6).map(lambda k: k / 1000),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.sampled_from(["", "x", "ricker", "leslie_gower", "atkinson_allen"]),
+)
+_FUZZ_VALUES = st.recursive(
+    _FUZZ_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["kind", "r", "A", "c", "mesh", "x"]), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(path=st.sampled_from(_FUZZ_PATHS), value=_FUZZ_VALUES)
+def test_analyze_exit_code_contract_is_total(path, value):
+    """Whatever one field of the README config holds, analyze returns 0, 1,
+    2 or 3 and raises nothing."""
+    doc = readme_config()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["analyze", "--config", str(cfg), "--out", str(Path(tmp) / "r.json")]) in {
+            0, 1, 2, 3}
+
+
 class TestAnalyze:
     def test_symmetric_system_has_eight_fixed_points(self, config_path, tmp_path):
         doc = {
@@ -159,6 +248,19 @@ class TestAnalyze:
         assert report["index"] == -1
         assert report["classification"]["class_id"] == 19
         assert report["c1"]["passed"]
+
+    def test_huge_entry_refuses_classification_only(self, config_path, tmp_path):
+        """An entry whose square overflows is refused by the classifier, and
+        the fixed-point analysis still runs."""
+        A = A_CLASS19.copy()
+        A[0, 2] = 1.5e199
+        doc = {"model": {"kind": "ricker", "r": [0.2] * 3, "A": A.tolist()}, "seed": 0}
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--config", config_path(doc), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["warnings"][-1] == (
+            "classification refused: entries too large: the squared maximum overflows")
+        assert report["fixed_points"]
 
     def test_strict_existence_failure_exits_1(self, config_path):
         doc = {
@@ -336,6 +438,18 @@ class TestSimplexAndPortrait:
         assert main(["portrait", "--config", config_path(doc)]) == 3
         assert f"cannot load {mesh_path}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_mesh_with_bad_radius_exits_3(self, config_path, tmp_path, capsys, bad):
+        mesh_path = tmp_path / "mesh.json"
+        doc = anchor_config(outputs={"mesh": str(mesh_path)}, numeric={"mesh_resolution": 8})
+        cfg = config_path(doc)
+        assert main(["simplex", "--config", cfg]) == 0
+        mesh_doc = json.loads(mesh_path.read_text())
+        mesh_doc["radii"][4] = bad
+        mesh_path.write_text(json.dumps(mesh_doc))
+        assert main(["portrait", "--config", cfg]) == 3
+        assert "radii must be finite and positive" in capsys.readouterr().err
+
     def test_missing_curve_exits_3(self, config_path, tmp_path):
         mesh_path = tmp_path / "mesh.json"
         doc = anchor_config(outputs={"mesh": str(mesh_path)}, numeric={"mesh_resolution": 8})
@@ -400,12 +514,11 @@ class TestVerify:
         main(["verify", "--config", cfg, "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_seed_recorded_and_overridable(self, config_path, tmp_path):
+    def test_seed_recorded(self, config_path, tmp_path):
         doc = anchor_config(seed=12, numeric={"mesh_resolution": 16})
-        cfg = config_path(doc)
         out = tmp_path / "v.json"
-        main(["verify", "--config", cfg, "--out", str(out), "--seed", "99"])
-        assert json.loads(out.read_text())["seed"] == 99
+        main(["verify", "--config", config_path(doc), "--out", str(out)])
+        assert json.loads(out.read_text())["seed"] == 12
 
     def test_overflowing_ricker_reports_without_warnings(self, config_path, tmp_path):
         """Ricker with r = 700 is accepted (F is finite at the origin), but

@@ -12,6 +12,7 @@ from csimplex.models import ParameterSet, make_custom, make_leslie_gower, make_r
 from csimplex.simplex import (
     EmptyNeighborhoodError,
     NonConvergenceError,
+    SimplexError,
     SimplexMesh,
     TooFewNeighborsError,
     ZeroVectorError,
@@ -660,6 +661,18 @@ class TestMeshJson:
         assert back.resolution == class19_mesh.resolution
         assert np.allclose(back.radii, class19_mesh.radii)
         assert np.array_equal(back.triangulation, class19_mesh.triangulation)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_bad_radius(self, class19_mesh, bad):
+        doc = class19_mesh.to_json()
+        doc["radii"][7] = bad
+        with pytest.raises(SimplexError, match="finite and positive"):
+            SimplexMesh.from_json(doc)
+
+    def test_rejects_scalar_radii(self, class19_mesh):
+        doc = {**class19_mesh.to_json(), "radii": 5.0}
+        with pytest.raises(SimplexError, match="radii length"):
+            SimplexMesh.from_json(doc)
 
     def test_rejects_foreign_directions(self, class19_mesh):
         doc = class19_mesh.to_json()
