@@ -412,6 +412,18 @@ def _on_s_spectrum(m: CompetitiveMap, x: np.ndarray, support: tuple[int, ...]) -
     return _sort_spectrum(np.concatenate([face_eigs[1:], np.array(external, dtype=complex)]))
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector, taken of v scaled by the power of two of
+    max|v| so that its squares neither overflow nor underflow.  The scaling
+    is exact, so the value is np.linalg.norm(v) wherever that neither
+    overflows nor underflows."""
+    big = float(np.max(np.abs(v)))
+    if not 0.0 < big < np.inf:
+        return float(np.linalg.norm(v))
+    e = math.frexp(big)[1]
+    return math.ldexp(float(np.linalg.norm(np.ldexp(v, -e))), e)
+
+
 def record_at(
     m: CompetitiveMap,
     location: np.ndarray,
@@ -423,8 +435,8 @@ def record_at(
     x = np.asarray(location, dtype=float)
     if support is None:
         support = tuple(int(i) for i in np.nonzero(x)[0])
-    residual = float(np.linalg.norm(m(x) - x))
-    if residual > RESIDUAL_TOL * (1.0 + np.linalg.norm(x)):
+    residual = _norm(m(x) - x)
+    if residual > RESIDUAL_TOL * (1.0 + _norm(x)):
         raise AnalysisError(f"point {x} is not fixed (residual {residual:.3e})")
     DT = m.jacobian(x)
     eigs = eigen3(DT)

@@ -155,7 +155,8 @@ def make_leslie_gower(params: ParameterSet) -> CompetitiveMap:
     def growth_jacobian(x):
         x = np.asarray(x, dtype=float)
         denom = 1.0 + r * (x @ A.T)
-        return -(num * r)[:, None] * A / (denom[..., :, None] ** 2)
+        # denom ** 2 overflows for entries of A near 1e300
+        return -(num * r)[:, None] * A / denom[..., :, None] / denom[..., :, None]
 
     m = CompetitiveMap("leslie_gower", params.n, growth, growth_jacobian, params)
     return _finite_at_origin(m)
@@ -175,7 +176,8 @@ def make_atkinson_allen(params: ParameterSet) -> CompetitiveMap:
     def growth_jacobian(x):
         x = np.asarray(x, dtype=float)
         denom = 1.0 + r * (x @ A.T)
-        return -(num * r)[:, None] * A / (denom[..., :, None] ** 2)
+        # denom ** 2 overflows for entries of A near 1e300
+        return -(num * r)[:, None] * A / denom[..., :, None] / denom[..., :, None]
 
     m = CompetitiveMap("atkinson_allen", params.n, growth, growth_jacobian, params)
     return _finite_at_origin(m)

@@ -173,6 +173,19 @@ class SimplexMesh:
             self._cache["incidence"] = _vertex_faces(self.triangulation, self.directions.shape[0])
         return self._cache["incidence"]
 
+    def _face_rings(self) -> np.ndarray:
+        """(F, 13) faces that share a vertex with each face, the face itself
+        included, ascending and padded by repeating the first (13 is the
+        count for a face of the interior)."""
+        if "rings" not in self._cache:
+            ring = np.sort(self._incident_faces()[self.triangulation].reshape(-1, 18), axis=1)
+            dup = np.zeros(ring.shape, dtype=bool)
+            dup[:, 1:] = ring[:, 1:] == ring[:, :-1]
+            ring = np.where(dup, ring[:, :1], ring)
+            order = np.argsort(dup, axis=1, kind="stable")  # distinct faces first
+            self._cache["rings"] = np.take_along_axis(ring, order, axis=1)[:, :13]
+        return self._cache["rings"]
+
     def pull_back(self, m: CompetitiveMap):
         """The PL inverse of T on the mesh, as a function of point rows.
 
@@ -892,31 +905,90 @@ def _closest_point_on_triangles(p: np.ndarray, a: np.ndarray, b: np.ndarray, c: 
     return out
 
 
-# Query rows per block in surface_distance.  Blocks keep the (rows, 6k, 3)
+def _face_distances(V: np.ndarray, tris: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Distances from points p to the triangles with vertex indices tris
+    (..., 3) of the vertex rows V; p broadcasts against tris' leading axes."""
+    closest = _closest_point_on_triangles(p, V[tris[..., 0]], V[tris[..., 1]], V[tris[..., 2]])
+    return np.linalg.norm(closest - p, axis=-1)
+
+
+# Query rows per block in surface_distance.  Blocks keep the (rows, 13, 3)
 # candidate arrays bounded by the block, not by the number of queries.
 _DISTANCE_BLOCK = 1024
+# (1 + sqrt 3) * 3, the certificate's factor on N * d (see surface_distance),
+# padded for the rounding of u, of _regular_face's slack and of d
+_RING_FACTOR = 3.0 * (1.0 + np.sqrt(3.0)) * (1.0 + 1e-9)
 
 
 def surface_distance(mesh: SimplexMesh, pts: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each point to the triangulated surface,
-    searching the faces incident to the 8 nearest vertices."""
+    """Euclidean distance from each point to the triangulated surface.
+
+    Each row p with s = sum(p) is measured first on the face ring of its
+    direction u = p / s: the lattice face that holds u (located as
+    radial_project does) and every face that shares a vertex with it.  The
+    ring minimum d bounds the distance from above, and it is the distance
+    when a certificate holds.  A vertex star is the ball of radius 1/N
+    about the vertex in the max norm of direction space, and u lies within
+    2/(3N) of a corner of its face, so the ring holds every direction within
+    1/(3N) of u.  A point q with |q - p| <= d has t = sum(q) >= s - sqrt(3) d
+    and direction q / t within d (1 + sqrt 3) / (s - sqrt(3) d) of u in the
+    max norm.  Hence when p >= 0 and 3 N (1 + sqrt 3) d <= s - sqrt(3) d,
+    the nearest surface point lies on the ring and d is exact.
+
+    Rows that fail the certificate (far off the surface, near the origin or
+    outside the orthant) search every face incident to a vertex within
+    d + max_edge_length() of p: a nearest point lies on some face, whose
+    corners all lie within an edge length of it.  This is exact at a cost
+    bounded by what lies near p.  Raises ValueError for rows that are not
+    finite.
+    """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("surface_distance needs finite points")
     V = mesh.vertices
-    tree = mesh._vertex_tree()
-    k = min(8, V.shape[0])
-    incidence = mesh._incident_faces()
+    N = mesh.resolution
+    ring = mesh._face_rings()
+    s = pts.sum(axis=1)
     dist = np.empty(pts.shape[0])
     for start in range(0, pts.shape[0], _DISTANCE_BLOCK):
         block = pts[start:start + _DISTANCE_BLOCK]
-        _, nearest = tree.query(block, k=k)
-        cand = incidence[np.atleast_2d(nearest)].reshape(block.shape[0], -1)  # (B, k*6)
-        tris = mesh.triangulation[cand]  # (B, k*6, 3)
-        a = V[tris[..., 0]]
-        b = V[tris[..., 1]]
-        c = V[tris[..., 2]]
-        closest = _closest_point_on_triangles(block[:, None, :], a, b, c)
-        d = np.linalg.norm(closest - block[:, None, :], axis=2)
-        dist[start:start + block.shape[0]] = d.min(axis=1)
+        # the ring of any direction bounds d; rows outside the orthant take
+        # that of their clipped direction and are left to the ball search
+        pos = np.maximum(block, 0.0)
+        ps = pos.sum(axis=1, keepdims=True)
+        u = np.divide(pos, ps, out=np.full_like(pos, 1.0 / 3.0), where=ps > 0.0)
+        tris = mesh.triangulation[ring[_regular_face(u, N)[0]]]  # (B, 13, 3)
+        dist[start:start + block.shape[0]] = _face_distances(V, tris, block[:, None, :]).min(axis=1)
+    certified = np.all(pts >= 0.0, axis=1) & (_RING_FACTOR * N * dist <= s - np.sqrt(3.0) * dist)
+    far = np.nonzero(~certified)[0]
+    if far.size:
+        dist[far] = _ball_distance(mesh, pts[far], dist[far])
+    return dist
+
+
+def _ball_distance(mesh: SimplexMesh, pts: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Distance from each row of pts to the surface, given upper bounds on
+    it: the minimum over the faces incident to the vertices within
+    bound + max_edge_length() of the row, each (row, face) pair once."""
+    V = mesh.vertices
+    tree = mesh._vertex_tree()
+    incidence = mesh._incident_faces()
+    F = mesh.triangulation.shape[0]
+    radius = (bound + mesh.max_edge_length()) * (1.0 + 1e-9)
+    counts = tree.query_ball_point(pts, radius, return_length=True)
+    # rows in chunks of about 3 * _DISTANCE_BLOCK vertex hits (over that by
+    # at most one row's hits), so that a chunk has about as many (row, face)
+    # pairs as a ring block
+    chunk = np.cumsum(counts) // (3 * _DISTANCE_BLOCK)
+    cuts = np.flatnonzero(np.diff(chunk)) + 1
+    dist = np.full(pts.shape[0], np.inf)
+    for rows in np.split(np.arange(pts.shape[0]), cuts):
+        near = tree.query_ball_point(pts[rows], radius[rows])
+        row = np.repeat(rows, counts[rows])
+        faces = incidence[np.concatenate(near).astype(np.intp)]  # (hits, 6)
+        key = np.unique(row[:, None] * F + faces)
+        row, face = np.divmod(key, F)
+        np.minimum.at(dist, row, _face_distances(V, mesh.triangulation[face], pts[row]))
     return dist
 
 

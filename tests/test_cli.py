@@ -206,20 +206,53 @@ _FUZZ_VALUES = st.recursive(
 )
 
 
+def _replace(doc: dict, path: tuple, value) -> None:
+    """Set the field of doc at the key path to value."""
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(path=st.sampled_from(_FUZZ_PATHS), value=_FUZZ_VALUES)
 def test_analyze_exit_code_contract_is_total(path, value):
     """Whatever one field of the README config holds, analyze returns 0, 1,
     2 or 3 and raises nothing."""
     doc = readme_config()
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    _replace(doc, path, value)
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.json"
         cfg.write_text(json.dumps(doc))
         assert main(["analyze", "--config", str(cfg), "--out", str(Path(tmp) / "r.json")]) in {
+            0, 1, 2, 3}
+
+
+# A resolution of 8 to 16 keeps a verify run near 0.2 s.  verify is the
+# command that reads rho, whose admissible interval for the README system is
+# (0.8, 0.967); None leaves rho out.  Four of the five rho branches and
+# about half of the field draws are admissible, so that many runs get past
+# the config checks.
+_RHO_INSIDE = st.integers(801, 966).map(lambda k: k / 1000)
+_FUZZ_RHO = st.one_of(st.none(), _RHO_INSIDE, st.none(), _RHO_INSIDE, _FUZZ_SCALARS)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(resolution=st.integers(8, 16), rho=_FUZZ_RHO, replace=st.booleans(),
+       path=st.sampled_from(_FUZZ_PATHS), value=_FUZZ_VALUES)
+def test_verify_exit_code_contract_is_total(resolution, rho, replace, path, value):
+    """Whatever rho and one field of the README config hold, at a small mesh
+    resolution, verify returns 0, 1, 2 or 3 and raises nothing."""
+    doc = readme_config()
+    doc["numeric"]["mesh_resolution"] = resolution
+    if rho is not None:
+        doc["numeric"]["rho"] = rho
+    if replace:
+        _replace(doc, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["verify", "--config", str(cfg), "--out", str(Path(tmp) / "v.json")]) in {
             0, 1, 2, 3}
 
 
@@ -261,6 +294,39 @@ class TestAnalyze:
         assert report["warnings"][-1] == (
             "classification refused: entries too large: the squared maximum overflows")
         assert report["fixed_points"]
+
+    @pytest.mark.parametrize("kind", ["leslie_gower", "atkinson_allen"])
+    @pytest.mark.parametrize("i, j", [(i, j) for i in range(3) for j in range(3) if i != j])
+    def test_huge_off_diagonal_entry_has_finite_jacobian(self, config_path, tmp_path, kind, i, j):
+        """An off-diagonal entry of 1e300 squares the growth denominator past
+        the float range; the Jacobian divides by it twice instead, so the
+        analysis runs without an overflow warning."""
+        A = A_CLASS19.copy()
+        A[i, j] = 1e300
+        model = {"kind": kind, "r": [1.0] * 3, "A": A.tolist()}
+        if kind == "atkinson_allen":
+            model["c"] = [0.4] * 3
+        out = tmp_path / "report.json"
+        doc = {"model": model, "seed": 0}
+        assert main(["analyze", "--config", config_path(doc), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["fixed_points"]
+
+    def test_tiny_scale_has_finite_residuals(self, config_path, tmp_path):
+        """README Ricker with A scaled by 1e-200 has its fixed points near
+        1e200; their residual norms are taken without overflow, and the
+        locations scale as A does."""
+        docs = [{"model": {"kind": "ricker", "r": [0.2] * 3, "A": (A_CLASS19 * s).tolist()},
+                 "seed": 0} for s in (1.0, 1e-200)]
+        reports = []
+        for k, doc in enumerate(docs):
+            out = tmp_path / f"report{k}.json"
+            assert main(["analyze", "--config", config_path(doc, f"run{k}.json"),
+                         "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text())["fixed_points"])
+        assert len(reports[0]) == len(reports[1])
+        for a, b in zip(*reports):
+            assert np.allclose(np.multiply(a["location"], 1e200), b["location"],
+                               rtol=1e-12, atol=0.0)
 
     def test_strict_existence_failure_exits_1(self, config_path):
         doc = {

@@ -42,6 +42,7 @@ from csimplex.simplex import (
     barycentric_lattice,
     compute_carrying_simplex,
     directions_from_uv,
+    invariance_residual,
     radial_project,
     surface_distance,
 )
@@ -589,7 +590,8 @@ class TestPullBack:
 
 
 class TestRelabeling:
-    """Relabeling the species permutes the mesh and the stable curve."""
+    """Relabeling the species permutes the mesh and the stable curve, and
+    keeps the invariance residual."""
 
     @pytest.mark.parametrize("kind", ["leslie_gower", "ricker"])
     @pytest.mark.parametrize("k", [0, 3, 11])
@@ -609,6 +611,7 @@ class TestRelabeling:
 
         m, mesh, curve, rep = system(A)
         wn = np.linalg.norm(axial_caps(m))
+        h4 = invariance_residual(m, mesh)
         ends = np.array(sorted(tuple(rep[name]) for name in curve.endpoints))
         for perm in itertools.permutations(range(3)):
             perm = list(perm)
@@ -617,6 +620,7 @@ class TestRelabeling:
             moved = [index[tuple(c[perm])] for c in ij]
             assert np.abs(mesh_p.radii[moved] - mesh.radii).max() <= 1e-14 * wn
             assert mesh_p.sweeps == mesh.sweeps
+            assert abs(invariance_residual(m_p, mesh_p) - h4) <= 1e-14 * wn
             ends_p = np.array(sorted(tuple(np.asarray(rep_p[name])[np.argsort(perm)])
                                      for name in curve_p.endpoints))
             assert np.allclose(ends_p, ends, rtol=0.0, atol=1e-12 * wn)

@@ -68,6 +68,20 @@ def brute_force_surface_distance(mesh: SimplexMesh, p: np.ndarray) -> float:
     return float(np.minimum(best, d_in).min())
 
 
+def initial_plane(m, mesh: SimplexMesh) -> SimplexMesh:
+    """The graph transform's starting surface on mesh's lattice: the plane
+    through the axial fixed points of m."""
+    w = axial_caps(m)
+    U = mesh.directions
+    return SimplexMesh(
+        resolution=mesh.resolution,
+        directions=U,
+        radii=1.0 / (U / w[None, :]).sum(axis=1),
+        triangulation=mesh.triangulation,
+        residual=np.inf,
+    )
+
+
 class TestLattice:
     @pytest.mark.parametrize("N", [4, 9, 16])
     def test_counts(self, N):
@@ -562,23 +576,41 @@ class TestInvariance:
         assert res < max(10 * 1e-8, 5 * h ** 2)
 
     def test_initial_plane_not_invariant(self, class19_lg, class19_mesh):
-        w = axial_caps(class19_lg)
-        U = class19_mesh.directions
-        plane = SimplexMesh(
-            resolution=class19_mesh.resolution,
-            directions=U,
-            radii=1.0 / (U / w[None, :]).sum(axis=1),
-            triangulation=class19_mesh.triangulation,
-            residual=np.inf,
-        )
+        plane = initial_plane(class19_lg, class19_mesh)
         assert invariance_residual(class19_lg, plane) > 1e-3
 
-    def test_surface_distance_matches_oracle(self, class19_mesh):
+    def test_surface_distance_matches_oracle(self, class19_lg, class19_mesh):
+        """Exact on both sides of the ring certificate: points on the surface,
+        radially off it by up to a factor 2, and vertex images, both on the
+        converged mesh and on the initial plane (whose images mostly fail the
+        certificate and take the vertex-ball search)."""
+        wn = np.linalg.norm(axial_caps(class19_lg))
         rng = np.random.default_rng(12)
-        pts = radial_project(class19_mesh, rng.dirichlet(np.ones(3), 5)) * 1.02
-        fast = surface_distance(class19_mesh, pts)
-        for p, d in zip(pts, fast):
-            assert d == pytest.approx(brute_force_surface_distance(class19_mesh, p), abs=2e-4)
+        dirs = rng.dirichlet(np.ones(3), 8)
+        for mesh in (class19_mesh, initial_plane(class19_lg, class19_mesh)):
+            on = radial_project(mesh, dirs)
+            images = class19_lg(mesh.vertices)[rng.choice(mesh.radii.size, 40, replace=False)]
+            pts = np.vstack([on * f for f in (1.0, 1.001, 1.02, 1.05, 1.2, 2.0)] + [images])
+            fast = surface_distance(mesh, pts)
+            for p, d in zip(pts, fast):
+                assert abs(d - brute_force_surface_distance(mesh, p)) <= 1e-15 * wn
+
+    @pytest.mark.parametrize("k", [-40, -3, 3, 40])
+    def test_surface_distance_scales_exactly(self, class19_lg, class19_mesh, k):
+        """Scaling the radii and the points by 2^k scales every distance by
+        exactly 2^k, on rows inside and outside the ring certificate."""
+        rng = np.random.default_rng(4)
+        on = radial_project(class19_mesh, rng.dirichlet(np.ones(3), 50))
+        pts = np.vstack([class19_lg(class19_mesh.vertices), on * 1.001, on * 1.05, on * 2.0])
+        scaled = SimplexMesh(
+            resolution=class19_mesh.resolution,
+            directions=class19_mesh.directions,
+            radii=np.ldexp(class19_mesh.radii, k),
+            triangulation=class19_mesh.triangulation,
+            residual=class19_mesh.residual,
+        )
+        want = np.ldexp(surface_distance(class19_mesh, pts), k)
+        assert np.array_equal(surface_distance(scaled, np.ldexp(pts, k)), want)
 
 
     def test_surface_distance_blocks_match_single_rows(self, class19_lg, class19_mesh):
