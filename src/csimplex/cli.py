@@ -521,6 +521,16 @@ def cmd_verify(run: _Run, out: str | None) -> int:
     checks: dict[str, dict] = {}
     report = {"tool": f"csimplex verify {__version__}", "checks": checks}
 
+    # rho and sigma are config values: check them before any mesh is built
+    split = None
+    if run.interior is not None and run.interior.c1_holds:
+        try:
+            split = pseudo_splitting(
+                m, run.interior.location, rho=cfg.numeric["rho"], sigma=cfg.numeric["sigma"]
+            )
+        except ValueError as exc:
+            raise ConfigError("numeric", str(exc)) from exc
+
     existence = verify_existence(m, grid=cfg.numeric["existence_grid"])
     checks["existence"] = {
         "passed": existence.passed,
@@ -567,14 +577,8 @@ def cmd_verify(run: _Run, out: str | None) -> int:
         for name in ("h1_unordered", "h4_invariance", "h5_localized", "fixed_points_on_surface"):
             checks[name] = no_surface
 
-    if run.interior is not None and run.interior.c1_holds:
+    if split is not None:
         q = run.interior.location
-        try:
-            split = pseudo_splitting(
-                m, q, rho=cfg.numeric["rho"], sigma=cfg.numeric["sigma"]
-            )
-        except ValueError as exc:
-            raise ConfigError("numeric", str(exc)) from exc
         qn = float(np.linalg.norm(q))
         leaf = leaf_contraction_report(
             m, q, split.v, split.rho, radius=_LEAF_RADIUS_REL * qn, rng=rng

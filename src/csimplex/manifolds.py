@@ -480,12 +480,12 @@ def trace_stable_on_S(
     of q, not q, and along e_s that offset is amplified by 1 / (1/lambda_s
     - 1) for the contracting eigenvalue lambda_s near 1; a seed centred on q
     and shorter than the offset sends both branches to one repeller.  So
-    both branches grow from p (_PullBack.fixed_point).  The seed is as long
-    as one step keeps straight: starting from a tenth of the distance from
-    q to the nearer repeller, its length is halved until the steps of
-    p +- h e_s lie within 0.01 tol of the line through p along e_s, and it
-    is never shorter than 1e-6 ||q||.  The attractors are only checked for
-    the 2+2 layout.
+    both branches grow from p (SimplexMesh.pull_back(m).fixed_point).  The
+    seed is as long as one step keeps straight: starting from a tenth of the
+    distance from q to the nearer repeller, its length is halved until the
+    steps of p +- h e_s lie within 0.01 tol of the line through p along e_s,
+    and it is never shorter than 1e-6 ||q||.  The attractors are only
+    checked for the 2+2 layout.
     """
     if len(repellers) != 2 or len(attractors) != 2:
         raise ValueError("need exactly two repellers and two attractors")

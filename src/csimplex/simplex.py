@@ -186,7 +186,7 @@ class SimplexMesh:
             self._cache["rings"] = np.take_along_axis(ring, order, axis=1)[:, :13]
         return self._cache["rings"]
 
-    def pull_back(self, m: CompetitiveMap):
+    def pull_back(self, m: CompetitiveMap) -> "_ImageMesh":
         """The PL inverse of T on the mesh, as a function of point rows.
 
         T maps lattice face f of the mesh onto image face f, whose corners
@@ -197,12 +197,19 @@ class SimplexMesh:
         directions and radii of f's corners.  T restricted to S is a
         homeomorphism, so this is a PL map only when the image faces tile
         the simplex once; raises ManifoldError when the image fails the
-        embedding test of _Transform._locate_warm (a face flat, flipped,
-        NaN or too thin, or a rim vertex off its edge).  The returned
-        callable also has locate (image face and weights of directions) and
-        fixed_point (the PL map's fixed point near a point).
+        embedding test of _ImageMesh (a face flat, flipped, NaN or too thin,
+        or a rim vertex off its edge).  The returned _ImageMesh also has
+        find (image face and weights of directions, by the search that the
+        graph transform uses) and fixed_point (the PL map's fixed point near
+        a point).
         """
-        return _PullBack(self, m)
+        from .manifolds import ManifoldError  # manifolds imports this module
+
+        image = _ImageMesh(m(self.vertices), self.directions, self.radii, self.triangulation,
+                           self._incident_faces(), self.resolution)
+        if not image.embedded:
+            raise ManifoldError("the image of the mesh under T is not embedded")
+        return image
 
     def to_json(self) -> dict:
         return {
@@ -317,20 +324,21 @@ def _barycentric_2d(q: np.ndarray, t0: np.ndarray, t1: np.ndarray, t2: np.ndarra
     """Barycentric coordinates (c0, c1, c2) of 2-D points q in triangles
     (t0, t1, t2).  Axis 0 of every argument holds the two coordinates; the
     remaining axes broadcast together."""
-    return _barycentric_from_edges(q, t0, *_triangle_edges(t0, t1, t2))
+    e1, e2, d = _triangle_edges(t0, t1, t2)
+    return _barycentric_from_edges(q, t0, e1, e2, np.where(d == 0.0, 1e-300, d))
 
 
 def _triangle_edges(t0: np.ndarray, t1: np.ndarray, t2: np.ndarray):
     """The edges e1 = t1 - t0 and e2 = t2 - t0 of triangles, and twice their
-    signed area (1e-300 where it is zero), as _barycentric_2d uses them."""
+    signed area."""
     e1 = t1 - t0
     e2 = t2 - t0
-    d = e1[0] * e2[1] - e2[0] * e1[1]
-    return e1, e2, np.where(d == 0.0, 1e-300, d)
+    return e1, e2, e1[0] * e2[1] - e2[0] * e1[1]
 
 
 def _barycentric_from_edges(q, t0, e1, e2, d):
-    """_barycentric_2d from the triangles' first corners and _triangle_edges."""
+    """_barycentric_2d from the triangles' first corners, their edges and
+    twice their signed area (nonzero)."""
     r0 = q[0] - t0[0]
     r1 = q[1] - t0[1]
     c1 = (r0 * e2[1] - e2[0] * r1) / d
@@ -343,31 +351,12 @@ def _barycentric_from_edges(q, t0, e1, e2, d):
 _FOUND_TOL = 1e-6
 
 
-def _interior_queries(N: int) -> tuple[np.ndarray, np.ndarray]:
+def _interior_queries(N: int) -> np.ndarray:
     """The interior lattice directions (i/N, j/N), 1 <= i, j and
-    i + j <= N - 1, in index order: as lattice coordinates (2, Q) and as
-    direction coordinates (2, Q)."""
+    i + j <= N - 1, in index order, as direction coordinates (2, Q)."""
     # the interior points are the lattice of N - 3 shifted by (1, 1)
     qi, qj = _lattice_ij(N - 3)
-    ij = np.stack([qi + 1, qj + 1])
-    return ij, ij / N
-
-
-def _scan_box(t_min: np.ndarray, t_max: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """First and last lattice coordinates (2, F) of the queries that the scan
-    pairs with each face, from the faces' coordinate ranges t_min, t_max
-    (2, F).  The bounding box is padded so that no point with every
-    barycentric weight >= -_FOUND_TOL is left out; NaN for a face with a NaN
-    coordinate."""
-    # lattice-index units: the queries sit on the integer points (i, j)
-    lo = t_min * N
-    hi = t_max * N
-    # a point whose barycentric weights are all >= -eps lies at most 2 eps
-    # times the extent of the box outside it
-    pad = 1e-5 * (hi - lo) + 1e-9
-    first = np.maximum(np.ceil(lo - pad), 1.0)
-    last = np.minimum(np.floor(hi + pad), N - 2.0)
-    return first, last
+    return np.stack([qi + 1, qj + 1]) / N
 
 
 def _locate_interior(P: np.ndarray, faces: np.ndarray, N: int):
@@ -376,20 +365,27 @@ def _locate_interior(P: np.ndarray, faces: np.ndarray, N: int):
     ``P`` (2, M) holds the first two coordinates of the image direction of
     every lattice vertex.  The queries are the interior lattice directions
     (see _interior_queries).  Each face is scattered onto the lattice points
-    of its padded bounding box (_scan_box); every query keeps the face with
-    the largest minimum barycentric weight, the lowest face index on ties.
-    This is the argmax over all faces that an exhaustive scan computes,
+    of its bounding box, padded so that no point with every barycentric
+    weight >= -_FOUND_TOL is left out; every query keeps the face with the
+    largest minimum barycentric weight, the lowest face index on ties.  This
+    is the argmax over all faces that an exhaustive scan computes,
     restricted to the faces that can pass.
 
     Returns (face (Q,), barycentric weights (Q, 3), found (Q,)); a query that
     no face covers within -_FOUND_TOL has found = False.
     """
-    queries = _interior_queries(N)[1]
+    queries = _interior_queries(N)
     Q = queries.shape[1]
     # (coordinate, corner, face); np.take is much faster here than indexing
     T = np.take(P, faces.T, axis=1)
-    first, last = _scan_box(T.min(axis=1), T.max(axis=1), N)
-    span = last - first + 1.0
+    # lattice-index units: the queries sit on the integer points (i, j)
+    lo = T.min(axis=1) * N
+    hi = T.max(axis=1) * N
+    # a point whose barycentric weights are all >= -eps lies at most 2 eps
+    # times the extent of the box outside it
+    pad = 1e-5 * (hi - lo) + 1e-9
+    first = np.maximum(np.ceil(lo - pad), 1.0)
+    span = np.minimum(np.floor(hi + pad), N - 2.0) - first + 1.0
     hit = np.nonzero((span[0] > 0) & (span[1] > 0))[0]  # NaN spans fail too
     nj = span[1, hit].astype(np.intp)
     count = span[0, hit].astype(np.intp) * nj
@@ -419,26 +415,14 @@ def _locate_interior(P: np.ndarray, faces: np.ndarray, N: int):
     return face, bary, found
 
 
-# The warm-started locator keeps a query's face when its barycentric weights
-# there all exceed _WARM_EPS, and it accepts an image only if rounding moves
-# no face's weights by _WARM_EPS or more (see _Transform._locate_warm).
+# _ImageMesh.locate certifies a face when the direction's barycentric weights
+# there all exceed _WARM_EPS, or exceed -_WARM_EPS far enough inside a vertex
+# star; an image is embedded only if rounding moves no face's weights by
+# _WARM_EPS or more.
 _WARM_EPS = 1e-9
 # units of roundoff in that bound; 45 suffice for the arithmetic of
 # _barycentric_2d
 _ROUNDING = 64 * np.finfo(float).eps / 2
-
-
-def _embedded_extents(T: np.ndarray) -> np.ndarray | None:
-    """sx + sy per face of the image triangles T (coordinate, corner, face)
-    when every face passes the embedding test of _Transform._locate_warm,
-    else None."""
-    e1 = T[:, 1] - T[:, 0]
-    e2 = T[:, 2] - T[:, 0]
-    d = e1[0] * e2[1] - e2[0] * e1[1]
-    sx, sy = np.abs(e1) + np.abs(e2)
-    if not np.all(_WARM_EPS * d > _ROUNDING * (6.0 * sx * sy + 1e-9 * (sx + sy))):
-        return None  # a face that is flat, flipped, NaN or too thin to trust
-    return sx + sy
 
 
 def _image(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -453,6 +437,177 @@ def _image(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, Y / s[:, None]
 
 
+class _ImageMesh:
+    """The images Y under T of the vertices of a lattice mesh (directions U,
+    radii, faces with their vertex incidence, resolution N), seen as the
+    triangles of their directions: image face f has the image directions of
+    the corners of lattice face f.  The graph transform's sweep locates its
+    rays among these faces, and as the PL inverse of T on a mesh
+    (SimplexMesh.pull_back) the object maps points back onto the mesh.
+
+    ``s`` and ``D`` are the images' coordinate sums and directions (see
+    _image), ``P`` (2, M) the directions' first two coordinates, and
+    ``edges`` (7, F) holds per face its first corner, its edges e1 and e2
+    from that corner and twice its signed area.
+
+    Embedding.  ``embedded`` holds when every rim vertex of the lattice maps
+    onto its edge of the simplex (its zero coordinates stay exactly zero)
+    and every face passes a rounding test.  With (sx, sy) the sums of the
+    absolute coordinate differences along a face's two edges (bounds on its
+    coordinate ranges) and d twice its signed area, the minimum weight that
+    _barycentric_2d computes for the face at a point of its bounding box,
+    padded as _locate_interior pads it, is within _ROUNDING (6 sx sy +
+    1e-9 (sx + sy)) / d of the exact one, or below -1/4 where that is
+    negative; outside that box some weight is below -_FOUND_TOL.  Every face
+    must be positively oriented and have this bound under _WARM_EPS.  The
+    image of the rim then winds once around every interior direction, so the
+    faces cover a neighbourhood of it exactly once: a direction inside one
+    face is outside every other.
+    """
+
+    def __init__(self, Y, U, radii, faces, incidence, N):
+        self.U, self.radii, self.faces, self.incidence, self.N = U, radii, faces, incidence, N
+        self.s, self.D = _image(Y)
+        self.P = np.ascontiguousarray(self.D[:, :2].T)
+        # (coordinate, corner, face), as in _locate_interior
+        T = np.take(self.P, faces.T, axis=1)
+        e1, e2, d = _triangle_edges(T[:, 0], T[:, 1], T[:, 2])
+        sx, sy = np.abs(e1) + np.abs(e2)
+        self.embedded = bool(
+            np.all(Y[U == 0.0] == 0.0)
+            and np.all(_WARM_EPS * d > _ROUNDING * (6.0 * sx * sy + 1e-9 * (sx + sy)))
+        )
+        self.diam = np.max(sx + sy)  # bounds every face's diameter
+        self.edges = np.concatenate([T[:, 0], e1, e2, d[None]])
+
+    def _weights(self, q, faces):
+        """Barycentric weights (c0, c1, c2) of directions q (2, ...) in the
+        image faces (...), with the smallest of them."""
+        g = np.take(self.edges, faces, axis=1)
+        c = _barycentric_from_edges(q, g[0:2], g[2:4], g[4:6], g[6])
+        return c, np.minimum(np.minimum(c[0], c[1]), c[2])
+
+    def locate(self, q: np.ndarray, guess: np.ndarray):
+        """Face, barycentric weights (m, 3) and a certified mask (m,) for the
+        directions q (2, m; first two coordinates), searched from the guessed
+        faces (m,).  The image must be embedded.
+
+        1. A row whose computed weights in its guess all exceed _WARM_EPS
+           lies strictly inside it (the rounding bound holds there, since
+           those weights are below 2 in size).  Every other face has a
+           negative exact minimum weight there, so a computed one below
+           _WARM_EPS: the guess is certified.
+        2. The other rows take the best face of the guess's one-ring R (the
+           faces that share a vertex with it): the largest minimum weight m,
+           lowest face index on ties.  It is certified when m > _WARM_EPS,
+           as in 1, or when m > -_WARM_EPS and the row lies D >= 16
+           _WARM_EPS diam from the rim of the star (the union of the faces)
+           of a vertex that the best face shares with the guess.  That rim
+           is made of the edges opposite the vertex and the edges of the
+           simplex, whose distance is min(u1, u2, (1 - u1 - u2) / sqrt 2).
+           The row is then inside that star, which R contains, and a face
+           outside R has exact minimum weight <= -D / (2 diam), so a
+           computed one below -_WARM_EPS < m.
+
+        A certified row's face and weights are therefore those of the argmax
+        of the minimum weight over all faces, lowest face index on ties: what
+        _locate_interior and a scan of every face compute, bit for bit.
+        """
+        face = guess.copy()
+        c, low = self._weights(q, guess)
+        bary = np.stack(c, axis=1)
+        certified = low > _WARM_EPS
+        rest = np.nonzero(~certified)[0]
+        if rest.size == 0:
+            return face, bary, certified
+        faces = self.faces
+        own = faces[guess[rest]]  # (row, vertex of the guess)
+        star = self.incidence[own]  # (row, vertex, face): the stars of those vertices
+        ring = star.reshape(rest.size, -1)
+        q = q[:, rest]
+        c, score = self._weights(q[:, :, None], ring)  # (row, face)
+        best = score.max(axis=1)
+        rows = np.arange(rest.size)
+        col = np.argmin(np.where(score == best[:, None], ring, faces.shape[0]), axis=1)
+        win = ring[rows, col]
+        face[rest] = win
+        bary[rest] = np.stack([ci[rows, col] for ci in c], axis=1)
+        inside = best > _WARM_EPS
+        if not inside.all():
+            # the rim of a guess vertex's star: the edges opposite the vertex
+            # in its faces, and the edges of the simplex
+            P = self.P
+            corners = faces[star]  # (row, vertex, face, corner)
+            at = np.argmax(corners == own[..., None, None], axis=-1)[..., None]
+            a = np.take(P, np.take_along_axis(corners, (at + 1) % 3, axis=-1)[..., 0], axis=1)
+            e = np.take(P, np.take_along_axis(corners, (at + 2) % 3, axis=-1)[..., 0], axis=1) - a
+            r = q[:, :, None, None] - a
+            t = np.clip((r * e).sum(axis=0) / (e * e).sum(axis=0), 0.0, 1.0)
+            rim = np.minimum(np.minimum(q[0], q[1]), (1.0 - q[0] - q[1]) / np.sqrt(2.0))
+            dist = np.minimum(np.hypot(*(r - t * e)).min(axis=-1), rim[:, None])
+            # take the star of a guess vertex that the best face shares
+            shared = (own[:, :, None] == faces[win][:, None, :]).any(axis=-1)
+            dist = np.where(shared, dist, 0.0).max(axis=1)
+            inside |= (best > -_WARM_EPS) & (dist >= 16.0 * _WARM_EPS * self.diam)
+        certified[rest] = inside
+        return face, bary, certified
+
+    def find(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Image face and barycentric weights (m, 3) of each direction row of
+        U: locate from the lattice face that contains the row (for an orbit,
+        the face of its previous step), then, for the rows that it leaves
+        uncertified, the argmax of the minimum weight over every face,
+        lowest face index on ties."""
+        q = U[:, :2].T
+        face, c, certified = self.locate(q, _regular_face(U, self.N)[0])
+        rest = np.nonzero(~certified)[0]
+        if rest.size:
+            c_all, score = self._weights(q[:, rest, None], np.arange(self.faces.shape[0]))
+            col = np.argmax(score, axis=1)
+            face[rest] = col
+            c[rest] = np.stack([ci[np.arange(rest.size), col] for ci in c_all], axis=1)
+        return face, c
+
+    def fixed_point(self, x: np.ndarray) -> np.ndarray:
+        """The fixed point of the PL map near the point x, as a point of the
+        mesh.  On image face f the direction map is affine: with t0 and the
+        edges (e1, e2) of f and the corners U_k of lattice face f, a
+        direction v (first two coordinates) maps to U_0 + W B (v - t0),
+        where W = [U_1 - U_0, U_2 - U_0] and B = [e1, e2]^-1, so its fixed
+        point on f solves one 2 x 2 system.  The search starts on the face
+        that contains x's direction and moves to the face that contains
+        each solution outside its face; raises ManifoldError when 16 such
+        moves do not settle."""
+        from .manifolds import ManifoldError  # manifolds imports this module
+
+        x = np.asarray(x, dtype=float)
+        v = x[:2] / x.sum()
+        for _ in range(16):
+            f = self.find(np.append(v, 1.0 - v.sum())[None, :])[0][0]
+            t0, e1, e2, d = np.split(self.edges[:, f], [2, 4, 6])
+            B = np.array([[e2[1], -e2[0]], [-e1[1], e1[0]]]) / d
+            corners = self.U[self.faces[f], :2]
+            L = (corners[1:] - corners[0]).T @ B
+            try:
+                v = np.linalg.solve(np.eye(2) - L, corners[0] - L @ t0)
+            except np.linalg.LinAlgError as exc:
+                raise ManifoldError(f"the PL map has multiplier 1 on face {f}") from exc
+            c = B @ (v - t0)
+            if min(c[0], c[1], 1.0 - c[0] - c[1]) >= -_WARM_EPS:
+                return self(np.append(v, 1.0 - v.sum())[None, :])[0]
+        raise ManifoldError(f"the PL map has no fixed point near {x}")
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        """The PL inverse of T at the point rows X (see SimplexMesh.pull_back)."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        face, b = self.find(X / X.sum(axis=1, keepdims=True))
+        b = np.maximum(b, 0.0)
+        b /= b.sum(axis=1, keepdims=True)
+        corners = self.faces[face]
+        num = np.einsum("ik,ikj->ij", b, self.U[corners])
+        return num / (b / self.radii[corners]).sum(axis=1, keepdims=True)
+
+
 class _Transform:
     """One prepared graph-transform pass: lattice bookkeeping reused across sweeps."""
 
@@ -463,7 +618,6 @@ class _Transform:
         self.N = N
         self.U = barycentric_lattice(N)
         self.faces = lattice_triangulation(N)
-        self.corners = np.ascontiguousarray(self.faces.T)  # (corner, face)
         self.unorm = np.linalg.norm(self.U, axis=1)
         corner_mask = np.max(self.U, axis=1) == 1.0
         self.corner_idx = np.nonzero(corner_mask)[0]
@@ -474,105 +628,23 @@ class _Transform:
             self.edges.append((axis, full, np.nonzero(on)[0]))
         self.interior_idx = np.nonzero(np.min(self.U, axis=1) > 0.0)[0]
         self.incidence = _vertex_faces(self.faces, self.U.shape[0])
-        self.ij, self.queries = _interior_queries(N)
+        self.queries = _interior_queries(N)
         self.face = None  # the previous sweep's face per interior query
         self.full_scans = 0  # sweeps located by the exhaustive scan
 
-    def locate(self, P: np.ndarray, rim_on_edges: bool):
-        """_locate_interior(P, faces, N), from the previous sweep's faces
-        where that can be certified and by the exhaustive scan otherwise."""
-        located = None
-        if self.face is not None and rim_on_edges:
-            located = self._locate_warm(P)
-        if located is None:
-            located = _locate_interior(P, self.faces, self.N)
-            self.full_scans += 1
+    def locate(self, image: _ImageMesh):
+        """_locate_interior(image.P, faces, N), from the previous sweep's
+        faces when the image is embedded and every query is certified there
+        (see _ImageMesh.locate), and by the exhaustive scan otherwise."""
+        if self.face is not None and image.embedded:
+            located = image.locate(self.queries, self.face)
+            if located[2].all():
+                self.face = located[0]
+                return located
+        located = _locate_interior(image.P, self.faces, self.N)
+        self.full_scans += 1
         self.face = located[0]
         return located
-
-    def _locate_warm(self, P: np.ndarray):
-        """_locate_interior's result, found from the previous sweep's face of
-        each query, or None unless it is certified for every query.
-
-        The caller checks that each rim vertex of the lattice maps onto its
-        edge of the simplex (its zero coordinates stay exactly zero).
-
-        Embedding.  With (sx, sy) the sums of the absolute coordinate
-        differences along a face's two edges from its first corner (bounds on
-        its coordinate ranges) and d twice its signed area, the minimum
-        weight that _barycentric_2d computes for the face at a query of its
-        scan box (_scan_box) is within _ROUNDING * (6 sx sy + 1e-9 (sx + sy))
-        / d of the exact one, or below -1/4 where that is negative.  Every
-        face must be positively oriented and have this bound under _WARM_EPS.
-        The image of the rim then winds once around every query, so the
-        faces cover a neighbourhood of each query exactly once: a query
-        inside one face is outside every other.
-
-        1. A query whose computed weights in its guess all exceed _WARM_EPS
-           lies strictly inside it (the same bound holds there, since those
-           weights are below 2 in size).  Every other face that the scan
-           pairs with it has a negative exact minimum weight, so a computed
-           one below _WARM_EPS: the guess is the argmax.
-        2. The other queries take the argmax over the faces of the guess's
-           one-ring R (the faces that share a vertex with it) that the scan
-           pairs with them, lowest face index on ties.  It is accepted if its
-           minimum weight m > -_WARM_EPS and the query lies D >=
-           16 _WARM_EPS diam from the rim of the star (the union of the
-           faces) of a vertex that the winner shares with the guess, where
-           diam bounds every face's diameter.  The query is then inside that
-           star, which R contains, and a face outside R has exact minimum
-           weight <= -D / (2 diam), so a computed one below -_WARM_EPS < m:
-           the argmax over R is the argmax over all faces.
-        """
-        faces, guess, queries = self.faces, self.face, self.queries
-        # (coordinate, corner, face), as in _locate_interior
-        T = np.take(P, self.corners, axis=1)
-        extents = _embedded_extents(T)
-        if extents is None:
-            return None
-        T_guess = np.take(T, guess, axis=2)
-        c = _barycentric_2d(queries, T_guess[:, 0], T_guess[:, 1], T_guess[:, 2])
-        face = guess.copy()
-        bary = np.stack(c, axis=1)
-        rest = np.nonzero(~(np.minimum(np.minimum(c[0], c[1]), c[2]) > _WARM_EPS))[0]
-        if rest.size == 0:
-            return face, bary, np.ones(face.size, dtype=bool)
-        if rest.size > face.size // 8:
-            return None  # a moved query costs about as much as eight in the scan
-
-        own = faces[guess[rest]]  # (query, vertex of the guess)
-        star = self.incidence[own]  # (query, vertex, face): the stars of those vertices
-        ring = star.reshape(rest.size, -1)
-        T_ring = np.take(T, ring, axis=2)  # (coordinate, corner, query, face)
-        c = _barycentric_2d(queries[:, rest, None], T_ring[:, 0], T_ring[:, 1], T_ring[:, 2])
-        first, last = _scan_box(T_ring.min(axis=1), T_ring.max(axis=1), self.N)
-        ij = self.ij[:, rest, None]
-        paired = np.all((first <= ij) & (ij <= last), axis=0)
-        score = np.where(paired, np.minimum(np.minimum(c[0], c[1]), c[2]), -np.inf)
-        best = score.max(axis=1)
-        rows = np.arange(rest.size)
-        col = np.argmin(np.where(score == best[:, None], ring, faces.shape[0]), axis=1)
-        win = ring[rows, col]
-
-        # the rim of a guess vertex's star: the edges opposite the vertex in
-        # its faces, and the edges of the simplex
-        corners = faces[star]  # (query, vertex, face, corner)
-        at = np.argmax(corners == own[..., None, None], axis=-1)[..., None]
-        a = np.take(P, np.take_along_axis(corners, (at + 1) % 3, axis=-1)[..., 0], axis=1)
-        e = np.take(P, np.take_along_axis(corners, (at + 2) % 3, axis=-1)[..., 0], axis=1) - a
-        r = queries[:, rest, None, None] - a
-        t = np.clip((r * e).sum(axis=0) / (e * e).sum(axis=0), 0.0, 1.0)
-        # the queries lie at least 1 / (N sqrt 2) from the simplex's edges
-        dist = np.minimum(np.hypot(*(r - t * e)).min(axis=-1), 0.5 / self.N)
-        # take the star of a guess vertex that the winner shares
-        shared = (own[:, :, None] == faces[win][:, None, :]).any(axis=-1)
-        dist = np.where(shared, dist, 0.0).max(axis=1)
-        diam = np.max(extents)
-        if not np.all((best > -_WARM_EPS) & (dist >= 16.0 * _WARM_EPS * diam)):
-            return None
-        face[rest] = win
-        bary[rest] = np.stack([ci[rows, col] for ci in c], axis=1)
-        return face, bary, np.ones(face.size, dtype=bool)
 
     def sweep(self, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map the surface forward and re-sample it radially.
@@ -583,9 +655,9 @@ class _Transform:
         whose interpolation touches a vertex without a valid image (see
         _image), means a non-finite image, and its radius is NaN.
         """
-        V = radii[:, None] * self.U
-        Y = self.m(V)
-        s, D = _image(Y)
+        image = _ImageMesh(self.m(radii[:, None] * self.U), self.U, radii, self.faces,
+                           self.incidence, self.N)
+        s, D = image.s, image.D
         new = np.full_like(radii, np.nan)
 
         # corners: the axis dynamics is 1-D, the image stays on the axis
@@ -601,8 +673,7 @@ class _Transform:
             )
 
         # interior: 2-D point location among image-direction triangles
-        rim_on_edges = all(np.all(Y[full_idx, axis] == 0.0) for axis, full_idx, _ in self.edges)
-        face_pick, best_bary, ok = self.locate(D[:, :2].T.copy(), rim_on_edges)
+        face_pick, best_bary, ok = self.locate(image)
         if not ok.all():
             face_pick, best_bary = face_pick[ok], best_bary[ok]
         c = np.clip(best_bary, 0.0, None)
@@ -637,92 +708,6 @@ def _rim_radii(alpha: np.ndarray, s: np.ndarray, queries: np.ndarray) -> np.ndar
         hi = np.maximum(a[before], a[after])[:, None]
         g[np.any((lo <= queries) & (queries <= hi), axis=0)] = np.nan
     return 1.0 / g
-
-
-class _PullBack:
-    """The PL inverse of T on a mesh (see SimplexMesh.pull_back)."""
-
-    def __init__(self, mesh: "SimplexMesh", m: CompetitiveMap):
-        from .manifolds import ManifoldError  # manifolds imports this module
-
-        self.N = mesh.resolution
-        self.U = mesh.directions
-        self.radii = mesh.radii
-        self.faces = mesh.triangulation
-        self.incidence = mesh._incident_faces()
-        Y = m(mesh.vertices)
-        _, D = _image(Y)
-        # (coordinate, corner, face), as in _locate_interior
-        T = np.take(D[:, :2].T, self.faces.T, axis=1)
-        if not np.all(Y[self.U == 0.0] == 0.0) or _embedded_extents(T) is None:
-            raise ManifoldError("the image of the mesh under T is not embedded")
-        # per face: first corner (2), edges (2 + 2) and twice the area
-        e1, e2, d = _triangle_edges(T[:, 0], T[:, 1], T[:, 2])
-        self.edges = np.concatenate([T[:, 0], e1, e2, d[None]])
-
-    def locate(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Image face and barycentric weights (m, 3) of each direction row of
-        U.  The first search covers the lattice face that contains the row
-        (for an orbit, the face of its previous step) and its one-ring, the
-        faces that share a vertex with it; a face is accepted there only
-        when every weight exceeds _WARM_EPS.  The other rows take the argmax
-        of the minimum weight over all faces, lowest face index on ties.
-        The image is embedded, so at most one face has every weight above
-        _WARM_EPS, and it is that argmax (see _Transform._locate_warm)."""
-        q = U[:, :2].T
-        rows = np.arange(U.shape[0])
-        ring = self.incidence[self.faces[_regular_face(U, self.N)[0]]].reshape(rows.size, -1)
-        g = self.edges[:, ring]  # (quantity, row, face)
-        c = np.stack(_barycentric_from_edges(q[:, :, None], g[0:2], g[2:4], g[4:6], g[6]), axis=-1)
-        inside = c.min(axis=-1) > _WARM_EPS
-        col = np.argmax(inside, axis=1)
-        face, c = ring[rows, col], c[rows, col]
-        rest = np.nonzero(~inside[rows, col])[0]
-        if rest.size:
-            g = self.edges[:, None, :]
-            c_all = np.stack(_barycentric_from_edges(q[:, rest, None], g[0:2], g[2:4], g[4:6], g[6]), axis=-1)
-            col = np.argmax(c_all.min(axis=-1), axis=1)
-            face[rest] = col
-            c[rest] = c_all[np.arange(rest.size), col]
-        return face, c
-
-    def fixed_point(self, x: np.ndarray) -> np.ndarray:
-        """The fixed point of the PL map near the point x, as a point of the
-        mesh.  On image face f the direction map is affine: with t0 and the
-        edges (e1, e2) of f and the corners U_k of lattice face f, a
-        direction v (first two coordinates) maps to U_0 + W B (v - t0),
-        where W = [U_1 - U_0, U_2 - U_0] and B = [e1, e2]^-1, so its fixed
-        point on f solves one 2 x 2 system.  The search starts on the face
-        that contains x's direction and moves to the face that contains
-        each solution outside its face; raises ManifoldError when 16 such
-        moves do not settle."""
-        from .manifolds import ManifoldError
-
-        x = np.asarray(x, dtype=float)
-        v = x[:2] / x.sum()
-        for _ in range(16):
-            f = self.locate(np.append(v, 1.0 - v.sum())[None, :])[0][0]
-            t0, e1, e2, d = np.split(self.edges[:, f], [2, 4, 6])
-            B = np.array([[e2[1], -e2[0]], [-e1[1], e1[0]]]) / d
-            corners = self.U[self.faces[f], :2]
-            L = (corners[1:] - corners[0]).T @ B
-            try:
-                v = np.linalg.solve(np.eye(2) - L, corners[0] - L @ t0)
-            except np.linalg.LinAlgError as exc:
-                raise ManifoldError(f"the PL map has multiplier 1 on face {f}") from exc
-            c = B @ (v - t0)
-            if min(c[0], c[1], 1.0 - c[0] - c[1]) >= -_WARM_EPS:
-                return self(np.append(v, 1.0 - v.sum())[None, :])[0]
-        raise ManifoldError(f"the PL map has no fixed point near {x}")
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        face, b = self.locate(X / X.sum(axis=1, keepdims=True))
-        b = np.maximum(b, 0.0)
-        b /= b.sum(axis=1, keepdims=True)
-        corners = self.faces[face]
-        num = np.einsum("ik,ikj->ij", b, self.U[corners])
-        return num / (b / self.radii[corners]).sum(axis=1, keepdims=True)
 
 
 def compute_carrying_simplex(

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import csimplex
+from csimplex import cli
 from csimplex.cli import _NUMERIC_SCHEMA, RunConfig, main
 from conftest import A_CLASS19, ANCHOR_MATRICES
 
@@ -144,6 +145,17 @@ class TestConfigValidation:
         assert main(["verify", "--config", config_path(doc)]) == 2
         assert "rho must lie in" in capsys.readouterr().err
 
+    def test_rho_is_checked_before_the_mesh(self, config_path, capsys, monkeypatch):
+        """verify refuses a bad rho without building a mesh."""
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("the mesh was built")
+
+        monkeypatch.setattr(cli, "compute_carrying_simplex", no_mesh)
+        doc = readme_config()
+        doc["numeric"]["rho"] = 0.5
+        assert main(["verify", "--config", config_path(doc)]) == 2
+        assert "rho must lie in" in capsys.readouterr().err
+
     def test_small_resolution_exits_2(self, config_path):
         doc = anchor_config(numeric={"mesh_resolution": 4})
         assert main(["analyze", "--config", config_path(doc)]) == 2
@@ -254,6 +266,31 @@ def test_verify_exit_code_contract_is_total(resolution, rho, replace, path, valu
         cfg.write_text(json.dumps(doc))
         assert main(["verify", "--config", str(cfg), "--out", str(Path(tmp) / "v.json")]) in {
             0, 1, 2, 3}
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(resolution=st.integers(8, 16), replace=st.booleans(),
+       path=st.sampled_from(_FUZZ_PATHS), value=_FUZZ_VALUES)
+def test_simplex_and_portrait_exit_code_contract_is_total(resolution, replace, path, value):
+    """Whatever one field of the README config holds, at a small mesh
+    resolution and a 24-cell basin raster, simplex and then portrait on the
+    mesh that simplex wrote return 0, 1, 2 or 3 and raise nothing.  About
+    half the draws keep the config as it is, so that many runs get past the
+    config checks."""
+    doc = readme_config()
+    doc["numeric"].update(mesh_resolution=resolution, basin_raster=24)
+    if replace:
+        _replace(doc, path, value)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # output paths in the config are relative
+        try:
+            Path("run.json").write_text(json.dumps(doc))
+            assert main(["simplex", "--config", "run.json", "--out", "m.json"]) in {0, 1, 2, 3}
+            assert main(["portrait", "--config", "run.json", "--mesh", "m.json",
+                         "--out", "p.svg"]) in {0, 1, 2, 3}
+        finally:
+            os.chdir(cwd)
 
 
 class TestAnalyze:

@@ -33,10 +33,10 @@ from csimplex.manifolds import (
     _saddle_eigendirection,
     _second_derivative_bound,
 )
-from csimplex.models import make_custom
+from csimplex.models import ParameterSet, make_custom, make_ricker
+from csimplex.portrait import basin_raster
 from csimplex.simplex import (
     SimplexMesh,
-    _WARM_EPS,
     _barycentric_2d,
     _locate_regular,
     barycentric_lattice,
@@ -538,18 +538,21 @@ class TestPullBack:
 
     @pytest.mark.parametrize("system", [("leslie_gower", 0), ("ricker", 4), ("atkinson_allen", 9)])
     def test_warm_search_matches_exhaustive_scan(self, system):
-        """On the stable curve's points, random directions and the vertices'
-        image directions (corners of image faces, which only the scan
-        resolves), the face and weights found from the lattice face and its
-        one-ring are those of the argmax over every image face, bit for bit.
-        Each of the three searches is taken by some of the rows."""
+        """On the stable curve's points, random directions, directions next
+        to the simplex's edge u1 = 0 and the vertices' image directions
+        (corners of image faces), the face and weights found from the
+        lattice face and its one-ring are those of the argmax over every
+        image face, bit for bit.  Each of the three searches (the lattice
+        face, its one-ring, every face) is taken by some of the rows."""
         m, q, att, rep, mesh = anchor_system(*system, resolution=32)
         pull = mesh.pull_back(m)
         curve = trace_stable_on_S(m, mesh, q, rep, att)
         rng = np.random.default_rng(5)
-        X = np.vstack([curve.points, rng.dirichlet(np.ones(3), 400), m(mesh.vertices[::7])])
+        near_edge = rng.dirichlet(np.ones(3), 100) * [1e-5, 1.0, 1.0]
+        X = np.vstack([curve.points, rng.dirichlet(np.ones(3), 400), near_edge,
+                       m(mesh.vertices[::7])])
         U = X / X.sum(axis=1, keepdims=True)
-        face, c = pull.locate(U)
+        face, c = pull.find(U)
 
         Y = m(mesh.vertices)
         P = (Y[:, :2] / Y.sum(axis=1, keepdims=True)).T
@@ -560,12 +563,10 @@ class TestPullBack:
         assert np.array_equal(c, c_all[np.arange(U.shape[0]), want])
 
         guess = _locate_regular(U, mesh.resolution)[0]
-        ring = mesh._incident_faces()[mesh.triangulation[guess]].reshape(U.shape[0], -1)
-        in_ring = (ring == face[:, None]).any(axis=1)
-        certified = c.min(axis=1) > _WARM_EPS
+        certified = pull.locate(U[:, :2].T, guess)[2]
         assert np.any(certified & (face == guess))
-        assert np.any(certified & in_ring & (face != guess))
-        assert np.any(~(certified & in_ring))
+        assert np.any(certified & (face != guess))
+        assert np.any(~certified)
 
     @pytest.mark.parametrize("system", [("leslie_gower", 0), ("ricker", 4)])
     def test_fixed_point_converges_to_q(self, system):
@@ -624,6 +625,41 @@ class TestRelabeling:
             ends_p = np.array(sorted(tuple(np.asarray(rep_p[name])[np.argsort(perm)])
                                      for name in curve_p.endpoints))
             assert np.allclose(ends_p, ends, rtol=0.0, atol=1e-12 * wn)
+
+
+class TestPowerOfTwoScale:
+    """Scaling A by 2^k scales every location by 2^-k exactly, so with the
+    mesh and basin tolerances scaled by 2^-k too, the mesh, both curves
+    and the basin raster are those of A, scaled."""
+
+    @staticmethod
+    def system(kind, A, k):
+        A = np.ldexp(np.asarray(A, dtype=float), k)
+        if kind == "readme":
+            m = make_ricker(ParameterSet(r=np.full(3, 0.2), A=A))
+        else:
+            m = build_model(kind, A)
+        recs = find_all_fixed_points(m)
+        q = next(r for r in recs if r.support_type == "interior").location
+        att, rep = boundary_sets(recs)
+        mesh = compute_carrying_simplex(m, resolution=24, tol=np.ldexp(1e-8, -k))
+        return (
+            mesh,
+            trace_stable_on_S(m, mesh, q, rep, att),
+            trace_unstable(m, q, att),
+            basin_raster(m, mesh, att, resolution=41, tol=np.ldexp(manifolds.DEFAULT_BASIN_TOL, -k)),
+        )
+
+    @pytest.mark.parametrize("kind, A", [("readme", A_CLASS19), ("leslie_gower", ANCHOR_MATRICES[0][1])])
+    def test_mesh_curves_and_raster_scale_exactly(self, kind, A):
+        mesh, stable, unstable, raster = self.system(kind, A, 0)
+        for k in (-40, -3, 3, 40):
+            mesh_k, stable_k, unstable_k, raster_k = self.system(kind, A, k)
+            assert np.array_equal(mesh_k.radii, np.ldexp(mesh.radii, -k))
+            assert (mesh_k.sweeps, mesh_k.full_scans) == (mesh.sweeps, mesh.full_scans)
+            assert np.array_equal(stable_k.points, np.ldexp(stable.points, -k))
+            assert np.array_equal(unstable_k.points, np.ldexp(unstable.points, -k))
+            assert np.array_equal(raster_k.labels, raster.labels)
 
 
 class TestLeafContraction:

@@ -27,6 +27,7 @@ from csimplex.simplex import (
     unordered_check,
     _DISTANCE_BLOCK,
     _FOUND_TOL,
+    _ImageMesh,
     _Transform,
     _barycentric_2d,
     _locate_interior,
@@ -251,15 +252,15 @@ def readme_ricker():
     return make_ricker(ParameterSet(r=np.full(3, 0.2), A=A_CLASS19))
 
 
-def image_directions(m, mesh):
-    """First two coordinates (2, M) of the image direction of every vertex."""
-    Y = m(mesh.vertices)
-    return (Y[:, :2] / Y.sum(axis=1)[:, None]).T.copy()
+def image_of(transform, Y):
+    """The _ImageMesh of vertex images Y on the lattice of a _Transform."""
+    return _ImageMesh(Y, transform.U, np.ones(transform.U.shape[0]), transform.faces,
+                      transform.incidence, transform.N)
 
 
 class TestWarmLocator:
-    """Rays located from the previous sweep's faces against the exhaustive
-    scan."""
+    """Rays located from the previous sweep's faces (_ImageMesh.locate)
+    against the exhaustive scan."""
 
     @pytest.mark.parametrize(
         "kind, A",
@@ -271,42 +272,48 @@ class TestWarmLocator:
         ],
     )
     def test_every_sweep_matches_exhaustive_scan(self, monkeypatch, kind, A):
-        warm = _Transform._locate_warm
+        locate = _ImageMesh.locate
         certified = []
 
-        def checked(transform, P):
-            got = warm(transform, P)
-            if got is not None:
-                want = _locate_interior(P, transform.faces, transform.N)
-                for g, w in zip(got, want):
-                    assert g.dtype == w.dtype
-                    assert np.array_equal(g, w)
-            certified.append(got is not None)
+        def checked(image, q, guess):
+            got = locate(image, q, guess)
+            want = _locate_interior(image.P, image.faces, image.N)
+            # face, weights and the scan's found mask on every certified
+            # row: the sweep uses the certified mask as its found mask
+            ok = got[2]
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                assert np.array_equal(g[ok], w[ok])
+            certified.append(ok.all())
             return got
 
-        monkeypatch.setattr(_Transform, "_locate_warm", checked)
+        monkeypatch.setattr(_ImageMesh, "locate", checked)
         m = readme_ricker() if kind == "readme" else build_model(kind, A)
         mesh = compute_carrying_simplex(m, resolution=32, tol=1e-10)
-        assert len(certified) == mesh.sweeps - 1  # the first sweep has no guess
+        # the first sweep has no guess; every later image is embedded
+        assert len(certified) == mesh.sweeps - 1
         assert all(certified)
         assert mesh.full_scans == 1
 
     @pytest.fixture(scope="class")
     def readme_image(self):
+        """The README map and the images of its N=32 mesh's vertices."""
         m = readme_ricker()
         mesh = compute_carrying_simplex(m, resolution=32, tol=1e-10)
-        return m, image_directions(m, mesh)
+        return m, m(mesh.vertices)
 
     @pytest.mark.parametrize("guess", ["exact", "moved", "shuffled", "stale", "zeros"])
     def test_any_guess_gives_exhaustive_result(self, readme_image, guess):
-        m, P = readme_image
+        m, Y = readme_image
         transform = _Transform(m, 32)
-        want = _locate_interior(P, transform.faces, 32)
+        image = image_of(transform, Y)
+        want = _locate_interior(image.P, transform.faces, 32)
         face = want[0].copy()
         rng = np.random.default_rng(3)
         if guess == "moved":
-            # a tenth of the queries guess a face across an edge of theirs
-            moved = rng.choice(face.size, face.size // 10, replace=False)
+            # half the queries guess a face across an edge of theirs; no
+            # share of moved queries forces the scan
+            moved = rng.choice(face.size, face.size // 2, replace=False)
             ring = transform.incidence[transform.faces[face[moved], 0]]
             across = (transform.faces[ring] == transform.faces[face[moved], 1][:, None, None]).any(-1)
             across &= ring != face[moved][:, None]
@@ -316,11 +323,11 @@ class TestWarmLocator:
             face = rng.permutation(face)
         elif guess == "stale":
             plane = compute_carrying_simplex(m, resolution=32, max_iters=1, tol=np.inf)
-            face = _locate_interior(image_directions(m, plane), transform.faces, 32)[0]
+            face = _locate_interior(image_of(transform, m(plane.vertices)).P, transform.faces, 32)[0]
         elif guess == "zeros":
             face[:] = 0
         transform.face = face
-        got = transform.locate(P, True)
+        got = transform.locate(image)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         if guess in ("exact", "moved"):
@@ -336,21 +343,23 @@ class TestWarmLocator:
         N = 32
         U = barycentric_lattice(N)
         transform = _Transform(make_leslie_gower(ParameterSet(r=np.ones(3), A=A_CLASS19)), N)
-        P = U[:, :2].T.copy()
-        jitter = np.random.default_rng(7).uniform(-0.15, 0.15, P.shape) / N
-        jitter[:, np.min(U, axis=1) == 0.0] = 0.0  # the rim stays on its edges
+        jitter = np.random.default_rng(7).uniform(-0.15, 0.15, (U.shape[0], 2)) / N
+        jitter[np.min(U, axis=1) == 0.0] = 0.0  # the rim stays on its edges
         pinned = [(5, 5), (10, 3), (3, 12), (8, 8), (12, 6)]
         vertex = [np.flatnonzero((U[:, 0] == i / N) & (U[:, 1] == j / N))[0] for i, j in pinned]
-        jitter[:, vertex] = 0.0
-        P += jitter
-        t0, t1, t2 = (P[:, transform.faces[:, k]] for k in range(3))
-        assert np.all((t1[0] - t0[0]) * (t2[1] - t0[1]) - (t2[0] - t0[0]) * (t1[1] - t0[1]) > 0)
-        want = _locate_interior(P, transform.faces, N)
-        query = [np.flatnonzero((transform.ij[0] == i) & (transform.ij[1] == j))[0] for i, j in pinned]
+        jitter[vertex] = 0.0
+        Y = U.copy()
+        Y[:, :2] += jitter
+        Y[:, 2] -= jitter.sum(axis=1)
+        image = image_of(transform, Y)
+        assert image.embedded
+        want = _locate_interior(image.P, transform.faces, N)
+        ij = np.rint(transform.queries * N)
+        query = [np.flatnonzero((ij[0] == i) & (ij[1] == j))[0] for i, j in pinned]
         assert np.all(np.min(want[1][query], axis=1) == 0.0)
 
         transform.face = want[0].copy()
-        for g, w in zip(transform.locate(P, True), want):
+        for g, w in zip(transform.locate(image), want):
             assert np.array_equal(g, w)
         assert transform.full_scans == 0
 
@@ -361,35 +370,47 @@ class TestWarmLocator:
         for q, (i, j) in zip(query, pinned):
             guess[q] = cells.index({(i + 1, j), (i + 2, j), (i + 1, j + 1)})
         transform.face = guess
-        for g, w in zip(transform.locate(P, True), want):
+        for g, w in zip(transform.locate(image), want):
             assert np.array_equal(g, w)
         assert transform.full_scans == 1
 
     def test_flipped_face_falls_back_to_scan(self, readme_image):
-        m, P = readme_image
+        m, Y = readme_image
         transform = _Transform(m, 32)
+        P = image_of(transform, Y).P
         transform.face = _locate_interior(P, transform.faces, 32)[0]
-        # reflect one interior vertex across the opposite edge of a face
+        # reflect one interior vertex's image direction across the opposite
+        # edge of a face
         v = transform.interior_idx[200]
         f = transform.incidence[v, 0]
         a, b = (P[:, u] for u in transform.faces[f] if u != v)
         n = np.array([a[1] - b[1], b[0] - a[0]]) / np.hypot(*(a - b))
-        P = P.copy()
-        P[:, v] -= 2.0 * ((P[:, v] - a) @ n) * n
-        t0, t1, t2 = (P[:, transform.faces[:, k]] for k in range(3))
+        d = P[:, v] - 2.0 * ((P[:, v] - a) @ n) * n
+        Y = Y.copy()
+        Y[v] = [d[0], d[1], 1.0 - d[0] - d[1]]
+        image = image_of(transform, Y)
+        t0, t1, t2 = (image.P[:, transform.faces[:, k]] for k in range(3))
         area = (t1[0] - t0[0]) * (t2[1] - t0[1]) - (t2[0] - t0[0]) * (t1[1] - t0[1])
         assert area[f] < 0
-        assert transform._locate_warm(P) is None
-        got = transform.locate(P, True)
-        for g, w in zip(got, _locate_interior(P, transform.faces, 32)):
+        assert not image.embedded
+        got = transform.locate(image)
+        for g, w in zip(got, _locate_interior(image.P, transform.faces, 32)):
             assert np.array_equal(g, w)
         assert transform.full_scans == 1
 
     def test_rim_off_its_edge_falls_back_to_scan(self, readme_image):
-        m, P = readme_image
+        m, Y = readme_image
         transform = _Transform(m, 32)
-        transform.face = _locate_interior(P, transform.faces, 32)[0]
-        transform.locate(P, False)
+        transform.face = _locate_interior(image_of(transform, Y).P, transform.faces, 32)[0]
+        # one rim vertex's image leaves its edge by far less than rounding
+        v = transform.edges[0][2][5]
+        Y = Y.copy()
+        Y[v, 0] = 1e-20 * Y[v].sum()
+        image = image_of(transform, Y)
+        assert not image.embedded
+        got = transform.locate(image)
+        for g, w in zip(got, _locate_interior(image.P, transform.faces, 32)):
+            assert np.array_equal(g, w)
         assert transform.full_scans == 1
 
     def test_full_scans_counted_and_not_serialized(self):
