@@ -133,12 +133,13 @@ def curve_to_json(curve: ManifoldCurve) -> dict:
 
 
 def curve_from_json(doc: dict) -> ManifoldCurve:
-    return ManifoldCurve(
-        points=np.asarray(doc["points"], dtype=float),
-        kind=str(doc["kind"]),
-        endpoints={name: float("nan") for name in doc["endpoints"]},
-        tol=float(doc["tol"]),
-    )
+    """Raises ValueError unless points are k >= 1 finite rows of 3 and tol is finite."""
+    P, tol = np.asarray(doc["points"], dtype=float), float(doc["tol"])
+    if not (P.ndim == 2 and P.shape[0] and P.shape[1] == 3 and np.isfinite(P).all()
+            and np.isfinite(tol)):
+        raise ValueError(f"curve points of shape {P.shape} or tol {tol} not allowed")
+    endpoints = {name: float("nan") for name in doc["endpoints"]}
+    return ManifoldCurve(points=P, kind=str(doc["kind"]), endpoints=endpoints, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +585,6 @@ class ConjugacyDecayReport:
     fitted_ratios: np.ndarray
     pass_fraction: float
     n_samples: int
-    source: str  # "mesh" samples or user-supplied "points" (informational)
 
 
 def conjugacy_decay_report(
@@ -595,58 +595,56 @@ def conjugacy_decay_report(
     w_basis: np.ndarray,
     rho: float,
     radius: float,
-    points: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
 ) -> ConjugacyDecayReport:
     """Decay of d_k = ||T^k(xi) - T^k(R xi)|| for on-mesh samples xi near q,
     where R projects along v onto the plane q + W (first-order leaf map).
-    Per sample, a geometric ratio is fitted to the d_k while both orbits stay
-    in the neighborhood; conjugacy predicts ratios <= rho (+ slack for the
-    first-order approximation of the leaves)."""
+    All orbit pairs advance in lockstep while both orbits stay near q; a
+    ratio is exp of the least-squares slope of log d_k over its d_k > 1e-250
+    (3 or more), or 0 on the plane (d_0 < 1e-14 max(1, ||q||)).  Conjugacy
+    predicts ratios <= rho (+ slack for first-order leaves)."""
     rng = rng or np.random.default_rng(0)
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float) / np.linalg.norm(v)
     B = np.asarray(w_basis, dtype=float)
-    if points is None:
-        # on-mesh samples: random directions near q's, lifted onto the surface
-        # (the vertex lattice itself can be coarser than the radius)
-        u_q = q / q.sum()
-        r_dir = radius / max(np.linalg.norm(q), 1e-12)
-        z = rng.normal(size=(8 * _SAMPLE_COUNT, 2))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        offs = r_dir * np.sqrt(rng.uniform(0.0, 1.0, 8 * _SAMPLE_COUNT))[:, None] * z
-        lifted = radial_project(mesh, directions_from_uv(u_q[:2] + offs))
-        dist = np.linalg.norm(lifted - q, axis=1)
-        keep = (dist <= radius) & (dist > 1e-12)
-        cand = lifted[keep][:_SAMPLE_COUNT]
-        source = "mesh"
-    else:
-        cand = np.atleast_2d(np.asarray(points, dtype=float))
-        source = "points"
-    Mcols = np.column_stack([v, B])
-    coeffs = np.linalg.solve(Mcols, (cand - q).T)
+    # on-mesh samples: random directions near q's, lifted onto the surface
+    # (the vertex lattice itself can be coarser than the radius)
+    u_q = q / q.sum()
+    r_dir = radius / max(np.linalg.norm(q), 1e-12)
+    z = rng.normal(size=(8 * _SAMPLE_COUNT, 2))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    offs = r_dir * np.sqrt(rng.uniform(0.0, 1.0, 8 * _SAMPLE_COUNT))[:, None] * z
+    lifted = radial_project(mesh, directions_from_uv(u_q[:2] + offs))
+    dist = np.linalg.norm(lifted - q, axis=1)
+    cand = lifted[(dist <= radius) & (dist > 1e-12)][:_SAMPLE_COUNT]
+    coeffs = np.linalg.solve(np.column_stack([v, B]), (cand - q).T)
     proj = cand - np.outer(coeffs[0], v)  # R(xi) = xi - <v-component>
-    scale = max(1.0, float(np.linalg.norm(q)))
     leave = _CONJUGACY_LEAVE * radius
-    ratios = np.full(cand.shape[0], np.nan)
-    for i in range(cand.shape[0]):
-        a, b = cand[i].copy(), proj[i].copy()
-        d = [float(np.linalg.norm(a - b))]
-        if d[0] < 1e-14 * scale:
-            ratios[i] = 0.0  # already on the pseudo-unstable plane
-            continue
-        for _ in range(_CONJUGACY_STEPS):
-            a, b = m(a), m(b)
-            if np.linalg.norm(a - q) > leave or np.linalg.norm(b - q) > leave:
-                break
-            d.append(float(np.linalg.norm(a - b)))
-        d = np.asarray(d)
-        good = d > 1e-250
-        if good.sum() >= 3:
-            k = np.arange(len(d))[good]
-            slope = np.polyfit(k, np.log(d[good]), 1)[0]
-            ratios[i] = float(np.exp(slope))
-    fitted = ratios[~np.isnan(ratios)]
+    # d[i, k] = d_k of sample i while both its orbits stay near q, else 0
+    d = np.zeros((cand.shape[0], _CONJUGACY_STEPS + 1))
+    d[:, 0] = np.linalg.norm(cand - proj, axis=1)
+    on_plane = d[:, 0] < 1e-14 * max(1.0, float(np.linalg.norm(q)))
+    live = np.flatnonzero(~on_plane)
+    a, b = cand[live], proj[live]
+    for step in range(1, _CONJUGACY_STEPS + 1):
+        if not live.size:
+            break
+        a, b = m(a), m(b)
+        # a NaN orbit is followed on, as its d_k are dropped from the fit
+        stay = ~((np.linalg.norm(a - q, axis=1) > leave) | (np.linalg.norm(b - q, axis=1) > leave))
+        live, a, b = live[stay], a[stay], b[stay]
+        d[live, step] = np.linalg.norm(a - b, axis=1)
+    good = d > 1e-250
+    fit = good.sum(axis=1) >= 3
+    good = good[fit]
+    # slope sum (k - mean k) log d_k / sum (k - mean k)^2 over the good k
+    steps = np.arange(_CONJUGACY_STEPS + 1)
+    mean = (good * steps).sum(axis=1, keepdims=True) / good.sum(axis=1, keepdims=True)
+    k = np.where(good, steps - mean, 0.0)
+    y = np.log(d[fit], out=np.zeros(good.shape), where=good)
+    ratios = np.zeros(cand.shape[0])
+    ratios[fit] = np.exp((k * y).sum(axis=1) / (k * k).sum(axis=1))
+    fitted = ratios[on_plane | fit]
     ok = fitted <= rho + _CONJUGACY_SLACK
     return ConjugacyDecayReport(
         rho=float(rho),
@@ -655,7 +653,6 @@ def conjugacy_decay_report(
         fitted_ratios=fitted,
         pass_fraction=float(ok.mean()) if fitted.size else 0.0,
         n_samples=int(fitted.size),
-        source=source,
     )
 
 

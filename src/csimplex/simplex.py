@@ -159,14 +159,6 @@ class SimplexMesh:
         )
         return float(np.sqrt((e * e).sum(axis=1).max()))
 
-    def _vertex_tree(self):
-        """kd-tree of the vertices (scipy.spatial is imported on first use)."""
-        if "vtree" not in self._cache:
-            from scipy.spatial import cKDTree
-
-            self._cache["vtree"] = cKDTree(self.vertices)
-        return self._cache["vtree"]
-
     def _incident_faces(self) -> np.ndarray:
         """(M, 6) incident face indices per vertex (see _vertex_faces)."""
         if "incidence" not in self._cache:
@@ -221,10 +213,13 @@ class SimplexMesh:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SimplexMesh":
-        N = int(doc["resolution"])
+        N = doc["resolution"]
         directions = np.asarray(doc["directions"], dtype=float)
+        # before any lattice is built (type excludes bool, a subclass of int)
+        if type(N) is not int or N < 1 or directions.shape != ((N + 1) * (N + 2) // 2, 3):
+            raise SimplexError("resolution must be an integer N >= 1 with (N+1)(N+2)/2 directions")
         lattice = barycentric_lattice(N)
-        if directions.shape != lattice.shape or not np.allclose(directions, lattice, atol=1e-12):
+        if not np.allclose(directions, lattice, atol=1e-12):
             raise SimplexError("directions do not match the regular lattice for this resolution")
         radii = np.asarray(doc["radii"], dtype=float)
         if radii.shape != (directions.shape[0],):
@@ -429,7 +424,7 @@ def _image(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate sums s and directions Y / s of the image points Y, both NaN
     where s is not a normal positive float (a map that is NaN, overflows or
     underflows to the origin there), so that 1 / s is finite elsewhere."""
-    s = Y.sum(axis=1)
+    s = Y[:, 0] + Y[:, 1] + Y[:, 2]
     bad = ~((s >= np.finfo(float).tiny) & (s < np.inf))
     if np.any(bad):
         Y = np.where(bad[:, None], np.nan, Y)
@@ -924,8 +919,9 @@ def surface_distance(mesh: SimplexMesh, pts: np.ndarray) -> np.ndarray:
     outside the orthant) search every face incident to a vertex within
     d + max_edge_length() of p: a nearest point lies on some face, whose
     corners all lie within an edge length of it.  This is exact at a cost
-    bounded by what lies near p.  Raises ValueError for rows that are not
-    finite.
+    bounded by what lies near p.  The vertices come from a kd-tree built per
+    call (scipy is imported only then), so nothing cached depends on the
+    radii.  Raises ValueError for rows that are not finite.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if not np.all(np.isfinite(pts)):
@@ -955,8 +951,10 @@ def _ball_distance(mesh: SimplexMesh, pts: np.ndarray, bound: np.ndarray) -> np.
     """Distance from each row of pts to the surface, given upper bounds on
     it: the minimum over the faces incident to the vertices within
     bound + max_edge_length() of the row, each (row, face) pair once."""
+    from scipy.spatial import cKDTree  # only this search needs scipy
+
     V = mesh.vertices
-    tree = mesh._vertex_tree()
+    tree = cKDTree(V)
     incidence = mesh._incident_faces()
     F = mesh.triangulation.shape[0]
     radius = (bound + mesh.max_edge_length()) * (1.0 + 1e-9)
@@ -984,6 +982,13 @@ def invariance_residual(m: CompetitiveMap, mesh: SimplexMesh) -> float:
     return float(surface_distance(mesh, images).max())
 
 
+def _vertices_within(mesh: SimplexMesh, x: np.ndarray, radius: float) -> np.ndarray:
+    """The mesh vertices within radius of the point x, in index order."""
+    V = mesh.vertices
+    d = V - x
+    return V[d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2] <= radius * radius]
+
+
 def estimate_tangent_cone(
     mesh: SimplexMesh,
     base_point: np.ndarray,
@@ -994,9 +999,7 @@ def estimate_tangent_cone(
     the worst angle between them and the plane spanned by w_basis; raises
     TooFewNeighborsError when fewer than 3 secants remain."""
     xi = np.asarray(base_point, dtype=float)
-    idx = mesh._vertex_tree().query_ball_point(xi, r=radius)
-    V = mesh.vertices[idx]
-    diffs = V - xi
+    diffs = _vertices_within(mesh, xi, radius) - xi
     norms = np.linalg.norm(diffs, axis=1)
     # secants to near-coincident vertices carry only surface noise
     keep = norms > 1e-3 * radius
@@ -1025,10 +1028,9 @@ def estimate_theta(
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     B = np.asarray(w_basis, dtype=float)
-    idx = mesh._vertex_tree().query_ball_point(q, r=radius)
-    if not idx:
+    xi = _vertices_within(mesh, q, radius)
+    if not xi.size:
         raise EmptyNeighborhoodError(f"no mesh vertices within radius {radius:g} of q")
-    xi = mesh.vertices[idx]
     Mcols = np.column_stack([v, B])
     coeffs = np.linalg.solve(Mcols, (xi - q).T)  # rows: v-component, then W-components
     num = np.abs(coeffs[0]) * np.linalg.norm(v)

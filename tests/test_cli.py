@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: subcommands, exit codes, artifact formats."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -293,6 +295,119 @@ def test_simplex_and_portrait_exit_code_contract_is_total(resolution, replace, p
             os.chdir(cwd)
 
 
+@pytest.fixture(scope="module")
+def portrait_inputs(tmp_path_factory):
+    """A README config at N=8 with the mesh and both curve documents that
+    simplex and portrait write for it."""
+    tmp = tmp_path_factory.mktemp("portrait_inputs")
+    doc = readme_config()
+    doc["numeric"]["mesh_resolution"] = 8
+    doc["outputs"] = {name: str(tmp / f"{name}.json") for name in ("mesh", "stable", "unstable")}
+    cfg = tmp / "run.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simplex", "--config", str(cfg)]) == 0
+    assert main(["portrait", "--config", str(cfg), "--out", str(tmp / "p.svg"), "--no-basins"]) == 0
+    docs = {name: json.loads(Path(path).read_text()) for name, path in doc["outputs"].items()}
+    return str(cfg), docs
+
+
+_FUZZ_FINITE = st.integers(-10**6, 10**6).map(lambda k: k / 1000)
+_FUZZ_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# values that are no number, no list of numbers and no JSON object of fields
+_FUZZ_JUNK = st.sampled_from([None, "x", [], {}, [1.0], [[1.0]]])
+# an entry of a list of numbers or of rows
+_FUZZ_ENTRY = st.sampled_from([math.nan, math.inf, -math.inf, "x", None, [], [1.0]])
+
+
+def _is_curve_points(rows) -> bool:
+    try:
+        P = np.asarray(rows, dtype=float)
+    except ValueError:
+        return False
+    return P.ndim == 2 and P.shape[0] >= 1 and P.shape[1] == 3 and bool(np.isfinite(P).all())
+
+
+# A malformed field of an artifact: (key, how, value).  "set" replaces the
+# field, "poke" one entry of it, "delete" removes it; "drop_row",
+# "extra_row", "nest" and "columns" change its shape.
+_MESH_DEFECTS = st.one_of(
+    st.tuples(st.just("resolution"), st.just("set"), st.one_of(
+        st.sampled_from([json.loads("1e400"), -math.inf, math.nan, 1.5, 8.0, True, False,
+                         0, -8, 7, 9, 10**6, "8"]), _FUZZ_JUNK)),
+    st.tuples(st.sampled_from(["directions", "radii"]),
+              st.sampled_from(["drop_row", "extra_row", "nest", "columns"]), st.none()),
+    st.tuples(st.sampled_from(["directions", "radii"]), st.just("poke"), _FUZZ_ENTRY),
+    st.tuples(st.sampled_from(["directions", "radii", "residual"]), st.just("set"), _FUZZ_JUNK),
+    st.tuples(st.sampled_from(["resolution", "directions", "radii", "residual"]),
+              st.just("delete"), st.none()),
+    st.tuples(st.none(), st.just("set"), st.sampled_from([None, 5, "x", [], {}])),
+)
+_CURVE_DEFECTS = st.one_of(
+    st.tuples(st.just("points"), st.just("set"), st.one_of(
+        st.sampled_from([[[1, 2]], [], 5, [1, 2, 3], [[[1, 2, 3]]]]), _FUZZ_JUNK,
+        st.lists(st.lists(st.one_of(_FUZZ_FINITE, _FUZZ_NON_FINITE), max_size=4), max_size=3)
+        .filter(lambda rows: not _is_curve_points(rows)))),
+    st.tuples(st.just("points"), st.just("poke"), _FUZZ_ENTRY),
+    st.tuples(st.just("tol"), st.just("set"), st.one_of(_FUZZ_NON_FINITE, _FUZZ_JUNK)),
+    st.tuples(st.just("endpoints"), st.just("set"), st.sampled_from([None, 5, 1.5, True])),
+    st.tuples(st.sampled_from(["kind", "points", "endpoints", "tol"]), st.just("delete"),
+              st.none()),
+    st.tuples(st.none(), st.just("set"), st.sampled_from([None, 5, "x", [], {}])),
+)
+
+
+def _malformed(doc: dict, key, how: str, value):
+    """A copy of the artifact doc with the defect (key, how, value)."""
+    doc = json.loads(json.dumps(doc))
+    if key is None:
+        return value
+    field = doc[key]
+    if how == "set":
+        doc[key] = value
+    elif how == "delete":
+        del doc[key]
+    elif how == "poke":
+        row = len(field) // 2
+        if isinstance(field[row], list):
+            field[row][1] = value
+        else:
+            field[row] = value
+    elif how == "drop_row":
+        doc[key] = field[:-1]
+    elif how == "extra_row":
+        doc[key] = field + field[-1:]
+    elif how == "nest":
+        doc[key] = [field]
+    else:  # "columns": rows of 2 numbers, or of 2 where there was 1
+        doc[key] = [row[:2] if isinstance(row, list) else [row, row] for row in field]
+    return doc
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(defect=st.one_of(st.tuples(st.just("mesh"), _MESH_DEFECTS),
+                        st.tuples(st.sampled_from(["stable", "unstable"]), _CURVE_DEFECTS)))
+def test_portrait_refuses_malformed_artifacts(portrait_inputs, defect):
+    """Whatever is wrong with the shape, numbers or resolution of the mesh or
+    of a curve document, portrait reports that it cannot load it and exits
+    3, and raises nothing."""
+    cfg, docs = portrait_inputs
+    name, (key, how, value) = defect
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for artifact, doc in docs.items():
+            paths[artifact] = str(Path(tmp) / f"{artifact}.json")
+            if artifact == name:
+                doc = _malformed(doc, key, how, value)
+            Path(paths[artifact]).write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["portrait", "--config", cfg, "--mesh", paths["mesh"],
+                         "--stable", paths["stable"], "--unstable", paths["unstable"],
+                         "--out", str(Path(tmp) / "p.svg"), "--no-basins"])
+        assert code == 3
+        assert err.getvalue().startswith(f"cannot load {paths[name]}: ")
+
+
 class TestAnalyze:
     def test_symmetric_system_has_eight_fixed_points(self, config_path, tmp_path):
         doc = {
@@ -497,15 +612,33 @@ class TestClassify:
             assert first_rows[0]["class_id"] == ""
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    """scipy.spatial and scipy.ndimage are imported only where they are used."""
+def _run_fresh(code: str, cwd=None) -> str:
+    """stdout of the Python code run in a fresh interpreter on this csimplex."""
     src = str(Path(csimplex.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True,
+                         text=True, check=True)
+    return run.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy.spatial and scipy.ndimage are imported only where they are used."""
     code = ("import sys, csimplex.cli; "
             "print(sorted(m for m in ('scipy.spatial', 'scipy.ndimage') if m in sys.modules))")
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    assert run.stdout.strip() == "[]"
+    assert _run_fresh(code) == "[]"
+
+
+def test_verify_leaves_scipy_unloaded(tmp_path):
+    """On the README example every distance of verify passes the ring
+    certificate, and the diagnostics near q use no kd-tree, so no scipy
+    module is loaded (h4 fails on this example, so verify exits 1)."""
+    doc = readme_config()
+    doc["numeric"]["mesh_resolution"] = 32
+    (tmp_path / "run.json").write_text(json.dumps(doc))
+    code = ("import sys; from csimplex.cli import main; "
+            "code = main(['verify', '--config', 'run.json', '--out', 'v.json']); "
+            "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    assert _run_fresh(code, cwd=tmp_path).splitlines()[-1] == "1 []"
 
 
 class TestSimplexAndPortrait:

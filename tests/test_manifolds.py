@@ -43,6 +43,7 @@ from csimplex.simplex import (
     compute_carrying_simplex,
     directions_from_uv,
     invariance_residual,
+    lattice_triangulation,
     radial_project,
     surface_distance,
 )
@@ -696,29 +697,61 @@ class TestConjugacyDecay:
             ref["m"], ref["mesh"], ref["q"], split.v, split.w_basis, split.rho,
             radius=1e-2 * np.linalg.norm(ref["q"]),
         )
-        assert rep.source == "mesh"
         assert rep.n_samples > 50
         assert rep.pass_fraction >= 0.9
 
-    def test_point_on_pseudo_unstable_plane_is_degenerate(self, ref):
+    def test_lockstep_orbits_match_per_sample_loop(self, ref):
+        """An affine map about q that halves along v and multiplies by 5 along a
+        direction of W: every d_k halves exactly, and the orbits leave 10
+        radii of q after different numbers of steps.  The report keeps the
+        samples followed for at least 3 points, each with ratio 0.5, as a
+        loop over single samples does."""
         split = ref["split"]
-        xi = ref["q"] + 1e-3 * split.w_basis[:, 0]
-        rep = conjugacy_decay_report(
-            ref["m"], ref["mesh"], ref["q"], split.v, split.w_basis, split.rho,
-            radius=1e-2, points=xi[None, :],
-        )
-        assert rep.source == "points"
-        assert rep.fitted_ratios[0] == 0.0  # d_k identically ~0
+        q, v, B = ref["q"], split.v / np.linalg.norm(split.v), split.w_basis
+        C = np.column_stack([v, B])
+        L = C @ np.diag([0.5, 5.0, 0.8]) @ np.linalg.inv(C)
+        inputs = []
 
-    def test_off_surface_points_informational(self, ref):
-        split = ref["split"]
-        pts = ref["q"] + np.array([[0.03, 0.0, 0.0], [0.0, 0.03, 0.0]])
-        rep = conjugacy_decay_report(
-            ref["m"], ref["mesh"], ref["q"], split.v, split.w_basis, split.rho,
-            radius=0.05, points=pts,
-        )
-        assert rep.source == "points"
-        assert rep.n_samples == 2
+        def affine(x):
+            inputs.append(x)
+            return q + (x - q) @ L.T
+
+        radius = 1e-2 * np.linalg.norm(q)
+        rep = conjugacy_decay_report(affine, ref["mesh"], q, v, B, split.rho, radius=radius)
+        samples, images = inputs[0], inputs[1]  # the first step maps xi, then R xi
+        lengths, want = [], []
+        for a, b in zip(samples, images):
+            d = [np.linalg.norm(a - b)]
+            for _ in range(10):
+                a, b = affine(a), affine(b)
+                if max(np.linalg.norm(a - q), np.linalg.norm(b - q)) > 10 * radius:
+                    break
+                d.append(np.linalg.norm(a - b))
+            lengths.append(len(d))
+            if len(d) >= 3:
+                want.append(np.exp(np.polyfit(np.arange(len(d)), np.log(d), 1)[0]))
+        assert min(lengths) < 3 and 3 <= np.median(lengths) < 11  # the mask matters
+        assert rep.n_samples == len(want)
+        np.testing.assert_allclose(rep.fitted_ratios, want, rtol=1e-9)
+        np.testing.assert_allclose(rep.fitted_ratios, 0.5, rtol=1e-6)
+
+    def test_samples_on_the_pseudo_unstable_plane_get_ratio_zero(self):
+        """On a flat mesh that is the plane q + W every sample starts on the
+        pseudo-unstable plane: its ratio is 0 and no orbit is mapped."""
+        N = 16
+        q = np.full(3, 0.5)
+        mesh = SimplexMesh(resolution=N, directions=barycentric_lattice(N),
+                           radii=np.full((N + 1) * (N + 2) // 2, 1.5),
+                           triangulation=lattice_triangulation(N), residual=0.0)
+        B = np.linalg.svd(np.ones((1, 3)))[2][1:].T  # the plane x1 + x2 + x3 = 0
+
+        def unused(x):
+            raise AssertionError("no sample needs an orbit")
+
+        rep = conjugacy_decay_report(unused, mesh, q, np.array([1.0, 0.5, 0.2]), B, 0.5,
+                                     radius=0.05)
+        assert rep.n_samples == 200 and rep.pass_fraction == 1.0
+        assert np.array_equal(rep.fitted_ratios, np.zeros(200))
 
 
 class TestM2Expansion:

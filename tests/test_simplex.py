@@ -1,11 +1,13 @@
 """Graph-transform mesh: lattice geometry, convergence, invariants, cones."""
 from __future__ import annotations
 
+import json
 import warnings
 
 import numpy as np
 import pytest
 
+from csimplex import simplex
 from csimplex.existence import axial_caps
 from csimplex.manifolds import pseudo_splitting
 from csimplex.models import ParameterSet, make_custom, make_leslie_gower, make_ricker
@@ -634,6 +636,21 @@ class TestInvariance:
         assert np.array_equal(surface_distance(scaled, np.ldexp(pts, k)), want)
 
 
+    def test_surface_distance_follows_radii_changed_in_place(self):
+        """A mesh keeps nothing that depends on its radii: after a vertex-ball
+        search, doubling the radii in place gives the distances of a fresh
+        mesh with the doubled radii."""
+        mesh = compute_carrying_simplex(readme_ricker(), resolution=32, tol=1e-8)
+        v = mesh.vertices[np.flatnonzero(np.all(mesh.directions == [0.0, 0.5, 0.5], axis=1))[0]]
+        p = 2.0 * v + np.array([-1e-3, 0.0, 0.0])  # outside the orthant: a ball search
+        surface_distance(mesh, p)
+        mesh.radii *= 2.0
+        fresh = SimplexMesh(resolution=32, directions=mesh.directions, radii=mesh.radii.copy(),
+                            triangulation=mesh.triangulation, residual=mesh.residual)
+        want = surface_distance(fresh, p)
+        assert want == pytest.approx(1e-3, rel=1e-9)
+        assert np.array_equal(surface_distance(mesh, p), want)
+
     def test_surface_distance_blocks_match_single_rows(self, class19_lg, class19_mesh):
         """Over more than one query block the distances equal the per-row
         calls exactly."""
@@ -726,6 +743,27 @@ class TestMeshJson:
         doc = {**class19_mesh.to_json(), "radii": 5.0}
         with pytest.raises(SimplexError, match="radii length"):
             SimplexMesh.from_json(doc)
+
+    @pytest.mark.parametrize("resolution", [json.loads("1e400"), 64.7, 64.0, "64", None, [64],
+                                            0, -64, 63, 65, 10**6])
+    def test_rejects_bad_resolution(self, class19_mesh, monkeypatch, resolution):
+        """The resolution must be a JSON integer N >= 1 with (N+1)(N+2)/2
+        directions, and it is checked before any lattice is built."""
+        def unbuilt(N):
+            raise AssertionError(f"lattice of resolution {N} built")
+
+        monkeypatch.setattr(simplex, "barycentric_lattice", unbuilt)
+        doc = {**class19_mesh.to_json(), "resolution": resolution}
+        with pytest.raises(SimplexError, match="resolution"):
+            SimplexMesh.from_json(doc)
+
+    def test_rejects_bool_resolution(self):
+        """true is not the integer 1, although Python's bool is an int."""
+        doc = SimplexMesh(resolution=1, directions=barycentric_lattice(1), radii=np.ones(3),
+                          triangulation=lattice_triangulation(1), residual=0.0).to_json()
+        assert SimplexMesh.from_json(doc).resolution == 1
+        with pytest.raises(SimplexError, match="resolution"):
+            SimplexMesh.from_json({**doc, "resolution": True})
 
     def test_rejects_foreign_directions(self, class19_mesh):
         doc = class19_mesh.to_json()
