@@ -452,8 +452,11 @@ def _load_mesh(path: str) -> SimplexMesh:
     return SimplexMesh.from_json(doc)
 
 
-def _load_curve(path: str):
-    return curve_from_json(json.loads(Path(path).read_text()))
+def _load_curve(path: str, kind: str):
+    curve = curve_from_json(json.loads(Path(path).read_text()))
+    if curve.kind != kind:
+        raise ValueError(f"the curve is {curve.kind}, not {kind}")
+    return curve
 
 
 def cmd_portrait(
@@ -470,7 +473,8 @@ def cmd_portrait(
         print(f"mesh file not found: {mesh_path}", file=sys.stderr)
         return EXIT_MISSING
     loaded = []
-    sources = ((mesh_path, _load_mesh), (stable_path, _load_curve), (unstable_path, _load_curve))
+    sources = ((mesh_path, _load_mesh), (stable_path, lambda path: _load_curve(path, "stable")),
+               (unstable_path, lambda path: _load_curve(path, "unstable")))
     for path, load in sources:
         if path:
             try:

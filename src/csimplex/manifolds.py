@@ -53,6 +53,9 @@ __all__ = [
 # orbit gets to enter one.
 DEFAULT_BASIN_TOL = 1e-6
 DEFAULT_BASIN_MAX_ITER = 50000
+# basin_of_batch drops its captured orbits once they are more than this share
+# of the orbits it holds; until then they wait, masked, and are mapped on.
+_COMPACT_SHARE = 1.0 / 8.0
 
 # Foliation/conjugacy diagnostics: sampled points per report; the fitted decay
 # ratio may exceed rho by _CONJUGACY_SLACK (first-order leaves); an orbit pair
@@ -98,10 +101,13 @@ class SpectralSplitting:
     sigma: float
 
 
+_CURVE_KINDS = ("stable", "unstable")
+
+
 @dataclass
 class ManifoldCurve:
     points: np.ndarray  # (k, n) ordered polyline
-    kind: str  # "unstable" | "stable"
+    kind: str  # one of _CURVE_KINDS
     endpoints: dict  # name -> terminal distance
     tol: float
 
@@ -133,13 +139,17 @@ def curve_to_json(curve: ManifoldCurve) -> dict:
 
 
 def curve_from_json(doc: dict) -> ManifoldCurve:
-    """Raises ValueError unless points are k >= 1 finite rows of 3 and tol is finite."""
+    """Raises ValueError unless kind is "stable" or "unstable", points are
+    k >= 1 finite rows of 3 and tol is finite."""
+    kind = doc["kind"]
+    if kind not in _CURVE_KINDS:
+        raise ValueError(f"curve kind {kind!r} is not one of {_CURVE_KINDS}")
     P, tol = np.asarray(doc["points"], dtype=float), float(doc["tol"])
     if not (P.ndim == 2 and P.shape[0] and P.shape[1] == 3 and np.isfinite(P).all()
             and np.isfinite(tol)):
         raise ValueError(f"curve points of shape {P.shape} or tol {tol} not allowed")
     endpoints = {name: float("nan") for name in doc["endpoints"]}
-    return ManifoldCurve(points=P, kind=str(doc["kind"]), endpoints=endpoints, tol=tol)
+    return ManifoldCurve(points=P, kind=kind, endpoints=endpoints, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -421,39 +431,62 @@ def basin_of_batch(
     them almost as early at no extra cost per iteration.
 
     Each iteration tests the orbits against each attractor's ball by one
-    squared distance, and drops the captured orbits only on iterations that
-    capture some.  The label is the ball that an orbit enters, not its
-    nearest attractor; the two agree because the balls are disjoint: an
-    ellipsoid lies within half the distance to every other attractor, less
-    tol, and tol balls are disjoint when the attractors are 2 tol apart.
-    (For attractors closer than that, the lowest index wins.)"""
+    squared distance, summed over the columns.  A captured orbit is masked
+    so that it is labelled once, and waits, mapped on with the others, until
+    more than _COMPACT_SHARE of the orbits held are captured; then all
+    captured orbits are dropped at once.  An orbit waiting in a certified
+    ellipsoid stays in it, so it stays finite.  A bare tol ball (custom
+    maps, inputs with a negative entry, uncertified attractors) gives no
+    such guarantee, so an iteration that captures an orbit there drops the
+    captured orbits at once.  The label is the ball that an orbit enters,
+    not its nearest attractor; the two agree because the balls are
+    disjoint: an ellipsoid lies within half the distance to every other
+    attractor, less tol, and tol balls are disjoint when the attractors are
+    2 tol apart.  (For attractors closer than that, the lowest index wins.)"""
     names = sorted(attractors)
     att = np.array([attractors[k] for k in names], dtype=float)
     X = np.array(np.atleast_2d(X), dtype=float)
     radius = np.full(len(names), tol)
+    certified = np.zeros(len(names), dtype=bool)
     if not np.any(X < 0.0):
         for k, p in enumerate(att):
             cap = _capture_ellipsoid(m, p, np.delete(att, k, axis=0), tol)
             if cap is not None:
-                radius[k] = cap.inner
+                radius[k], certified[k] = cap.inner, True
     # last to first, so that where balls overlap the lowest index is written last
-    balls = list(zip(range(len(names)), att, radius * radius))[::-1]
+    balls = list(zip(range(len(names)), att, radius * radius, certified))[::-1]
     labels = np.full(X.shape[0], -1, dtype=np.intp)
-    active = np.arange(X.shape[0])
+    active = np.arange(X.shape[0])  # input row of each orbit held
+    done = np.zeros(X.shape[0], dtype=bool)  # held orbits already labelled
+    n_done = 0
     pts = X
-    for _ in range(max_iter + 1):
-        caught = None
-        for k, p, r2 in balls:
-            d = pts - p
-            inside = np.einsum("ij,ij->i", d, d) < r2
-            if inside.any():
-                labels[active[inside]] = k
-                caught = inside if caught is None else caught | inside
+    for it in range(max_iter + 1):
+        if it:
+            pts = m(pts)
+        free = ~done if n_done else None
+        caught, bare = None, False
+        for k, p, r2, cert in balls:
+            d = pts[:, 0] - p[0]
+            s = d * d
+            for j in range(1, p.shape[0]):
+                d = pts[:, j] - p[j]
+                s += d * d
+            hit = s < r2
+            if free is not None:
+                hit &= free
+            if hit.any():
+                labels[active[hit]] = k
+                caught = hit if caught is None else caught | hit
+                bare |= not cert
         if caught is not None:
-            active, pts = active[~caught], pts[~caught]
+            done |= caught
+            n_done += int(np.count_nonzero(caught))
+            if bare or n_done > _COMPACT_SHARE * active.size:
+                keep = ~done
+                active, pts = active[keep], pts[keep]
+                done, n_done = np.zeros(active.size, dtype=bool), 0
         if active.size == 0:
             break
-        pts = m(pts)
     return labels
 
 

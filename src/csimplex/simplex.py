@@ -16,6 +16,7 @@ harmonic interpolation of the s_i.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,12 +227,16 @@ class SimplexMesh:
             raise SimplexError("radii length does not match directions")
         if not np.all(np.isfinite(radii) & (radii > 0.0)):
             raise SimplexError("radii must be finite and positive")
+        residual = doc["residual"]
+        # a JSON number (not a bool, not a string), finite and >= 0
+        if type(residual) not in (int, float) or not 0.0 <= residual <= sys.float_info.max:
+            raise SimplexError(f"residual must be a finite number >= 0, got {residual!r}")
         return cls(
             resolution=N,
             directions=lattice,
             radii=radii,
             triangulation=lattice_triangulation(N),
-            residual=float(doc["residual"]),
+            residual=float(residual),
         )
 
 

@@ -338,6 +338,9 @@ _MESH_DEFECTS = st.one_of(
               st.sampled_from(["drop_row", "extra_row", "nest", "columns"]), st.none()),
     st.tuples(st.sampled_from(["directions", "radii"]), st.just("poke"), _FUZZ_ENTRY),
     st.tuples(st.sampled_from(["directions", "radii", "residual"]), st.just("set"), _FUZZ_JUNK),
+    # values that float() takes but that are no finite, non-negative JSON number
+    st.tuples(st.just("residual"), st.just("set"), st.one_of(_FUZZ_NON_FINITE, st.sampled_from(
+        ["8", "1e-9", "nan", True, False, -1e-12, -1, json.loads("1e400"), 10**400]))),
     st.tuples(st.sampled_from(["resolution", "directions", "radii", "residual"]),
               st.just("delete"), st.none()),
     st.tuples(st.none(), st.just("set"), st.sampled_from([None, 5, "x", [], {}])),
@@ -350,6 +353,8 @@ _CURVE_DEFECTS = st.one_of(
     st.tuples(st.just("points"), st.just("poke"), _FUZZ_ENTRY),
     st.tuples(st.just("tol"), st.just("set"), st.one_of(_FUZZ_NON_FINITE, _FUZZ_JUNK)),
     st.tuples(st.just("endpoints"), st.just("set"), st.sampled_from([None, 5, 1.5, True])),
+    st.tuples(st.just("kind"), st.just("set"), st.one_of(
+        st.sampled_from(["x", "", "Stable", "unstable ", 5, True]), _FUZZ_JUNK)),
     st.tuples(st.sampled_from(["kind", "points", "endpoints", "tol"]), st.just("delete"),
               st.none()),
     st.tuples(st.none(), st.just("set"), st.sampled_from([None, 5, "x", [], {}])),
@@ -406,6 +411,36 @@ def test_portrait_refuses_malformed_artifacts(portrait_inputs, defect):
                          "--out", str(Path(tmp) / "p.svg"), "--no-basins"])
         assert code == 3
         assert err.getvalue().startswith(f"cannot load {paths[name]}: ")
+
+
+@pytest.mark.parametrize("swap", [("stable", "unstable"), ("unstable", "stable")])
+def test_portrait_refuses_a_curve_of_the_other_kind(portrait_inputs, tmp_path, capsys, swap):
+    """A well-formed curve file of one kind given as the other kind's curve
+    exits 3, so that it is never drawn in the wrong colour."""
+    cfg, docs = portrait_inputs
+    given_as, kind = swap
+    paths = {}
+    for artifact, doc in docs.items():
+        paths[artifact] = tmp_path / f"{artifact}.json"
+        paths[artifact].write_text(json.dumps(doc))
+    argv = ["portrait", "--config", cfg, "--mesh", str(paths["mesh"]),
+            f"--{given_as}", str(paths[kind]), "--out", str(tmp_path / "p.svg"), "--no-basins"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(
+        f"cannot load {paths[kind]}: ValueError: the curve is {kind}, not {given_as}")
+    assert not (tmp_path / "p.svg").exists()
+
+
+@pytest.mark.parametrize("kind", ["x", "Stable", None])
+def test_portrait_refuses_an_unknown_curve_kind(portrait_inputs, tmp_path, capsys, kind):
+    cfg, docs = portrait_inputs
+    mesh, stable = tmp_path / "mesh.json", tmp_path / "stable.json"
+    mesh.write_text(json.dumps(docs["mesh"]))
+    stable.write_text(json.dumps(dict(docs["stable"], kind=kind)))
+    argv = ["portrait", "--config", cfg, "--mesh", str(mesh), "--stable", str(stable),
+            "--out", str(tmp_path / "p.svg"), "--no-basins"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(f"cannot load {stable}: ValueError: curve kind")
 
 
 class TestAnalyze:

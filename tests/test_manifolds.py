@@ -33,7 +33,7 @@ from csimplex.manifolds import (
     _saddle_eigendirection,
     _second_derivative_bound,
 )
-from csimplex.models import ParameterSet, make_custom, make_ricker
+from csimplex.models import ParameterSet, make_custom, make_leslie_gower, make_ricker
 from csimplex.portrait import basin_raster
 from csimplex.simplex import (
     SimplexMesh,
@@ -103,10 +103,12 @@ def grow_branch_alone(step, q, seed, steps, targets, endpoint_tol, h_max):
     raise AssertionError("reference branch did not terminate")
 
 
-def tol_ball_labels(m, X, attractors, max_iter=50000, tol=1e-6):
+def tol_ball_labels(m, X, attractors, max_iter=50000, tol=1e-6, radii=None):
     """Basin labels by the tol balls alone: the loop that the capture
-    ellipsoids shortcut."""
+    ellipsoids shortcut.  Given radii (one per sorted attractor), the balls
+    have those radii instead, and every captured orbit is dropped at once."""
     att = np.array([attractors[k] for k in sorted(attractors)], dtype=float)
+    radii = np.full(att.shape[0], tol) if radii is None else np.asarray(radii)
     labels = np.full(X.shape[0], -1, dtype=np.intp)
     active = np.arange(X.shape[0])
     pts = np.array(X, dtype=float)
@@ -115,11 +117,20 @@ def tol_ball_labels(m, X, attractors, max_iter=50000, tol=1e-6):
             break
         d = np.linalg.norm(pts[:, None, :] - att[None, :, :], axis=2)
         j = np.argmin(d, axis=1)
-        hit = d[np.arange(pts.shape[0]), j] < tol
+        hit = d[np.arange(pts.shape[0]), j] < radii[j]
         labels[active[hit]] = j[hit]
         active, pts = active[~hit], pts[~hit]
         pts = m(pts)
     return labels
+
+
+def capture_radii(m, attractors, tol=1e-6):
+    """The radius of each sorted attractor's ball in basin_of_batch: the
+    inner radius of its capture ellipsoid, which must be certified."""
+    pts = np.array([attractors[k] for k in sorted(attractors)], dtype=float)
+    caps = [_capture_ellipsoid(m, p, np.delete(pts, i, axis=0), tol) for i, p in enumerate(pts)]
+    assert all(cap is not None for cap in caps)
+    return np.array([cap.inner for cap in caps])
 
 
 def raster_points(mesh, resolution):
@@ -321,6 +332,79 @@ class TestBasins:
         assert _capture_ellipsoid(custom, p, np.array([att[sorted(att)[1]]]), 1e-6) is None
         X = raster_points(mesh, 31)
         assert np.array_equal(basin_of_batch(m, X, att), basin_of_batch(custom, X, att))
+
+    def test_waiting_orbits_keep_their_labels(self):
+        """While fewer than an eighth of the orbits held are captured, the
+        captured ones wait, masked, and are mapped on: many map calls carry
+        orbits already inside a ball, and the labels are still those of the
+        tol balls, and of the eager loop over the same balls."""
+        m, _, att, _, mesh = anchor_system("ricker", 4, resolution=24)
+        X = raster_points(mesh, 41)
+        pts = np.array([att[name] for name in sorted(att)])
+        r2 = capture_radii(m, att) ** 2
+        waiting = []
+
+        def growth(x):
+            if x.ndim == 2:  # an orbit batch, not a capture ellipsoid's own call
+                d2 = ((x[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+                waiting.append((int(np.count_nonzero((d2 < r2).any(axis=1))), x.shape[0]))
+            return m.growth(x)
+
+        counted = dataclasses.replace(m, growth=growth)
+        labels = basin_of_batch(counted, X, att)
+        assert np.all(labels >= 0)
+        assert sum(w > 0 for w, _ in waiting) >= 20
+        assert all(w <= held / 8 for w, held in waiting)
+        # each orbit counts once towards the eighth, so the share gets near it
+        assert sum(w > held / 16 for w, held in waiting) >= 50
+        assert np.array_equal(labels, tol_ball_labels(m, X, att))
+        assert np.array_equal(labels, tol_ball_labels(m, X, att, radii=capture_radii(m, att)))
+
+    def test_bare_ball_capture_overflowing_later_warns_nothing(self):
+        """A custom map (no capture ellipsoid) whose orbit passes through a
+        bare tol ball and overflows three steps later: the captured orbit is
+        dropped at once, so no RuntimeWarning (an error under the test
+        filter) is raised while twenty unresolved orbits go on."""
+
+        def growth(x):
+            return np.where(x[..., :1] > 0.0, 1e100, 1.0) * np.ones(np.shape(x))
+
+        m = make_custom(3, growth, lambda x: np.zeros(np.shape(x) + (3,)))
+        att = {"a": np.ones(3), "b": np.array([0.0, 2.0, 0.0])}
+        stay = np.column_stack([np.zeros(20), np.linspace(0.2, 0.8, 20), np.full(20, 0.5)])
+        X = np.vstack([np.full((1, 3), 1e-100), stay])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            m(np.full((1, 3), 1e300))  # where the captured orbit is three steps on
+        labels = basin_of_batch(m, X, att, max_iter=20)
+        assert labels[0] == 0 and np.all(labels[1:] == -1)
+        assert np.array_equal(labels, tol_ball_labels(m, X, att, max_iter=20))
+
+    @pytest.mark.parametrize("max_iter", [0, 5, 40, 150])
+    def test_max_iter_cutoff(self, max_iter):
+        """Cut off at max_iter, the loop leaves unresolved (-1) exactly the
+        orbits that the eager loop over the same balls leaves, and labels
+        the others alike."""
+        m, _, att, _, mesh = anchor_system("leslie_gower", 7, resolution=24)
+        X = raster_points(mesh, 31)
+        labels = basin_of_batch(m, X, att, max_iter=max_iter)
+        expected = tol_ball_labels(m, X, att, max_iter=max_iter, radii=capture_radii(m, att))
+        assert np.array_equal(labels, expected)
+        assert np.any(labels == -1)
+        assert max_iter < 40 or np.any(labels >= 0)
+
+    def test_two_species_leslie_gower(self):
+        """The ball test sums over the n columns: on a bistable 2-species
+        Leslie-Gower map, with both capture ellipsoids certified, the labels
+        are those of the tol balls and of the eager loop over the same
+        balls."""
+        m = make_leslie_gower(ParameterSet(r=np.array([1.0, 0.8]), A=np.array([[1.0, 1.5], [2.0, 1.0]])))
+        att = {"axial_1": np.array([1.0, 0.0]), "axial_2": np.array([0.0, 1.0])}
+        g = np.linspace(0.05, 1.5, 40)
+        X = np.column_stack([np.repeat(g, 40), np.tile(g, 40)])
+        labels = basin_of_batch(m, X, att)
+        assert set(np.unique(labels)) == {0, 1}
+        assert np.array_equal(labels, tol_ball_labels(m, X, att))
+        assert np.array_equal(labels, tol_ball_labels(m, X, att, radii=capture_radii(m, att)))
 
 
 class TestStable:
