@@ -397,7 +397,8 @@ class TestBasins:
         Leslie-Gower map, with both capture ellipsoids certified, the labels
         are those of the tol balls and of the eager loop over the same
         balls."""
-        m = make_leslie_gower(ParameterSet(r=np.array([1.0, 0.8]), A=np.array([[1.0, 1.5], [2.0, 1.0]])))
+        A = np.array([[1.0, 1.5], [2.0, 1.0]])
+        m = make_leslie_gower(ParameterSet(r=np.array([1.0, 0.8]), A=A))
         att = {"axial_1": np.array([1.0, 0.0]), "axial_2": np.array([0.0, 1.0])}
         g = np.linspace(0.05, 1.5, 40)
         X = np.column_stack([np.repeat(g, 40), np.tile(g, 40)])
