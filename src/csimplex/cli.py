@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +164,38 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _float_list_text(value) -> str | None:
+    """The indent-2 JSON text, as the value of a top-level key, of a
+    non-empty list of finite floats or a non-empty list of such lists, the
+    bytes json.dumps gives; None for any other value."""
+    if type(value) is not list or not value:
+        return None
+    nested = all(type(row) is list and row for row in value)
+    flat = list(chain.from_iterable(value)) if nested else value
+    if set(map(type, flat)) != {float} or not math.isfinite(sum(flat)):
+        return None  # a sum of finite floats is NaN or infinite only on overflow
+    if not nested:
+        return "[\n    " + ",\n    ".join(map(float.__repr__, value)) + "\n  ]"
+    rows = (",\n      ".join(map(float.__repr__, row)) for row in value)
+    return "[\n    [\n      " + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]"
+
+
+def _dumps(doc: dict) -> str:
+    """json.dumps(doc, sort_keys=True, indent=2, default=_json_default).
+    With an indent, json encodes in Python rather than C, so the top-level
+    lists of floats (mesh directions and radii, curve points) are joined here
+    with float.__repr__, as json writes them; every other value is left to
+    json, its lines indented one level further."""
+    items = []
+    for key in sorted(doc):
+        text = _float_list_text(doc[key])
+        if text is None:
+            text = json.dumps(doc[key], sort_keys=True, indent=2, default=_json_default)
+            text = text.replace("\n", "\n  ")  # json escapes newlines inside strings
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}" if items else "{}"
+
+
 def _record_doc(rec) -> dict:
     return {
         "name": rec.name,
@@ -261,7 +294,7 @@ class _Run:
     def write_json(self, path: str | None, doc: dict) -> str:
         """The JSON text of ``doc`` stamped with the config hash and the
         seed, written to ``path`` when one is given."""
-        text = json.dumps({**doc, **self.stamp}, sort_keys=True, indent=2, default=_json_default) + "\n"
+        text = _dumps({**doc, **self.stamp}) + "\n"
         if path:
             _write_text(path, text)
         return text
@@ -473,8 +506,9 @@ def cmd_portrait(
         print(f"mesh file not found: {mesh_path}", file=sys.stderr)
         return EXIT_MISSING
     loaded = []
-    sources = ((mesh_path, _load_mesh), (stable_path, lambda path: _load_curve(path, "stable")),
-               (unstable_path, lambda path: _load_curve(path, "unstable")))
+    # loaded curves in the order of run.curve_kinds, as traced ones
+    sources = ((mesh_path, _load_mesh), (unstable_path, lambda path: _load_curve(path, "unstable")),
+               (stable_path, lambda path: _load_curve(path, "stable")))
     for path, load in sources:
         if path:
             try:
@@ -500,8 +534,10 @@ def cmd_portrait(
         return EXIT_ANALYSIS
     raster = None
     if not no_basins and len(att) >= 2:
+        stable = next((c for c in curves if c.kind == "stable"), None)
         raster = basin_raster(
-            m, mesh, att, resolution=cfg.numeric["basin_raster"], tol=cfg.numeric["basin_tol"]
+            m, mesh, att, resolution=cfg.numeric["basin_raster"], tol=cfg.numeric["basin_tol"],
+            stable=stable if "stable" in run.curve_kinds else None,
         )
     rng = np.random.default_rng(cfg.seed)
     orbits = []

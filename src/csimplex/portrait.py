@@ -53,15 +53,29 @@ class BasinRaster:
 
     labels[i, j] refers to grid direction (u1, u2) = (i, j)/(resolution-1);
     -2 marks points outside the simplex, -1 unresolved orbits, otherwise the
-    index into the sorted attractor names.
+    index into the sorted attractor names.  orbit_cells counts the cells
+    labelled by their own orbit; the others were labelled by their side of
+    the stable curve (see basin_raster).
     """
 
     resolution: int
     labels: np.ndarray
     attractor_names: list[str]
+    orbit_cells: int
 
     def cell_size(self) -> float:
         return 1.0 / (self.resolution - 1)
+
+
+# basin_raster with a stable curve: the half-width of the band of orbit
+# cells, in max(1 cell, the curve's tol in the direction plane), and one in
+# _SIDE_SAMPLE of the other cells labelled by orbit to check the sides.
+_SIDE_BAND = 1.0
+_SIDE_SAMPLE = 8
+
+# Rim cells lie on the closing polygon's edges; the side test moves them this
+# share of the way toward the centroid.
+_RIM_NUDGE = 1e-9
 
 
 def basin_raster(
@@ -71,16 +85,153 @@ def basin_raster(
     resolution: int = DEFAULT_RASTER,
     max_iter: int = DEFAULT_BASIN_MAX_ITER,
     tol: float = DEFAULT_BASIN_TOL,
+    stable: ManifoldCurve | None = None,
 ) -> BasinRaster:
     """Label a direction-space raster by the attractor its lifted orbit
-    reaches."""
+    reaches.
+
+    Without ``stable`` every cell inside the simplex is labelled by its
+    orbit.  Given the stable curve of the saddle, which runs from one rim
+    repeller to the other and, closed by the rim, separates the two basins,
+    only the cells within a band of the curve are labelled by orbit: the
+    band is _SIDE_BAND times max(1 cell, (1 + sqrt 3) curve.tol / min sum(x)
+    over the curve's points), the curve's tol carried into the direction
+    plane.  Every _SIDE_SAMPLE-th other cell in raster order is labelled by
+    orbit too, and every remaining cell takes the attractor that all the
+    sampled cells of its side reached.  The side is the parity of the
+    crossings of the closed polyline below the cell along its raster row
+    (rim cells are first moved _RIM_NUDGE toward the centroid).  The raster
+    falls back to labelling every cell by orbit when an end of the curve is
+    off the rim, when a side has no sampled cell, when a sampled cell is -1
+    or differs from the others of its side, or when both sides reach the
+    same attractor; ``orbit_cells`` then counts every cell.  Orbits map
+    rows independently, so a cell's orbit label does not depend on which
+    other cells are in its batch.
+    """
     R = resolution
     u1, u2 = np.meshgrid(np.linspace(0.0, 1.0, R), np.linspace(0.0, 1.0, R), indexing="ij")
     inside = u1 + u2 <= 1.0 + 1e-12
+    uv = np.column_stack([u1[inside], u2[inside]])
+    side = None if stable is None else _stable_side(R, stable)
+
+    def orbit_labels(rows):
+        pts = radial_project(mesh, directions_from_uv(uv[rows]))
+        return basin_of_batch(m, pts, attractors, max_iter=max_iter, tol=tol)
+
+    if side is None:
+        cell_labels = orbit_labels(slice(None))
+        orbit_cells = cell_labels.size
+    else:
+        side = side[inside]
+        by_orbit = _near_curve(R, stable, _SIDE_BAND * _curve_width(R, stable))[inside]
+        sampled = np.flatnonzero(~by_orbit)[::_SIDE_SAMPLE]
+        by_orbit[sampled] = True
+        cell_labels = np.full(uv.shape[0], -1, dtype=np.intp)
+        cell_labels[by_orbit] = orbit_labels(by_orbit)
+        reached = [np.unique(cell_labels[sampled[side[sampled] == k]]) for k in (False, True)]
+        if all(r.size == 1 and r[0] >= 0 for r in reached) and reached[0][0] != reached[1][0]:
+            cell_labels[~by_orbit] = np.where(side[~by_orbit], reached[1][0], reached[0][0])
+            orbit_cells = int(np.count_nonzero(by_orbit))
+        else:
+            cell_labels[~by_orbit] = orbit_labels(~by_orbit)
+            orbit_cells = cell_labels.size
     labels = np.full((R, R), -2, dtype=np.intp)
-    pts = radial_project(mesh, directions_from_uv(np.column_stack([u1[inside], u2[inside]])))
-    labels[inside] = basin_of_batch(m, pts, attractors, max_iter=max_iter, tol=tol)
-    return BasinRaster(resolution=R, labels=labels, attractor_names=sorted(attractors))
+    labels[inside] = cell_labels
+    return BasinRaster(
+        resolution=R, labels=labels, attractor_names=sorted(attractors), orbit_cells=orbit_cells
+    )
+
+
+def _rim_position(x: np.ndarray) -> float | None:
+    """Position of the point x on the rim of the direction triangle, as the
+    distance walked from (u1, u2) = (0, 0) through (1, 0) and (0, 1): u1 on
+    the edge x2 = 0, 1 + u2 on x3 = 0, 2 + u3 on x1 = 0.  None when no
+    coordinate of x is zero."""
+    u = x / x.sum()
+    if u[1] == 0.0:
+        return float(u[0])
+    if u[2] == 0.0:
+        return 1.0 + float(u[1])
+    if u[0] == 0.0:
+        return 2.0 + float(u[2])
+    return None
+
+
+def _stable_side(resolution: int, curve: ManifoldCurve) -> np.ndarray | None:
+    """(R, R) mask of the raster cells on one side of the curve, whose ends
+    lie on the rim, closed by the rim from its last point forward to its
+    first; None when an end is off the rim or a point lies outside the
+    closed orthant or at the origin.
+
+    Each raster row i is the line u1 = i/(R-1).  A cell's side is the parity
+    of the closed polygon's crossings of its row below the cell, an edge
+    crossing the line when one end lies above it and the other does not.
+    Rim cells lie on the polygon's rim edges, so each is moved _RIM_NUDGE of
+    the way toward the centroid; a row's rim cells then share one line, at
+    u1 + _RIM_NUDGE (1/3 - u1), and each row is two scanlines."""
+    R = resolution
+    P = curve.points
+    sums = P.sum(axis=1)
+    if not (np.all(P >= 0.0) and np.all(sums > 0.0)):
+        return None
+    t_first, t_last = _rim_position(P[0]), _rim_position(P[-1])
+    if t_first is None or t_last is None:
+        return None
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    ahead = (np.arange(3.0) - t_last) % 3.0
+    walk = [k for k in np.argsort(ahead) if 0.0 < ahead[k] < (t_first - t_last) % 3.0]
+    uv = P[:, :2] / sums[:, None]
+    V = np.vstack([uv, corners[walk], uv[:1]])
+    a, b = V[:-1], V[1:]
+
+    grid = np.linspace(0.0, 1.0, R)
+    nudged = grid + _RIM_NUDGE * (1.0 / 3.0 - grid)
+    lines = np.concatenate([grid, nudged])  # row i, then row i's rim cells
+    line, edge = np.nonzero((a[None, :, 0] > lines[:, None]) != (b[None, :, 0] > lines[:, None]))
+    a, b = a[edge], b[edge]
+    at = a[:, 1] + (lines[line] - a[:, 0]) * (b[:, 1] - a[:, 1]) / (b[:, 0] - a[:, 0])
+    # one sorted key per crossing: 4 per line apart, so that lines never mix
+    keys = np.sort(4.0 * line + at)
+
+    i, j = np.meshgrid(np.arange(R), np.arange(R), indexing="ij")
+    rim = (i == 0) | (j == 0) | (i + j >= R - 1)
+    on = np.where(rim, i + R, i)
+    v = np.where(rim, nudged[j], grid[j])
+    below = np.searchsorted(keys, 4.0 * on + v) - np.searchsorted(keys, 4.0 * on - 1.0)
+    return below % 2 == 1
+
+
+def _curve_width(resolution: int, curve: ManifoldCurve) -> float:
+    """max(1 cell, the curve's tol carried into the direction plane): points
+    within tol of each other have directions within (1 + sqrt 3) tol / s,
+    s the smaller coordinate sum."""
+    s = float(curve.points.sum(axis=1).min())
+    return max(1.0 / (resolution - 1), (1.0 + np.sqrt(3.0)) * curve.tol / s)
+
+
+def _near_curve(resolution: int, curve: ManifoldCurve, width: float) -> np.ndarray:
+    """(R, R) mask of the raster cells within ``width`` of the curve in the
+    (u1, u2) plane: the cells within width plus a quarter cell of a point of
+    its polyline densified to half a cell.  Each point marks, on each raster
+    row within reach, the run of cells inside its disk, so the work grows
+    with the points times the rows of the band, not its area."""
+    R = resolution
+    cell = 1.0 / (R - 1)
+    uv = curve.points[:, :2] / curve.points.sum(axis=1, keepdims=True)
+    c = _densify(uv, 0.5 * cell) / cell  # in cells
+    reach = width / cell + 0.25
+    k = int(reach) + 1
+    row = np.rint(c[:, :1]).astype(np.intp) + np.arange(-k, k + 1)
+    dy = row - c[:, :1]
+    half = np.sqrt(np.maximum(reach * reach - dy * dy, 0.0))
+    lo = np.maximum(np.floor(c[:, 1:] - half) + 1.0, 0.0).astype(np.intp)
+    hi = np.minimum(np.ceil(c[:, 1:] + half) - 1.0, R - 1.0).astype(np.intp)
+    keep = (half > 0.0) & (row >= 0) & (row < R) & (lo <= hi)
+    # +1 where a run starts and -1 after it ends, summed along each row
+    start = row[keep] * (R + 1) + lo[keep]
+    edges = np.bincount(start, minlength=R * (R + 1))
+    edges -= np.bincount(start + (hi[keep] - lo[keep] + 1), minlength=R * (R + 1))
+    return np.cumsum(edges.reshape(R, R + 1), axis=1)[:, :R] > 0
 
 
 def _densify(P: np.ndarray, spacing: float) -> np.ndarray:
@@ -164,6 +315,33 @@ def _polyline(points2: np.ndarray, ymax: float, stroke: str, width: float, dashe
     )
 
 
+def _raster_runs(raster: BasinRaster) -> tuple[list, ...]:
+    """The runs of equal labels >= 0 along each raster row, in raster order,
+    as lists: the label and the plane points (a0, a1) of the run's first
+    cell and (b0, b1) of its last.  A cell (i, j) has u = (i, j) * cell and
+    goes to u1 c0 + u2 c1 + (1 - (u1 + u2)) c2 for the triangle's corners
+    c, summed in that order."""
+    labels = raster.labels
+    cell = raster.cell_size()
+    rows, cols = labels.shape
+    # a column of -2 after each row ends its last run
+    flat = np.full((rows, cols + 1), -2, dtype=labels.dtype)
+    flat[:, :cols] = labels
+    flat = flat.ravel()
+    starts = np.flatnonzero(np.concatenate([[True], flat[1:] != flat[:-1]]))
+    ends = np.append(starts[1:], flat.size)
+    keep = flat[starts] >= 0
+    starts, ends = starts[keep], ends[keep]
+    u1 = (starts // (cols + 1)) * cell
+    c = TRIANGLE_CORNERS
+    ends_at = []
+    for j in (starts % (cols + 1), ends % (cols + 1) - 1):
+        u2 = j * cell
+        rest = 1 - (u1 + u2)
+        ends_at += [u1 * c[0, k] + u2 * c[1, k] + rest * c[2, k] for k in (0, 1)]
+    return (flat[starts].tolist(), *(p.tolist() for p in ends_at))
+
+
 def render_portrait(
     records: list[FixedPointRecord],
     curves: list[ManifoldCurve],
@@ -190,32 +368,15 @@ def render_portrait(
         parts.append(f"<!-- {meta} -->")
 
     if raster is not None:
-        cell = raster.cell_size()
         parts.append('<g shape-rendering="crispEdges">')
-        labels = raster.labels
-        corners = TRIANGLE_CORNERS
-        for i in range(labels.shape[0]):
-            j = 0
-            while j < labels.shape[1]:
-                lab = labels[i, j]
-                if lab < 0:
-                    j += 1
-                    continue
-                j0 = j
-                while j < labels.shape[1] and labels[i, j] == lab:
-                    j += 1
-                # run of raster cells painted as one stroke in the plane
-                u_lo = np.array([i * cell, j0 * cell])
-                u_hi = np.array([i * cell, (j - 1) * cell])
-                a = u_lo[0] * corners[0] + u_lo[1] * corners[1] + (1 - u_lo.sum()) * corners[2]
-                b = u_hi[0] * corners[0] + u_hi[1] * corners[1] + (1 - u_hi.sum()) * corners[2]
-                fill = _BASIN_FILLS[int(lab) % len(_BASIN_FILLS)]
-                th = cell * 1.2
-                parts.append(
-                    f'<line x1="{_fmt(a[0])}" y1="{_fmt(ymax - a[1])}" '
-                    f'x2="{_fmt(b[0])}" y2="{_fmt(ymax - b[1])}" '
-                    f'stroke="{fill}" stroke-width="{_fmt(th)}"/>'
-                )
+        th = _fmt(raster.cell_size() * 1.2)
+        for lab, a0, a1, b0, b1 in zip(*_raster_runs(raster)):
+            fill = _BASIN_FILLS[lab % len(_BASIN_FILLS)]
+            parts.append(
+                f'<line x1="{_fmt(a0)}" y1="{_fmt(ymax - a1)}" '
+                f'x2="{_fmt(b0)}" y2="{_fmt(ymax - b1)}" '
+                f'stroke="{fill}" stroke-width="{th}"/>'
+            )
         parts.append("</g>")
 
     if orbits:

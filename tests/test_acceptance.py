@@ -214,6 +214,10 @@ def test_criterion_5_manifold_structure(structures, meshes):
         raster = basin_raster(m, mesh, s["att"], resolution=81)
         inside = raster.labels > -2
         assert np.all(raster.labels[inside] >= 0)  # every raster orbit resolved
+        # the cells away from the stable curve take its side's attractor
+        by_side = basin_raster(m, mesh, s["att"], resolution=81, stable=stable)
+        assert np.array_equal(by_side.labels, raster.labels)
+        assert by_side.orbit_cells < raster.orbit_cells
         components = count_basin_components(raster, [stable, unstable])
         assert components == 4
     _passline(5, "manifold structure", "20/20 systems: curves + 4 basin components")

@@ -676,6 +676,48 @@ def test_verify_leaves_scipy_unloaded(tmp_path):
     assert _run_fresh(code, cwd=tmp_path).splitlines()[-1] == "1 []"
 
 
+def test_portrait_leaves_scipy_unloaded(tmp_path):
+    """portrait on the README example labels its raster by the side of the
+    stable curve, which needs no kd-tree, so no scipy module is loaded."""
+    (tmp_path / "run.json").write_text(json.dumps(readme_config()))
+    code = ("import sys; from csimplex.cli import main; "
+            "codes = [main([cmd, '--config', 'run.json']) for cmd in ('simplex', 'portrait')]; "
+            "print(codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    assert _run_fresh(code, cwd=tmp_path).splitlines()[-1] == "[0, 0] []"
+
+
+class TestJsonText:
+    """write_json's text equals json.dumps(doc, sort_keys=True, indent=2,
+    default=_json_default) + newline."""
+
+    @staticmethod
+    def assert_json_dumps_text(doc):
+        want = json.dumps(doc, sort_keys=True, indent=2, default=cli._json_default)
+        assert cli._dumps(doc) == want
+
+    @pytest.mark.parametrize("resolution", [8, 32, 128])
+    def test_mesh(self, resolution):
+        run = cli._Run(RunConfig({**readme_config(), "numeric": {"mesh_resolution": resolution}}))
+        self.assert_json_dumps_text({**run.mesh.to_json(), **run.stamp})
+
+    def test_curve(self):
+        run = cli._Run(RunConfig(readme_config()))
+        curve = cli.trace_unstable(run.map, run.interior.location, run.boundary[0])
+        self.assert_json_dumps_text({**cli.curve_to_json(curve), **run.stamp})
+
+    @pytest.mark.parametrize("doc", [
+        {"a": [-0.0, 5e-324, 1.7976931348623157e308], "b": [[-0.0, 5e-324], [1.7976931348623157e308, 1.0]]},
+        {"a": [1.0, math.nan], "b": [[1.0, math.inf]], "c": [-math.inf]},
+        {"a": [1.0, 2], "b": [[1.0, 2.0], [3, 4.0]], "c": [True, 1.0]},
+        {"a": [], "b": [[]], "c": [[1.0], []], "d": [[1.0], 2.0]},
+        {"a": [1e308, 1e308], "b": [[1.7976931348623157e308], [1.7976931348623157e308]]},
+        {"s": "two\nlines", "d": {"k": [1.0, 2.0], "z": None}, "t": True, "n": np.arange(3.0)},
+        {},
+    ])
+    def test_crafted(self, doc):
+        self.assert_json_dumps_text(doc)
+
+
 class TestSimplexAndPortrait:
     def test_pipeline(self, config_path, tmp_path):
         mesh_path = tmp_path / "mesh.json"
@@ -765,6 +807,15 @@ class TestSimplexAndPortrait:
             "--out", str(tmp_path / "p2.svg"), "--no-basins",
         ]) == 0
         assert (tmp_path / "p2.svg").read_text().count("<polyline") >= 3
+        # loaded curves are drawn in the traced order, and the loaded stable
+        # curve labels the raster as the traced one does
+        assert main([
+            "portrait", "--config", cfg,
+            "--stable", str(tmp_path / "stable.json"),
+            "--unstable", str(tmp_path / "unstable.json"),
+            "--out", str(tmp_path / "p3.svg"),
+        ]) == 0
+        assert (tmp_path / "p3.svg").read_bytes() == (tmp_path / "p1.svg").read_bytes()
 
 
 class TestVerify:
