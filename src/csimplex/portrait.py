@@ -143,9 +143,9 @@ def basin_raster(
 
 
 def _rim_position(x: np.ndarray) -> float | None:
-    """Position of the point x on the rim of the direction triangle, as the
-    distance walked from (u1, u2) = (0, 0) through (1, 0) and (0, 1): u1 on
-    the edge x2 = 0, 1 + u2 on x3 = 0, 2 + u3 on x1 = 0.  None when no
+    """Position t in [0, 3] of the point x on the rim of the direction
+    triangle, walked from (u1, u2) = (0, 0) through (1, 0) and (0, 1): u1
+    on the edge x2 = 0, 1 + u2 on x3 = 0, 2 + u3 on x1 = 0.  None when no
     coordinate of x is zero."""
     u = x / x.sum()
     if u[1] == 0.0:
