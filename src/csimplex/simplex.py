@@ -193,8 +193,9 @@ class SimplexMesh:
         embedding test of _ImageMesh (a face flat, flipped, NaN or too thin,
         or a rim vertex off its edge).  The returned _ImageMesh also has
         find (image face and weights of directions, by the search that the
-        graph transform uses) and fixed_point (the PL map's fixed point near
-        a point).
+        graph transform uses), pull (the PL inverse from given image faces,
+        returning the faces it used, so that an orbit carries them from step
+        to step) and fixed_point (the PL map's fixed point near a point).
         """
         from .manifolds import ManifoldError  # manifolds imports this module
 
@@ -511,15 +512,18 @@ class _ImageMesh:
 
         A certified row's face and weights are therefore those of the argmax
         of the minimum weight over all faces, lowest face index on ties: what
-        _locate_interior and a scan of every face compute, bit for bit.
+        _locate_interior and a scan of every face compute, bit for bit, from
+        any guess.  When every row is certified in its guess, the guess array
+        itself is returned as the faces.
         """
-        face = guess.copy()
         c, low = self._weights(q, guess)
-        bary = np.stack(c, axis=1)
+        bary = np.empty((low.size, 3))  # the columns c, as np.stack(c, axis=1) at less cost
+        bary[:, 0], bary[:, 1], bary[:, 2] = c
         certified = low > _WARM_EPS
+        if certified.all():
+            return guess, bary, certified
+        face = guess.copy()
         rest = np.nonzero(~certified)[0]
-        if rest.size == 0:
-            return face, bary, certified
         faces = self.faces
         own = faces[guess[rest]]  # (row, vertex of the guess)
         star = self.incidence[own]  # (row, vertex, face): the stars of those vertices
@@ -531,7 +535,7 @@ class _ImageMesh:
         col = np.argmin(np.where(score == best[:, None], ring, faces.shape[0]), axis=1)
         win = ring[rows, col]
         face[rest] = win
-        bary[rest] = np.stack([ci[rows, col] for ci in c], axis=1)
+        bary[rest, 0], bary[rest, 1], bary[rest, 2] = (ci[rows, col] for ci in c)
         inside = best > _WARM_EPS
         if not inside.all():
             # the rim of a guess vertex's star: the edges opposite the vertex
@@ -552,20 +556,22 @@ class _ImageMesh:
         certified[rest] = inside
         return face, bary, certified
 
-    def find(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def find(self, U: np.ndarray, faces: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Image face and barycentric weights (m, 3) of each direction row of
-        U: locate from the lattice face that contains the row (for an orbit,
-        the face of its previous step), then, for the rows that it leaves
-        uncertified, the argmax of the minimum weight over every face,
-        lowest face index on ties."""
+        U: locate from the given faces (by default the lattice face that
+        contains each row), then, for the rows that it leaves uncertified,
+        the argmax of the minimum weight over every face, lowest face index
+        on ties.  The result does not depend on the faces searched from
+        (see locate); they only decide how much of the search runs."""
         q = U[:, :2].T
-        face, c, certified = self.locate(q, _regular_face(U, self.N)[0])
+        face, c, certified = self.locate(q, _regular_face(U, self.N)[0] if faces is None else faces)
+        if certified.all():
+            return face, c
         rest = np.nonzero(~certified)[0]
-        if rest.size:
-            c_all, score = self._weights(q[:, rest, None], np.arange(self.faces.shape[0]))
-            col = np.argmax(score, axis=1)
-            face[rest] = col
-            c[rest] = np.stack([ci[np.arange(rest.size), col] for ci in c_all], axis=1)
+        c_all, score = self._weights(q[:, rest, None], np.arange(self.faces.shape[0]))
+        col = np.argmax(score, axis=1)
+        face[rest] = col
+        c[rest] = np.stack([ci[np.arange(rest.size), col] for ci in c_all], axis=1)
         return face, c
 
     def fixed_point(self, x: np.ndarray) -> np.ndarray:
@@ -597,15 +603,32 @@ class _ImageMesh:
                 return self(np.append(v, 1.0 - v.sum())[None, :])[0]
         raise ManifoldError(f"the PL map has no fixed point near {x}")
 
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        """The PL inverse of T at the point rows X (see SimplexMesh.pull_back)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        face, b = self.find(X / X.sum(axis=1, keepdims=True))
+    def pull(self, X: np.ndarray, faces: np.ndarray | None = None):
+        """The PL inverse of T at the point rows X, a float array (m, 3) (see
+        SimplexMesh.pull_back), with the image faces it used and the number
+        of rows not certified in the faces searched from (by default the
+        lattice faces of the rows' directions; see find).  A row pulled back
+        from image face f lies on lattice face f, so along an orbit the faces
+        returned are the faces to search from at the next step."""
+        U = X / X.sum(axis=1, keepdims=True)
+        if faces is None:
+            faces = _regular_face(U, self.N)[0]
+        face, b = self.find(U, faces)
+        # locate returns the guess itself when it certifies every row there;
+        # otherwise a row certified in its guess keeps that face, with every
+        # weight above _WARM_EPS, and every other row is searched further
+        misses = 0
+        if face is not faces:
+            misses = int(np.count_nonzero((face != faces) | (b.min(axis=1) <= _WARM_EPS)))
         b = np.maximum(b, 0.0)
         b /= b.sum(axis=1, keepdims=True)
         corners = self.faces[face]
         num = np.einsum("ik,ikj->ij", b, self.U[corners])
-        return num / (b / self.radii[corners]).sum(axis=1, keepdims=True)
+        return num / (b / self.radii[corners]).sum(axis=1, keepdims=True), face, misses
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        """The PL inverse of T at the point rows X (see SimplexMesh.pull_back)."""
+        return self.pull(np.atleast_2d(np.asarray(X, dtype=float)))[0]
 
 
 class _Transform:
@@ -928,28 +951,45 @@ def surface_distance(mesh: SimplexMesh, pts: np.ndarray) -> np.ndarray:
     call (scipy is imported only then), so nothing cached depends on the
     radii.  Raises ValueError for rows that are not finite.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("surface_distance needs finite points")
+    pts = _finite_rows(pts)
     V = mesh.vertices
-    N = mesh.resolution
     ring = mesh._face_rings()
-    s = pts.sum(axis=1)
     dist = np.empty(pts.shape[0])
     for start in range(0, pts.shape[0], _DISTANCE_BLOCK):
         block = pts[start:start + _DISTANCE_BLOCK]
-        # the ring of any direction bounds d; rows outside the orthant take
-        # that of their clipped direction and are left to the ball search
-        pos = np.maximum(block, 0.0)
-        ps = pos.sum(axis=1, keepdims=True)
-        u = np.divide(pos, ps, out=np.full_like(pos, 1.0 / 3.0), where=ps > 0.0)
-        tris = mesh.triangulation[ring[_regular_face(u, N)[0]]]  # (B, 13, 3)
+        tris = mesh.triangulation[ring[_direction_faces(mesh, block)]]  # (B, 13, 3)
         dist[start:start + block.shape[0]] = _face_distances(V, tris, block[:, None, :]).min(axis=1)
-    certified = np.all(pts >= 0.0, axis=1) & (_RING_FACTOR * N * dist <= s - np.sqrt(3.0) * dist)
-    far = np.nonzero(~certified)[0]
+    far = np.nonzero(~_ring_certified(mesh, pts, dist))[0]
     if far.size:
         dist[far] = _ball_distance(mesh, pts[far], dist[far])
     return dist
+
+
+def _finite_rows(pts: np.ndarray) -> np.ndarray:
+    """pts as a 2-D float array; raises ValueError unless every row is finite."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("surface_distance needs finite points")
+    return pts
+
+
+def _direction_faces(mesh: SimplexMesh, pts: np.ndarray) -> np.ndarray:
+    """The lattice face of each row's direction, the centre of its face ring
+    in surface_distance.  The ring of any direction bounds the distance, so
+    rows outside the orthant take that of their clipped direction (they are
+    left to the ball search)."""
+    pos = np.maximum(pts, 0.0)
+    ps = pos.sum(axis=1, keepdims=True)
+    u = np.divide(pos, ps, out=np.full_like(pos, 1.0 / 3.0), where=ps > 0.0)
+    return _regular_face(u, mesh.resolution)[0]
+
+
+def _ring_certified(mesh: SimplexMesh, pts: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Rows whose nearest surface point lies on their face ring, given upper
+    bounds d on their distances (see surface_distance); the test only gets
+    easier as d falls."""
+    s = pts.sum(axis=1)
+    return np.all(pts >= 0.0, axis=1) & (_RING_FACTOR * mesh.resolution * d <= s - np.sqrt(3.0) * d)
 
 
 def _ball_distance(mesh: SimplexMesh, pts: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -982,9 +1022,32 @@ def _ball_distance(mesh: SimplexMesh, pts: np.ndarray, bound: np.ndarray) -> np.
 
 def invariance_residual(m: CompetitiveMap, mesh: SimplexMesh) -> float:
     """max over vertices v of distance(T(v), surface); near zero certifies
-    approximate invariance T(S) = S."""
-    images = m(mesh.vertices)
-    return float(surface_distance(mesh, images).max())
+    approximate invariance T(S) = S.  Raises ValueError when an image is not
+    finite.
+
+    The result is float(surface_distance(mesh, T(V)).max()), bit for bit,
+    without measuring every row.  A row's distance b to the lattice face of
+    its direction bounds its distance from above: that face is in the row's
+    ring, so the ring minimum is at most b, computed alike.  When the ring
+    certificate holds with b, it holds with the ring minimum, which is then
+    the row's distance.  Rows for which it fails with b may take the ball
+    search and are measured outright; the others are measured in decreasing
+    order of b, in batches of doubling size, until the next b is no larger
+    than the largest distance so far."""
+    V = mesh.vertices
+    images = _finite_rows(m(V))
+    bound = _face_distances(V, mesh.triangulation[_direction_faces(mesh, images)], images)
+    ring = _ring_certified(mesh, images, bound)
+    best = -np.inf
+    if not ring.all():
+        best = surface_distance(mesh, images[~ring]).max()
+    order = np.flatnonzero(ring)[np.argsort(-bound[ring], kind="stable")]
+    start, size = 0, 1
+    while start < order.size and bound[order[start]] > best:
+        rows = order[start:start + size]
+        best = max(best, surface_distance(mesh, images[rows]).max())
+        start, size = start + size, 2 * size
+    return float(best)
 
 
 def _vertices_within(mesh: SimplexMesh, x: np.ndarray, radius: float) -> np.ndarray:

@@ -676,6 +676,18 @@ def test_verify_leaves_scipy_unloaded(tmp_path):
     assert _run_fresh(code, cwd=tmp_path).splitlines()[-1] == "1 []"
 
 
+def test_verify_at_n128_leaves_scipy_unloaded(tmp_path):
+    """The same at N=128, on the config of the readme_n128 benchmark
+    workload."""
+    doc = {"model": readme_config()["model"], "numeric": {"mesh_resolution": 128, "mesh_tol": 1e-8},
+           "seed": 7}
+    (tmp_path / "run.json").write_text(json.dumps(doc))
+    code = ("import sys; from csimplex.cli import main; "
+            "code = main(['verify', '--config', 'run.json', '--out', 'v.json']); "
+            "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    assert _run_fresh(code, cwd=tmp_path).splitlines()[-1] == "1 []"
+
+
 def test_portrait_leaves_scipy_unloaded(tmp_path):
     """portrait on the README example labels its raster by the side of the
     stable curve, which needs no kd-tree, so no scipy module is loaded."""

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +84,12 @@ def anchor_system(kind, k, resolution=None):
     att, rep = boundary_sets(recs)
     mesh = compute_carrying_simplex(m, resolution=resolution, tol=1e-8) if resolution else None
     return m, q, att, rep, mesh
+
+
+def stateless(f):
+    """The _grow_curve step of a map f of point rows, which carries no
+    per-row state and misses no search."""
+    return lambda Y, faces: (f(Y), faces, 0)
 
 
 def grow_branch_alone(step, q, seed, steps, targets, endpoint_tol, h_max):
@@ -497,11 +504,13 @@ class TestStable:
         if kind == "unstable":
             e, steps = _saddle_eigendirection(m, q, expanding=True)
             step, seed, targets, tol = m, 1e-6 * np.linalg.norm(q) * e, att, 1e-5 * wn
+            carried = stateless(m)
         else:
             e, steps = _saddle_eigendirection(m, q, expanding=False)
             step, targets, tol = mesh.pull_back(m), rep, 0.1 * mesh.max_edge_length()
             seed = 1e-3 * wn * e
-        curve = _grow_curve(kind, step, q, seed, steps, targets, tol, h_max)
+            carried = step.pull
+        curve = _grow_curve(kind, carried, q, seed, steps, targets, tol, h_max)
         plus, (name_p, d_p) = grow_branch_alone(step, q, seed, steps, targets, tol, h_max)
         minus, (name_m, d_m) = grow_branch_alone(step, q, -seed, steps, targets, tol, h_max)
         alone = np.vstack([minus[::-1], plus[1:]])
@@ -517,7 +526,7 @@ class TestStable:
         q, e = np.full(3, 0.5), np.array([1.0, 0.0, 0.0])
         reach = 1e-8 * 2.0**25
         targets = {"a": q + reach * e, "b": q - reach * e}
-        curve = _grow_curve("unstable", lambda X: q + 2.0 * (X - q), q, 1e-8 * e, 1,
+        curve = _grow_curve("unstable", stateless(lambda X: q + 2.0 * (X - q)), q, 1e-8 * e, 1,
                             targets, 1e-3 * reach, 0.1 * reach)
         assert list(curve.endpoints) == ["b", "a"]
         assert np.allclose(curve.points[[0, -1]], [targets["b"], targets["a"]], atol=1e-3 * reach)
@@ -535,7 +544,8 @@ class TestStable:
             return q - np.outer(t + 0.05 * t * (1.0 - t * t), e) + 0.5 * (X - q - np.outer(t, e))
 
         h_max = 0.01
-        curve = _grow_curve("unstable", step, q, 1e-6 * e, 2, {"a": q + e, "b": q - e}, 1e-4, h_max)
+        curve = _grow_curve("unstable", stateless(step), q, 1e-6 * e, 2, {"a": q + e, "b": q - e},
+                            1e-4, h_max)
         assert list(curve.endpoints) == ["b", "a"]
         t = (curve.points - q) @ e
         assert np.all(np.diff(t) > 0.0)
@@ -551,7 +561,7 @@ class TestStable:
             return X + np.outer(0.05 * t * (1.0 - t * t), e)
 
         with pytest.raises(BranchDidNotTerminateError, match="did not reach a within"):
-            _grow_curve("unstable", step, q, 1e-6 * e, 1, {"a": q + e}, 1e-4, 0.01)
+            _grow_curve("unstable", stateless(step), q, 1e-6 * e, 1, {"a": q + e}, 1e-4, 0.01)
 
     @pytest.mark.parametrize("system, floored", [
         (("leslie_gower", 0), False), (("atkinson_allen", 6), False), (("ricker", 10), False),
@@ -588,6 +598,118 @@ class TestStable:
         assert (not passing) == floored
         expected = passing[0] if passing else h_min
         assert np.allclose(seeds[0], expected * e_s, rtol=1e-12, atol=0.0)
+
+
+def system_of(m, resolution):
+    """The saddle, attractors, repellers and mesh of the map m."""
+    recs = find_all_fixed_points(m)
+    q = next(r for r in recs if r.support_type == "interior").location
+    att, rep = boundary_sets(recs)
+    return m, q, att, rep, compute_carrying_simplex(m, resolution=resolution, tol=1e-8)
+
+
+def readme_map():
+    """The README example: Ricker with r = 0.2 and the class-19 matrix."""
+    return make_ricker(ParameterSet(r=np.full(3, 0.2), A=A_CLASS19))
+
+
+def battery_maps(seed, monkeypatch, work):
+    """The maps of every system that the basin_battery benchmark workload
+    draws from the seed (its inputs written to the directory work),
+    screened as bench/workloads.py screens them."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import tracer
+    import workloads
+
+    battery = workloads.BasinBattery()
+    battery.write_inputs(work, seed)
+    battery.prepare(work)
+    return [battery._screen(system, tracer.NullTracer())
+            for systems in battery.batteries for system in systems]
+
+
+def trace_relocating(m, mesh, q, rep, att, monkeypatch):
+    """trace_stable_on_S with every step located from the lattice face of
+    each tip's direction (find's default guess), as the tracer did before
+    it carried the faces; also returns the rows it pulled back."""
+    grow, rows = manifolds._grow_curve, []
+
+    def every_step(kind, step, *args):
+        def relocate(X):
+            rows.append(X.shape[0])
+            return step(X)[0]  # no faces given: the lattice faces
+
+        return grow(kind, stateless(relocate), *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(manifolds, "_grow_curve", every_step)
+        curve = trace_stable_on_S(m, mesh, q, rep, att)
+    return curve, sum(rows)
+
+
+class TestCarriedFaces:
+    """The stable tracer starts each pull-back step from the image face of
+    the tip's previous step.  Every certified face is the all-face argmax
+    whatever the guess, so the curves equal, bit for bit, those of the
+    tracer that relocates every step."""
+
+    @staticmethod
+    def assert_same_curve(m, q, att, rep, mesh, monkeypatch):
+        curve = trace_stable_on_S(m, mesh, q, rep, att)
+        ref, rows = trace_relocating(m, mesh, q, rep, att, monkeypatch)
+        assert np.array_equal(curve.points, ref.points)
+        assert list(curve.endpoints.items()) == list(ref.endpoints.items())
+        assert curve.tol == ref.tol
+        # some tips leave their face, most stay; a relocated step carries none
+        assert 0 < curve.misses < rows / 2
+        assert ref.misses == 0
+
+    @pytest.mark.parametrize("N", [32, 64, 128])
+    def test_readme(self, N, monkeypatch):
+        self.assert_same_curve(*system_of(readme_map(), N), monkeypatch)
+
+    @pytest.mark.parametrize("kind", ["leslie_gower", "atkinson_allen", "ricker"])
+    @pytest.mark.parametrize("k", range(len(ANCHOR_MATRICES)))
+    def test_anchors(self, kind, k, monkeypatch):
+        self.assert_same_curve(*anchor_system(kind, k, resolution=64), monkeypatch)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_benchmark_battery(self, seed, monkeypatch, tmp_path):
+        maps = battery_maps(seed, monkeypatch, tmp_path)
+        assert len(maps) == 72
+        for m in maps:
+            self.assert_same_curve(*system_of(m, 32), monkeypatch)
+
+    def test_misses_not_serialized(self):
+        m, q, att, rep, mesh = anchor_system("ricker", 4, resolution=32)
+        curve = trace_stable_on_S(m, mesh, q, rep, att)
+        assert curve.misses > 0
+        loaded = curve_from_json(curve_to_json(curve))
+        assert "misses" not in curve_to_json(curve) and loaded.misses == 0
+        assert trace_unstable(m, q, att).misses == 0
+
+
+class TestCustomMap:
+    """A builtin map and the same law wrapped by make_custom give the same
+    curves.  The custom map's fixed points come from Newton, equal to the
+    builtin's to rtol 1e-9, so the curves agree to rounding, not bit for
+    bit: measured at most 1e-9 tol (stable) and 3.1e-5 tol (unstable) over
+    the 36 anchors at N=32."""
+
+    @pytest.mark.parametrize("kind", ["leslie_gower", "atkinson_allen", "ricker"])
+    @pytest.mark.parametrize("k", [0, 5, 10])
+    def test_stable_and_unstable_curves(self, kind, k):
+        m = build_model(kind, ANCHOR_MATRICES[k][1])
+        curves = []
+        for law in (m, make_custom(3, m.growth, m.growth_jacobian)):
+            law, q, att, rep, mesh = system_of(law, 32)
+            curves.append((trace_stable_on_S(law, mesh, q, rep, att), trace_unstable(law, q, att)))
+        for (builtin, custom), bound in zip(zip(*curves), (1e-6, 1e-3)):
+            assert custom.kind == builtin.kind
+            assert list(custom.endpoints) == list(builtin.endpoints)
+            assert custom.tol == pytest.approx(builtin.tol, rel=1e-9)
+            assert custom.points.shape == builtin.points.shape
+            assert np.linalg.norm(custom.points - builtin.points, axis=1).max() <= bound * builtin.tol
 
 
 class TestPullBack:

@@ -662,6 +662,65 @@ class TestInvariance:
         assert np.array_equal(surface_distance(class19_mesh, pts), single)
 
 
+class TestPrunedResidual:
+    """invariance_residual measures only the rows whose bound can reach the
+    maximum, and returns the maximum over every row, bit for bit."""
+
+    @staticmethod
+    def assert_full_max(m, mesh, monkeypatch):
+        """The residual equals the all-row maximum; returns the rows it
+        measured and whether any took the vertex-ball search."""
+        rows, balls = [], []
+        measure, ball = simplex.surface_distance, simplex._ball_distance
+        monkeypatch.setattr(simplex, "surface_distance",
+                            lambda mesh, pts: rows.append(len(pts)) or measure(mesh, pts))
+        monkeypatch.setattr(simplex, "_ball_distance",
+                            lambda *args: balls.append(len(args[1])) or ball(*args))
+        got = invariance_residual(m, mesh)
+        monkeypatch.undo()
+        assert got == float(surface_distance(mesh, m(mesh.vertices)).max())
+        return sum(rows), sum(balls)
+
+    @pytest.mark.parametrize("N", [16, 32, 64, 128])
+    def test_readme(self, N, monkeypatch):
+        m = readme_ricker()
+        mesh = compute_carrying_simplex(m, resolution=N, tol=1e-8)
+        rows, balls = self.assert_full_max(m, mesh, monkeypatch)
+        assert balls == 0
+        if N >= 64:
+            assert rows <= mesh.radii.size // 100
+
+    @pytest.mark.parametrize("kind", ["leslie_gower", "atkinson_allen", "ricker"])
+    @pytest.mark.parametrize("k", range(len(ANCHOR_MATRICES)))
+    def test_anchors(self, kind, k, monkeypatch):
+        m = build_model(kind, ANCHOR_MATRICES[k][1])
+        mesh = compute_carrying_simplex(m, resolution=32, tol=1e-8)
+        rows, _ = self.assert_full_max(m, mesh, monkeypatch)
+        assert rows < mesh.radii.size
+
+    @pytest.mark.parametrize("N", [32, 64])
+    def test_unconverged_mesh_takes_ball_search(self, N, monkeypatch):
+        """On the initial plane and on the surface after one sweep
+        (max_iters=1) many images fail the ring certificate and take the
+        vertex-ball search; they are measured outright."""
+        m = readme_ricker()
+        with pytest.raises(NonConvergenceError) as stopped:
+            compute_carrying_simplex(m, resolution=N, max_iters=1, tol=1e-8)
+        swept = stopped.value.mesh
+        assert swept.sweeps == 1
+        for mesh in (initial_plane(m, swept), swept):
+            _, balls = self.assert_full_max(m, mesh, monkeypatch)
+            assert balls > 0
+
+    def test_map_not_finite_on_the_surface_raises(self, class19_lg, class19_mesh):
+        def growth(x):
+            return np.where(np.asarray(x)[..., :1] > 0.5, np.nan, class19_lg.growth(x))
+
+        hole = make_custom(3, growth, class19_lg.growth_jacobian)
+        with pytest.raises(ValueError, match="finite"):
+            invariance_residual(hole, class19_mesh)
+
+
 class TestTangentCone:
     def test_symmetric_plane_angle_tiny(self, symmetric_lg, symmetric_mesh):
         q = np.full(3, 1.0 / 3.0)
