@@ -535,22 +535,22 @@ def trace_stable_on_S(
     image face f lies on lattice face f, so the next step's search starts
     there (_ImageMesh.pull), and only a tip that has left that face is
     searched in its one-ring, then in every face.  The curve does not depend
-    on where the search starts; the returned curve's ``misses`` counts the
-    steps of a tip whose carried face was not certified (ring searches plus
-    all-face scans; 461 of 4,742 tip steps on the first benchmark battery
-    of seed 1).  Like
-    SimplexMesh.full_scans, it is not part of the curve's JSON form.  A branch
-    stops within tol = 0.1 of the longest mesh edge of a repeller, whose
-    location caps the polyline.  The PL map fixes a point p within O(h^2)
-    of q, not q, and along e_s that offset is amplified by 1 / (1/lambda_s
-    - 1) for the contracting eigenvalue lambda_s near 1; a seed centred on q
-    and shorter than the offset sends both branches to one repeller.  So
-    both branches grow from p (SimplexMesh.pull_back(m).fixed_point).  The
-    seed is as long as one step keeps straight: starting from a tenth of the
-    distance from q to the nearer repeller, its length is halved until the
-    steps of p +- h e_s lie within 0.01 tol of the line through p along e_s,
-    and it is never shorter than 1e-6 ||q||.  The attractors are only
-    checked for the 2+2 layout.
+    on where the search starts.  The returned curve's ``misses`` counts the
+    tip steps whose carried face was not certified (ring searches plus
+    all-face scans; 461 of 4,742 on the first benchmark battery of seed 1);
+    like SimplexMesh.full_scans, it is not part of the curve's JSON form.
+    A branch stops within tol = 0.1 of the longest mesh edge of a repeller,
+    whose location caps the polyline.  The PL map fixes a point p within
+    O(h^2) of q, not q, and along e_s that offset is amplified by
+    1 / (1/lambda_s - 1) for the contracting eigenvalue lambda_s near 1; a
+    seed centred on q and shorter than the offset sends both branches to
+    one repeller.  So both branches grow from p
+    (SimplexMesh.pull_back(m).fixed_point).  The seed is as long as one step
+    keeps straight: starting from a tenth of the distance from q to the
+    nearer repeller, its length is halved until the steps of p +- h e_s lie
+    within 0.01 tol of the line through p along e_s, and it is never
+    shorter than 1e-6 ||q||.  The attractors are only checked for the 2+2
+    layout.
     """
     if len(repellers) != 2 or len(attractors) != 2:
         raise ValueError("need exactly two repellers and two attractors")

@@ -75,15 +75,19 @@ def halving_map():
     )
 
 
-def anchor_system(kind, k, resolution=None):
-    """Builtin map on anchor k with its saddle, attractors, repellers and,
-    when a resolution is given, its mesh."""
-    m = build_model(kind, ANCHOR_MATRICES[k][1])
+def system_of(m, resolution=None):
+    """The map m with its saddle, attractors, repellers and, when a
+    resolution is given, its mesh."""
     recs = find_all_fixed_points(m)
     q = next(r for r in recs if r.support_type == "interior").location
     att, rep = boundary_sets(recs)
     mesh = compute_carrying_simplex(m, resolution=resolution, tol=1e-8) if resolution else None
     return m, q, att, rep, mesh
+
+
+def anchor_system(kind, k, resolution=None):
+    """Builtin map on anchor k, as system_of returns it."""
+    return system_of(build_model(kind, ANCHOR_MATRICES[k][1]), resolution)
 
 
 def stateless(f):
@@ -598,14 +602,6 @@ class TestStable:
         assert (not passing) == floored
         expected = passing[0] if passing else h_min
         assert np.allclose(seeds[0], expected * e_s, rtol=1e-12, atol=0.0)
-
-
-def system_of(m, resolution):
-    """The saddle, attractors, repellers and mesh of the map m."""
-    recs = find_all_fixed_points(m)
-    q = next(r for r in recs if r.support_type == "interior").location
-    att, rep = boundary_sets(recs)
-    return m, q, att, rep, compute_carrying_simplex(m, resolution=resolution, tol=1e-8)
 
 
 def readme_map():
