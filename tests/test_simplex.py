@@ -668,8 +668,8 @@ class TestPrunedResidual:
 
     @staticmethod
     def assert_full_max(m, mesh, monkeypatch):
-        """The residual equals the all-row maximum; returns the rows it
-        measured and whether any took the vertex-ball search."""
+        """The residual equals the all-row maximum; returns the number of
+        rows it measured and of those that took the vertex-ball search."""
         rows, balls = [], []
         measure, ball = simplex.surface_distance, simplex._ball_distance
         monkeypatch.setattr(simplex, "surface_distance",
