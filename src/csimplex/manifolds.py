@@ -56,6 +56,9 @@ DEFAULT_BASIN_MAX_ITER = 50000
 # basin_of_batch drops its captured orbits once they are more than this share
 # of the orbits it holds; until then they wait, masked, and are mapped on.
 _COMPACT_SHARE = 1.0 / 8.0
+# With every attractor certified, basin_of_batch tests its capture ellipsoids
+# once every this many map steps (and at max_iter).
+_CAPTURE_PERIOD = 8
 
 # Foliation/conjugacy diagnostics: sampled points per report; the fitted decay
 # ratio may exceed rho by _CONJUGACY_SLACK (first-order leaves); an orbit pair
@@ -433,6 +436,32 @@ def _capture_ellipsoid(
     return _Capture(P=P, radius=radius, theta=theta, inner=inner)
 
 
+def _capture_labels(pts: np.ndarray, regions: list) -> np.ndarray:
+    """Index of the capture region that each row x of pts lies in, -1 for
+    none, the lowest index where regions overlap.  A region (p, W, r2) holds
+    the x with y.P y < r2, y = x - p, where W holds P's diagonal and twice
+    its entries above it (the form summed row by row of P's upper triangle);
+    W None is the ball |y|^2 < r2."""
+    hit = np.full(pts.shape[0], -1, dtype=np.intp)
+    for k in range(len(regions) - 1, -1, -1):  # the lowest index written last
+        p, W, r2 = regions[k]
+        y = [pts[:, j] - p[j] for j in range(p.shape[0])]
+        if W is None:
+            s = y[0] * y[0]
+            for yj in y[1:]:
+                s += yj * yj
+        else:
+            s = np.zeros(pts.shape[0])
+            for i, yi in enumerate(y):
+                t = W[i][i] * yi
+                for j in range(i + 1, len(y)):
+                    t += W[i][j] * y[j]
+                t *= yi
+                s += t
+        hit[s < r2] = k
+    return hit
+
+
 def basin_of_batch(
     m: CompetitiveMap,
     X: np.ndarray,
@@ -441,42 +470,55 @@ def basin_of_batch(
     tol: float = DEFAULT_BASIN_TOL,
 ) -> np.ndarray:
     """Labels (index into sorted attractor names) of the attractor whose
-    tol-ball each orbit enters; -1 where unresolved after max_iter.
+    capture region each orbit enters; -1 where unresolved after max_iter.
 
-    For the builtin laws and points of R^n_+, an orbit is labelled as soon as
-    it enters the largest ball inside the certified capture ellipsoid of an
-    attractor (see _capture_ellipsoid).  The ellipsoid contains the tol ball,
-    T maps it into itself, and an orbit in it reaches the tol ball of its
-    attractor before any other, so the labels are those of the tol balls
-    alone, and each is a certificate.  Orbits arrive along the slow
-    eigendirection, the short axis of the ellipsoid, so the ball captures
-    them almost as early at no extra cost per iteration.
+    The capture region of an attractor is its tol ball or, for the builtin
+    laws and points of R^n_+, its certified capture ellipsoid E (see
+    _capture_ellipsoid), which contains the tol ball.  T maps E into itself,
+    and an orbit in E reaches the tol ball of its attractor before any
+    other, so the labels are those of the tol balls alone, and each is a
+    certificate.
 
-    Each iteration tests the orbits against each attractor's ball by one
-    squared distance, summed over the columns.  A captured orbit is masked
-    so that it is labelled once, and waits, mapped on with the others, until
-    more than _COMPACT_SHARE of the orbits held are captured; then all
-    captured orbits are dropped at once.  An orbit waiting in a certified
-    ellipsoid stays in it, so it stays finite.  A bare tol ball (custom
-    maps, inputs with a negative entry, uncertified attractors) gives no
-    such guarantee, so an iteration that captures an orbit there drops the
-    captured orbits at once.  The label is the ball that an orbit enters,
-    not its nearest attractor; the two agree because the balls are
+    When every attractor is certified, the loop tests the ellipsoids once
+    every _CAPTURE_PERIOD map steps and again at max_iter, and in between it
+    only maps.  An orbit in E at one test is in E at every later one, so the
+    labels are those of a test at every step.  The test is y.P y < radius^2
+    with y = x - p, P and radius from _Capture, and radius^2 shrunk by
+    4 (n + 1) eps ||P||_F / lambda_min(P): four times the first-order bound
+    (2n + 2) u |y|.|P||y| <= (2n + 2) u ||P||_F y.P y / lambda_min(P) on the
+    rounding of y and of the form (u = eps / 2), so that a row that passes
+    lies in E.  Cut-off rule: an orbit is labelled when it lies in an E at a
+    test, so at max_iter an orbit that is in E but has not yet reached the
+    tol ball is labelled; -1 means outside every E at max_iter.  When some
+    attractor is uncertified (custom maps, inputs with a negative entry),
+    the loop tests at every step, that attractor by its bare tol ball.
+
+    A captured orbit is masked so that it is labelled once, and waits,
+    mapped on with the others, until a test finds more than _COMPACT_SHARE
+    of the orbits held captured; then all captured orbits are dropped at
+    once.  An orbit waiting in a certified ellipsoid stays in it, so it
+    stays finite.  A bare tol ball gives no such guarantee, so with an
+    uncertified attractor every test that captures an orbit drops the
+    captured orbits at once.  The label is the region that an orbit enters,
+    not its nearest attractor; the two agree because the regions are
     disjoint: an ellipsoid lies within half the distance to every other
     attractor, less tol, and tol balls are disjoint when the attractors are
-    2 tol apart.  (For attractors closer than that, the lowest index wins.)"""
+    2 tol apart.  (For attractors closer than that, the lowest index
+    wins.)"""
     names = sorted(attractors)
     att = np.array([attractors[k] for k in names], dtype=float)
     X = np.array(np.atleast_2d(X), dtype=float)
-    radius = np.full(len(names), tol)
-    certified = np.zeros(len(names), dtype=bool)
+    regions = [(p, None, tol * tol) for p in att]
     if not np.any(X < 0.0):
         for k, p in enumerate(att):
             cap = _capture_ellipsoid(m, p, np.delete(att, k, axis=0), tol)
             if cap is not None:
-                radius[k], certified[k] = cap.inner, True
-    # last to first, so that where balls overlap the lowest index is written last
-    balls = list(zip(range(len(names)), att, radius * radius, certified))[::-1]
+                margin = 4.0 * (p.shape[0] + 1) * np.finfo(float).eps * np.linalg.norm(cap.P)
+                margin /= np.linalg.eigvalsh(cap.P)[0]
+                W = (2.0 * np.triu(cap.P, 1) + np.diag(np.diag(cap.P))).tolist()
+                regions[k] = (p, W, cap.radius * cap.radius * (1.0 - margin))
+    bare = any(W is None for _, W, _ in regions)
+    period = 1 if bare else _CAPTURE_PERIOD
     labels = np.full(X.shape[0], -1, dtype=np.intp)
     active = np.arange(X.shape[0])  # input row of each orbit held
     done = np.zeros(X.shape[0], dtype=bool)  # held orbits already labelled
@@ -485,30 +527,23 @@ def basin_of_batch(
     for it in range(max_iter + 1):
         if it:
             pts = m(pts)
-        free = ~done if n_done else None
-        caught, bare = None, False
-        for k, p, r2, cert in balls:
-            d = pts[:, 0] - p[0]
-            s = d * d
-            for j in range(1, p.shape[0]):
-                d = pts[:, j] - p[j]
-                s += d * d
-            hit = s < r2
-            if free is not None:
-                hit &= free
-            if hit.any():
-                labels[active[hit]] = k
-                caught = hit if caught is None else caught | hit
-                bare |= not cert
-        if caught is not None:
-            done |= caught
-            n_done += int(np.count_nonzero(caught))
-            if bare or n_done > _COMPACT_SHARE * active.size:
-                keep = ~done
-                active, pts = active[keep], pts[keep]
-                done, n_done = np.zeros(active.size, dtype=bool), 0
-        if active.size == 0:
-            break
+        if it % period and it < max_iter:
+            continue
+        hit = _capture_labels(pts, regions)
+        if n_done:
+            hit[done] = -1
+        caught = hit >= 0
+        if not caught.any():
+            continue
+        labels[active[caught]] = hit[caught]
+        done |= caught
+        n_done += int(np.count_nonzero(caught))
+        if bare or n_done > _COMPACT_SHARE * active.size:
+            keep = ~done
+            active, pts = active[keep], pts[keep]
+            done, n_done = np.zeros(active.size, dtype=bool), 0
+            if active.size == 0:
+                break
     return labels
 
 

@@ -257,21 +257,14 @@ def _near_curves(
     resolution: int, curves: list[ManifoldCurve], exclusion: float
 ) -> np.ndarray:
     """Raster cells whose grid direction lies closer than ``exclusion`` to a
-    curve, measured in the (u1, u2) plane against the densified polyline."""
-    from scipy.spatial import cKDTree
-
-    R = resolution
-    cell = 1.0 / (R - 1)
-    u1, u2 = np.meshgrid(np.linspace(0.0, 1.0, R), np.linspace(0.0, 1.0, R), indexing="ij")
-    grid2 = np.stack([u1.ravel(), u2.ravel()], axis=1)
-    near_curve = np.zeros(R * R, dtype=bool)
+    curve, measured in the (u1, u2) plane against the densified polyline:
+    the OR over the curves of _near_curve at width exclusion - cell/4,
+    which reaches a quarter cell further than its width."""
+    width = exclusion - 0.25 / (resolution - 1)
+    near = np.zeros((resolution, resolution), dtype=bool)
     for curve in curves:
-        p = curve.points / curve.points.sum(axis=1, keepdims=True)
-        # densify the polyline so cell-scale gaps cannot leak through
-        dense = _densify(p[:, :2], 0.5 * cell)
-        d, _ = cKDTree(dense).query(grid2, distance_upper_bound=exclusion)
-        near_curve |= d < exclusion
-    return near_curve.reshape(R, R)
+        near |= _near_curve(resolution, curve, width)
+    return near
 
 
 def count_basin_components(raster: BasinRaster, curves: list[ManifoldCurve]) -> int:

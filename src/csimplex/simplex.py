@@ -122,6 +122,49 @@ def _vertex_faces(triangulation: np.ndarray, M: int) -> np.ndarray:
     return faces_by_vertex[starts[:, None] + slot]
 
 
+# The one-ring of a face of lattice_triangulation: (di, dj, down) of the cells
+# (i + di, j + dj) and kinds (up 0, down 1) of the faces that share a vertex
+# with the up (first) or down (second) face of cell (i, j), in raster order of
+# the cells and up before down, which is ascending face order.
+_RING_OFFSETS = np.array([
+    [(-1, -1, 1), (-1, 0, 0), (-1, 0, 1), (-1, 1, 0), (-1, 1, 1), (0, -1, 0), (0, -1, 1),
+     (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, -1, 0), (1, -1, 1), (1, 0, 0)],
+    [(-1, 0, 1), (-1, 1, 0), (-1, 1, 1), (0, -1, 1), (0, 0, 0), (0, 0, 1), (0, 1, 0),
+     (0, 1, 1), (1, -1, 0), (1, -1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0)],
+]).transpose(0, 2, 1)  # (kind, di/dj/down, 13)
+
+
+def _ring_faces(N: int) -> np.ndarray:
+    """(F, 13) faces of lattice_triangulation(N) that share a vertex with
+    each face, the face itself included, ascending and padded by repeating
+    the first (13 is the count for a face of the interior).
+
+    Cell (i, j) holds up face 2 _lattice_index(i, j, N - 1) - i and, when
+    i + j < N - 1, the down face after it; row i of cells holds N - i of
+    them.  So the face of cell (i + di, j + dj) and kind `down` lies
+    2 di (N - i) + 2 dj - |di| + down after the up face of cell (i, j), and a
+    face's ring is the faces at its _RING_OFFSETS.  Only faces next to the
+    rim have offsets outside the lattice; those are dropped and the ring
+    padded."""
+    ci, cj = _lattice_ij(N - 1)
+    keep = np.ones(2 * ci.size, dtype=bool)
+    keep[1::2] = ci + cj < N - 1
+    i, j = np.repeat(ci, 2)[keep], np.repeat(cj, 2)[keep]
+    kind = np.tile([0, 1], ci.size)[keep]
+    up = np.arange(i.size) - kind
+    ring = np.empty((i.size, 13), dtype=np.intp)
+    for k, (di, dj, down) in enumerate(_RING_OFFSETS):
+        at = np.flatnonzero(kind == k)
+        ring[at] = up[at, None] + 2 * di * (N - i[at, None]) + (2 * dj - np.abs(di) + down)
+    rim = np.flatnonzero((i == 0) | (j == 0) | (i + j >= N - 2))
+    di, dj, down = np.moveaxis(_RING_OFFSETS[kind[rim]], 1, 0)
+    c, d = i[rim, None] + di, j[rim, None] + dj
+    part = np.where((c >= 0) & (d >= 0) & (c + d <= N - 1 - down), ring[rim], -1)
+    part = np.take_along_axis(part, np.argsort(part < 0, axis=1, kind="stable"), axis=1)
+    ring[rim] = np.where(part < 0, part[:, :1], part)
+    return ring
+
+
 @dataclass
 class SimplexMesh:
     """Radial graph r(u) over the barycentric lattice with its triangulation.
@@ -167,16 +210,9 @@ class SimplexMesh:
         return self._cache["incidence"]
 
     def _face_rings(self) -> np.ndarray:
-        """(F, 13) faces that share a vertex with each face, the face itself
-        included, ascending and padded by repeating the first (13 is the
-        count for a face of the interior)."""
+        """(F, 13) one-ring faces per face (see _ring_faces)."""
         if "rings" not in self._cache:
-            ring = np.sort(self._incident_faces()[self.triangulation].reshape(-1, 18), axis=1)
-            dup = np.zeros(ring.shape, dtype=bool)
-            dup[:, 1:] = ring[:, 1:] == ring[:, :-1]
-            ring = np.where(dup, ring[:, :1], ring)
-            order = np.argsort(dup, axis=1, kind="stable")  # distinct faces first
-            self._cache["rings"] = np.take_along_axis(ring, order, axis=1)[:, :13]
+            self._cache["rings"] = _ring_faces(self.resolution)
         return self._cache["rings"]
 
     def pull_back(self, m: CompetitiveMap) -> "_ImageMesh":
@@ -200,7 +236,7 @@ class SimplexMesh:
         from .manifolds import ManifoldError  # manifolds imports this module
 
         image = _ImageMesh(m(self.vertices), self.directions, self.radii, self.triangulation,
-                           self._incident_faces(), self.resolution)
+                           self._incident_faces(), self._face_rings(), self.resolution)
         if not image.embedded:
             raise ManifoldError("the image of the mesh under T is not embedded")
         return image
@@ -440,9 +476,9 @@ def _image(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class _ImageMesh:
     """The images Y under T of the vertices of a lattice mesh (directions U,
-    radii, faces with their vertex incidence, resolution N), seen as the
-    triangles of their directions: image face f has the image directions of
-    the corners of lattice face f.  The graph transform's sweep locates its
+    radii, faces with their vertex incidence and one-ring faces (see
+    _ring_faces), resolution N), seen as the triangles of their directions:
+    image face f has the image directions of the corners of lattice face f.  The graph transform's sweep locates its
     rays among these faces, and as the PL inverse of T on a mesh
     (SimplexMesh.pull_back) the object maps points back onto the mesh.
 
@@ -466,8 +502,9 @@ class _ImageMesh:
     face is outside every other.
     """
 
-    def __init__(self, Y, U, radii, faces, incidence, N):
-        self.U, self.radii, self.faces, self.incidence, self.N = U, radii, faces, incidence, N
+    def __init__(self, Y, U, radii, faces, incidence, rings, N):
+        self.U, self.radii, self.faces, self.N = U, radii, faces, N
+        self.incidence, self.rings = incidence, rings
         self.s, self.D = _image(Y)
         self.P = np.ascontiguousarray(self.D[:, :2].T)
         # (coordinate, corner, face), as in _locate_interior
@@ -499,16 +536,16 @@ class _ImageMesh:
            negative exact minimum weight there, so a computed one below
            _WARM_EPS: the guess is certified.
         2. The other rows take the best face of the guess's one-ring R (the
-           faces that share a vertex with it): the largest minimum weight m,
-           lowest face index on ties.  It is certified when m > _WARM_EPS,
-           as in 1, or when m > -_WARM_EPS and the row lies D >= 16
-           _WARM_EPS diam from the rim of the star (the union of the faces)
-           of a vertex that the best face shares with the guess.  That rim
-           is made of the edges opposite the vertex and the edges of the
-           simplex, whose distance is min(u1, u2, (1 - u1 - u2) / sqrt 2).
-           The row is then inside that star, which R contains, and a face
-           outside R has exact minimum weight <= -D / (2 diam), so a
-           computed one below -_WARM_EPS < m.
+           faces that share a vertex with it, each weighed once): the
+           largest minimum weight m, lowest face index on ties.  It is
+           certified when m > _WARM_EPS, as in 1, or when m > -_WARM_EPS and
+           the row lies D >= 16 _WARM_EPS diam from the rim of the star (the
+           union of the faces) of a vertex that the best face shares with
+           the guess.  That rim is made of the edges opposite the vertex and
+           the edges of the simplex, whose distance is min(u1, u2,
+           (1 - u1 - u2) / sqrt 2).  The row is then inside that star, which
+           R contains, and a face outside R has exact minimum weight
+           <= -D / (2 diam), so a computed one below -_WARM_EPS < m.
 
         A certified row's face and weights are therefore those of the argmax
         of the minimum weight over all faces, lowest face index on ties: what
@@ -525,9 +562,7 @@ class _ImageMesh:
         face = guess.copy()
         rest = np.nonzero(~certified)[0]
         faces = self.faces
-        own = faces[guess[rest]]  # (row, vertex of the guess)
-        star = self.incidence[own]  # (row, vertex, face): the stars of those vertices
-        ring = star.reshape(rest.size, -1)
+        ring = self.rings[guess[rest]]  # (row, face)
         q = q[:, rest]
         c, score = self._weights(q[:, :, None], ring)  # (row, face)
         best = score.max(axis=1)
@@ -541,6 +576,8 @@ class _ImageMesh:
             # the rim of a guess vertex's star: the edges opposite the vertex
             # in its faces, and the edges of the simplex
             P = self.P
+            own = faces[guess[rest]]  # (row, vertex of the guess)
+            star = self.incidence[own]  # (row, vertex, face): the stars of those vertices
             corners = faces[star]  # (row, vertex, face, corner)
             at = np.argmax(corners == own[..., None, None], axis=-1)[..., None]
             a = np.take(P, np.take_along_axis(corners, (at + 1) % 3, axis=-1)[..., 0], axis=1)
@@ -651,6 +688,7 @@ class _Transform:
             self.edges.append((axis, full, np.nonzero(on)[0]))
         self.interior_idx = np.nonzero(np.min(self.U, axis=1) > 0.0)[0]
         self.incidence = _vertex_faces(self.faces, self.U.shape[0])
+        self.rings = _ring_faces(N)
         self.queries = _interior_queries(N)
         self.face = None  # the previous sweep's face per interior query
         self.full_scans = 0  # sweeps located by the exhaustive scan
@@ -679,7 +717,7 @@ class _Transform:
         _image), means a non-finite image, and its radius is NaN.
         """
         image = _ImageMesh(self.m(radii[:, None] * self.U), self.U, radii, self.faces,
-                           self.incidence, self.N)
+                           self.incidence, self.rings, self.N)
         s, D = image.s, image.D
         new = np.full_like(radii, np.nan)
 

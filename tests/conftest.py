@@ -1,7 +1,10 @@
 """Shared fixtures: the reference class-19 system, the anchor interaction
-matrices used by the acceptance sampler, session-scoped meshes, and two test
-helpers (a finite-difference Jacobian and the inverse of map_from_config)."""
+matrices used by the acceptance sampler, session-scoped meshes, and three test
+helpers (a finite-difference Jacobian, the inverse of map_from_config and the
+maps of the basin_battery benchmark workload)."""
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +93,21 @@ def finite_difference_jacobian(m, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
         e[j] = h
         J[:, j] = (m(x + e) - m(x - e)) / (2.0 * h)
     return J
+
+
+def battery_maps(seed, monkeypatch, work):
+    """The maps of every system that the basin_battery benchmark workload
+    draws from the seed (its inputs written to the directory work),
+    screened as bench/workloads.py screens them."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import tracer
+    import workloads
+
+    battery = workloads.BasinBattery()
+    battery.write_inputs(work, seed)
+    battery.prepare(work)
+    return [battery._screen(system, tracer.NullTracer())
+            for systems in battery.batteries for system in systems]
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,7 +47,7 @@ from csimplex.simplex import (
     radial_project,
     surface_distance,
 )
-from conftest import A_CLASS19, ANCHOR_MATRICES, build_model
+from conftest import A_CLASS19, ANCHOR_MATRICES, battery_maps, build_model
 
 
 @pytest.fixture(scope="module")
@@ -135,13 +134,43 @@ def tol_ball_labels(m, X, attractors, max_iter=50000, tol=1e-6, radii=None):
     return labels
 
 
-def capture_radii(m, attractors, tol=1e-6):
-    """The radius of each sorted attractor's ball in basin_of_batch: the
-    inner radius of its capture ellipsoid, which must be certified."""
+def captures(m, attractors, tol=1e-6):
+    """The capture ellipsoid of each sorted attractor, which must be
+    certified."""
     pts = np.array([attractors[k] for k in sorted(attractors)], dtype=float)
     caps = [_capture_ellipsoid(m, p, np.delete(pts, i, axis=0), tol) for i, p in enumerate(pts)]
     assert all(cap is not None for cap in caps)
-    return np.array([cap.inner for cap in caps])
+    return caps
+
+
+def capture_radii(m, attractors, tol=1e-6):
+    """The inner radius of each sorted attractor's capture ellipsoid: the
+    largest ball inside it, the capture region of basin_of_batch before it
+    tested the ellipsoids themselves."""
+    return np.array([cap.inner for cap in captures(m, attractors, tol)])
+
+
+def ellipsoid_labels(m, X, attractors, max_iter=50000, tol=1e-6):
+    """Basin labels by the certified capture ellipsoids tested at every
+    step, each captured orbit dropped at once: the eager loop over the
+    regions of basin_of_batch."""
+    att = np.array([attractors[k] for k in sorted(attractors)], dtype=float)
+    caps = captures(m, attractors, tol)
+    labels = np.full(X.shape[0], -1, dtype=np.intp)
+    active = np.arange(X.shape[0])
+    pts = np.array(X, dtype=float)
+    for _ in range(max_iter + 1):
+        if active.size == 0:
+            break
+        hit = np.full(pts.shape[0], -1)
+        for k in reversed(range(len(caps))):  # the lowest index written last
+            y = pts - att[k]
+            hit[np.einsum("ni,ij,nj->n", y, caps[k].P, y) < caps[k].radius ** 2] = k
+        caught = hit >= 0
+        labels[active[caught]] = hit[caught]
+        active, pts = active[~caught], pts[~caught]
+        pts = m(pts)
+    return labels
 
 
 def raster_points(mesh, resolution):
@@ -390,18 +419,66 @@ class TestBasins:
         assert labels[0] == 0 and np.all(labels[1:] == -1)
         assert np.array_equal(labels, tol_ball_labels(m, X, att, max_iter=20))
 
-    @pytest.mark.parametrize("max_iter", [0, 5, 40, 150])
+    @pytest.mark.parametrize("max_iter", [0, 5, 7, 9, 40, 150])
     def test_max_iter_cutoff(self, max_iter):
-        """Cut off at max_iter, the loop leaves unresolved (-1) exactly the
-        orbits that the eager loop over the same balls leaves, and labels
-        the others alike."""
+        """Cut off at max_iter, whether or not it is a multiple of the test
+        period, the loop leaves unresolved (-1) exactly the orbits that the
+        eager loop over the same regions (the capture ellipsoids) leaves,
+        and labels the others alike.  Every orbit that the eager loop over
+        the balls inside the ellipsoids resolves keeps that label."""
         m, _, att, _, mesh = anchor_system("leslie_gower", 7, resolution=24)
         X = raster_points(mesh, 31)
         labels = basin_of_batch(m, X, att, max_iter=max_iter)
-        expected = tol_ball_labels(m, X, att, max_iter=max_iter, radii=capture_radii(m, att))
-        assert np.array_equal(labels, expected)
+        assert np.array_equal(labels, ellipsoid_labels(m, X, att, max_iter=max_iter))
+        inner = tol_ball_labels(m, X, att, max_iter=max_iter, radii=capture_radii(m, att))
+        assert np.array_equal(labels[inner >= 0], inner[inner >= 0])
         assert np.any(labels == -1)
         assert max_iter < 40 or np.any(labels >= 0)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_benchmark_battery_labels(self, seed, monkeypatch, tmp_path):
+        """On the rasters of the basin_battery systems every orbit resolves,
+        with the labels of the eager loop over the balls inside the capture
+        ellipsoids."""
+        maps = battery_maps(seed, monkeypatch, tmp_path)
+        assert len(maps) == 72
+        for m in maps:
+            _, _, att, _, mesh = system_of(m, 32)
+            X = raster_points(mesh, 81)
+            labels = basin_of_batch(m, X, att)
+            assert np.all(labels >= 0)
+            assert np.array_equal(labels, tol_ball_labels(m, X, att, radii=capture_radii(m, att)))
+
+    @pytest.mark.parametrize("max_iter", [9, 40, 50000])
+    def test_capture_test_schedule(self, max_iter, monkeypatch):
+        """With every attractor certified, the loop tests the capture regions
+        at iterations 0, 8, 16, ... and at max_iter, and only maps in
+        between; with a custom map (no certificate) it tests at every
+        iteration.  It maps nothing after the test that resolves the last
+        orbit."""
+        m, _, att, _, mesh = anchor_system("leslie_gower", 7, resolution=24)
+        X = raster_points(mesh, 31)
+        capture_labels = manifolds._capture_labels
+        for law, period in ((m, 8), (make_custom(3, m.growth, m.growth_jacobian), 1)):
+            steps, tested = [0], []
+
+            def growth(x, law=law):
+                steps[0] += x.ndim == 2  # an orbit batch, not a certificate's call
+                return law.growth(x)
+
+            def counted(pts, regions):
+                tested.append(steps[0])
+                return capture_labels(pts, regions)
+
+            monkeypatch.setattr(manifolds, "_capture_labels", counted)
+            labels = basin_of_batch(dataclasses.replace(law, growth=growth), X, att, max_iter=max_iter)
+            schedule = [it for it in range(max_iter + 1) if it % period == 0 or it == max_iter]
+            assert tested == schedule[:len(tested)]
+            assert steps[0] == tested[-1]
+            if max_iter < 50000:  # cut off with orbits left
+                assert len(tested) == len(schedule) and np.any(labels == -1)
+            else:  # stopped at the test that resolved the last orbit
+                assert np.all(labels >= 0)
 
     def test_two_species_leslie_gower(self):
         """The ball test sums over the n columns: on a bistable 2-species
@@ -607,21 +684,6 @@ class TestStable:
 def readme_map():
     """The README example: Ricker with r = 0.2 and the class-19 matrix."""
     return make_ricker(ParameterSet(r=np.full(3, 0.2), A=A_CLASS19))
-
-
-def battery_maps(seed, monkeypatch, work):
-    """The maps of every system that the basin_battery benchmark workload
-    draws from the seed (its inputs written to the directory work),
-    screened as bench/workloads.py screens them."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    import tracer
-    import workloads
-
-    battery = workloads.BasinBattery()
-    battery.write_inputs(work, seed)
-    battery.prepare(work)
-    return [battery._screen(system, tracer.NullTracer())
-            for systems in battery.batteries for system in systems]
 
 
 def trace_relocating(m, mesh, q, rep, att, monkeypatch):

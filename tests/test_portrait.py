@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from csimplex.analysis import boundary_sets, find_all_fixed_points
+from csimplex.existence import axial_caps
 from csimplex.manifolds import trace_stable_on_S, trace_unstable
 from csimplex.models import map_from_config
 from csimplex.portrait import (
@@ -19,7 +20,7 @@ from csimplex.portrait import (
 )
 from csimplex.portrait import _curve_width, _densify, _near_curve, _near_curves, _stable_side
 from csimplex.simplex import compute_carrying_simplex
-from conftest import A_CLASS19, build_model, ANCHOR_MATRICES
+from conftest import A_CLASS19, build_model, ANCHOR_MATRICES, battery_maps
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +77,32 @@ class TestRaster:
         got = _near_curves(R, curves, 2.0 * cell)
         assert 0 < want.sum() < want.size
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_curve_exclusion_matches_kd_tree(self, seed, monkeypatch, tmp_path):
+        """On the basin_battery systems (raster R=81, both curves, exclusion
+        two cells) the band is the kd-tree query's: the cells with distance
+        below the exclusion to the densified polylines."""
+        from scipy.spatial import cKDTree
+
+        R = 81
+        cell = 1.0 / (R - 1)
+        u1, u2 = np.meshgrid(np.linspace(0.0, 1.0, R), np.linspace(0.0, 1.0, R), indexing="ij")
+        grid2 = np.stack([u1.ravel(), u2.ravel()], axis=1)
+        for m in battery_maps(seed, monkeypatch, tmp_path):
+            recs = find_all_fixed_points(m)
+            q = next(r for r in recs if r.support_type == "interior").location
+            att, rep = boundary_sets(recs)
+            mesh = compute_carrying_simplex(m, resolution=32, tol=1e-8)
+            wn = float(np.linalg.norm(axial_caps(m)))
+            curves = [trace_stable_on_S(m, mesh, q, rep, att),
+                      trace_unstable(m, q, att, endpoint_tol=1e-5 * wn)]
+            want = np.zeros(R * R, dtype=bool)
+            for curve in curves:
+                uv = curve.points[:, :2] / curve.points.sum(axis=1, keepdims=True)
+                d, _ = cKDTree(_densify(uv, 0.5 * cell)).query(grid2, distance_upper_bound=2.0 * cell)
+                want |= d < 2.0 * cell
+            assert np.array_equal(_near_curves(R, curves, 2.0 * cell), want.reshape(R, R))
 
     def test_densify_matches_linspace_loop(self):
         """The array densification gives the points of one np.linspace per

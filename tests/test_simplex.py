@@ -107,7 +107,9 @@ class TestLattice:
 
 def _loop_lattice(N):
     """Reference lattice geometry built with explicit loops: directions,
-    faces and incident faces (padded by repetition)."""
+    faces, incident faces (padded by repetition) and the one-ring of each
+    face (the faces that share a vertex with it, ascending, padded by the
+    first)."""
     offset = [i * (N + 1) - i * (i - 1) // 2 for i in range(N + 2)]
     U = np.asarray(
         [(i, j, N - i - j) for i in range(N + 1) for j in range(N + 1 - i)], dtype=float
@@ -126,16 +128,23 @@ def _loop_lattice(N):
         for v in tri:
             incident[v].append(f)
     incidence = np.asarray([(fs * 6)[:6] for fs in incident], dtype=np.intp)
-    return U, faces, incidence
+    rings = []
+    for tri in faces:
+        ring = sorted({f for v in tri for f in incident[v]})
+        rings.append(ring + ring[:1] * (13 - len(ring)))
+    return U, faces, incidence, np.asarray(rings, dtype=np.intp)
 
 
 @pytest.mark.parametrize("N", range(1, 13))
 def test_lattice_builders_match_loop_reference(N):
-    U, faces, incidence = _loop_lattice(N)
+    U, faces, incidence, rings = _loop_lattice(N)
+    mesh = SimplexMesh(N, U, np.ones(U.shape[0]), faces, 0.0)
     for got, want in (
         (barycentric_lattice(N), U),
         (lattice_triangulation(N), faces),
-        (SimplexMesh(N, U, np.ones(U.shape[0]), faces, 0.0)._incident_faces(), incidence),
+        (mesh._incident_faces(), incidence),
+        (mesh._face_rings(), rings),
+        (_Transform(make_leslie_gower(ParameterSet(r=np.ones(3), A=A_CLASS19)), N).rings, rings),
     ):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -257,7 +266,7 @@ def readme_ricker():
 def image_of(transform, Y):
     """The _ImageMesh of vertex images Y on the lattice of a _Transform."""
     return _ImageMesh(Y, transform.U, np.ones(transform.U.shape[0]), transform.faces,
-                      transform.incidence, transform.N)
+                      transform.incidence, transform.rings, transform.N)
 
 
 class TestWarmLocator:
