@@ -16,6 +16,7 @@ harmonic interpolation of the s_i.
 """
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass, field
 
@@ -110,18 +111,6 @@ def lattice_triangulation(N: int) -> np.ndarray:
     return faces[keep]
 
 
-def _vertex_faces(triangulation: np.ndarray, M: int) -> np.ndarray:
-    """(M, 6) incident face indices per vertex, ascending, padded by
-    repeating the list from its start (every vertex lies on a face)."""
-    vert = triangulation.ravel()
-    order = np.argsort(vert, kind="stable")  # face order kept per vertex
-    faces_by_vertex = np.repeat(np.arange(triangulation.shape[0]), triangulation.shape[1])[order]
-    counts = np.bincount(vert, minlength=M)
-    starts = np.cumsum(counts) - counts
-    slot = np.arange(6)[None, :] % counts[:, None]
-    return faces_by_vertex[starts[:, None] + slot]
-
-
 # The one-ring of a face of lattice_triangulation: (di, dj, down) of the cells
 # (i + di, j + dj) and kinds (up 0, down 1) of the faces that share a vertex
 # with the up (first) or down (second) face of cell (i, j), in raster order of
@@ -165,9 +154,94 @@ def _ring_faces(N: int) -> np.ndarray:
     return ring
 
 
+class _Lattice:
+    """The regular lattice of resolution N with every table of it that
+    meshes, graph transforms and mesh images read, and the map from a
+    direction to its face.  It holds no radii, so nothing in it can go
+    stale, and every caller of _lattice(N) shares it, so its arrays are
+    read-only.
+
+    - ``directions`` (barycentric_lattice) and ``faces``
+      (lattice_triangulation);
+    - ``incidence`` (M, 6): the faces incident to each vertex, ascending,
+      padded by repeating the list from its start (every vertex lies on a
+      face);
+    - ``rings`` (F, 13): the one-ring of each face (see _ring_faces);
+    - ``queries`` (2, Q): the interior directions (i/N, j/N), 1 <= i, j and
+      i + j <= N - 1, in index order;
+    - the vertex index sets ``corner_idx``, ``edge_idx`` (per axis a: the
+      vertices whose coordinate a is zero, and those of them that are no
+      corner) and ``interior_idx``, and the directions' norms ``unorm``.
+    """
+
+    def __init__(self, N: int):
+        self.N = N
+        self.directions = U = barycentric_lattice(N)
+        self.faces = F = lattice_triangulation(N)
+        vert = F.ravel()
+        order = np.argsort(vert, kind="stable")  # face order kept per vertex
+        faces_by_vertex = np.repeat(np.arange(F.shape[0]), F.shape[1])[order]
+        counts = np.bincount(vert, minlength=U.shape[0])
+        starts = np.cumsum(counts) - counts
+        slot = np.arange(6)[None, :] % counts[:, None]
+        self.incidence = faces_by_vertex[starts[:, None] + slot]
+        self.rings = _ring_faces(N)
+        # the interior points are the lattice of N - 3 shifted by (1, 1)
+        qi, qj = _lattice_ij(N - 3)
+        self.queries = np.stack([qi + 1, qj + 1]) / N
+        self.unorm = np.linalg.norm(U, axis=1)
+        corner = np.max(U, axis=1) == 1.0
+        self.corner_idx = np.nonzero(corner)[0]
+        self.edge_idx = tuple((np.nonzero(on)[0], np.nonzero(on & ~corner)[0]) for on in U.T == 0.0)
+        self.interior_idx = np.nonzero(np.min(U, axis=1) > 0.0)[0]
+        for table in [*vars(self).values(), *(idx for edge in self.edge_idx for idx in edge)]:
+            if isinstance(table, np.ndarray):
+                table.flags.writeable = False
+
+    def face_of(self, u: np.ndarray):
+        """Index into ``faces`` of the face that contains each direction row
+        of u, with the row's offsets (fi, fj) in its lattice cell and whether
+        it lies in the cell's down triangle."""
+        N = self.N
+        a1 = u[:, 0] * N
+        a2 = u[:, 1] * N
+        # np.minimum and np.maximum clip as np.clip does, at less cost per call
+        i = np.minimum(np.maximum(np.floor(a1).astype(np.intp), 0), N - 1)
+        j = np.minimum(np.maximum(np.floor(a2).astype(np.intp), 0), np.maximum(N - 1 - i, 0))
+        fi = a1 - i
+        fj = a2 - j
+        # cells on the hypotenuse row have no down triangle; spill there is noise
+        dn = (fi + fj > 1.0 + 1e-12) & (i + j < N - 1)
+        # cell (i, j) holds faces 2k - i and, unless on the hypotenuse row,
+        # 2k - i + 1, where k indexes the cell among the lattice of N - 1
+        face = 2 * _lattice_index(i, j, N - 1) - i + dn
+        return face, fi, fj, dn
+
+    def locate(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Containing face and barycentric weights for directions u.  Returns
+        (face index into ``faces`` (m,), weights (m, 3) of its corners in
+        order)."""
+        face, fi, fj, dn = self.face_of(np.atleast_2d(u))
+        # corners: up (i, j), (i+1, j), (i, j+1); down (i+1, j), (i+1, j+1), (i, j+1)
+        wts = np.stack([
+            np.where(dn, 1.0 - fj, 1.0 - fi - fj),
+            np.where(dn, fi + fj - 1.0, fi),
+            np.where(dn, 1.0 - fi, fj),
+        ], axis=1)
+        wts = np.clip(wts, 0.0, None)
+        wts /= wts.sum(axis=1, keepdims=True)
+        return face, wts
+
+
+# _lattice(N) is the one _Lattice of resolution N, built on first use.  A
+# process meshes at one or a few resolutions; the tables of N=512 take
+# about 47 MB.
+_lattice = functools.lru_cache(maxsize=4)(_Lattice)
+
+
 @dataclass
 class SimplexMesh:
-    """Radial graph r(u) over the barycentric lattice with its triangulation.
+    """Radial graph r(u) over ``lattice``, the shared _Lattice of the resolution.
 
     ``residual`` is the size of the final graph-transform update,
     max over directions of |delta rho| * ||u||.  ``flagged`` lists the
@@ -180,16 +254,25 @@ class SimplexMesh:
     """
 
     resolution: int
-    directions: np.ndarray
     radii: np.ndarray
-    triangulation: np.ndarray
     residual: float
     converged: bool = True
     sweeps: int = 0
     flagged: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
     residual_history: list = field(default_factory=list)
     full_scans: int = 0
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def lattice(self) -> _Lattice:
+        return _lattice(self.resolution)
+
+    @property
+    def directions(self) -> np.ndarray:
+        return self.lattice.directions
+
+    @property
+    def triangulation(self) -> np.ndarray:
+        return self.lattice.faces
 
     @property
     def vertices(self) -> np.ndarray:
@@ -202,18 +285,6 @@ class SimplexMesh:
             [tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 1], tri[:, 0] - tri[:, 2]]
         )
         return float(np.sqrt((e * e).sum(axis=1).max()))
-
-    def _incident_faces(self) -> np.ndarray:
-        """(M, 6) incident face indices per vertex (see _vertex_faces)."""
-        if "incidence" not in self._cache:
-            self._cache["incidence"] = _vertex_faces(self.triangulation, self.directions.shape[0])
-        return self._cache["incidence"]
-
-    def _face_rings(self) -> np.ndarray:
-        """(F, 13) one-ring faces per face (see _ring_faces)."""
-        if "rings" not in self._cache:
-            self._cache["rings"] = _ring_faces(self.resolution)
-        return self._cache["rings"]
 
     def pull_back(self, m: CompetitiveMap) -> "_ImageMesh":
         """The PL inverse of T on the mesh, as a function of point rows.
@@ -235,8 +306,7 @@ class SimplexMesh:
         """
         from .manifolds import ManifoldError  # manifolds imports this module
 
-        image = _ImageMesh(m(self.vertices), self.directions, self.radii, self.triangulation,
-                           self._incident_faces(), self._face_rings(), self.resolution)
+        image = _ImageMesh(m(self.vertices), self.lattice, self.radii)
         if not image.embedded:
             raise ManifoldError("the image of the mesh under T is not embedded")
         return image
@@ -256,8 +326,7 @@ class SimplexMesh:
         # before any lattice is built (type excludes bool, a subclass of int)
         if type(N) is not int or N < 1 or directions.shape != ((N + 1) * (N + 2) // 2, 3):
             raise SimplexError("resolution must be an integer N >= 1 with (N+1)(N+2)/2 directions")
-        lattice = barycentric_lattice(N)
-        if not np.allclose(directions, lattice, atol=1e-12):
+        if not np.allclose(directions, _lattice(N).directions, atol=1e-12):
             raise SimplexError("directions do not match the regular lattice for this resolution")
         radii = np.asarray(doc["radii"], dtype=float)
         if radii.shape != (directions.shape[0],):
@@ -268,13 +337,7 @@ class SimplexMesh:
         # a JSON number (not a bool, not a string), finite and >= 0
         if type(residual) not in (int, float) or not 0.0 <= residual <= sys.float_info.max:
             raise SimplexError(f"residual must be a finite number >= 0, got {residual!r}")
-        return cls(
-            resolution=N,
-            directions=lattice,
-            radii=radii,
-            triangulation=lattice_triangulation(N),
-            residual=float(residual),
-        )
+        return cls(resolution=N, radii=radii, residual=float(residual))
 
 
 @dataclass(frozen=True)
@@ -283,45 +346,6 @@ class TangentConeEstimate:
     radius: float
     secants: np.ndarray  # unit secant directions, one per sampled neighbor
     angle_to_w: float
-
-
-# ---------------------------------------------------------------------------
-# Regular-lattice point location (closed form)
-# ---------------------------------------------------------------------------
-
-def _regular_face(u: np.ndarray, N: int):
-    """Index into lattice_triangulation(N) of the face that contains each
-    direction row of u, with the row's offsets (fi, fj) in its lattice cell
-    and whether it lies in the cell's down triangle."""
-    a1 = u[:, 0] * N
-    a2 = u[:, 1] * N
-    # np.minimum and np.maximum clip as np.clip does, at less cost per call
-    i = np.minimum(np.maximum(np.floor(a1).astype(np.intp), 0), N - 1)
-    j = np.minimum(np.maximum(np.floor(a2).astype(np.intp), 0), np.maximum(N - 1 - i, 0))
-    fi = a1 - i
-    fj = a2 - j
-    # cells on the hypotenuse row have no down triangle; spill there is noise
-    dn = (fi + fj > 1.0 + 1e-12) & (i + j < N - 1)
-    # cell (i, j) holds faces 2k - i and, unless on the hypotenuse row,
-    # 2k - i + 1, where k indexes the cell among the lattice of N - 1
-    face = 2 * _lattice_index(i, j, N - 1) - i + dn
-    return face, fi, fj, dn
-
-
-def _locate_regular(u: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Containing face and barycentric weights for directions u on the regular
-    lattice.  Returns (face index into lattice_triangulation(N) (m,),
-    weights (m, 3) of its corners in order)."""
-    face, fi, fj, dn = _regular_face(np.atleast_2d(u), N)
-    # corners: up (i, j), (i+1, j), (i, j+1); down (i+1, j), (i+1, j+1), (i, j+1)
-    wts = np.stack([
-        np.where(dn, 1.0 - fj, 1.0 - fi - fj),
-        np.where(dn, fi + fj - 1.0, fi),
-        np.where(dn, 1.0 - fi, fj),
-    ], axis=1)
-    wts = np.clip(wts, 0.0, None)
-    wts /= wts.sum(axis=1, keepdims=True)
-    return face, wts
 
 
 def radial_project(mesh: SimplexMesh, x: np.ndarray) -> np.ndarray:
@@ -337,7 +361,7 @@ def radial_project(mesh: SimplexMesh, x: np.ndarray) -> np.ndarray:
     if np.any(sums <= 0) or np.any(X < -1e-15):
         raise ZeroVectorError("radial projection needs a nonzero nonnegative point")
     U = X / sums[:, None]
-    face, wts = _locate_regular(U, mesh.resolution)
+    face, wts = mesh.lattice.locate(U)
     rho = (mesh.radii[mesh.triangulation[face]] * wts).sum(axis=1)
     out = rho[:, None] * U
     return out[0] if single else out
@@ -388,20 +412,12 @@ def _barycentric_from_edges(q, t0, e1, e2, d):
 _FOUND_TOL = 1e-6
 
 
-def _interior_queries(N: int) -> np.ndarray:
-    """The interior lattice directions (i/N, j/N), 1 <= i, j and
-    i + j <= N - 1, in index order, as direction coordinates (2, Q)."""
-    # the interior points are the lattice of N - 3 shifted by (1, 1)
-    qi, qj = _lattice_ij(N - 3)
-    return np.stack([qi + 1, qj + 1]) / N
-
-
-def _locate_interior(P: np.ndarray, faces: np.ndarray, N: int):
+def _locate_interior(P: np.ndarray, lattice: _Lattice):
     """Locate the interior lattice directions among the image triangles.
 
     ``P`` (2, M) holds the first two coordinates of the image direction of
     every lattice vertex.  The queries are the interior lattice directions
-    (see _interior_queries).  Each face is scattered onto the lattice points
+    (lattice.queries).  Each face is scattered onto the lattice points
     of its bounding box, padded so that no point with every barycentric
     weight >= -_FOUND_TOL is left out; every query keeps the face with the
     largest minimum barycentric weight, the lowest face index on ties.  This
@@ -411,7 +427,7 @@ def _locate_interior(P: np.ndarray, faces: np.ndarray, N: int):
     Returns (face (Q,), barycentric weights (Q, 3), found (Q,)); a query that
     no face covers within -_FOUND_TOL has found = False.
     """
-    queries = _interior_queries(N)
+    N, faces, queries = lattice.N, lattice.faces, lattice.queries
     Q = queries.shape[1]
     # (coordinate, corner, face); np.take is much faster here than indexing
     T = np.take(P, faces.T, axis=1)
@@ -475,10 +491,10 @@ def _image(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _ImageMesh:
-    """The images Y under T of the vertices of a lattice mesh (directions U,
-    radii, faces with their vertex incidence and one-ring faces (see
-    _ring_faces), resolution N), seen as the triangles of their directions:
-    image face f has the image directions of the corners of lattice face f.  The graph transform's sweep locates its
+    """_ImageMesh(Y, lattice, radii): the images Y under T of the vertices
+    of the mesh with the given radii on the _Lattice, seen as the triangles
+    of their directions: image face f has the image directions of the
+    corners of lattice face f.  The graph transform's sweep locates its
     rays among these faces, and as the PL inverse of T on a mesh
     (SimplexMesh.pull_back) the object maps points back onto the mesh.
 
@@ -502,17 +518,16 @@ class _ImageMesh:
     face is outside every other.
     """
 
-    def __init__(self, Y, U, radii, faces, incidence, rings, N):
-        self.U, self.radii, self.faces, self.N = U, radii, faces, N
-        self.incidence, self.rings = incidence, rings
+    def __init__(self, Y, lattice: _Lattice, radii):
+        self.lattice, self.radii = lattice, radii
         self.s, self.D = _image(Y)
         self.P = np.ascontiguousarray(self.D[:, :2].T)
         # (coordinate, corner, face), as in _locate_interior
-        T = np.take(self.P, faces.T, axis=1)
+        T = np.take(self.P, lattice.faces.T, axis=1)
         e1, e2, d = _triangle_edges(T[:, 0], T[:, 1], T[:, 2])
         sx, sy = np.abs(e1) + np.abs(e2)
         self.embedded = bool(
-            np.all(Y[U == 0.0] == 0.0)
+            np.all(Y[lattice.directions == 0.0] == 0.0)
             and np.all(_WARM_EPS * d > _ROUNDING * (6.0 * sx * sy + 1e-9 * (sx + sy)))
         )
         self.diam = np.max(sx + sy)  # bounds every face's diameter
@@ -561,8 +576,8 @@ class _ImageMesh:
             return guess, bary, certified
         face = guess.copy()
         rest = np.nonzero(~certified)[0]
-        faces = self.faces
-        ring = self.rings[guess[rest]]  # (row, face)
+        faces = self.lattice.faces
+        ring = self.lattice.rings[guess[rest]]  # (row, face)
         q = q[:, rest]
         c, score = self._weights(q[:, :, None], ring)  # (row, face)
         best = score.max(axis=1)
@@ -577,7 +592,7 @@ class _ImageMesh:
             # in its faces, and the edges of the simplex
             P = self.P
             own = faces[guess[rest]]  # (row, vertex of the guess)
-            star = self.incidence[own]  # (row, vertex, face): the stars of those vertices
+            star = self.lattice.incidence[own]  # (row, vertex, face): the stars of those vertices
             corners = faces[star]  # (row, vertex, face, corner)
             at = np.argmax(corners == own[..., None, None], axis=-1)[..., None]
             a = np.take(P, np.take_along_axis(corners, (at + 1) % 3, axis=-1)[..., 0], axis=1)
@@ -601,11 +616,11 @@ class _ImageMesh:
         on ties.  The result does not depend on the faces searched from
         (see locate); they only decide how much of the search runs."""
         q = U[:, :2].T
-        face, c, certified = self.locate(q, _regular_face(U, self.N)[0] if faces is None else faces)
+        face, c, certified = self.locate(q, self.lattice.face_of(U)[0] if faces is None else faces)
         if certified.all():
             return face, c
         rest = np.nonzero(~certified)[0]
-        c_all, score = self._weights(q[:, rest, None], np.arange(self.faces.shape[0]))
+        c_all, score = self._weights(q[:, rest, None], np.arange(self.lattice.faces.shape[0]))
         col = np.argmax(score, axis=1)
         face[rest] = col
         c[rest] = np.stack([ci[np.arange(rest.size), col] for ci in c_all], axis=1)
@@ -629,7 +644,7 @@ class _ImageMesh:
             f = self.find(np.append(v, 1.0 - v.sum())[None, :])[0][0]
             t0, e1, e2, d = np.split(self.edges[:, f], [2, 4, 6])
             B = np.array([[e2[1], -e2[0]], [-e1[1], e1[0]]]) / d
-            corners = self.U[self.faces[f], :2]
+            corners = self.lattice.directions[self.lattice.faces[f], :2]
             L = (corners[1:] - corners[0]).T @ B
             try:
                 v = np.linalg.solve(np.eye(2) - L, corners[0] - L @ t0)
@@ -649,7 +664,7 @@ class _ImageMesh:
         returned are the faces to search from at the next step."""
         U = X / X.sum(axis=1, keepdims=True)
         if faces is None:
-            faces = _regular_face(U, self.N)[0]
+            faces = self.lattice.face_of(U)[0]
         face, b = self.find(U, faces)
         # locate returns the guess itself when it certifies every row there;
         # otherwise a row certified in its guess keeps that face, with every
@@ -659,8 +674,8 @@ class _ImageMesh:
             misses = int(np.count_nonzero((face != faces) | (b.min(axis=1) <= _WARM_EPS)))
         b = np.maximum(b, 0.0)
         b /= b.sum(axis=1, keepdims=True)
-        corners = self.faces[face]
-        num = np.einsum("ik,ikj->ij", b, self.U[corners])
+        corners = self.lattice.faces[face]
+        num = np.einsum("ik,ikj->ij", b, self.lattice.directions[corners])
         return num / (b / self.radii[corners]).sum(axis=1, keepdims=True), face, misses
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
@@ -669,40 +684,26 @@ class _ImageMesh:
 
 
 class _Transform:
-    """One prepared graph-transform pass: lattice bookkeeping reused across sweeps."""
+    """One prepared graph-transform pass: its lattice and the previous sweep's faces."""
 
     def __init__(self, m: CompetitiveMap, N: int):
         if m.n != 3:
             raise SimplexError("simplex meshing is implemented for n = 3")
         self.m = m
-        self.N = N
-        self.U = barycentric_lattice(N)
-        self.faces = lattice_triangulation(N)
-        self.unorm = np.linalg.norm(self.U, axis=1)
-        corner_mask = np.max(self.U, axis=1) == 1.0
-        self.corner_idx = np.nonzero(corner_mask)[0]
-        self.edges = []
-        for axis in range(3):
-            on = (self.U[:, axis] == 0.0) & ~corner_mask
-            full = np.nonzero(self.U[:, axis] == 0.0)[0]
-            self.edges.append((axis, full, np.nonzero(on)[0]))
-        self.interior_idx = np.nonzero(np.min(self.U, axis=1) > 0.0)[0]
-        self.incidence = _vertex_faces(self.faces, self.U.shape[0])
-        self.rings = _ring_faces(N)
-        self.queries = _interior_queries(N)
+        self.lattice = _lattice(N)
         self.face = None  # the previous sweep's face per interior query
         self.full_scans = 0  # sweeps located by the exhaustive scan
 
     def locate(self, image: _ImageMesh):
-        """_locate_interior(image.P, faces, N), from the previous sweep's
+        """_locate_interior(image.P, lattice), from the previous sweep's
         faces when the image is embedded and every query is certified there
         (see _ImageMesh.locate), and by the exhaustive scan otherwise."""
         if self.face is not None and image.embedded:
-            located = image.locate(self.queries, self.face)
+            located = image.locate(self.lattice.queries, self.face)
             if located[2].all():
                 self.face = located[0]
                 return located
-        located = _locate_interior(image.P, self.faces, self.N)
+        located = _locate_interior(image.P, self.lattice)
         self.full_scans += 1
         self.face = located[0]
         return located
@@ -716,21 +717,22 @@ class _Transform:
         whose interpolation touches a vertex without a valid image (see
         _image), means a non-finite image, and its radius is NaN.
         """
-        image = _ImageMesh(self.m(radii[:, None] * self.U), self.U, radii, self.faces,
-                           self.incidence, self.rings, self.N)
+        lattice = self.lattice
+        U = lattice.directions
+        image = _ImageMesh(self.m(radii[:, None] * U), lattice, radii)
         s, D = image.s, image.D
         new = np.full_like(radii, np.nan)
 
         # corners: the axis dynamics is 1-D, the image stays on the axis
-        new[self.corner_idx] = s[self.corner_idx]
+        new[lattice.corner_idx] = s[lattice.corner_idx]
 
         # boundary edges: 1-D re-sampling in the surviving coordinate pair
-        for axis, full_idx, query_idx in self.edges:
+        for axis, (full_idx, query_idx) in enumerate(lattice.edge_idx):
             if query_idx.size == 0:
                 continue
             param_axis = 0 if axis != 0 else 1
             new[query_idx] = _rim_radii(
-                D[full_idx, param_axis], s[full_idx], self.U[query_idx, param_axis]
+                D[full_idx, param_axis], s[full_idx], U[query_idx, param_axis]
             )
 
         # interior: 2-D point location among image-direction triangles
@@ -740,8 +742,8 @@ class _Transform:
         c = np.clip(best_bary, 0.0, None)
         # rows are summed left to right, as sum(axis=1) does, but faster
         c /= (c[:, 0] + c[:, 1] + c[:, 2])[:, None]
-        c /= np.take(s, np.take(self.faces, face_pick, axis=0))
-        new[self.interior_idx[ok]] = 1.0 / (c[:, 0] + c[:, 1] + c[:, 2])
+        c /= np.take(s, np.take(lattice.faces, face_pick, axis=0))
+        new[lattice.interior_idx[ok]] = 1.0 / (c[:, 0] + c[:, 1] + c[:, 2])
         return new, np.nonzero(np.isnan(new))[0]
 
 
@@ -788,23 +790,21 @@ def compute_carrying_simplex(
     """
     transform = _Transform(m, resolution)
     w = axial_caps(m)
-    radii = 1.0 / (transform.U / w[None, :]).sum(axis=1)
+    radii = 1.0 / (transform.lattice.directions / w[None, :]).sum(axis=1)
     history: list[float] = []
     flagged = np.empty(0, dtype=np.intp)
     residual = float("inf")
     sweeps = 0
     for sweeps in range(1, max_iters + 1):
         new, flagged = transform.sweep(radii)
-        residual = float(np.max(np.abs(new - radii) * transform.unorm))
+        residual = float(np.max(np.abs(new - radii) * transform.lattice.unorm))
         radii = new
         history.append(residual)
         if residual < tol or not np.isfinite(residual):
             break
     mesh = SimplexMesh(
         resolution=resolution,
-        directions=transform.U,
         radii=radii,
-        triangulation=transform.faces,
         residual=residual,
         converged=residual < tol,
         sweeps=sweeps,
@@ -962,7 +962,7 @@ def _face_distances(V: np.ndarray, tris: np.ndarray, p: np.ndarray) -> np.ndarra
 # candidate arrays bounded by the block, not by the number of queries.
 _DISTANCE_BLOCK = 1024
 # (1 + sqrt 3) * 3, the certificate's factor on N * d (see surface_distance),
-# padded for the rounding of u, of _regular_face's slack and of d
+# padded for the rounding of u, of _Lattice.face_of's slack and of d
 _RING_FACTOR = 3.0 * (1.0 + np.sqrt(3.0)) * (1.0 + 1e-9)
 
 
@@ -991,13 +991,13 @@ def surface_distance(mesh: SimplexMesh, pts: np.ndarray) -> np.ndarray:
     """
     pts = _finite_rows(pts)
     V = mesh.vertices
-    ring = mesh._face_rings()
+    lattice = mesh.lattice
     dist = np.empty(pts.shape[0])
     for start in range(0, pts.shape[0], _DISTANCE_BLOCK):
         block = pts[start:start + _DISTANCE_BLOCK]
-        tris = mesh.triangulation[ring[_direction_faces(mesh, block)]]  # (B, 13, 3)
+        tris = lattice.faces[lattice.rings[_direction_faces(lattice, block)]]  # (B, 13, 3)
         dist[start:start + block.shape[0]] = _face_distances(V, tris, block[:, None, :]).min(axis=1)
-    far = np.nonzero(~_ring_certified(mesh, pts, dist))[0]
+    far = np.nonzero(~_ring_certified(lattice, pts, dist))[0]
     if far.size:
         dist[far] = _ball_distance(mesh, pts[far], dist[far])
     return dist
@@ -1011,7 +1011,7 @@ def _finite_rows(pts: np.ndarray) -> np.ndarray:
     return pts
 
 
-def _direction_faces(mesh: SimplexMesh, pts: np.ndarray) -> np.ndarray:
+def _direction_faces(lattice: _Lattice, pts: np.ndarray) -> np.ndarray:
     """The lattice face of each row's direction, the centre of its face ring
     in surface_distance.  The ring of any direction bounds the distance, so
     rows outside the orthant take that of their clipped direction (they are
@@ -1019,15 +1019,15 @@ def _direction_faces(mesh: SimplexMesh, pts: np.ndarray) -> np.ndarray:
     pos = np.maximum(pts, 0.0)
     ps = pos.sum(axis=1, keepdims=True)
     u = np.divide(pos, ps, out=np.full_like(pos, 1.0 / 3.0), where=ps > 0.0)
-    return _regular_face(u, mesh.resolution)[0]
+    return lattice.face_of(u)[0]
 
 
-def _ring_certified(mesh: SimplexMesh, pts: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _ring_certified(lattice: _Lattice, pts: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Rows whose nearest surface point lies on their face ring, given upper
     bounds d on their distances (see surface_distance); the test only gets
     easier as d falls."""
     s = pts.sum(axis=1)
-    return np.all(pts >= 0.0, axis=1) & (_RING_FACTOR * mesh.resolution * d <= s - np.sqrt(3.0) * d)
+    return np.all(pts >= 0.0, axis=1) & (_RING_FACTOR * lattice.N * d <= s - np.sqrt(3.0) * d)
 
 
 def _ball_distance(mesh: SimplexMesh, pts: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -1038,8 +1038,8 @@ def _ball_distance(mesh: SimplexMesh, pts: np.ndarray, bound: np.ndarray) -> np.
 
     V = mesh.vertices
     tree = cKDTree(V)
-    incidence = mesh._incident_faces()
-    F = mesh.triangulation.shape[0]
+    lattice = mesh.lattice
+    F = lattice.faces.shape[0]
     radius = (bound + mesh.max_edge_length()) * (1.0 + 1e-9)
     counts = tree.query_ball_point(pts, radius, return_length=True)
     # rows in chunks of about 3 * _DISTANCE_BLOCK vertex hits (over that by
@@ -1051,10 +1051,10 @@ def _ball_distance(mesh: SimplexMesh, pts: np.ndarray, bound: np.ndarray) -> np.
     for rows in np.split(np.arange(pts.shape[0]), cuts):
         near = tree.query_ball_point(pts[rows], radius[rows])
         row = np.repeat(rows, counts[rows])
-        faces = incidence[np.concatenate(near).astype(np.intp)]  # (hits, 6)
+        faces = lattice.incidence[np.concatenate(near).astype(np.intp)]  # (hits, 6)
         key = np.unique(row[:, None] * F + faces)
         row, face = np.divmod(key, F)
-        np.minimum.at(dist, row, _face_distances(V, mesh.triangulation[face], pts[row]))
+        np.minimum.at(dist, row, _face_distances(V, lattice.faces[face], pts[row]))
     return dist
 
 
@@ -1074,8 +1074,8 @@ def invariance_residual(m: CompetitiveMap, mesh: SimplexMesh) -> float:
     than the largest distance so far."""
     V = mesh.vertices
     images = _finite_rows(m(V))
-    bound = _face_distances(V, mesh.triangulation[_direction_faces(mesh, images)], images)
-    ring = _ring_certified(mesh, images, bound)
+    bound = _face_distances(V, mesh.triangulation[_direction_faces(mesh.lattice, images)], images)
+    ring = _ring_certified(mesh.lattice, images, bound)
     best = -np.inf
     if not ring.all():
         best = surface_distance(mesh, images[~ring]).max()

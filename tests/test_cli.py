@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import csimplex
-from csimplex import cli
+from csimplex import cli, simplex
 from csimplex.cli import _NUMERIC_SCHEMA, RunConfig, main
 from conftest import A_CLASS19, ANCHOR_MATRICES
 
@@ -654,6 +654,36 @@ def _run_fresh(code: str, cwd=None) -> str:
     run = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True,
                          text=True, check=True)
     return run.stdout.strip()
+
+
+def test_cli_import_builds_no_lattice():
+    """Importing the CLI builds no lattice tables; the first mesh does."""
+    code = "import csimplex.cli; print(csimplex.simplex._lattice.cache_info().currsize)"
+    assert _run_fresh(code) == "0"
+
+
+def test_commands_build_each_lattice_once(tmp_path, monkeypatch):
+    """analyze, simplex, portrait --mesh and verify on the README config
+    build the lattice tables of the mesh resolution once between them: the
+    two graph transforms, the loaded mesh's pull-back and verify's distances
+    share one _Lattice."""
+    calls = {"_ring_faces": [], "lattice_triangulation": []}
+    for name, seen in calls.items():
+        def counted(N, build=getattr(simplex, name), seen=seen):
+            seen.append(N)
+            return build(N)
+
+        monkeypatch.setattr(simplex, name, counted)
+    simplex._lattice.cache_clear()
+    doc = readme_config()
+    doc["numeric"].update(mesh_resolution=16, basin_raster=24)
+    (tmp_path / "run.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)  # output paths in the config are relative
+    assert main(["analyze", "--config", "run.json", "--out", "report.json"]) == 0
+    assert main(["simplex", "--config", "run.json", "--out", "mesh.json"]) == 0
+    assert main(["portrait", "--config", "run.json", "--mesh", "mesh.json", "--out", "p.svg"]) == 0
+    assert main(["verify", "--config", "run.json", "--out", "verify.json"]) in {0, 1}
+    assert calls == {"_ring_faces": [16], "lattice_triangulation": [16]}
 
 
 def test_cli_import_leaves_scipy_unloaded():

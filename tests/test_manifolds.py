@@ -38,12 +38,11 @@ from csimplex.portrait import basin_raster
 from csimplex.simplex import (
     SimplexMesh,
     _barycentric_2d,
-    _locate_regular,
+    _lattice,
     barycentric_lattice,
     compute_carrying_simplex,
     directions_from_uv,
     invariance_residual,
-    lattice_triangulation,
     radial_project,
     surface_distance,
 )
@@ -828,7 +827,7 @@ class TestPullBack:
         assert np.array_equal(face, want)
         assert np.array_equal(c, c_all[np.arange(U.shape[0]), want])
 
-        guess = _locate_regular(U, mesh.resolution)[0]
+        guess = _lattice(mesh.resolution).locate(U)[0]
         certified = pull.locate(U[:, :2].T, guess)[2]
         assert np.any(certified & (face == guess))
         assert np.any(certified & (face != guess))
@@ -1005,9 +1004,7 @@ class TestConjugacyDecay:
         pseudo-unstable plane: its ratio is 0 and no orbit is mapped."""
         N = 16
         q = np.full(3, 0.5)
-        mesh = SimplexMesh(resolution=N, directions=barycentric_lattice(N),
-                           radii=np.full((N + 1) * (N + 2) // 2, 1.5),
-                           triangulation=lattice_triangulation(N), residual=0.0)
+        mesh = SimplexMesh(resolution=N, radii=np.full((N + 1) * (N + 2) // 2, 1.5), residual=0.0)
         B = np.linalg.svd(np.ones((1, 3)))[2][1:].T  # the plane x1 + x2 + x3 = 0
 
         def unused(x):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -32,8 +33,8 @@ from csimplex.simplex import (
     _ImageMesh,
     _Transform,
     _barycentric_2d,
+    _lattice,
     _locate_interior,
-    _locate_regular,
     _orthant_occupied,
 )
 from conftest import A_CLASS19, ANCHOR_MATRICES, build_model
@@ -78,9 +79,7 @@ def initial_plane(m, mesh: SimplexMesh) -> SimplexMesh:
     U = mesh.directions
     return SimplexMesh(
         resolution=mesh.resolution,
-        directions=U,
         radii=1.0 / (U / w[None, :]).sum(axis=1),
-        triangulation=mesh.triangulation,
         residual=np.inf,
     )
 
@@ -107,13 +106,14 @@ class TestLattice:
 
 def _loop_lattice(N):
     """Reference lattice geometry built with explicit loops: directions,
-    faces, incident faces (padded by repetition) and the one-ring of each
-    face (the faces that share a vertex with it, ascending, padded by the
-    first)."""
+    faces, incident faces (padded by repetition), the one-ring of each face
+    (the faces that share a vertex with it, ascending, padded by the first),
+    the interior directions as queries (2, Q), the corner, edge (per axis:
+    the vertices on that edge, and those of them that are no corner) and
+    interior index sets, and the directions' norms."""
     offset = [i * (N + 1) - i * (i - 1) // 2 for i in range(N + 2)]
-    U = np.asarray(
-        [(i, j, N - i - j) for i in range(N + 1) for j in range(N + 1 - i)], dtype=float
-    ) / N
+    ijk = [(i, j, N - i - j) for i in range(N + 1) for j in range(N + 1 - i)]
+    U = np.asarray(ijk, dtype=float) / N
     faces = []
     for i in range(N):
         for j in range(N - i):
@@ -132,26 +132,67 @@ def _loop_lattice(N):
     for tri in faces:
         ring = sorted({f for v in tri for f in incident[v]})
         rings.append(ring + ring[:1] * (13 - len(ring)))
-    return U, faces, incidence, np.asarray(rings, dtype=np.intp)
+    queries = np.asarray([(i / N, j / N) for i, j, k in ijk if min(i, j, k) > 0]).reshape(-1, 2).T
+
+    def index(keep):
+        return np.asarray([v for v, c in enumerate(ijk) if keep(c)], dtype=np.intp)
+
+    edges = [(index(lambda c: c[a] == 0), index(lambda c: c[a] == 0 and N not in c))
+             for a in range(3)]
+    return {
+        "directions": U,
+        "faces": faces,
+        "incidence": incidence,
+        "rings": np.asarray(rings, dtype=np.intp),
+        "queries": queries,
+        "corner_idx": index(lambda c: N in c),
+        "edge_idx": edges,
+        "interior_idx": index(lambda c: min(c) > 0),
+        "unorm": np.asarray([math.sqrt(a * a + b * b + c * c) for a, b, c in U]),
+    }
 
 
 @pytest.mark.parametrize("N", range(1, 13))
 def test_lattice_builders_match_loop_reference(N):
-    U, faces, incidence, rings = _loop_lattice(N)
-    mesh = SimplexMesh(N, U, np.ones(U.shape[0]), faces, 0.0)
-    for got, want in (
-        (barycentric_lattice(N), U),
-        (lattice_triangulation(N), faces),
-        (mesh._incident_faces(), incidence),
-        (mesh._face_rings(), rings),
-        (_Transform(make_leslie_gower(ParameterSet(r=np.ones(3), A=A_CLASS19)), N).rings, rings),
-    ):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+    want = _loop_lattice(N)
+    lattice = _lattice(N)
+    assert lattice is _lattice(N)
+    assert lattice.N == N
+    assert set(vars(lattice)) == {"N", *want}
+    pairs = [(getattr(lattice, name), table) for name, table in want.items() if name != "edge_idx"]
+    pairs += [(barycentric_lattice(N), want["directions"]),
+              (lattice_triangulation(N), want["faces"])]
+    assert len(lattice.edge_idx) == 3
+    for got, table in zip(lattice.edge_idx, want["edge_idx"]):
+        pairs += list(zip(got, table))
+    for got, table in pairs:
+        assert got.dtype == table.dtype
+        assert got.shape == table.shape
+        assert np.array_equal(got, table)
+    # every caller shares these tables, so none of them can be written
+    tables = [t for t in vars(lattice).values() if isinstance(t, np.ndarray)]
+    for table in tables + [idx for edge in lattice.edge_idx for idx in edge]:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = table.copy()
+
+
+def test_meshes_transforms_and_images_share_the_lattice():
+    """A computed mesh, the mesh loaded from its JSON form, the loaded mesh's
+    pull-back image and a graph transform at the same resolution all read
+    the one _Lattice of that resolution."""
+    m = readme_ricker()
+    mesh = compute_carrying_simplex(m, resolution=12, tol=1e-8)
+    loaded = SimplexMesh.from_json(mesh.to_json())
+    lattice = _lattice(12)
+    assert mesh.lattice is lattice and loaded.lattice is lattice
+    assert loaded.pull_back(m).lattice is lattice
+    assert _Transform(m, 12).lattice is lattice
+    assert mesh.directions is lattice.directions and mesh.triangulation is lattice.faces
 
 
 def _masked_locate_regular(u, N):
-    """Reference for _locate_regular: the up and down triangles filled by
+    """Reference for _Lattice.locate: the up and down triangles filled by
     masked assignment."""
     a1, a2 = u[:, 0] * N, u[:, 1] * N
     i = np.clip(np.floor(a1).astype(np.intp), 0, N - 1)
@@ -192,7 +233,7 @@ def test_locate_regular_matches_masked_reference(N):
         np.column_stack([edge := rng.uniform(0, 1, 300), 1.0 - edge, np.zeros(300)]),
         np.column_stack([edge, 1.0 - edge + 1e-11, np.full(300, -1e-11)]),
     ])
-    face, wts = _locate_regular(U, N)
+    face, wts = _lattice(N).locate(U)
     verts = lattice_triangulation(N)[face]
     want_verts, want_wts = _masked_locate_regular(U, N)
     assert np.array_equal(verts, want_verts)
@@ -235,7 +276,7 @@ class TestLocateInterior:
             # lie outside every face but within the found tolerance
             D = 1.0 / 3.0 + (1.0 - 3.0 * (1.0 / N + 1e-9)) * (D - 1.0 / 3.0)
         P = D.T.copy()
-        face, bary, found = _locate_interior(P, faces, N)
+        face, bary, found = _locate_interior(P, _lattice(N))
         want_face, want_found = self.brute_force(P, faces, N)
         assert np.array_equal(found, want_found)
         assert np.array_equal(face[found], want_face[found])
@@ -265,8 +306,7 @@ def readme_ricker():
 
 def image_of(transform, Y):
     """The _ImageMesh of vertex images Y on the lattice of a _Transform."""
-    return _ImageMesh(Y, transform.U, np.ones(transform.U.shape[0]), transform.faces,
-                      transform.incidence, transform.rings, transform.N)
+    return _ImageMesh(Y, transform.lattice, np.ones(transform.lattice.directions.shape[0]))
 
 
 class TestWarmLocator:
@@ -288,7 +328,7 @@ class TestWarmLocator:
 
         def checked(image, q, guess):
             got = locate(image, q, guess)
-            want = _locate_interior(image.P, image.faces, image.N)
+            want = _locate_interior(image.P, image.lattice)
             # face, weights and the scan's found mask on every certified
             # row: the sweep uses the certified mask as its found mask
             ok = got[2]
@@ -318,15 +358,16 @@ class TestWarmLocator:
         m, Y = readme_image
         transform = _Transform(m, 32)
         image = image_of(transform, Y)
-        want = _locate_interior(image.P, transform.faces, 32)
+        want = _locate_interior(image.P, transform.lattice)
         face = want[0].copy()
         rng = np.random.default_rng(3)
         if guess == "moved":
             # half the queries guess a face across an edge of theirs; no
             # share of moved queries forces the scan
             moved = rng.choice(face.size, face.size // 2, replace=False)
-            ring = transform.incidence[transform.faces[face[moved], 0]]
-            across = (transform.faces[ring] == transform.faces[face[moved], 1][:, None, None]).any(-1)
+            faces = transform.lattice.faces
+            ring = transform.lattice.incidence[faces[face[moved], 0]]
+            across = (faces[ring] == faces[face[moved], 1][:, None, None]).any(-1)
             across &= ring != face[moved][:, None]
             face[moved] = ring[np.arange(moved.size), np.argmax(across, axis=1)]
             assert np.all(face[moved] != want[0][moved])
@@ -334,7 +375,7 @@ class TestWarmLocator:
             face = rng.permutation(face)
         elif guess == "stale":
             plane = compute_carrying_simplex(m, resolution=32, max_iters=1, tol=np.inf)
-            face = _locate_interior(image_of(transform, m(plane.vertices)).P, transform.faces, 32)[0]
+            face = _locate_interior(image_of(transform, m(plane.vertices)).P, transform.lattice)[0]
         elif guess == "zeros":
             face[:] = 0
         transform.face = face
@@ -364,8 +405,8 @@ class TestWarmLocator:
         Y[:, 2] -= jitter.sum(axis=1)
         image = image_of(transform, Y)
         assert image.embedded
-        want = _locate_interior(image.P, transform.faces, N)
-        ij = np.rint(transform.queries * N)
+        want = _locate_interior(image.P, transform.lattice)
+        ij = np.rint(transform.lattice.queries * N)
         query = [np.flatnonzero((ij[0] == i) & (ij[1] == j))[0] for i, j in pinned]
         assert np.all(np.min(want[1][query], axis=1) == 0.0)
 
@@ -377,7 +418,8 @@ class TestWarmLocator:
         # guess the up face of cell (i + 1, j): its one-ring holds only the
         # faces around (i, j) that touch (i + 1, j), not the lowest one
         guess = want[0].copy()
-        cells = [{tuple(np.rint(U[v, :2] * N).astype(int)) for v in f} for f in transform.faces]
+        faces = transform.lattice.faces
+        cells = [{tuple(np.rint(U[v, :2] * N).astype(int)) for v in f} for f in faces]
         for q, (i, j) in zip(query, pinned):
             guess[q] = cells.index({(i + 1, j), (i + 2, j), (i + 1, j + 1)})
         transform.face = guess
@@ -389,38 +431,38 @@ class TestWarmLocator:
         m, Y = readme_image
         transform = _Transform(m, 32)
         P = image_of(transform, Y).P
-        transform.face = _locate_interior(P, transform.faces, 32)[0]
+        transform.face = _locate_interior(P, transform.lattice)[0]
         # reflect one interior vertex's image direction across the opposite
         # edge of a face
-        v = transform.interior_idx[200]
-        f = transform.incidence[v, 0]
-        a, b = (P[:, u] for u in transform.faces[f] if u != v)
+        v = transform.lattice.interior_idx[200]
+        f = transform.lattice.incidence[v, 0]
+        a, b = (P[:, u] for u in transform.lattice.faces[f] if u != v)
         n = np.array([a[1] - b[1], b[0] - a[0]]) / np.hypot(*(a - b))
         d = P[:, v] - 2.0 * ((P[:, v] - a) @ n) * n
         Y = Y.copy()
         Y[v] = [d[0], d[1], 1.0 - d[0] - d[1]]
         image = image_of(transform, Y)
-        t0, t1, t2 = (image.P[:, transform.faces[:, k]] for k in range(3))
+        t0, t1, t2 = (image.P[:, transform.lattice.faces[:, k]] for k in range(3))
         area = (t1[0] - t0[0]) * (t2[1] - t0[1]) - (t2[0] - t0[0]) * (t1[1] - t0[1])
         assert area[f] < 0
         assert not image.embedded
         got = transform.locate(image)
-        for g, w in zip(got, _locate_interior(image.P, transform.faces, 32)):
+        for g, w in zip(got, _locate_interior(image.P, transform.lattice)):
             assert np.array_equal(g, w)
         assert transform.full_scans == 1
 
     def test_rim_off_its_edge_falls_back_to_scan(self, readme_image):
         m, Y = readme_image
         transform = _Transform(m, 32)
-        transform.face = _locate_interior(image_of(transform, Y).P, transform.faces, 32)[0]
+        transform.face = _locate_interior(image_of(transform, Y).P, transform.lattice)[0]
         # one rim vertex's image leaves its edge by far less than rounding
-        v = transform.edges[0][2][5]
+        v = transform.lattice.edge_idx[0][1][5]
         Y = Y.copy()
         Y[v, 0] = 1e-20 * Y[v].sum()
         image = image_of(transform, Y)
         assert not image.embedded
         got = transform.locate(image)
-        for g, w in zip(got, _locate_interior(image.P, transform.faces, 32)):
+        for g, w in zip(got, _locate_interior(image.P, transform.lattice)):
             assert np.array_equal(g, w)
         assert transform.full_scans == 1
 
@@ -543,9 +585,7 @@ class TestUnordered:
     def test_perturbed_radius_creates_violation(self, class19_mesh):
         mesh = SimplexMesh(
             resolution=class19_mesh.resolution,
-            directions=class19_mesh.directions,
             radii=class19_mesh.radii.copy(),
-            triangulation=class19_mesh.triangulation,
             residual=0.0,
         )
         interior = np.nonzero(np.min(mesh.directions, axis=1) > 0.2)[0]
@@ -574,7 +614,7 @@ class TestUnordered:
                   for scale in (1e-9, 1e-6, 1e-3, 3e-2)]
         radii.append(np.round(radii[-1], 2))  # many equal coordinates
         for r in radii:
-            mesh = SimplexMesh(N, base.directions, r, base.triangulation, 0.0)
+            mesh = SimplexMesh(N, r, 0.0)
             V = mesh.vertices
             for tol in (0.0, 1e-8, 1e-6 * wn):
                 want = []
@@ -599,6 +639,27 @@ class TestUnordered:
     def test_negative_tol_rejected(self, class19_mesh):
         with pytest.raises(ValueError):
             unordered_check(class19_mesh, -1e-9)
+
+
+class TestCustomMapMesh:
+    """A builtin map and the same law wrapped by make_custom give the same
+    mesh to rounding: their axial fixed points differ by a few ulps, so the
+    graph transform takes the same sweeps and full scans (measured: radii
+    within 3e-16 ||w||, invariance residuals within 1.1e-17 ||w||)."""
+
+    @pytest.mark.parametrize("N", [16, 32])
+    @pytest.mark.parametrize("kind", ["readme", "class19_lg"])
+    def test_mesh_matches_builtin(self, kind, N):
+        m = readme_ricker() if kind == "readme" else build_model("leslie_gower", A_CLASS19)
+        custom = make_custom(3, m.growth, m.growth_jacobian)
+        wn = np.linalg.norm(axial_caps(m))
+        builtin, wrapped = (compute_carrying_simplex(law, resolution=N, tol=1e-8)
+                            for law in (m, custom))
+        assert wrapped.sweeps == builtin.sweeps
+        assert wrapped.full_scans == builtin.full_scans
+        assert np.abs(wrapped.radii - builtin.radii).max() <= 1e-12 * wn
+        h4 = invariance_residual(custom, wrapped) - invariance_residual(m, builtin)
+        assert abs(h4) <= 1e-12 * wn
 
 
 class TestInvariance:
@@ -636,9 +697,7 @@ class TestInvariance:
         pts = np.vstack([class19_lg(class19_mesh.vertices), on * 1.001, on * 1.05, on * 2.0])
         scaled = SimplexMesh(
             resolution=class19_mesh.resolution,
-            directions=class19_mesh.directions,
             radii=np.ldexp(class19_mesh.radii, k),
-            triangulation=class19_mesh.triangulation,
             residual=class19_mesh.residual,
         )
         want = np.ldexp(surface_distance(class19_mesh, pts), k)
@@ -654,8 +713,7 @@ class TestInvariance:
         p = 2.0 * v + np.array([-1e-3, 0.0, 0.0])  # outside the orthant: a ball search
         surface_distance(mesh, p)
         mesh.radii *= 2.0
-        fresh = SimplexMesh(resolution=32, directions=mesh.directions, radii=mesh.radii.copy(),
-                            triangulation=mesh.triangulation, residual=mesh.residual)
+        fresh = SimplexMesh(resolution=32, radii=mesh.radii.copy(), residual=mesh.residual)
         want = surface_distance(fresh, p)
         assert want == pytest.approx(1e-3, rel=1e-9)
         assert np.array_equal(surface_distance(mesh, p), want)
@@ -827,8 +885,7 @@ class TestMeshJson:
 
     def test_rejects_bool_resolution(self):
         """true is not the integer 1, although Python's bool is an int."""
-        doc = SimplexMesh(resolution=1, directions=barycentric_lattice(1), radii=np.ones(3),
-                          triangulation=lattice_triangulation(1), residual=0.0).to_json()
+        doc = SimplexMesh(resolution=1, radii=np.ones(3), residual=0.0).to_json()
         assert SimplexMesh.from_json(doc).resolution == 1
         with pytest.raises(SimplexError, match="resolution"):
             SimplexMesh.from_json({**doc, "resolution": True})
