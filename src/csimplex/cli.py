@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import math
 import sys
 from functools import cached_property
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -164,36 +165,54 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _float_list_text(value) -> str | None:
-    """The indent-2 JSON text, as the value of a top-level key, of a
-    non-empty list of finite floats or a non-empty list of such lists, the
-    bytes json.dumps gives; None for any other value."""
-    if type(value) is not list or not value:
-        return None
-    nested = all(type(row) is list and row for row in value)
-    flat = list(chain.from_iterable(value)) if nested else value
-    if set(map(type, flat)) != {float} or not math.isfinite(sum(flat)):
-        return None  # a sum of finite floats is NaN or infinite only on overflow
-    if not nested:
-        return "[\n    " + ",\n    ".join(map(float.__repr__, value)) + "\n  ]"
-    rows = (",\n      ".join(map(float.__repr__, row)) for row in value)
-    return "[\n    [\n      " + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]"
+def _joined(texts, indent: str, brackets: str = "[]") -> str:
+    """The indent-2 JSON list (or object, with brackets "{}") of the item
+    texts, its closing bracket on a line of its own after ``indent``."""
+    inner = "\n" + indent + "  "
+    return f"{brackets[0]}{inner}{(',' + inner).join(texts)}\n{indent}{brackets[1]}"
 
 
-def _dumps(doc: dict) -> str:
-    """json.dumps(doc, sort_keys=True, indent=2, default=_json_default).
-    With an indent, json encodes in Python rather than C, so the top-level
-    lists of floats (mesh directions and radii, curve points) are joined here
-    with float.__repr__, as json writes them; every other value is left to
-    json, its lines indented one level further."""
-    items = []
-    for key in sorted(doc):
-        text = _float_list_text(doc[key])
-        if text is None:
-            text = json.dumps(doc[key], sort_keys=True, indent=2, default=_json_default)
-            text = text.replace("\n", "\n  ")  # json escapes newlines inside strings
-        items.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}" if items else "{}"
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, sort_keys=True, indent=2, default=_json_default),
+    with every line after the first indented further by ``indent``; dict
+    keys must be strings, as in every document the CLI writes.
+
+    With an indent, json encodes in Python rather than C, so this writes the
+    same text itself.  A non-empty list of finite floats, or a list of such
+    lists (mesh directions and radii, curve points, classify entries), is
+    joined in one pass with float.__repr__, as json writes floats."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        nested = all(type(row) is list and row for row in value)
+        flat = list(chain.from_iterable(value)) if nested else value
+        # a sum of finite floats is NaN or infinite only on overflow
+        if set(map(type, flat)) != {float} or not math.isfinite(sum(flat)):
+            return _joined([_json_text(item, inner) for item in value], indent)
+        if not nested:
+            return _joined(map(float.__repr__, value), indent)
+        # each row is _joined(map(float.__repr__, row), inner), without the call
+        sep = f",\n{inner}  "
+        rows = [f"[\n{inner}  {sep.join(map(float.__repr__, row))}\n{inner}]" for row in value]
+        return _joined(rows, indent)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+                 for key, item in sorted(value.items())]
+        return _joined(items, indent, "{}")
+    return _json_text(_json_default(value), indent)
 
 
 def _record_doc(rec) -> dict:
@@ -213,11 +232,12 @@ def _record_doc(rec) -> dict:
     }
 
 
-def _write_text(path, text: str) -> None:
-    """Write an output artifact; a path that cannot be written is a
-    configuration error naming the path."""
+def _write_text(path, *chunks: str) -> None:
+    """Write an output artifact, the text chunks in order; a path that
+    cannot be written is a configuration error naming the path."""
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as fh:
+            fh.writelines(chunks)
     except OSError as exc:
         raise ConfigError(str(path), f"cannot write: {exc.strerror or exc}") from exc
 
@@ -294,7 +314,7 @@ class _Run:
     def write_json(self, path: str | None, doc: dict) -> str:
         """The JSON text of ``doc`` stamped with the config hash and the
         seed, written to ``path`` when one is given."""
-        text = _dumps({**doc, **self.stamp}) + "\n"
+        text = _json_text({**doc, **self.stamp}) + "\n"
         if path:
             _write_text(path, text)
         return text
@@ -386,10 +406,10 @@ def _is_header(row: list[str]) -> bool:
 _CLASSIFY_BLOCK = 1024
 
 
-def _classified_rows(path: Path) -> list[dict]:
-    """Output rows for the data rows of the CSV, in order, classified
-    ``_CLASSIFY_BLOCK`` rows at a time."""
-    rows, block = [], []
+def _classified_rows(path: Path) -> Iterator[list[dict]]:
+    """The output rows of the CSV's data rows, in order, in blocks of
+    ``_CLASSIFY_BLOCK`` rows, each classified as it is read."""
+    block = []
     with path.open(newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not c.strip() for c in row):
@@ -401,10 +421,10 @@ def _classified_rows(path: Path) -> list[dict]:
             except ValueError as exc:
                 block.append((lineno, row[:9], exc))
             if len(block) == _CLASSIFY_BLOCK:
-                rows += _classify_block(block)
+                yield _classify_block(block)
                 block = []
-    rows += _classify_block(block)
-    return rows
+    if block:
+        yield _classify_block(block)
 
 
 def _classify_block(block: list[tuple[int, list[str], list[float] | ValueError]]) -> list[dict]:
@@ -430,34 +450,42 @@ def _classify_block(block: list[tuple[int, list[str], list[float] | ValueError]]
     return rows
 
 
+def _csv_line(r: dict) -> str:
+    margin = min(r["margins"].values()) if r["margins"] else ""
+    a_cells = ",".join(str(v) for v in r["a"])
+    return f'{a_cells},{r["class_id"]},{r["permutation"]},{margin},{r["error"]}\n'
+
+
 def cmd_classify(input_path: str, out: str | None, as_json: bool, strict: bool) -> int:
     path = Path(input_path)
     if not path.exists():
         print(f"input CSV not found: {input_path}", file=sys.stderr)
         return EXIT_MISSING
+    # one text chunk per row, written once the whole input has been read
+    if as_json:
+        chunks = ['{\n  "rows": [']
+    else:
+        chunks = ["a11,a12,a13,a21,a22,a23,a31,a32,a33,class_id,permutation,min_margin,error\n"]
+    refused = False
     try:
-        rows = _classified_rows(path)
+        for rows in _classified_rows(path):
+            refused = refused or any(r["error"] for r in rows)
+            for r in rows:
+                if as_json:
+                    sep = ",\n    " if len(chunks) > 1 else "\n    "
+                    chunks.append(sep + _json_text(r, "    "))
+                else:
+                    chunks.append(_csv_line(r))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         print(f"cannot read {input_path}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_MISSING
     if as_json:
-        # json.dump streams; json.dumps with indent would first hold every chunk
-        buf = io.StringIO()
-        json.dump({"rows": rows}, buf, sort_keys=True, indent=2)
-        buf.write("\n")
-        text = buf.getvalue()
-    else:
-        lines = ["a11,a12,a13,a21,a22,a23,a31,a32,a33,class_id,permutation,min_margin,error"]
-        for r in rows:
-            margin = min(r["margins"].values()) if r["margins"] else ""
-            a_cells = ",".join(str(v) for v in r["a"])
-            lines.append(f'{a_cells},{r["class_id"]},{r["permutation"]},{margin},{r["error"]}')
-        text = "\n".join(lines) + "\n"
+        chunks.append("\n  ]\n}\n" if len(chunks) > 1 else "]\n}\n")
     if out:
-        _write_text(out, text)
+        _write_text(out, *chunks)
     else:
-        print(text, end="")
-    if strict and any(r["error"] for r in rows):
+        sys.stdout.writelines(chunks)
+    if strict and refused:
         return EXIT_ANALYSIS
     return EXIT_OK
 

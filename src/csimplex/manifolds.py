@@ -107,7 +107,7 @@ class SpectralSplitting:
 _CURVE_KINDS = ("stable", "unstable")
 
 
-@dataclass
+@dataclass(eq=False)  # it holds arrays, so == is identity
 class ManifoldCurve:
     points: np.ndarray  # (k, n) ordered polyline
     kind: str  # one of _CURVE_KINDS

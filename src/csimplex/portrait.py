@@ -47,7 +47,7 @@ def to_plane(x: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-@dataclass
+@dataclass(eq=False)  # it holds arrays, so == is identity
 class BasinRaster:
     """Attractor labels on a regular grid over the direction simplex.
 

@@ -17,6 +17,7 @@ harmonic interpolation of the s_i.
 from __future__ import annotations
 
 import functools
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -233,13 +234,22 @@ class _Lattice:
         return face, wts
 
 
-# _lattice(N) is the one _Lattice of resolution N, built on first use.  A
-# process meshes at one or a few resolutions; the tables of N=512 take
+# A process meshes at one or a few resolutions; the tables of N=512 take
 # about 47 MB.
-_lattice = functools.lru_cache(maxsize=4)(_Lattice)
+_cached_lattice = functools.lru_cache(maxsize=4)(_Lattice)
 
 
-@dataclass
+def _lattice(N: int) -> _Lattice:
+    """The one _Lattice of resolution N, built on first use.  N is keyed by
+    its integer value, so 16 and np.int64(16) share one lattice."""
+    return _cached_lattice(operator.index(N))
+
+
+_lattice.cache_info = _cached_lattice.cache_info
+_lattice.cache_clear = _cached_lattice.cache_clear
+
+
+@dataclass(eq=False)  # it holds arrays, so == is identity
 class SimplexMesh:
     """Radial graph r(u) over ``lattice``, the shared _Lattice of the resolution.
 

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -614,6 +615,70 @@ class TestClassify:
         assert main(["classify", "--input", str(src)]) == 3
         assert f"cannot read {src}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("as_json", [True, False], ids=["json", "csv"])
+    def test_output_bytes_across_blocks(self, tmp_path, monkeypatch, capsys, as_json):
+        """The output, to a file and to stdout, is byte for byte the stdlib's
+        json.dumps of the rows (or the CSV lines of the rows), with classified,
+        refused and out-of-range rows on both sides of the block edges."""
+        monkeypatch.setattr(cli, "_CLASSIFY_BLOCK", 4)
+        src = tmp_path / "in.csv"
+        src.write_text(_CRAFTED_CSV, encoding="utf-8")
+        rows = [r for block in cli._classified_rows(src) for r in block]
+        assert len(rows) == 12
+        if as_json:
+            want = json.dumps({"rows": rows}, sort_keys=True, indent=2) + "\n"
+        else:
+            lines = ["a11,a12,a13,a21,a22,a23,a31,a32,a33,class_id,permutation,min_margin,error"]
+            for r in rows:
+                margin = min(r["margins"].values()) if r["margins"] else ""
+                lines.append(",".join([*map(str, r["a"]), str(r["class_id"]), r["permutation"],
+                                       str(margin), r["error"]]))
+            want = "\n".join(lines) + "\n"
+        flags = ["--json"] if as_json else []
+        out = tmp_path / "out"
+        assert main(["classify", "--input", str(src), "--out", str(out), *flags]) == 0
+        assert out.read_bytes() == want.encode()
+        capsys.readouterr()
+        assert main(["classify", "--input", str(src), *flags]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_input_unreadable_after_2000_rows_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        """A CSV that stops decoding after 2,000 rows, once blocks have been
+        classified, exits 3 with no output file and nothing on stdout."""
+        blocks = []
+        batch = cli.classify_table1_batch
+        monkeypatch.setattr(cli, "classify_table1_batch", lambda As: blocks.append(len(As)) or batch(As))
+        src = tmp_path / "in.csv"
+        row = ",".join(str(v) for v in A_CLASS19.ravel()) + "\n"
+        src.write_bytes(row.encode() * 2000 + b"\xff\xfe1,2\n")
+        out = tmp_path / "out"
+        for flags in ([], ["--json"]):
+            capsys.readouterr()
+            assert main(["classify", "--input", str(src), "--out", str(out), *flags]) == 3
+            assert not out.exists()
+            assert main(["classify", "--input", str(src), *flags]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"cannot read {src}" in captured.err
+        assert blocks and blocks[0] == cli._CLASSIFY_BLOCK
+
+    def test_json_output_peak_memory(self, tmp_path):
+        """classify --json holds one text chunk per row and the row dicts of
+        one block at a time: on these 5,000 rows its traced peak is 2.5 times
+        the size of its output, against 4.5 times when every row dict was
+        kept and json.dump encoded them into one buffer."""
+        rng = np.random.default_rng(1)
+        src = tmp_path / "in.csv"
+        src.write_text("".join(",".join(map(repr, rng.uniform(0.2, 3.0, 9).tolist())) + "\n"
+                               for _ in range(5000)))
+        out = tmp_path / "out.json"
+        tracemalloc.start()
+        try:
+            assert cli.cmd_classify(str(src), str(out), True, False) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * out.stat().st_size
+
     def test_header_row_skipped(self, tmp_path):
         src = tmp_path / "in.csv"
         header = "a11,a12,a13,a21,a22,a23,a31,a32,a33"
@@ -645,6 +710,25 @@ class TestClassify:
         if first == "nan":
             assert first_rows[0]["error"].startswith("ValueError: ")
             assert first_rows[0]["class_id"] == ""
+
+
+# Data rows classified (class 19), refused with raw cells that JSON escapes,
+# and out of the tabulated range, below a header.
+_CRAFTED_CSV = "\n".join([
+    "a11,a12,a13,a21,a22,a23,a31,a32,a33",
+    ",".join(str(v) for v in A_CLASS19.ravel()),
+    "\u00e9,\u00fc,\u65e5\u672c,1,1,1,1,1,1",
+    '"a ""quoted"" cell",b\\c,"x\ty",1,1,1,1,1,1',
+    "nan,inf,-inf,1,1,1,1,1,1",
+    "\x01\x1f, ,x,1,1,1,1,1,1",
+    "1,2,3",
+    "1,1,1,0,1,1,1,1,1",
+    "2,2,2,2,2,2,2,2,2",
+    "1,0.5,0.5,0.5,1,0.5,0.5,0.5,1",
+    "1,2,2,2,1,2,2,2,1",
+    ",".join(str(v) for v in A_CLASS19.ravel()),
+    "0.5,1.5,0.3,0.9,0.7,1.6,1.1,0.2,0.8",
+]) + "\n"
 
 
 def _run_fresh(code: str, cwd=None) -> str:
@@ -734,8 +818,10 @@ class TestJsonText:
 
     @staticmethod
     def assert_json_dumps_text(doc):
+        """The text at the top level, and nested three levels deep."""
         want = json.dumps(doc, sort_keys=True, indent=2, default=cli._json_default)
-        assert cli._dumps(doc) == want
+        assert cli._json_text(doc) == want
+        assert cli._json_text(doc, "      ") == want.replace("\n", "\n      ")
 
     @pytest.mark.parametrize("resolution", [8, 32, 128])
     def test_mesh(self, resolution):
@@ -755,9 +841,33 @@ class TestJsonText:
         {"a": [1e308, 1e308], "b": [[1.7976931348623157e308], [1.7976931348623157e308]]},
         {"s": "two\nlines", "d": {"k": [1.0, 2.0], "z": None}, "t": True, "n": np.arange(3.0)},
         {},
+        {"t": (1.0, [2.0]), "u": ([1.0], [2.0, 3.0]), "g": np.float64(0.1), "i": np.int64(7)},
     ])
     def test_crafted(self, doc):
         self.assert_json_dumps_text(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"rows": [{"row": 2, "a": ["\u00e9", "\u65e5\u672c", 'a "q"', "b\\c", "\x01\t\x7f", "nan", "inf",
+                                   "-inf", "\U0001f600"],
+                   "class_id": "", "permutation": "", "margins": {},
+                   "error": "ValueError: could not convert string to float: '\u00e9'"}]},
+        {"rows": [{"row": 7, "a": [1.0, 0.5, 0.5, 0.5, 1.0, 0.5, 0.5, 0.5, 1.0],
+                   "class_id": "out_of_tabulated_range", "permutation": "123",
+                   "margins": {"alpha_12": 1.0, "alpha_13": -1.0, "alpha_21": 0.0, "alpha_23": -0.0,
+                               "alpha_31": 1.0, "alpha_32": -1.0}, "error": ""}]},
+        {"rows": []},
+    ], ids=["refused_raw_cells", "out_of_range_signs", "no_rows"])
+    def test_classify_rows(self, doc):
+        self.assert_json_dumps_text(doc)
+
+    def test_classified_csv(self, tmp_path):
+        """The rows classify makes of CSV lines classified, refused (odd raw
+        cells, empty margins) and out of the tabulated range (sign margins)."""
+        src = tmp_path / "in.csv"
+        src.write_text(_CRAFTED_CSV, encoding="utf-8")
+        rows = [r for block in cli._classified_rows(src) for r in block]
+        assert {r["class_id"] for r in rows} >= {19, "", "out_of_tabulated_range"}
+        self.assert_json_dumps_text({"rows": rows})
 
 
 class TestSimplexAndPortrait:

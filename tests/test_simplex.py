@@ -191,6 +191,33 @@ def test_meshes_transforms_and_images_share_the_lattice():
     assert mesh.directions is lattice.directions and mesh.triangulation is lattice.faces
 
 
+def test_lattice_is_keyed_by_the_resolution_value():
+    """A numpy integer resolution shares the lattice of the Python int: one
+    build, and a mesh computed at np.int64(16) reads the lattice of 16."""
+    _lattice.cache_clear()
+    assert _lattice(16) is _lattice(np.int64(16))
+    assert _lattice.cache_info().misses == 1
+    mesh = compute_carrying_simplex(readme_ricker(), resolution=np.int64(16), tol=1e-8)
+    assert mesh.lattice is _lattice(16)
+    assert _lattice.cache_info().misses == 1
+
+
+def test_array_holders_compare_by_identity():
+    """Meshes, curves and basin rasters hold arrays, so == is identity: it
+    neither raises nor compares the arrays, and `in` works on lists of them."""
+    from csimplex.manifolds import ManifoldCurve
+    from csimplex.portrait import BasinRaster
+
+    pairs = [
+        [SimplexMesh(4, np.ones(15), 0.0) for _ in range(2)],
+        [ManifoldCurve(np.zeros((2, 3)), "stable", {}, 1e-6) for _ in range(2)],
+        [BasinRaster(3, np.zeros((3, 3), dtype=int), ["a"], 0) for _ in range(2)],
+    ]
+    for a, b in pairs:
+        assert a == a and a != b
+        assert a in [b, a] and a not in [b]
+
+
 def _masked_locate_regular(u, N):
     """Reference for _Lattice.locate: the up and down triangles filled by
     masked assignment."""
