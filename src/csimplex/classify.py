@@ -103,6 +103,9 @@ _SUM_REL = np.array(
     [[{">": 1, "<": -1}.get(rules["sums"].get(key), 0) for key in _SUM_KEYS]
      for rules in CLASS_RULES.values()]
 )
+# Per class, the invasion sums it has a condition on: (key, index) pairs.
+_SUM_USED = tuple(tuple((key, i) for i, key in enumerate(_SUM_KEYS) if rel[i])
+                  for rel in _SUM_REL.tolist())
 
 
 def _tables(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,8 +194,9 @@ def classify_table1_batch(
 
     Item k is the ClassificationResult of As[k], or the exception that
     ``classify_table1(As[k], band)`` raises, with the same message.  All
-    six relabelings and seven classes are decided in array operations; only
-    the assembly of each row's result is a loop over rows.  The tables of a
+    six relabelings and seven classes are decided, and the chosen
+    candidate's margins and tables gathered, in array operations; only the
+    assembly of each row's result is a loop over rows.  The tables of a
     relabeled matrix are gathered from those of the matrix, which is exact:
     each entry is one expression in the same four entries.
 
@@ -233,12 +237,25 @@ def classify_table1_batch(
     first = np.where(match.any(axis=1), np.argmax(match, axis=1), len(_CANDIDATES))
     tied = np.any(ambiguous & (np.arange(len(_CANDIDATES)) < first[:, None]), axis=1)
 
+    # Per-row values of the chosen candidate in whole-block gathers, the
+    # identity relabeling for rows with no match: signed alpha margins (K, 6),
+    # invasion-sum margins (K, 3) and relabeled tables (K, 3, 3).
+    p, c = np.divmod(np.where(first < len(_CANDIDATES), first, 0), _N_CLASSES)
+    rows = np.arange(len(As))
+    signed = (_SIGNS[c] * a[rows, p]).tolist()
+    chosen = np.where(_SUM_REL[c] > 0, above[rows, p], below[rows, p]).tolist()
+    table_rows, table_cols = _PERM_ROWS[p], _PERM_COLS[p]
+    alphas = alpha[rows[:, None, None], table_rows, table_cols]
+    betas = beta[rows[:, None, None], table_rows, table_cols]
+    identity_signs = np.sign(a[:, 0]).tolist()
+
     out: list[ClassificationResult | ValueError | ClassifyError] = []
-    for k, (refusal, t, is_tied) in enumerate(zip(refusals, first.tolist(), tied.tolist())):
+    for k, (refusal, t, is_tied, c_k) in enumerate(
+            zip(refusals, first.tolist(), tied.tolist(), c.tolist())):
         if refusal is not None:
             out.append(refusal)
         elif is_tied:
-            ahead = [_CANDIDATES[c] for c in np.flatnonzero(ambiguous[k, :t])]
+            ahead = [_CANDIDATES[i] for i in np.flatnonzero(ambiguous[k, :t])]
             if t < len(_CANDIDATES):
                 # an earlier candidate could flip to a match under a
                 # band-sized perturbation, changing the verdict
@@ -247,21 +264,17 @@ def classify_table1_batch(
             else:
                 msg = f"margins within {band:g} of zero for candidates {ahead}; refusing to classify"
             out.append(TieOnBoundaryError(msg))
-        elif t < len(_CANDIDATES):
-            p, c = divmod(t, _N_CLASSES)
-            class_id, perm = _CANDIDATES[t]
-            margins = dict(zip(_ALPHA_KEYS, (_SIGNS[c] * a[k, p]).tolist()))
-            for key, rel, hi, lo in zip(_SUM_KEYS, _SUM_REL[c].tolist(),
-                                        above[k, p].tolist(), below[k, p].tolist()):
-                if rel:
-                    margins[key] = hi if rel > 0 else lo
-            rows, cols = _PERM_ROWS[p], _PERM_COLS[p]
-            ab = AlphaBeta(alpha=alpha[k][rows, cols], beta=beta[k][rows, cols])
-            out.append(ClassificationResult(class_id, perm, ab, margins))
         else:
-            ab = AlphaBeta(alpha=alpha[k].copy(), beta=beta[k].copy())
-            signs = dict(zip(_ALPHA_KEYS, np.sign(a[k, 0]).tolist()))
-            out.append(ClassificationResult(OUT_OF_TABULATED_RANGE, (0, 1, 2), ab, signs))
+            ab = AlphaBeta(alpha=alphas[k].copy(), beta=betas[k].copy())
+            if t < len(_CANDIDATES):
+                class_id, perm = _CANDIDATES[t]
+                margins = dict(zip(_ALPHA_KEYS, signed[k]))
+                for key, i in _SUM_USED[c_k]:
+                    margins[key] = chosen[k][i]
+                out.append(ClassificationResult(class_id, perm, ab, margins))
+            else:
+                signs = dict(zip(_ALPHA_KEYS, identity_signs[k]))
+                out.append(ClassificationResult(OUT_OF_TABULATED_RANGE, (0, 1, 2), ab, signs))
     return out
 
 

@@ -13,8 +13,8 @@ import hashlib
 import json
 import math
 import sys
-from functools import cached_property
-from itertools import chain
+from functools import cached_property, lru_cache
+from itertools import chain, permutations
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator
@@ -180,7 +180,8 @@ def _json_text(value, indent: str = "") -> str:
     With an indent, json encodes in Python rather than C, so this writes the
     same text itself.  A non-empty list of finite floats, or a list of such
     lists (mesh directions and radii, curve points, classify entries), is
-    joined in one pass with float.__repr__, as json writes floats."""
+    joined in one pass with float.__repr__, as json writes floats; a dict's
+    strings, ints and finite floats are written in place, not by recursion."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, float):
@@ -209,10 +210,28 @@ def _json_text(value, indent: str = "") -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
-                 for key, item in sorted(value.items())]
+        items = []
+        for key, prefix in _key_order(tuple(value)):
+            item = value[key]
+            kind = type(item)
+            if kind is str:
+                items.append(prefix + encode_basestring_ascii(item))
+            elif kind is float and math.isfinite(item):
+                items.append(prefix + float.__repr__(item))
+            elif kind is int:
+                items.append(prefix + int.__repr__(item))
+            else:
+                items.append(prefix + _json_text(item, inner))
         return _joined(items, indent, "{}")
     return _json_text(_json_default(value), indent)
+
+
+@lru_cache(maxsize=64)
+def _key_order(keys: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
+    """A dict's keys in sorted order, each with its '"key": ' prefix.  A
+    document holds few key sets (a classify row has one, its margins six),
+    so a small cache serves nearly every dict."""
+    return tuple((key, f"{encode_basestring_ascii(key)}: ") for key in sorted(keys))
 
 
 def _record_doc(rec) -> dict:
@@ -383,7 +402,7 @@ def _parse_row(row: list[str]) -> list[float]:
     extra = sum(1 for c in row[9:] if c.strip())
     if extra:
         raise ValueError(f"expected 9 columns a11..a33, got {9 + extra} non-empty cells")
-    vals = [float(c) for c in row[:9]]
+    vals = list(map(float, row[:9]))
     if len(vals) != 9:
         raise ValueError("expected 9 columns a11..a33")
     return vals
@@ -401,6 +420,9 @@ def _is_header(row: list[str]) -> bool:
     return False
 
 
+# The permutation column's text of each relabeling, "123" for the identity.
+_PERMUTATION_TEXT = {perm: "".join(str(p + 1) for p in perm) for perm in permutations(range(3))}
+
 # Rows per classify_table1_batch call.  Blocks keep the kernel's arrays, the
 # results and the raw cells bounded by the block, not by the CSV length.
 _CLASSIFY_BLOCK = 1024
@@ -412,7 +434,7 @@ def _classified_rows(path: Path) -> Iterator[list[dict]]:
     block = []
     with path.open(newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not c.strip() for c in row):
+            if not "".join(row).strip():
                 continue
             if lineno == 1 and _is_header(row):
                 continue
@@ -443,17 +465,29 @@ def _classify_block(block: list[tuple[int, list[str], list[float] | ValueError]]
                 "row": lineno,
                 "a": vals,
                 "class_id": res.class_id,
-                "permutation": "".join(str(p + 1) for p in res.permutation),
+                "permutation": _PERMUTATION_TEXT[res.permutation],
                 "margins": res.margins,
                 "error": "",
             })
     return rows
 
 
+def _csv_field(text: str) -> str:
+    """A CSV field as csv.writer's default dialect writes it (QUOTE_MINIMAL):
+    quoted, its quotes doubled, when it holds a comma, a double quote or a
+    line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv_line(r: dict) -> str:
+    """The row's CSV line, 13 fields: its nine cells (a short row padded with
+    empty ones), class, permutation, smallest margin and error."""
     margin = min(r["margins"].values()) if r["margins"] else ""
-    a_cells = ",".join(str(v) for v in r["a"])
-    return f'{a_cells},{r["class_id"]},{r["permutation"]},{margin},{r["error"]}\n'
+    fields = [*map(str, r["a"]), *[""] * (9 - len(r["a"])),
+              str(r["class_id"]), r["permutation"], str(margin), r["error"]]
+    return ",".join(map(_csv_field, fields)) + "\n"
 
 
 def cmd_classify(input_path: str, out: str | None, as_json: bool, strict: bool) -> int:

@@ -215,6 +215,53 @@ class TestBatchKernel:
             assert_same_outcome(got, want)
         assert classify_table1_batch(np.empty((0, 3, 3))) == []
 
+    @staticmethod
+    def mixed_rows() -> np.ndarray:
+        """1,025 oracle rows, shuffled, behind a class-19 row, a tie, an
+        all-equal (degenerate) row, one out of the tabulated range and a NaN
+        row."""
+        tie = A_CLASS19.copy()
+        tie[1, 0] = tie[0, 0]
+        out_of_range = np.array([[1.0, 0.2, 0.2], [0.2, 1.0, 0.2], [0.2, 0.2, 1.0]])
+        head = np.array([A_CLASS19, tie, np.full((3, 3), 2.0), out_of_range, np.full((3, 3), np.nan)])
+        rows = oracle_rows()
+        rows = rows[np.random.default_rng(61).permutation(len(rows))]
+        return np.concatenate([head, rows, rows[:1025 - len(head) - len(rows)]])
+
+    def test_blocks_of_1_2_and_1025_match_single_calls(self):
+        As = self.mixed_rows()
+        assert len(As) == 1025
+        blocks = [*np.split(As[:40], 40), *np.split(As[40:80], 20), As]
+        for block in blocks:
+            for A, got in zip(block, classify_table1_batch(block)):
+                try:
+                    want = classify_table1(A)
+                except (ValueError, DegenerateDenominatorError, TieOnBoundaryError) as exc:
+                    want = exc
+                assert_same_outcome(got, want)
+        kinds = {type(r).__name__ if isinstance(r, Exception) else r.tabulated
+                 for r in classify_table1_batch(As[:5])}
+        assert kinds == {True, False, "TieOnBoundaryError", "DegenerateDenominatorError", "ValueError"}
+
+    def test_results_own_their_tables(self):
+        """Writing one result's tables leaves every other row's, and those of
+        a second call, unchanged."""
+        As = self.mixed_rows()[:200]
+        results = [r for r in classify_table1_batch(As) if isinstance(r, ClassificationResult)]
+        assert {r.tabulated for r in results} == {True, False}
+        before = [(r.alpha_beta.alpha.copy(), r.alpha_beta.beta.copy()) for r in results]
+        for r in results:
+            assert r.alpha_beta.alpha.base is None and r.alpha_beta.beta.base is None
+        results[0].alpha_beta.alpha[...] = 7.0
+        results[0].alpha_beta.beta[...] = -7.0
+        for r, (alpha, beta) in zip(results[1:], before[1:]):
+            assert r.alpha_beta.alpha.tobytes() == alpha.tobytes()
+            assert r.alpha_beta.beta.tobytes() == beta.tobytes()
+        again = [r for r in classify_table1_batch(As) if isinstance(r, ClassificationResult)]
+        for r, (alpha, beta) in zip(again, before):
+            assert r.alpha_beta.alpha.tobytes() == alpha.tobytes()
+            assert r.alpha_beta.beta.tobytes() == beta.tobytes()
+
     def test_compute_alpha_beta_matches_loop_reference(self):
         for A in oracle_rows():
             try:

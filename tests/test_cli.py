@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -618,8 +619,9 @@ class TestClassify:
     @pytest.mark.parametrize("as_json", [True, False], ids=["json", "csv"])
     def test_output_bytes_across_blocks(self, tmp_path, monkeypatch, capsys, as_json):
         """The output, to a file and to stdout, is byte for byte the stdlib's
-        json.dumps of the rows (or the CSV lines of the rows), with classified,
-        refused and out-of-range rows on both sides of the block edges."""
+        json.dumps of the rows (or csv.writer's lines of the rows, a short
+        row padded to nine cells), with classified, refused and out-of-range
+        rows on both sides of the block edges."""
         monkeypatch.setattr(cli, "_CLASSIFY_BLOCK", 4)
         src = tmp_path / "in.csv"
         src.write_text(_CRAFTED_CSV, encoding="utf-8")
@@ -628,12 +630,14 @@ class TestClassify:
         if as_json:
             want = json.dumps({"rows": rows}, sort_keys=True, indent=2) + "\n"
         else:
-            lines = ["a11,a12,a13,a21,a22,a23,a31,a32,a33,class_id,permutation,min_margin,error"]
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow("a11 a12 a13 a21 a22 a23 a31 a32 a33 class_id permutation min_margin error".split())
             for r in rows:
                 margin = min(r["margins"].values()) if r["margins"] else ""
-                lines.append(",".join([*map(str, r["a"]), str(r["class_id"]), r["permutation"],
-                                       str(margin), r["error"]]))
-            want = "\n".join(lines) + "\n"
+                writer.writerow([*r["a"], *[""] * (9 - len(r["a"])), r["class_id"], r["permutation"],
+                                 margin, r["error"]])
+            want = buf.getvalue()
         flags = ["--json"] if as_json else []
         out = tmp_path / "out"
         assert main(["classify", "--input", str(src), "--out", str(out), *flags]) == 0
@@ -641,6 +645,48 @@ class TestClassify:
         capsys.readouterr()
         assert main(["classify", "--input", str(src), *flags]) == 0
         assert capsys.readouterr().out == want
+
+    def test_csv_output_reads_back(self, tmp_path):
+        """Every line of the CSV output reads back with csv.reader as 13
+        fields; raw cells and refusal messages holding commas, quotes or line
+        breaks round-trip, and lines without them keep the bytes of the plain
+        comma join."""
+        tie = A_CLASS19.copy()
+        tie[1, 0] = tie[0, 0]
+        src = tmp_path / "in.csv"
+        src.write_text("\n".join([
+            "a11,a12,a13,a21,a22,a23,a31,a32,a33",
+            ",".join(str(v) for v in A_CLASS19.ravel()),
+            ",".join(str(v) for v in A_CLASS19.ravel()) + ",2.0",
+            '"1,5",2,3,4,5,6,7,8,9',
+            '"x\ny",1,1,1,1,1,1,1,1',
+            '"x\ry",a ""q"",1,1,1,1,1,1,1',
+            "1,2,3",
+            ",".join(str(v) for v in tie.ravel()),
+            "1,0.5,0.5,0.5,1,0.5,0.5,0.5,1",
+        ]) + "\n", encoding="utf-8")
+        rows = [r for block in cli._classified_rows(src) for r in block]
+        assert rows[6]["error"].startswith("TieOnBoundaryError: ") and "candidates [(19, (" in rows[6]["error"]
+        assert "got 10 non-empty cells" in rows[1]["error"]
+        out = tmp_path / "out.csv"
+        assert main(["classify", "--input", str(src), "--out", str(out)]) == 0
+        with out.open(newline="") as fh:
+            header, *fields = list(csv.reader(fh))
+        assert len(header) == 13 and len(fields) == len(rows) == 8
+        for r, f in zip(rows, fields):
+            assert len(f) == 13
+            if r["error"]:
+                assert f[:9] == [*r["a"], *[""] * (9 - len(r["a"]))]
+                assert f[12] == r["error"]
+        assert ["1,5", "x\ny", "x\ry", "1"] == [f[0] for f in fields[2:6]]
+        assert fields[4][1] == rows[4]["a"][1] == 'a ""q""'
+        text = out.read_text()
+        classified = [r for r in rows if not r["error"]]
+        assert {r["class_id"] for r in classified} == {19, "out_of_tabulated_range"}
+        for r in classified:
+            line = ",".join([*map(str, r["a"]), str(r["class_id"]), r["permutation"],
+                             str(min(r["margins"].values())), ""])
+            assert f"\n{line}\n" in text
 
     def test_input_unreadable_after_2000_rows_writes_nothing(self, tmp_path, monkeypatch, capsys):
         """A CSV that stops decoding after 2,000 rows, once blocks have been
@@ -859,6 +905,29 @@ class TestJsonText:
     ], ids=["refused_raw_cells", "out_of_range_signs", "no_rows"])
     def test_classify_rows(self, doc):
         self.assert_json_dumps_text(doc)
+
+    def test_dict_key_orders_and_value_types(self):
+        """One key set inserted in different orders, its values of every kind
+        the writer meets, at the top level and nested."""
+        values = [math.nan, math.inf, -math.inf, -0.0, 0.1, 1e300, "s\u00e9 \"q\"", "", 0, -3, 2**70,
+                  True, False, None, [1.0, 2.5], [], ["x", 1], {"z": 1.0}, {}, (1.0,),
+                  np.float64(0.3), np.float64(math.nan), np.int64(-2), np.bool_(True), np.arange(2.0)]
+        docs = []
+        for v in values:
+            docs += [{"b": v, "a": 1.5, "c": "x"}, {"c": "x", "a": 1.5, "b": v}, {"a": v, "c": v, "b": v}]
+        for doc in docs:
+            self.assert_json_dumps_text(doc)
+        self.assert_json_dumps_text({"rows": docs})
+
+    def test_key_order_cache_stays_bounded(self):
+        """More distinct key sets than the cache holds: the text is still the
+        stdlib's, for the evicted key sets too, and the cache holds no more
+        than its size."""
+        size = cli._key_order.cache_parameters()["maxsize"]
+        docs = [{f"k{i}": i, f"j{i}": [float(i)], "a": {f"m{i}": -float(i)}} for i in range(3 * size)]
+        self.assert_json_dumps_text({"docs": docs})
+        self.assert_json_dumps_text(docs[0])
+        assert cli._key_order.cache_info().currsize <= size
 
     def test_classified_csv(self, tmp_path):
         """The rows classify makes of CSV lines classified, refused (odd raw
