@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,9 +104,15 @@ _SUM_REL = np.array(
     [[{">": 1, "<": -1}.get(rules["sums"].get(key), 0) for key in _SUM_KEYS]
      for rules in CLASS_RULES.values()]
 )
-# Per class, the invasion sums it has a condition on: (key, index) pairs.
-_SUM_USED = tuple(tuple((key, i) for i, key in enumerate(_SUM_KEYS) if rel[i])
-                  for rel in _SUM_REL.tolist())
+# Per class, the invasion sums it has a condition on first, then the others,
+# and their relations in that order.
+_SUM_ORDER = np.argsort(_SUM_REL == 0, axis=1, kind="stable")
+_SUM_REL_ORDERED = np.take_along_axis(_SUM_REL, _SUM_ORDER, axis=1)
+# Per candidate, and after them for no match: the (class_id, permutation) of
+# a result and the keys of its margins dict, in sorted order.
+_OUTCOMES = (*_CANDIDATES, (OUT_OF_TABULATED_RANGE, (0, 1, 2)))
+_MARGIN_KEYS = (*(_ALPHA_KEYS + tuple(key for key in _SUM_KEYS if key in CLASS_RULES[cid]["sums"])
+                  for cid, _ in _CANDIDATES), _ALPHA_KEYS)
 
 
 def _tables(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -187,25 +194,29 @@ def compute_alpha_beta(A: np.ndarray) -> AlphaBeta:
         return AlphaBeta(alpha=np.ldexp(alpha[0], e[0]), beta=np.ldexp(beta[0], -e[0]))
 
 
-def classify_table1_batch(
-    As: np.ndarray, band: float = DEGENERACY_BAND
-) -> list[ClassificationResult | ValueError | ClassifyError]:
-    """``classify_table1`` for every matrix of As (K, 3, 3) at once.
+class _Block(NamedTuple):
+    """The decisions of classify_table1_batch for a block of K matrices, in
+    plain per-row values.
 
-    Item k is the ClassificationResult of As[k], or the exception that
-    ``classify_table1(As[k], band)`` raises, with the same message.  All
-    six relabelings and seven classes are decided, and the chosen
-    candidate's margins and tables gathered, in array operations; only the
-    assembly of each row's result is a loop over rows.  The tables of a
-    relabeled matrix are gathered from those of the matrix, which is exact:
-    each entry is one expression in the same four entries.
+    ``errors[k]`` is the exception classify_table1 raises for row k, or
+    None; for the other rows ``outcomes[k]`` is (class_id, permutation) and
+    ``margins[k]`` the result's margins dict.  The rest serves the tables:
+    row k's are the alpha and beta tables (K, 3, 3) of A 2^-e, scaled back
+    by 2^e and 2^-e, relabeled by _PERMS[relabeling[k]]."""
 
-    The decisions are made on A 2^-e, with e the binary exponent of max|A|,
-    so that max|A 2^-e| lies in [1/2, 1).  Scaling by a power of two is
-    exact, so the alpha band is band * max|A| at every scale and the
-    determinant threshold cannot underflow; margins and tables are those of
-    A, scaled back.
-    """
+    errors: list[Exception | None]
+    outcomes: list[tuple[int | str, tuple[int, int, int]] | None]
+    margins: list[dict[str, float] | None]
+    relabeling: np.ndarray
+    e: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+
+
+def _decide_block(As: np.ndarray, band: float = DEGENERACY_BAND) -> _Block:
+    """classify_table1_batch's decisions for every matrix of As (K, 3, 3),
+    made in array operations; only the tie messages and the margins dicts
+    are built row by row."""
     As = np.asarray(As, dtype=float)
     if As.ndim != 3 or As.shape[1:] != (3, 3):
         raise ValueError("classification is defined for (K, 3, 3) stacks of matrices")
@@ -223,7 +234,7 @@ def classify_table1_batch(
         # A margin is met above its band and failed below minus its band;
         # alpha margins are sign * alpha, so a sign of -1 swaps met and failed.
         met, failed = a > alpha_band, a < -alpha_band  # (K, 6, 6)
-        a, alpha, beta = np.ldexp(a, e), np.ldexp(alpha, e), np.ldexp(beta, -e)
+        a = np.ldexp(a, e)
     plus = _SIGNS > 0  # (7, 6) against (K, 6, 1, 6)
     alpha_met = np.where(plus, met[:, :, None], failed[:, :, None]).all(axis=-1)
     alpha_failed = np.where(plus, failed[:, :, None], met[:, :, None]).any(axis=-1)
@@ -237,44 +248,73 @@ def classify_table1_batch(
     first = np.where(match.any(axis=1), np.argmax(match, axis=1), len(_CANDIDATES))
     tied = np.any(ambiguous & (np.arange(len(_CANDIDATES)) < first[:, None]), axis=1)
 
-    # Per-row values of the chosen candidate in whole-block gathers, the
-    # identity relabeling for rows with no match: signed alpha margins (K, 6),
-    # invasion-sum margins (K, 3) and relabeled tables (K, 3, 3).
-    p, c = np.divmod(np.where(first < len(_CANDIDATES), first, 0), _N_CLASSES)
+    # Each row's margin values in whole-block gathers, as its margins dict
+    # lists them (_MARGIN_KEYS): the chosen candidate's signed alpha margins
+    # and the sum margins its class has conditions on, or for a row with no
+    # match the sign pattern of the identity relabeling.
+    matched = first < len(_CANDIDATES)
+    p, c = np.divmod(np.where(matched, first, 0), _N_CLASSES)
     rows = np.arange(len(As))
-    signed = (_SIGNS[c] * a[rows, p]).tolist()
-    chosen = np.where(_SUM_REL[c] > 0, above[rows, p], below[rows, p]).tolist()
-    table_rows, table_cols = _PERM_ROWS[p], _PERM_COLS[p]
-    alphas = alpha[rows[:, None, None], table_rows, table_cols]
-    betas = beta[rows[:, None, None], table_rows, table_cols]
-    identity_signs = np.sign(a[:, 0]).tolist()
+    order = _SUM_ORDER[c]  # (K, 3)
+    sum_margins = np.where(_SUM_REL_ORDERED[c] > 0, above[rows[:, None], p[:, None], order],
+                           below[rows[:, None], p[:, None], order])
+    alpha_margins = np.where(matched[:, None], _SIGNS[c] * a[rows, p], np.sign(a[:, 0]))
+    values = np.concatenate([alpha_margins, sum_margins], axis=1).tolist()
 
+    errors = refusals  # with the tie errors added
+    for k in np.flatnonzero(tied).tolist():
+        if errors[k] is not None:
+            continue
+        t = first[k]
+        ahead = [_CANDIDATES[i] for i in np.flatnonzero(ambiguous[k, :t])]
+        if t < len(_CANDIDATES):
+            # an earlier candidate could flip to a match under a band-sized
+            # perturbation, changing the verdict
+            msg = (f"candidates {ahead} sit on the boundary ahead of a clean match "
+                   f"for class {_CANDIDATES[t][0]}; refusing to classify")
+        else:
+            msg = f"margins within {band:g} of zero for candidates {ahead}; refusing to classify"
+        errors[k] = TieOnBoundaryError(msg)
+    first = first.tolist()
+    outcomes = [_OUTCOMES[t] if error is None else None for error, t in zip(errors, first)]
+    margins = [dict(zip(_MARGIN_KEYS[t], row)) if error is None else None
+               for error, t, row in zip(errors, first, values)]
+    return _Block(errors, outcomes, margins, p, e, alpha, beta)
+
+
+def classify_table1_batch(
+    As: np.ndarray, band: float = DEGENERACY_BAND
+) -> list[ClassificationResult | ValueError | ClassifyError]:
+    """``classify_table1`` for every matrix of As (K, 3, 3) at once.
+
+    Item k is the ClassificationResult of As[k], or the exception that
+    ``classify_table1(As[k], band)`` raises, with the same message.  All
+    six relabelings and seven classes are decided, and the chosen
+    candidate's margins and tables gathered, in array operations (see
+    _decide_block); only the assembly of each row's result is a loop over
+    rows.  The tables of a relabeled matrix are gathered from those of the
+    matrix, which is exact: each entry is one expression in the same four
+    entries.
+
+    The decisions are made on A 2^-e, with e the binary exponent of max|A|,
+    so that max|A 2^-e| lies in [1/2, 1).  Scaling by a power of two is
+    exact, so the alpha band is band * max|A| at every scale and the
+    determinant threshold cannot underflow; margins and tables are those of
+    A, scaled back.
+    """
+    block = _decide_block(As, band)
+    with np.errstate(all="ignore"):
+        alpha, beta = np.ldexp(block.alpha, block.e), np.ldexp(block.beta, -block.e)
+    rows = np.arange(len(alpha))[:, None, None]
+    table_rows, table_cols = _PERM_ROWS[block.relabeling], _PERM_COLS[block.relabeling]
+    alphas, betas = alpha[rows, table_rows, table_cols], beta[rows, table_rows, table_cols]
     out: list[ClassificationResult | ValueError | ClassifyError] = []
-    for k, (refusal, t, is_tied, c_k) in enumerate(
-            zip(refusals, first.tolist(), tied.tolist(), c.tolist())):
-        if refusal is not None:
-            out.append(refusal)
-        elif is_tied:
-            ahead = [_CANDIDATES[i] for i in np.flatnonzero(ambiguous[k, :t])]
-            if t < len(_CANDIDATES):
-                # an earlier candidate could flip to a match under a
-                # band-sized perturbation, changing the verdict
-                msg = (f"candidates {ahead} sit on the boundary ahead of a clean match "
-                       f"for class {_CANDIDATES[t][0]}; refusing to classify")
-            else:
-                msg = f"margins within {band:g} of zero for candidates {ahead}; refusing to classify"
-            out.append(TieOnBoundaryError(msg))
+    for k, (error, outcome, margins) in enumerate(zip(block.errors, block.outcomes, block.margins)):
+        if error is not None:
+            out.append(error)
         else:
             ab = AlphaBeta(alpha=alphas[k].copy(), beta=betas[k].copy())
-            if t < len(_CANDIDATES):
-                class_id, perm = _CANDIDATES[t]
-                margins = dict(zip(_ALPHA_KEYS, signed[k]))
-                for key, i in _SUM_USED[c_k]:
-                    margins[key] = chosen[k][i]
-                out.append(ClassificationResult(class_id, perm, ab, margins))
-            else:
-                signs = dict(zip(_ALPHA_KEYS, identity_signs[k]))
-                out.append(ClassificationResult(OUT_OF_TABULATED_RANGE, (0, 1, 2), ab, signs))
+            out.append(ClassificationResult(*outcome, ab, margins))
     return out
 
 

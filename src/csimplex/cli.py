@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import SingularJacobianError, SType, boundary_sets, find_all_fixed_points, verify_C1
-from .classify import ClassifyError, classify_table1, classify_table1_batch
+from .classify import ClassifyError, _decide_block, classify_table1
 from .existence import DEFAULT_GRID, axial_caps, ricker_condition, verify_existence
 from .manifolds import (
     DEFAULT_BASIN_TOL,
@@ -450,26 +450,84 @@ def _classified_rows(path: Path) -> Iterator[list[dict]]:
 
 
 def _classify_block(block: list[tuple[int, list[str], list[float] | ValueError]]) -> list[dict]:
-    """Output rows for parsed CSV rows; the valid ones are classified in one
-    batch.  Refused rows echo their raw cells."""
+    """Output rows for parsed CSV rows; the valid ones are decided in one
+    batch, and their rows built from its per-row values.  Refused rows echo
+    their raw cells."""
     valid = [vals for _, _, vals in block if isinstance(vals, list)]
-    outcomes = iter(classify_table1_batch(np.array(valid, dtype=float).reshape(-1, 3, 3)))
+    decided = _decide_block(np.array(valid, dtype=float).reshape(-1, 3, 3))
+    outcomes = iter(zip(decided.errors, decided.outcomes, decided.margins))
     rows = []
     for lineno, cells, vals in block:
-        res = next(outcomes) if isinstance(vals, list) else vals
-        if isinstance(res, Exception):
-            rows.append({"row": lineno, "a": cells, "class_id": "", "permutation": "",
-                         "margins": {}, "error": f"{type(res).__name__}: {res}"})
+        if isinstance(vals, list):
+            error, outcome, margins = next(outcomes)
         else:
+            error = vals
+        if error is not None:
+            rows.append({"row": lineno, "a": cells, "class_id": "", "permutation": "",
+                         "margins": {}, "error": f"{type(error).__name__}: {error}"})
+        else:
+            class_id, perm = outcome
             rows.append({
                 "row": lineno,
                 "a": vals,
-                "class_id": res.class_id,
-                "permutation": _PERMUTATION_TEXT[res.permutation],
-                "margins": res.margins,
+                "class_id": class_id,
+                "permutation": _PERMUTATION_TEXT[perm],
+                "margins": margins,
                 "error": "",
             })
     return rows
+
+
+# The keys of a classify output row, in sorted order.
+_ROW_KEYS = ("a", "class_id", "error", "margins", "permutation", "row")
+
+
+@lru_cache(maxsize=64)
+def _row_template(keys: tuple[str, ...], entries: int, margin_keys: tuple[str, ...],
+                  class_type: type) -> str | None:
+    """The %-format template of _json_text(row, "    ") for a classify row
+    with these keys, this many entries, these margins keys (sorted) and a
+    class_id of this type, or None when rows of this shape are left to
+    _json_text.  Its slots, in _ROW_KEYS order: the entries and the margins
+    by %r (floats), class_id by %d (int) or %s (its JSON text), error and
+    permutation by %s (their JSON texts), row by %d.  The template is
+    _json_text's own text of a row whose slots hold marker strings, each
+    then replaced by its format."""
+    if (sorted(keys) != list(_ROW_KEYS) or list(margin_keys) != sorted(margin_keys)
+            or class_type not in (int, str)):
+        return None
+    specs = ["%r"] * entries + ["%d" if class_type is int else "%s", "%s"]
+    specs += ["%r"] * len(margin_keys) + ["%s", "%d"]
+    markers = [f"\0{i}" for i in range(len(specs))]
+    slot = iter(markers)
+    proto = {"a": [next(slot) for _ in range(entries)], "class_id": next(slot), "error": next(slot),
+             "margins": {key: next(slot) for key in margin_keys},
+             "permutation": next(slot), "row": next(slot)}
+    template = _json_text(proto, "    ").replace("%", "%%")
+    for text, spec in zip(map(encode_basestring_ascii, markers), specs):
+        if template.count(text) != 1:
+            return None
+        template = template.replace(text, spec)
+    return template
+
+
+def _row_text(r: dict) -> str:
+    """_json_text(r, "    ") of a classify output row.  A row whose entries
+    and margins are all finite floats, with an int or str class_id, str error
+    and permutation and an int row number, is one %-format of its shape's
+    template (see _row_template), floats written by float.__repr__ as json
+    writes them; every other row goes through _json_text."""
+    a, margins, class_id, error, perm = r["a"], r["margins"], r["class_id"], r["error"], r["permutation"]
+    floats = [*a, *margins.values()]
+    template = _row_template(tuple(r), len(a), tuple(margins), type(class_id))
+    # a sum of finite floats is NaN or infinite only on overflow
+    if (template is None or type(r["row"]) is not int or type(error) is not str
+            or type(perm) is not str or set(map(type, floats)) != {float}
+            or not math.isfinite(sum(floats))):
+        return _json_text(r, "    ")
+    cid = class_id if type(class_id) is int else encode_basestring_ascii(class_id)
+    return template % (*a, cid, encode_basestring_ascii(error), *margins.values(),
+                       encode_basestring_ascii(perm), r["row"])
 
 
 def _csv_field(text: str) -> str:
@@ -507,7 +565,7 @@ def cmd_classify(input_path: str, out: str | None, as_json: bool, strict: bool) 
             for r in rows:
                 if as_json:
                     sep = ",\n    " if len(chunks) > 1 else "\n    "
-                    chunks.append(sep + _json_text(r, "    "))
+                    chunks.append(sep + _row_text(r))
                 else:
                     chunks.append(_csv_line(r))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:

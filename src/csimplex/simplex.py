@@ -17,6 +17,7 @@ harmonic interpolation of the s_i.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import sys
 from dataclasses import dataclass, field
@@ -155,6 +156,10 @@ def _ring_faces(N: int) -> np.ndarray:
     return ring
 
 
+# The corners after corner k of a face, in cyclic order.
+_CORNERS_AFTER = np.array([[1, 2], [2, 0], [0, 1]])
+
+
 class _Lattice:
     """The regular lattice of resolution N with every table of it that
     meshes, graph transforms and mesh images read, and the map from a
@@ -167,6 +172,9 @@ class _Lattice:
     - ``incidence`` (M, 6): the faces incident to each vertex, ascending,
       padded by repeating the list from its start (every vertex lies on a
       face);
+    - ``link`` (M, 6, 2): per incident face, the edge opposite the vertex,
+      as the face's corners after it in cyclic order; together they are the
+      rim of the vertex's star;
     - ``rings`` (F, 13): the one-ring of each face (see _ring_faces);
     - ``queries`` (2, Q): the interior directions (i/N, j/N), 1 <= i, j and
       i + j <= N - 1, in index order;
@@ -181,11 +189,12 @@ class _Lattice:
         self.faces = F = lattice_triangulation(N)
         vert = F.ravel()
         order = np.argsort(vert, kind="stable")  # face order kept per vertex
-        faces_by_vertex = np.repeat(np.arange(F.shape[0]), F.shape[1])[order]
         counts = np.bincount(vert, minlength=U.shape[0])
         starts = np.cumsum(counts) - counts
         slot = np.arange(6)[None, :] % counts[:, None]
-        self.incidence = faces_by_vertex[starts[:, None] + slot]
+        # (M, 6): each incident face, and the vertex's corner in it
+        self.incidence, corner = np.divmod(order[starts[:, None] + slot], 3)
+        self.link = F[self.incidence[..., None], _CORNERS_AFTER[corner]]
         self.rings = _ring_faces(N)
         # the interior points are the lattice of N - 3 shifted by (1, 1)
         qi, qj = _lattice_ij(N - 3)
@@ -241,8 +250,16 @@ _cached_lattice = functools.lru_cache(maxsize=4)(_Lattice)
 
 def _lattice(N: int) -> _Lattice:
     """The one _Lattice of resolution N, built on first use.  N is keyed by
-    its integer value, so 16 and np.int64(16) share one lattice."""
-    return _cached_lattice(operator.index(N))
+    its integer value, so 16 and np.int64(16) share one lattice.  Raises
+    ValueError, before anything is built or cached, unless N is an integer
+    >= 1 (a bool is not one)."""
+    try:
+        n = operator.index(N)
+    except TypeError:
+        n = None
+    if n is None or isinstance(N, bool) or n < 1:
+        raise ValueError(f"resolution must be an integer >= 1, got {N!r}")
+    return _cached_lattice(n)
 
 
 _lattice.cache_info = _cached_lattice.cache_info
@@ -486,6 +503,7 @@ _WARM_EPS = 1e-9
 # units of roundoff in that bound; 45 suffice for the arithmetic of
 # _barycentric_2d
 _ROUNDING = 64 * np.finfo(float).eps / 2
+_SQRT2 = math.sqrt(2.0)
 
 
 def _image(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -586,30 +604,28 @@ class _ImageMesh:
             return guess, bary, certified
         face = guess.copy()
         rest = np.nonzero(~certified)[0]
-        faces = self.lattice.faces
         ring = self.lattice.rings[guess[rest]]  # (row, face)
         q = q[:, rest]
         c, score = self._weights(q[:, :, None], ring)  # (row, face)
-        best = score.max(axis=1)
+        # a ring is ascending, so its first maximum has the lowest face index
+        col = score.argmax(axis=1)
         rows = np.arange(rest.size)
-        col = np.argmin(np.where(score == best[:, None], ring, faces.shape[0]), axis=1)
-        win = ring[rows, col]
-        face[rest] = win
-        bary[rest, 0], bary[rest, 1], bary[rest, 2] = (ci[rows, col] for ci in c)
+        best = score[rows, col]
+        face[rest] = win = ring[rows, col]
+        bary[rest] = np.array(c)[:, rows, col].T
         inside = best > _WARM_EPS
         if not inside.all():
             # the rim of a guess vertex's star: the edges opposite the vertex
             # in its faces, and the edges of the simplex
-            P = self.P
+            faces = self.lattice.faces
             own = faces[guess[rest]]  # (row, vertex of the guess)
-            star = self.lattice.incidence[own]  # (row, vertex, face): the stars of those vertices
-            corners = faces[star]  # (row, vertex, face, corner)
-            at = np.argmax(corners == own[..., None, None], axis=-1)[..., None]
-            a = np.take(P, np.take_along_axis(corners, (at + 1) % 3, axis=-1)[..., 0], axis=1)
-            e = np.take(P, np.take_along_axis(corners, (at + 2) % 3, axis=-1)[..., 0], axis=1) - a
+            # (coordinate, row, vertex, face, end): the opposite edges' ends
+            ends = np.take(self.P, self.lattice.link[own], axis=1)
+            a = ends[..., 0]
+            e = ends[..., 1] - a
             r = q[:, :, None, None] - a
             t = np.clip((r * e).sum(axis=0) / (e * e).sum(axis=0), 0.0, 1.0)
-            rim = np.minimum(np.minimum(q[0], q[1]), (1.0 - q[0] - q[1]) / np.sqrt(2.0))
+            rim = np.minimum(np.minimum(q[0], q[1]), (1.0 - q[0] - q[1]) / _SQRT2)
             dist = np.minimum(np.hypot(*(r - t * e)).min(axis=-1), rim[:, None])
             # take the star of a guess vertex that the best face shares
             shared = (own[:, :, None] == faces[win][:, None, :]).any(axis=-1)
@@ -792,12 +808,19 @@ def compute_carrying_simplex(
     """Iterate the graph transform from the plane through the axial fixed
     points until the maximal radial displacement drops below tol.
 
-    Raises NonConvergenceError (mesh attached) when max_iters sweeps do not
-    reach tolerance, and after the first sweep whose residual is not finite
-    (a map that is NaN, overflows or underflows to the origin somewhere on
-    the surface); the mesh's ``flagged`` then lists the rays whose radius
-    that sweep left NaN.
+    Raises ValueError, before the first sweep, unless resolution is an
+    integer >= 1 and tol is finite and > 0.  Raises NonConvergenceError (mesh
+    attached) when max_iters sweeps do not reach tolerance, and after the
+    first sweep whose residual is not finite (a map that is NaN, overflows
+    or underflows to the origin somewhere on the surface); the mesh's
+    ``flagged`` then lists the rays whose radius that sweep left NaN.
     """
+    try:
+        valid_tol = math.isfinite(tol) and tol > 0
+    except TypeError:
+        valid_tol = False
+    if not valid_tol:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     transform = _Transform(m, resolution)
     w = axial_caps(m)
     radii = 1.0 / (transform.lattice.directions / w[None, :]).sum(axis=1)

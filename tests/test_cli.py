@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import csimplex
-from csimplex import cli, simplex
+from csimplex import classify, cli, simplex
 from csimplex.cli import _NUMERIC_SCHEMA, RunConfig, main
 from conftest import A_CLASS19, ANCHOR_MATRICES
 
@@ -607,6 +607,7 @@ class TestClassify:
                 continue
             assert (r["class_id"], r["permutation"], r["error"]) == (
                 res.class_id, "".join(str(p + 1) for p in res.permutation), "")
+            assert list(r["margins"].items()) == list(res.margins.items())
 
     def test_unreadable_input_exits_3(self, tmp_path, capsys):
         assert main(["classify", "--input", str(tmp_path)]) == 3
@@ -692,8 +693,8 @@ class TestClassify:
         """A CSV that stops decoding after 2,000 rows, once blocks have been
         classified, exits 3 with no output file and nothing on stdout."""
         blocks = []
-        batch = cli.classify_table1_batch
-        monkeypatch.setattr(cli, "classify_table1_batch", lambda As: blocks.append(len(As)) or batch(As))
+        decide = cli._decide_block
+        monkeypatch.setattr(cli, "_decide_block", lambda As: blocks.append(len(As)) or decide(As))
         src = tmp_path / "in.csv"
         row = ",".join(str(v) for v in A_CLASS19.ravel()) + "\n"
         src.write_bytes(row.encode() * 2000 + b"\xff\xfe1,2\n")
@@ -928,6 +929,34 @@ class TestJsonText:
         self.assert_json_dumps_text({"docs": docs})
         self.assert_json_dumps_text(docs[0])
         assert cli._key_order.cache_info().currsize <= size
+
+    @pytest.mark.parametrize("margin_keys", sorted(set(classify._MARGIN_KEYS)),
+                             ids=lambda keys: "+".join(k for k in keys if k.startswith("inv")) or "alpha")
+    def test_classify_row_template(self, margin_keys):
+        """A classify row is the stdlib's text at indent 4 for every margins
+        key set the classifier makes, with an int and an out-of-range
+        class_id and with sign margins 1.0, -1.0, 0.0 and -0.0; those rows
+        take their shape's template.  A non-finite entry or margin, margins
+        out of sorted order and a refused row fall back to _json_text, with
+        the same text."""
+        rng = np.random.default_rng(len(margin_keys))
+        a = rng.uniform(0.2, 3.0, 9).tolist()
+        signs = ([1.0, -1.0, 0.0, -0.0] * 3)[:len(margin_keys)]
+        rows = [{"row": 12, "a": a, "class_id": class_id, "permutation": "213",
+                 "margins": dict(zip(margin_keys, values)), "error": ""}
+                for class_id in (19, "out_of_tabulated_range")
+                for values in (rng.normal(size=len(margin_keys)).tolist(), signs)]
+        for row in rows:
+            assert cli._row_template(tuple(row), 9, margin_keys, type(row["class_id"])) is not None
+        fallback = [{"row": 3, "a": ["x", "1,5"], "class_id": "", "permutation": "", "margins": {},
+                     "error": "ValueError: expected 9 columns a11..a33"},
+                    {**rows[0], "margins": dict(reversed(rows[0]["margins"].items()))}]
+        for bad in (math.nan, math.inf, -math.inf):
+            fallback.append({**rows[0], "a": [*a[:4], bad, *a[5:]]})
+            fallback.append({**rows[1], "margins": {**rows[1]["margins"], margin_keys[-1]: bad}})
+        for row in rows + fallback:
+            want = json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    ")
+            assert cli._row_text(row) == want
 
     def test_classified_csv(self, tmp_path):
         """The rows classify makes of CSV lines classified, refused (odd raw

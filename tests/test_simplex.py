@@ -106,9 +106,11 @@ class TestLattice:
 
 def _loop_lattice(N):
     """Reference lattice geometry built with explicit loops: directions,
-    faces, incident faces (padded by repetition), the one-ring of each face
-    (the faces that share a vertex with it, ascending, padded by the first),
-    the interior directions as queries (2, Q), the corner, edge (per axis:
+    faces, incident faces (padded by repetition), the edge opposite each
+    vertex in each of those faces (its corners after the vertex, in order),
+    the one-ring of each face (the faces that share a vertex with it,
+    ascending, padded by the first), the interior directions as queries
+    (2, Q), the corner, edge (per axis:
     the vertices on that edge, and those of them that are no corner) and
     interior index sets, and the directions' norms."""
     offset = [i * (N + 1) - i * (i - 1) // 2 for i in range(N + 2)]
@@ -128,6 +130,14 @@ def _loop_lattice(N):
         for v in tri:
             incident[v].append(f)
     incidence = np.asarray([(fs * 6)[:6] for fs in incident], dtype=np.intp)
+    link = []
+    for v, fs in enumerate(incidence):
+        ends = []
+        for f in fs:
+            tri = list(faces[f])
+            k = tri.index(v)
+            ends.append((tri[(k + 1) % 3], tri[(k + 2) % 3]))
+        link.append(ends)
     rings = []
     for tri in faces:
         ring = sorted({f for v in tri for f in incident[v]})
@@ -143,6 +153,7 @@ def _loop_lattice(N):
         "directions": U,
         "faces": faces,
         "incidence": incidence,
+        "link": np.asarray(link, dtype=np.intp).reshape(M, 6, 2),
         "rings": np.asarray(rings, dtype=np.intp),
         "queries": queries,
         "corner_idx": index(lambda c: N in c),
@@ -200,6 +211,36 @@ def test_lattice_is_keyed_by_the_resolution_value():
     mesh = compute_carrying_simplex(readme_ricker(), resolution=np.int64(16), tol=1e-8)
     assert mesh.lattice is _lattice(16)
     assert _lattice.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("N", [0, -1, True, False, np.bool_(True), 16.0, 2.5, "16", None],
+                         ids=["0", "-1", "True", "False", "np_True", "16.0", "2.5", "str", "None"])
+def test_bad_resolution_refused_before_building(N):
+    """A resolution that is not an integer >= 1 raises ValueError before a
+    lattice is built or cached, with no warning: the four cached lattices
+    stay, and so does a mesh computed at it."""
+    _lattice.cache_clear()
+    kept = [_lattice(n) for n in (3, 4, 5, 6)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="resolution must be an integer >= 1"):
+            _lattice(N)
+        with pytest.raises(ValueError, match="resolution must be an integer >= 1"):
+            compute_carrying_simplex(readme_ricker(), resolution=N, tol=1e-8)
+    assert _lattice.cache_info().currsize == 4
+    assert [_lattice(n) for n in (3, 4, 5, 6)] == kept
+    assert _lattice.cache_info().misses == 4
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-8, None, "1e-8"])
+def test_bad_tol_refused_before_the_first_sweep(tol, monkeypatch):
+    """A tol that is not finite and > 0 raises ValueError before any sweep,
+    where it ran every sweep and then raised NonConvergenceError."""
+    sweeps = []
+    monkeypatch.setattr(simplex._Transform, "sweep", lambda self, radii: sweeps.append(1))
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        compute_carrying_simplex(readme_ricker(), resolution=16, tol=tol)
+    assert sweeps == []
 
 
 def test_array_holders_compare_by_identity():
@@ -401,7 +442,7 @@ class TestWarmLocator:
         elif guess == "shuffled":
             face = rng.permutation(face)
         elif guess == "stale":
-            plane = compute_carrying_simplex(m, resolution=32, max_iters=1, tol=np.inf)
+            plane = compute_carrying_simplex(m, resolution=32, max_iters=1, tol=1e300)
             face = _locate_interior(image_of(transform, m(plane.vertices)).P, transform.lattice)[0]
         elif guess == "zeros":
             face[:] = 0
