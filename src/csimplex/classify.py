@@ -199,14 +199,16 @@ class _Block(NamedTuple):
     plain per-row values.
 
     ``errors[k]`` is the exception classify_table1 raises for row k, or
-    None; for the other rows ``outcomes[k]`` is (class_id, permutation) and
-    ``margins[k]`` the result's margins dict.  The rest serves the tables:
-    row k's are the alpha and beta tables (K, 3, 3) of A 2^-e, scaled back
-    by 2^e and 2^-e, relabeled by _PERMS[relabeling[k]]."""
+    None.  For the other rows ``outcomes[k]`` is an index t into _OUTCOMES
+    (class_id, permutation) and _MARGIN_KEYS, and the first
+    len(_MARGIN_KEYS[t]) of ``values[k]`` are the margins under those keys.
+    The rest serves the tables: row k's are the alpha and beta tables
+    (K, 3, 3) of A 2^-e, scaled back by 2^e and 2^-e, relabeled by
+    _PERMS[relabeling[k]]."""
 
     errors: list[Exception | None]
-    outcomes: list[tuple[int | str, tuple[int, int, int]] | None]
-    margins: list[dict[str, float] | None]
+    outcomes: list[int]
+    values: list[list[float]]
     relabeling: np.ndarray
     e: np.ndarray
     alpha: np.ndarray
@@ -215,8 +217,7 @@ class _Block(NamedTuple):
 
 def _decide_block(As: np.ndarray, band: float = DEGENERACY_BAND) -> _Block:
     """classify_table1_batch's decisions for every matrix of As (K, 3, 3),
-    made in array operations; only the tie messages and the margins dicts
-    are built row by row."""
+    made in array operations; only the tie messages are built row by row."""
     As = np.asarray(As, dtype=float)
     if As.ndim != 3 or As.shape[1:] != (3, 3):
         raise ValueError("classification is defined for (K, 3, 3) stacks of matrices")
@@ -248,10 +249,10 @@ def _decide_block(As: np.ndarray, band: float = DEGENERACY_BAND) -> _Block:
     first = np.where(match.any(axis=1), np.argmax(match, axis=1), len(_CANDIDATES))
     tied = np.any(ambiguous & (np.arange(len(_CANDIDATES)) < first[:, None]), axis=1)
 
-    # Each row's margin values in whole-block gathers, as its margins dict
-    # lists them (_MARGIN_KEYS): the chosen candidate's signed alpha margins
-    # and the sum margins its class has conditions on, or for a row with no
-    # match the sign pattern of the identity relabeling.
+    # Each row's margin values in whole-block gathers, in _MARGIN_KEYS order:
+    # the chosen candidate's signed alpha margins and the sum margins its
+    # class has conditions on (then those it has none on), or for a row with
+    # no match the sign pattern of the identity relabeling.
     matched = first < len(_CANDIDATES)
     p, c = np.divmod(np.where(matched, first, 0), _N_CLASSES)
     rows = np.arange(len(As))
@@ -275,11 +276,7 @@ def _decide_block(As: np.ndarray, band: float = DEGENERACY_BAND) -> _Block:
         else:
             msg = f"margins within {band:g} of zero for candidates {ahead}; refusing to classify"
         errors[k] = TieOnBoundaryError(msg)
-    first = first.tolist()
-    outcomes = [_OUTCOMES[t] if error is None else None for error, t in zip(errors, first)]
-    margins = [dict(zip(_MARGIN_KEYS[t], row)) if error is None else None
-               for error, t, row in zip(errors, first, values)]
-    return _Block(errors, outcomes, margins, p, e, alpha, beta)
+    return _Block(errors, first.tolist(), values, p, e, alpha, beta)
 
 
 def classify_table1_batch(
@@ -291,10 +288,10 @@ def classify_table1_batch(
     ``classify_table1(As[k], band)`` raises, with the same message.  All
     six relabelings and seven classes are decided, and the chosen
     candidate's margins and tables gathered, in array operations (see
-    _decide_block); only the assembly of each row's result is a loop over
-    rows.  The tables of a relabeled matrix are gathered from those of the
-    matrix, which is exact: each entry is one expression in the same four
-    entries.
+    _decide_block); only the assembly of each row's result, its margins
+    dict and its own copies of the tables, is a loop over rows.  The tables
+    of a relabeled matrix are gathered from those of the matrix, which is
+    exact: each entry is one expression in the same four entries.
 
     The decisions are made on A 2^-e, with e the binary exponent of max|A|,
     so that max|A 2^-e| lies in [1/2, 1).  Scaling by a power of two is
@@ -309,12 +306,12 @@ def classify_table1_batch(
     table_rows, table_cols = _PERM_ROWS[block.relabeling], _PERM_COLS[block.relabeling]
     alphas, betas = alpha[rows, table_rows, table_cols], beta[rows, table_rows, table_cols]
     out: list[ClassificationResult | ValueError | ClassifyError] = []
-    for k, (error, outcome, margins) in enumerate(zip(block.errors, block.outcomes, block.margins)):
+    for k, (error, t, values) in enumerate(zip(block.errors, block.outcomes, block.values)):
         if error is not None:
             out.append(error)
         else:
             ab = AlphaBeta(alpha=alphas[k].copy(), beta=betas[k].copy())
-            out.append(ClassificationResult(*outcome, ab, margins))
+            out.append(ClassificationResult(*_OUTCOMES[t], ab, dict(zip(_MARGIN_KEYS[t], values))))
     return out
 
 

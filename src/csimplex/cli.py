@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import sys
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain, permutations
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import SingularJacobianError, SType, boundary_sets, find_all_fixed_points, verify_C1
-from .classify import ClassifyError, _decide_block, classify_table1
+from .classify import _MARGIN_KEYS, _OUTCOMES, ClassifyError, _decide_block, classify_table1
 from .existence import DEFAULT_GRID, axial_caps, ricker_condition, verify_existence
 from .manifolds import (
     DEFAULT_BASIN_TOL,
@@ -179,9 +179,8 @@ def _json_text(value, indent: str = "") -> str:
 
     With an indent, json encodes in Python rather than C, so this writes the
     same text itself.  A non-empty list of finite floats, or a list of such
-    lists (mesh directions and radii, curve points, classify entries), is
-    joined in one pass with float.__repr__, as json writes floats; a dict's
-    strings, ints and finite floats are written in place, not by recursion."""
+    lists (mesh directions and radii, curve points), is joined in one pass
+    with float.__repr__, as json writes floats."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, float):
@@ -210,28 +209,10 @@ def _json_text(value, indent: str = "") -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = []
-        for key, prefix in _key_order(tuple(value)):
-            item = value[key]
-            kind = type(item)
-            if kind is str:
-                items.append(prefix + encode_basestring_ascii(item))
-            elif kind is float and math.isfinite(item):
-                items.append(prefix + float.__repr__(item))
-            elif kind is int:
-                items.append(prefix + int.__repr__(item))
-            else:
-                items.append(prefix + _json_text(item, inner))
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+                 for key, item in sorted(value.items())]
         return _joined(items, indent, "{}")
     return _json_text(_json_default(value), indent)
-
-
-@lru_cache(maxsize=64)
-def _key_order(keys: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
-    """A dict's keys in sorted order, each with its '"key": ' prefix.  A
-    document holds few key sets (a classify row has one, its margins six),
-    so a small cache serves nearly every dict."""
-    return tuple((key, f"{encode_basestring_ascii(key)}: ") for key in sorted(keys))
 
 
 def _record_doc(rec) -> dict:
@@ -423,12 +404,12 @@ def _is_header(row: list[str]) -> bool:
 # The permutation column's text of each relabeling, "123" for the identity.
 _PERMUTATION_TEXT = {perm: "".join(str(p + 1) for p in perm) for perm in permutations(range(3))}
 
-# Rows per classify_table1_batch call.  Blocks keep the kernel's arrays, the
-# results and the raw cells bounded by the block, not by the CSV length.
+# Rows per _decide_block call.  Blocks keep the kernel's arrays, the output
+# rows and the raw cells bounded by the block, not by the CSV length.
 _CLASSIFY_BLOCK = 1024
 
 
-def _classified_rows(path: Path) -> Iterator[list[dict]]:
+def _classified_rows(path: Path) -> Iterator[list[tuple]]:
     """The output rows of the CSV's data rows, in order, in blocks of
     ``_CLASSIFY_BLOCK`` rows, each classified as it is read."""
     block = []
@@ -449,103 +430,69 @@ def _classified_rows(path: Path) -> Iterator[list[dict]]:
         yield _classify_block(block)
 
 
-def _classify_block(block: list[tuple[int, list[str], list[float] | ValueError]]) -> list[dict]:
+def _classify_block(block: list[tuple[int, list[str], list[float] | ValueError]]) -> list[tuple]:
     """Output rows for parsed CSV rows; the valid ones are decided in one
-    batch, and their rows built from its per-row values.  Refused rows echo
-    their raw cells."""
+    batch.  A row is (row number, entries, class_id, permutation text,
+    margins keys, margin values, error text), and its margins are the first
+    len(keys) values.  Refused rows echo their raw cells, with no class,
+    permutation or margins."""
     valid = [vals for _, _, vals in block if isinstance(vals, list)]
     decided = _decide_block(np.array(valid, dtype=float).reshape(-1, 3, 3))
-    outcomes = iter(zip(decided.errors, decided.outcomes, decided.margins))
+    outcomes = iter(zip(decided.errors, decided.outcomes, decided.values))
     rows = []
     for lineno, cells, vals in block:
         if isinstance(vals, list):
-            error, outcome, margins = next(outcomes)
+            error, t, values = next(outcomes)
         else:
             error = vals
         if error is not None:
-            rows.append({"row": lineno, "a": cells, "class_id": "", "permutation": "",
-                         "margins": {}, "error": f"{type(error).__name__}: {error}"})
+            rows.append((lineno, cells, "", "", (), (), f"{type(error).__name__}: {error}"))
         else:
-            class_id, perm = outcome
-            rows.append({
-                "row": lineno,
-                "a": vals,
-                "class_id": class_id,
-                "permutation": _PERMUTATION_TEXT[perm],
-                "margins": margins,
-                "error": "",
-            })
+            class_id, perm = _OUTCOMES[t]
+            rows.append((lineno, vals, class_id, _PERMUTATION_TEXT[perm], _MARGIN_KEYS[t], values, ""))
     return rows
 
 
-# The keys of a classify output row, in sorted order.
-_ROW_KEYS = ("a", "class_id", "error", "margins", "permutation", "row")
+# json.dumps of a classify output row, a dict with keys a, class_id, error,
+# margins, permutation and row, at sort_keys=True, indent=2, nested in the
+# "rows" list of the document.
+_ROW_JSON = ('{\n      "a": [\n        %s\n      ],\n      "class_id": %s,\n      "error": %s,\n'
+             '      "margins": %s,\n      "permutation": %s,\n      "row": %d\n    }')
 
 
-@lru_cache(maxsize=64)
-def _row_template(keys: tuple[str, ...], entries: int, margin_keys: tuple[str, ...],
-                  class_type: type) -> str | None:
-    """The %-format template of _json_text(row, "    ") for a classify row
-    with these keys, this many entries, these margins keys (sorted) and a
-    class_id of this type, or None when rows of this shape are left to
-    _json_text.  Its slots, in _ROW_KEYS order: the entries and the margins
-    by %r (floats), class_id by %d (int) or %s (its JSON text), error and
-    permutation by %s (their JSON texts), row by %d.  The template is
-    _json_text's own text of a row whose slots hold marker strings, each
-    then replaced by its format."""
-    if (sorted(keys) != list(_ROW_KEYS) or list(margin_keys) != sorted(margin_keys)
-            or class_type not in (int, str)):
-        return None
-    specs = ["%r"] * entries + ["%d" if class_type is int else "%s", "%s"]
-    specs += ["%r"] * len(margin_keys) + ["%s", "%d"]
-    markers = [f"\0{i}" for i in range(len(specs))]
-    slot = iter(markers)
-    proto = {"a": [next(slot) for _ in range(entries)], "class_id": next(slot), "error": next(slot),
-             "margins": {key: next(slot) for key in margin_keys},
-             "permutation": next(slot), "row": next(slot)}
-    template = _json_text(proto, "    ").replace("%", "%%")
-    for text, spec in zip(map(encode_basestring_ascii, markers), specs):
-        if template.count(text) != 1:
-            return None
-        template = template.replace(text, spec)
-    return template
-
-
-def _row_text(r: dict) -> str:
-    """_json_text(r, "    ") of a classify output row.  A row whose entries
-    and margins are all finite floats, with an int or str class_id, str error
-    and permutation and an int row number, is one %-format of its shape's
-    template (see _row_template), floats written by float.__repr__ as json
-    writes them; every other row goes through _json_text."""
-    a, margins, class_id, error, perm = r["a"], r["margins"], r["class_id"], r["error"], r["permutation"]
-    floats = [*a, *margins.values()]
-    template = _row_template(tuple(r), len(a), tuple(margins), type(class_id))
-    # a sum of finite floats is NaN or infinite only on overflow
-    if (template is None or type(r["row"]) is not int or type(error) is not str
-            or type(perm) is not str or set(map(type, floats)) != {float}
-            or not math.isfinite(sum(floats))):
-        return _json_text(r, "    ")
-    cid = class_id if type(class_id) is int else encode_basestring_ascii(class_id)
-    return template % (*a, cid, encode_basestring_ascii(error), *margins.values(),
-                       encode_basestring_ascii(perm), r["row"])
+def _row_json(row: tuple) -> str:
+    """The JSON text of a classify output row (see _ROW_JSON).  A classified
+    row's entries and margins are finite floats (a non-finite or overflowing
+    entry is refused), written by float.__repr__ as json writes them; a
+    refused row's entries are its raw cells and its margins {}."""
+    lineno, a, class_id, permutation, keys, values, error = row
+    entries = ",\n        ".join(map(encode_basestring_ascii if error else float.__repr__, a))
+    margins = ",\n        ".join(f'"{key}": {value!r}' for key, value in zip(keys, values))
+    return _ROW_JSON % (
+        entries, class_id if type(class_id) is int else encode_basestring_ascii(class_id),
+        encode_basestring_ascii(error), f"{{\n        {margins}\n      }}" if margins else "{}",
+        encode_basestring_ascii(permutation), lineno)
 
 
 def _csv_field(text: str) -> str:
     """A CSV field as csv.writer's default dialect writes it (QUOTE_MINIMAL):
-    quoted, its quotes doubled, when it holds a comma, a double quote or a
-    line break."""
+    quoted, its quotes doubled, when it holds a comma, a double quote, a
+    carriage return or a line feed."""
     if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
-def _csv_line(r: dict) -> str:
-    """The row's CSV line, 13 fields: its nine cells (a short row padded with
-    empty ones), class, permutation, smallest margin and error."""
-    margin = min(r["margins"].values()) if r["margins"] else ""
-    fields = [*map(str, r["a"]), *[""] * (9 - len(r["a"])),
-              str(r["class_id"]), r["permutation"], str(margin), r["error"]]
-    return ",".join(map(_csv_field, fields)) + "\n"
+def _row_csv(row: tuple) -> str:
+    """The CSV line of a classify output row, 13 fields: its nine entries (a
+    short refused row padded with empty cells), class, permutation, smallest
+    margin and error.  Only the raw cells and the error can need quoting."""
+    lineno, a, class_id, permutation, keys, values, error = row
+    if error:
+        fields = [*a, *[""] * (9 - len(a)), "", "", "", error]
+        return ",".join(map(_csv_field, fields)) + "\n"
+    entries = ",".join(map(float.__repr__, a))
+    return f"{entries},{class_id},{permutation},{min(values[:len(keys)])!r},\n"
 
 
 def cmd_classify(input_path: str, out: str | None, as_json: bool, strict: bool) -> int:
@@ -561,13 +508,13 @@ def cmd_classify(input_path: str, out: str | None, as_json: bool, strict: bool) 
     refused = False
     try:
         for rows in _classified_rows(path):
-            refused = refused or any(r["error"] for r in rows)
+            refused = refused or any(r[-1] for r in rows)
             for r in rows:
                 if as_json:
                     sep = ",\n    " if len(chunks) > 1 else "\n    "
-                    chunks.append(sep + _row_text(r))
+                    chunks.append(sep + _row_json(r))
                 else:
-                    chunks.append(_csv_line(r))
+                    chunks.append(_row_csv(r))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         print(f"cannot read {input_path}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_MISSING

@@ -15,6 +15,8 @@ from csimplex.classify import (
     DegenerateDenominatorError,
     OUT_OF_TABULATED_RANGE,
     TieOnBoundaryError,
+    _MARGIN_KEYS,
+    _OUTCOMES,
     _PERMS,
     _decide_block,
     classify_table1,
@@ -247,25 +249,26 @@ class TestBatchKernel:
 
     def test_decided_values_match_results(self):
         """_decide_block's per-row values are those read off the results of
-        classify_table1_batch: the exception, or the class, permutation and
-        margins (keys in order, values bit for bit), with the tables'
-        relabeling equal to the permutation."""
+        classify_table1_batch: the exception, or the class and permutation
+        of the row's outcome and the margins under its keys (keys in order,
+        values bit for bit), with the tables' relabeling equal to the
+        permutation."""
         for As, band in [(oracle_rows(), DEGENERACY_BAND), (oracle_rows()[::3], 0.05),
                          (self.mixed_rows(), DEGENERACY_BAND)]:
             block = _decide_block(As, band)
             results = classify_table1_batch(As, band)
-            assert len(block.errors) == len(block.outcomes) == len(block.margins) == len(results)
+            assert len(block.errors) == len(block.outcomes) == len(block.values) == len(results)
             for k, res in enumerate(results):
-                error, outcome, margins = block.errors[k], block.outcomes[k], block.margins[k]
+                error, t, values = block.errors[k], block.outcomes[k], block.values[k]
                 if isinstance(res, Exception):
                     assert type(error) is type(res) and str(error) == str(res)
-                    assert outcome is None and margins is None
                     continue
                 assert error is None
-                assert outcome == (res.class_id, res.permutation)
-                assert type(outcome[0]) is type(res.class_id)
-                assert list(margins) == list(res.margins)
-                assert [v.hex() for v in margins.values()] == [v.hex() for v in res.margins.values()]
+                assert _OUTCOMES[t] == (res.class_id, res.permutation)
+                assert type(_OUTCOMES[t][0]) is type(res.class_id)
+                keys = _MARGIN_KEYS[t]
+                assert list(keys) == list(res.margins)
+                assert [v.hex() for v in values[:len(keys)]] == [v.hex() for v in res.margins.values()]
                 if res.tabulated:
                     assert _PERMS[block.relabeling[k]] == res.permutation
 

@@ -626,7 +626,7 @@ class TestClassify:
         monkeypatch.setattr(cli, "_CLASSIFY_BLOCK", 4)
         src = tmp_path / "in.csv"
         src.write_text(_CRAFTED_CSV, encoding="utf-8")
-        rows = [r for block in cli._classified_rows(src) for r in block]
+        rows = [_row_doc(r) for block in cli._classified_rows(src) for r in block]
         assert len(rows) == 12
         if as_json:
             want = json.dumps({"rows": rows}, sort_keys=True, indent=2) + "\n"
@@ -634,10 +634,7 @@ class TestClassify:
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow("a11 a12 a13 a21 a22 a23 a31 a32 a33 class_id permutation min_margin error".split())
-            for r in rows:
-                margin = min(r["margins"].values()) if r["margins"] else ""
-                writer.writerow([*r["a"], *[""] * (9 - len(r["a"])), r["class_id"], r["permutation"],
-                                 margin, r["error"]])
+            writer.writerows(map(_csv_fields, rows))
             want = buf.getvalue()
         flags = ["--json"] if as_json else []
         out = tmp_path / "out"
@@ -666,7 +663,7 @@ class TestClassify:
             ",".join(str(v) for v in tie.ravel()),
             "1,0.5,0.5,0.5,1,0.5,0.5,0.5,1",
         ]) + "\n", encoding="utf-8")
-        rows = [r for block in cli._classified_rows(src) for r in block]
+        rows = [_row_doc(r) for block in cli._classified_rows(src) for r in block]
         assert rows[6]["error"].startswith("TieOnBoundaryError: ") and "candidates [(19, (" in rows[6]["error"]
         assert "got 10 non-empty cells" in rows[1]["error"]
         out = tmp_path / "out.csv"
@@ -689,6 +686,44 @@ class TestClassify:
                              str(min(r["margins"].values())), ""])
             assert f"\n{line}\n" in text
 
+    def test_extreme_scales_write_finite_floats(self, tmp_path):
+        """Rows at scales 1e150, 1e-150 and 2^+-500, with random entries or
+        with a 2x2 determinant 2^-39 just above the 1e-12 max|A|^2 threshold
+        (2^-40, just below, is refused): every float classify writes is
+        finite, the JSON is the stdlib's text of its document, and each CSV
+        line's min_margin is the smallest of the row's JSON margins."""
+        rng = np.random.default_rng(150)
+        lines = []
+        for scale in (1e150, 1e-150, 2.0**500, 2.0**-500):
+            lines += [rng.uniform(0.2, 3.0, 9) * scale for _ in range(40)]
+            for k in (2, 1):
+                for _ in range(20):
+                    A = rng.uniform(0.2, 1.0, (3, 3))
+                    A[0, 0] = A[1, 1] = A[0, 1] = 1.0
+                    A[1, 0] = 1.0 - k * 2.0**-40
+                    lines.append(A.ravel() * scale)
+        src = tmp_path / "in.csv"
+        src.write_text("".join(",".join(map(repr, row.tolist())) + "\n" for row in lines))
+        out_json, out_csv = tmp_path / "out.json", tmp_path / "out.csv"
+        assert main(["classify", "--input", str(src), "--out", str(out_json), "--json"]) == 0
+        assert main(["classify", "--input", str(src), "--out", str(out_csv)]) == 0
+        text = out_json.read_text()
+        rows = json.loads(text)["rows"]
+        assert text == json.dumps({"rows": rows}, sort_keys=True, indent=2) + "\n"
+        with out_csv.open(newline="") as fh:
+            fields = list(csv.reader(fh))[1:]
+        assert len(rows) == len(fields) == len(lines)
+        classified = [(r, f) for r, f in zip(rows, fields) if not r["error"]]
+        degenerate = [r for r in rows if r["error"].startswith("DegenerateDenominatorError")]
+        assert len(degenerate) == 4 * 20 and len(classified) > len(rows) // 2
+        # the rows just above the threshold have sum margins near 2^39
+        assert max(abs(v) for r, _ in classified for v in r["margins"].values()) > 1e11
+        for r, f in classified:
+            floats = [*r["a"], *r["margins"].values()]
+            assert all(type(v) is float and math.isfinite(v) for v in floats)
+            assert f[:9] == [repr(v) for v in r["a"]]
+            assert f[9:] == [str(r["class_id"]), r["permutation"], repr(min(r["margins"].values())), ""]
+
     def test_input_unreadable_after_2000_rows_writes_nothing(self, tmp_path, monkeypatch, capsys):
         """A CSV that stops decoding after 2,000 rows, once blocks have been
         classified, exits 3 with no output file and nothing on stdout."""
@@ -709,10 +744,10 @@ class TestClassify:
         assert blocks and blocks[0] == cli._CLASSIFY_BLOCK
 
     def test_json_output_peak_memory(self, tmp_path):
-        """classify --json holds one text chunk per row and the row dicts of
-        one block at a time: on these 5,000 rows its traced peak is 2.5 times
-        the size of its output, against 4.5 times when every row dict was
-        kept and json.dump encoded them into one buffer."""
+        """classify --json holds one text chunk per row and the output rows
+        of one block at a time: on these 5,000 rows its traced peak is 2.5
+        times the size of its output, against 4.5 times when every row dict
+        was kept and json.dump encoded them into one buffer."""
         rng = np.random.default_rng(1)
         src = tmp_path / "in.csv"
         src.write_text("".join(",".join(map(repr, rng.uniform(0.2, 3.0, 9).tolist())) + "\n"
@@ -776,6 +811,22 @@ _CRAFTED_CSV = "\n".join([
     ",".join(str(v) for v in A_CLASS19.ravel()),
     "0.5,1.5,0.3,0.9,0.7,1.6,1.1,0.2,0.8",
 ]) + "\n"
+
+
+def _row_doc(row: tuple) -> dict:
+    """A classify output row as the document its JSON text encodes: the
+    margins are the first len(keys) values under those keys."""
+    lineno, a, class_id, permutation, keys, values, error = row
+    return {"row": lineno, "a": a, "class_id": class_id, "permutation": permutation,
+            "margins": dict(zip(keys, values)), "error": error}
+
+
+def _csv_fields(doc: dict) -> list:
+    """The 13 CSV fields of a classify row document, for csv.writer: the
+    cells padded to nine, class, permutation, smallest margin and error."""
+    margin = min(doc["margins"].values()) if doc["margins"] else ""
+    return [*doc["a"], *[""] * (9 - len(doc["a"])), doc["class_id"], doc["permutation"], margin,
+            doc["error"]]
 
 
 def _run_fresh(code: str, cwd=None) -> str:
@@ -920,50 +971,43 @@ class TestJsonText:
             self.assert_json_dumps_text(doc)
         self.assert_json_dumps_text({"rows": docs})
 
-    def test_key_order_cache_stays_bounded(self):
-        """More distinct key sets than the cache holds: the text is still the
-        stdlib's, for the evicted key sets too, and the cache holds no more
-        than its size."""
-        size = cli._key_order.cache_parameters()["maxsize"]
-        docs = [{f"k{i}": i, f"j{i}": [float(i)], "a": {f"m{i}": -float(i)}} for i in range(3 * size)]
-        self.assert_json_dumps_text({"docs": docs})
-        self.assert_json_dumps_text(docs[0])
-        assert cli._key_order.cache_info().currsize <= size
-
     @pytest.mark.parametrize("margin_keys", sorted(set(classify._MARGIN_KEYS)),
                              ids=lambda keys: "+".join(k for k in keys if k.startswith("inv")) or "alpha")
     def test_classify_row_template(self, margin_keys):
-        """A classify row is the stdlib's text at indent 4 for every margins
-        key set the classifier makes, with an int and an out-of-range
-        class_id and with sign margins 1.0, -1.0, 0.0 and -0.0; those rows
-        take their shape's template.  A non-finite entry or margin, margins
-        out of sorted order and a refused row fall back to _json_text, with
-        the same text."""
+        """_row_json (the _ROW_JSON layout) and _row_csv of a row of every
+        outcome with these margins keys (its int or out-of-range class_id and
+        its permutation) against the stdlib's json.dumps at indent 4 and
+        csv.writer's line, with margins of random values and of signs 1.0,
+        -1.0, 0.0 and -0.0.  The values past the keys are smaller than every
+        margin and must not reach the smallest margin.  Refused rows hold raw
+        cells that need escaping in JSON and quoting in CSV: non-ASCII, a
+        quote, a comma, a carriage return and a line feed."""
         rng = np.random.default_rng(len(margin_keys))
-        a = rng.uniform(0.2, 3.0, 9).tolist()
-        signs = ([1.0, -1.0, 0.0, -0.0] * 3)[:len(margin_keys)]
-        rows = [{"row": 12, "a": a, "class_id": class_id, "permutation": "213",
-                 "margins": dict(zip(margin_keys, values)), "error": ""}
-                for class_id in (19, "out_of_tabulated_range")
-                for values in (rng.normal(size=len(margin_keys)).tolist(), signs)]
+        tail = [-1e300] * (9 - len(margin_keys))
+        signs = [1.0, -1.0, 0.0, -0.0, -0.0, 0.0, 1.0, -1.0, 1.0][:len(margin_keys)]
+        rows = [(12, rng.uniform(0.2, 3.0, 9).tolist(), class_id, cli._PERMUTATION_TEXT[perm], keys,
+                 [*values, *tail], "")
+                for (class_id, perm), keys in zip(classify._OUTCOMES, classify._MARGIN_KEYS)
+                if keys == margin_keys
+                for values in (rng.normal(size=len(keys)).tolist(), signs)]
+        assert rows
+        rows += [(3, ["\u00e9", 'a "q"', "1,5", "x\ry", "x\ny", "\u65e5\u672c", "", " ", "\U0001f600"],
+                  "", "", (), (), "ValueError: could not convert string to float: '\u00e9'"),
+                 (4, ["1", "2,", '"3'], "", "", (), (), "ValueError: expected 9 columns a11..a33")]
         for row in rows:
-            assert cli._row_template(tuple(row), 9, margin_keys, type(row["class_id"])) is not None
-        fallback = [{"row": 3, "a": ["x", "1,5"], "class_id": "", "permutation": "", "margins": {},
-                     "error": "ValueError: expected 9 columns a11..a33"},
-                    {**rows[0], "margins": dict(reversed(rows[0]["margins"].items()))}]
-        for bad in (math.nan, math.inf, -math.inf):
-            fallback.append({**rows[0], "a": [*a[:4], bad, *a[5:]]})
-            fallback.append({**rows[1], "margins": {**rows[1]["margins"], margin_keys[-1]: bad}})
-        for row in rows + fallback:
-            want = json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    ")
-            assert cli._row_text(row) == want
+            doc = _row_doc(row)
+            assert cli._row_json(row) == json.dumps(doc, sort_keys=True, indent=2).replace("\n", "\n    ")
+            # the default dialect quotes a lone \r as well as \n; lines end in \n
+            buf = io.StringIO()
+            csv.writer(buf).writerow(_csv_fields(doc))
+            assert cli._row_csv(row) == buf.getvalue()[:-2] + "\n"
 
     def test_classified_csv(self, tmp_path):
         """The rows classify makes of CSV lines classified, refused (odd raw
         cells, empty margins) and out of the tabulated range (sign margins)."""
         src = tmp_path / "in.csv"
         src.write_text(_CRAFTED_CSV, encoding="utf-8")
-        rows = [r for block in cli._classified_rows(src) for r in block]
+        rows = [_row_doc(r) for block in cli._classified_rows(src) for r in block]
         assert {r["class_id"] for r in rows} >= {19, "", "out_of_tabulated_range"}
         self.assert_json_dumps_text({"rows": rows})
 
