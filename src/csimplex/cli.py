@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from functools import cached_property
-from itertools import chain, permutations
+from itertools import permutations
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator
@@ -165,56 +165,6 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _joined(texts, indent: str, brackets: str = "[]") -> str:
-    """The indent-2 JSON list (or object, with brackets "{}") of the item
-    texts, its closing bracket on a line of its own after ``indent``."""
-    inner = "\n" + indent + "  "
-    return f"{brackets[0]}{inner}{(',' + inner).join(texts)}\n{indent}{brackets[1]}"
-
-
-def _json_text(value, indent: str = "") -> str:
-    """json.dumps(value, sort_keys=True, indent=2, default=_json_default),
-    with every line after the first indented further by ``indent``; dict
-    keys must be strings, as in every document the CLI writes.
-
-    With an indent, json encodes in Python rather than C, so this writes the
-    same text itself.  A non-empty list of finite floats, or a list of such
-    lists (mesh directions and radii, curve points), is joined in one pass
-    with float.__repr__, as json writes floats."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        nested = all(type(row) is list and row for row in value)
-        flat = list(chain.from_iterable(value)) if nested else value
-        # a sum of finite floats is NaN or infinite only on overflow
-        if set(map(type, flat)) != {float} or not math.isfinite(sum(flat)):
-            return _joined([_json_text(item, inner) for item in value], indent)
-        if not nested:
-            return _joined(map(float.__repr__, value), indent)
-        # each row is _joined(map(float.__repr__, row), inner), without the call
-        sep = f",\n{inner}  "
-        rows = [f"[\n{inner}  {sep.join(map(float.__repr__, row))}\n{inner}]" for row in value]
-        return _joined(rows, indent)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
-                 for key, item in sorted(value.items())]
-        return _joined(items, indent, "{}")
-    return _json_text(_json_default(value), indent)
-
-
 def _record_doc(rec) -> dict:
     return {
         "name": rec.name,
@@ -312,9 +262,9 @@ class _Run:
             return exc.mesh
 
     def write_json(self, path: str | None, doc: dict) -> str:
-        """The JSON text of ``doc`` stamped with the config hash and the
-        seed, written to ``path`` when one is given."""
-        text = _json_text({**doc, **self.stamp}) + "\n"
+        """The indent-2 JSON text of ``doc``, keys sorted, stamped with the
+        config hash and the seed, written to ``path`` when one is given."""
+        text = json.dumps({**doc, **self.stamp}, sort_keys=True, indent=2, default=_json_default) + "\n"
         if path:
             _write_text(path, text)
         return text

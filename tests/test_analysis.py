@@ -26,7 +26,7 @@ from csimplex.analysis import (
     record_at,
     verify_C1,
 )
-from csimplex.classify import ClassifyError, classify_table1
+from csimplex.classify import ClassifyError, classify_table1, compute_alpha_beta
 from csimplex.existence import axial_caps
 from csimplex.models import ParameterSet, make_custom, make_leslie_gower, make_ricker
 from conftest import A_CLASS19, ANCHOR_MATRICES, build_model
@@ -397,6 +397,25 @@ class TestRecords:
                 assert (g.s_type, g.index) == (r.s_type, r.index)
                 np.testing.assert_allclose(g.location, r.location[list(p)], rtol=1e-9, atol=0.0)
             assert table1(A[np.ix_(p, p)]) == table1(A)
+
+    @pytest.mark.parametrize("kind", ["leslie_gower", "atkinson_allen", "ricker"])
+    @pytest.mark.parametrize("A", [A_CLASS19] + [A for _, A in ANCHOR_MATRICES],
+                             ids=["class19"] + [f"anchor{k}" for k in range(len(ANCHOR_MATRICES))])
+    def test_axial_types_follow_alpha_signs(self, kind, A):
+        """The class's alpha table against the boundary portrait (Zeeman
+        1993; Jiang & Niu 2017): species j invades axial point i iff
+        alpha_ij = a_ii - a_ji > 0, so axial point i is an attractor on S
+        when no species invades it, a repeller when both do and a saddle
+        otherwise.  The matrix as given and under four seeded 2% jitters."""
+        A = np.asarray(A)
+        rng = np.random.default_rng(26)
+        for B in [A] + [A * rng.uniform(0.98, 1.02, (3, 3)) for _ in range(4)]:
+            alpha = compute_alpha_beta(B).alpha
+            types = {r.name: r.s_type for r in find_all_fixed_points(build_model(kind, B))}
+            for i in range(3):
+                invaders = sum(alpha[i, j] > 0 for j in range(3) if j != i)
+                want = (SType.ATTRACTOR, SType.SADDLE, SType.REPELLER)[invaders]
+                assert types[f"axial_{i + 1}"] == want, (B.tolist(), i)
 
     def test_residual_invariant(self):
         for kind in ("leslie_gower", "atkinson_allen", "ricker"):

@@ -273,16 +273,16 @@ def test_verify_exit_code_contract_is_total(resolution, rho, replace, path, valu
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
-@given(resolution=st.integers(8, 16), replace=st.booleans(),
+@given(resolution=st.integers(8, 16), raster=st.integers(2, 24), replace=st.booleans(),
        path=st.sampled_from(_FUZZ_PATHS), value=_FUZZ_VALUES)
-def test_simplex_and_portrait_exit_code_contract_is_total(resolution, replace, path, value):
+def test_simplex_and_portrait_exit_code_contract_is_total(resolution, raster, replace, path, value):
     """Whatever one field of the README config holds, at a small mesh
-    resolution and a 24-cell basin raster, simplex and then portrait on the
-    mesh that simplex wrote return 0, 1, 2 or 3 and raise nothing.  About
-    half the draws keep the config as it is, so that many runs get past the
-    config checks."""
+    resolution and a basin raster of 2 to 24 cells, simplex and then
+    portrait on the mesh that simplex wrote return 0, 1, 2 or 3 and raise
+    nothing.  About half the draws keep the config as it is, so that many
+    runs get past the config checks."""
     doc = readme_config()
-    doc["numeric"].update(mesh_resolution=resolution, basin_raster=24)
+    doc["numeric"].update(mesh_resolution=resolution, basin_raster=raster)
     if replace:
         _replace(doc, path, value)
     cwd = os.getcwd()
@@ -793,6 +793,45 @@ class TestClassify:
             assert first_rows[0]["error"].startswith("ValueError: ")
             assert first_rows[0]["class_id"] == ""
 
+    @pytest.mark.parametrize("margin_keys", sorted(set(classify._MARGIN_KEYS)),
+                             ids=lambda keys: "+".join(k for k in keys if k.startswith("inv")) or "alpha")
+    def test_classify_row_template(self, margin_keys):
+        """_row_json (the _ROW_JSON layout) and _row_csv of a row of every
+        outcome with these margins keys (its int or out-of-range class_id and
+        its permutation) against the stdlib's json.dumps at indent 4 and
+        csv.writer's line, with margins of random values and of signs 1.0,
+        -1.0, 0.0 and -0.0.  The values past the keys are smaller than every
+        margin and must not reach the smallest margin.  Refused rows hold raw
+        cells that need escaping in JSON and quoting in CSV: non-ASCII, a
+        quote, a comma, a carriage return and a line feed."""
+        rng = np.random.default_rng(len(margin_keys))
+        tail = [-1e300] * (9 - len(margin_keys))
+        signs = [1.0, -1.0, 0.0, -0.0, -0.0, 0.0, 1.0, -1.0, 1.0][:len(margin_keys)]
+        rows = [(12, rng.uniform(0.2, 3.0, 9).tolist(), class_id, cli._PERMUTATION_TEXT[perm], keys,
+                 [*values, *tail], "")
+                for (class_id, perm), keys in zip(classify._OUTCOMES, classify._MARGIN_KEYS)
+                if keys == margin_keys
+                for values in (rng.normal(size=len(keys)).tolist(), signs)]
+        assert rows
+        rows += [(3, ["\u00e9", 'a "q"', "1,5", "x\ry", "x\ny", "\u65e5\u672c", "", " ", "\U0001f600"],
+                  "", "", (), (), "ValueError: could not convert string to float: '\u00e9'"),
+                 (4, ["1", "2,", '"3'], "", "", (), (), "ValueError: expected 9 columns a11..a33")]
+        for row in rows:
+            doc = _row_doc(row)
+            assert cli._row_json(row) == json.dumps(doc, sort_keys=True, indent=2).replace("\n", "\n    ")
+            # the default dialect quotes a lone \r as well as \n; lines end in \n
+            buf = io.StringIO()
+            csv.writer(buf).writerow(_csv_fields(doc))
+            assert cli._row_csv(row) == buf.getvalue()[:-2] + "\n"
+
+    def test_classified_csv(self, tmp_path):
+        """The rows classify makes of CSV lines classified, refused (odd raw
+        cells, empty margins) and out of the tabulated range (sign margins)."""
+        src = tmp_path / "in.csv"
+        src.write_text(_CRAFTED_CSV, encoding="utf-8")
+        rows = [_row_doc(r) for block in cli._classified_rows(src) for r in block]
+        assert {r["class_id"] for r in rows} >= {19, "", "out_of_tabulated_range"}
+
 
 # Data rows classified (class 19), refused with raw cells that JSON escapes,
 # and out of the tabulated range, below a header.
@@ -848,7 +887,8 @@ def test_commands_build_each_lattice_once(tmp_path, monkeypatch):
     """analyze, simplex, portrait --mesh and verify on the README config
     build the lattice tables of the mesh resolution once between them: the
     two graph transforms, the loaded mesh's pull-back and verify's distances
-    share one _Lattice."""
+    share one _Lattice.  Every JSON artifact they write, the traced curves
+    included, is the stdlib's indent-2 text of its own document."""
     calls = {"_ring_faces": [], "lattice_triangulation": []}
     for name, seen in calls.items():
         def counted(N, build=getattr(simplex, name), seen=seen):
@@ -859,6 +899,7 @@ def test_commands_build_each_lattice_once(tmp_path, monkeypatch):
     simplex._lattice.cache_clear()
     doc = readme_config()
     doc["numeric"].update(mesh_resolution=16, basin_raster=24)
+    doc["outputs"].update(stable="stable.json", unstable="unstable.json")
     (tmp_path / "run.json").write_text(json.dumps(doc))
     monkeypatch.chdir(tmp_path)  # output paths in the config are relative
     assert main(["analyze", "--config", "run.json", "--out", "report.json"]) == 0
@@ -866,6 +907,9 @@ def test_commands_build_each_lattice_once(tmp_path, monkeypatch):
     assert main(["portrait", "--config", "run.json", "--mesh", "mesh.json", "--out", "p.svg"]) == 0
     assert main(["verify", "--config", "run.json", "--out", "verify.json"]) in {0, 1}
     assert calls == {"_ring_faces": [16], "lattice_triangulation": [16]}
+    for name in ("report.json", "mesh.json", "stable.json", "unstable.json", "verify.json"):
+        text = (tmp_path / name).read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", name
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -908,108 +952,6 @@ def test_portrait_leaves_scipy_unloaded(tmp_path):
             "codes = [main([cmd, '--config', 'run.json']) for cmd in ('simplex', 'portrait')]; "
             "print(codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
     assert _run_fresh(code, cwd=tmp_path).splitlines()[-1] == "[0, 0] []"
-
-
-class TestJsonText:
-    """write_json's text equals json.dumps(doc, sort_keys=True, indent=2,
-    default=_json_default) + newline."""
-
-    @staticmethod
-    def assert_json_dumps_text(doc):
-        """The text at the top level, and nested three levels deep."""
-        want = json.dumps(doc, sort_keys=True, indent=2, default=cli._json_default)
-        assert cli._json_text(doc) == want
-        assert cli._json_text(doc, "      ") == want.replace("\n", "\n      ")
-
-    @pytest.mark.parametrize("resolution", [8, 32, 128])
-    def test_mesh(self, resolution):
-        run = cli._Run(RunConfig({**readme_config(), "numeric": {"mesh_resolution": resolution}}))
-        self.assert_json_dumps_text({**run.mesh.to_json(), **run.stamp})
-
-    def test_curve(self):
-        run = cli._Run(RunConfig(readme_config()))
-        curve = cli.trace_unstable(run.map, run.interior.location, run.boundary[0])
-        self.assert_json_dumps_text({**cli.curve_to_json(curve), **run.stamp})
-
-    @pytest.mark.parametrize("doc", [
-        {"a": [-0.0, 5e-324, 1.7976931348623157e308], "b": [[-0.0, 5e-324], [1.7976931348623157e308, 1.0]]},
-        {"a": [1.0, math.nan], "b": [[1.0, math.inf]], "c": [-math.inf]},
-        {"a": [1.0, 2], "b": [[1.0, 2.0], [3, 4.0]], "c": [True, 1.0]},
-        {"a": [], "b": [[]], "c": [[1.0], []], "d": [[1.0], 2.0]},
-        {"a": [1e308, 1e308], "b": [[1.7976931348623157e308], [1.7976931348623157e308]]},
-        {"s": "two\nlines", "d": {"k": [1.0, 2.0], "z": None}, "t": True, "n": np.arange(3.0)},
-        {},
-        {"t": (1.0, [2.0]), "u": ([1.0], [2.0, 3.0]), "g": np.float64(0.1), "i": np.int64(7)},
-    ])
-    def test_crafted(self, doc):
-        self.assert_json_dumps_text(doc)
-
-    @pytest.mark.parametrize("doc", [
-        {"rows": [{"row": 2, "a": ["\u00e9", "\u65e5\u672c", 'a "q"', "b\\c", "\x01\t\x7f", "nan", "inf",
-                                   "-inf", "\U0001f600"],
-                   "class_id": "", "permutation": "", "margins": {},
-                   "error": "ValueError: could not convert string to float: '\u00e9'"}]},
-        {"rows": [{"row": 7, "a": [1.0, 0.5, 0.5, 0.5, 1.0, 0.5, 0.5, 0.5, 1.0],
-                   "class_id": "out_of_tabulated_range", "permutation": "123",
-                   "margins": {"alpha_12": 1.0, "alpha_13": -1.0, "alpha_21": 0.0, "alpha_23": -0.0,
-                               "alpha_31": 1.0, "alpha_32": -1.0}, "error": ""}]},
-        {"rows": []},
-    ], ids=["refused_raw_cells", "out_of_range_signs", "no_rows"])
-    def test_classify_rows(self, doc):
-        self.assert_json_dumps_text(doc)
-
-    def test_dict_key_orders_and_value_types(self):
-        """One key set inserted in different orders, its values of every kind
-        the writer meets, at the top level and nested."""
-        values = [math.nan, math.inf, -math.inf, -0.0, 0.1, 1e300, "s\u00e9 \"q\"", "", 0, -3, 2**70,
-                  True, False, None, [1.0, 2.5], [], ["x", 1], {"z": 1.0}, {}, (1.0,),
-                  np.float64(0.3), np.float64(math.nan), np.int64(-2), np.bool_(True), np.arange(2.0)]
-        docs = []
-        for v in values:
-            docs += [{"b": v, "a": 1.5, "c": "x"}, {"c": "x", "a": 1.5, "b": v}, {"a": v, "c": v, "b": v}]
-        for doc in docs:
-            self.assert_json_dumps_text(doc)
-        self.assert_json_dumps_text({"rows": docs})
-
-    @pytest.mark.parametrize("margin_keys", sorted(set(classify._MARGIN_KEYS)),
-                             ids=lambda keys: "+".join(k for k in keys if k.startswith("inv")) or "alpha")
-    def test_classify_row_template(self, margin_keys):
-        """_row_json (the _ROW_JSON layout) and _row_csv of a row of every
-        outcome with these margins keys (its int or out-of-range class_id and
-        its permutation) against the stdlib's json.dumps at indent 4 and
-        csv.writer's line, with margins of random values and of signs 1.0,
-        -1.0, 0.0 and -0.0.  The values past the keys are smaller than every
-        margin and must not reach the smallest margin.  Refused rows hold raw
-        cells that need escaping in JSON and quoting in CSV: non-ASCII, a
-        quote, a comma, a carriage return and a line feed."""
-        rng = np.random.default_rng(len(margin_keys))
-        tail = [-1e300] * (9 - len(margin_keys))
-        signs = [1.0, -1.0, 0.0, -0.0, -0.0, 0.0, 1.0, -1.0, 1.0][:len(margin_keys)]
-        rows = [(12, rng.uniform(0.2, 3.0, 9).tolist(), class_id, cli._PERMUTATION_TEXT[perm], keys,
-                 [*values, *tail], "")
-                for (class_id, perm), keys in zip(classify._OUTCOMES, classify._MARGIN_KEYS)
-                if keys == margin_keys
-                for values in (rng.normal(size=len(keys)).tolist(), signs)]
-        assert rows
-        rows += [(3, ["\u00e9", 'a "q"', "1,5", "x\ry", "x\ny", "\u65e5\u672c", "", " ", "\U0001f600"],
-                  "", "", (), (), "ValueError: could not convert string to float: '\u00e9'"),
-                 (4, ["1", "2,", '"3'], "", "", (), (), "ValueError: expected 9 columns a11..a33")]
-        for row in rows:
-            doc = _row_doc(row)
-            assert cli._row_json(row) == json.dumps(doc, sort_keys=True, indent=2).replace("\n", "\n    ")
-            # the default dialect quotes a lone \r as well as \n; lines end in \n
-            buf = io.StringIO()
-            csv.writer(buf).writerow(_csv_fields(doc))
-            assert cli._row_csv(row) == buf.getvalue()[:-2] + "\n"
-
-    def test_classified_csv(self, tmp_path):
-        """The rows classify makes of CSV lines classified, refused (odd raw
-        cells, empty margins) and out of the tabulated range (sign margins)."""
-        src = tmp_path / "in.csv"
-        src.write_text(_CRAFTED_CSV, encoding="utf-8")
-        rows = [_row_doc(r) for block in cli._classified_rows(src) for r in block]
-        assert {r["class_id"] for r in rows} >= {19, "", "out_of_tabulated_range"}
-        self.assert_json_dumps_text({"rows": rows})
 
 
 class TestSimplexAndPortrait:
