@@ -17,6 +17,7 @@ call per step.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -56,8 +57,10 @@ DEFAULT_BASIN_MAX_ITER = 50000
 # basin_of_batch drops its captured orbits once they are more than this share
 # of the orbits it holds; until then they wait, masked, and are mapped on.
 _COMPACT_SHARE = 1.0 / 8.0
-# With every attractor certified, basin_of_batch tests its capture ellipsoids
-# once every this many map steps (and at max_iter).
+# Map steps between tests in both orbit loops: with every attractor
+# certified, basin_of_batch tests its capture ellipsoids once every this many
+# map steps (and at max_iter), and _grow_curve tests its tips' arrival once
+# every this many orbit points.
 _CAPTURE_PERIOD = 8
 
 # Foliation/conjugacy diagnostics: sampled points per report; the fitted decay
@@ -146,16 +149,21 @@ def curve_to_json(curve: ManifoldCurve) -> dict:
 
 def curve_from_json(doc: dict) -> ManifoldCurve:
     """Raises ValueError unless kind is "stable" or "unstable", points are
-    k >= 1 finite rows of 3 and tol is finite."""
+    k >= 1 finite rows of 3, endpoints is a list of strings and tol is a
+    finite number >= 0."""
     kind = doc["kind"]
     if kind not in _CURVE_KINDS:
         raise ValueError(f"curve kind {kind!r} is not one of {_CURVE_KINDS}")
-    P, tol = np.asarray(doc["points"], dtype=float), float(doc["tol"])
-    if not (P.ndim == 2 and P.shape[0] and P.shape[1] == 3 and np.isfinite(P).all()
-            and np.isfinite(tol)):
-        raise ValueError(f"curve points of shape {P.shape} or tol {tol} not allowed")
-    endpoints = {name: float("nan") for name in doc["endpoints"]}
-    return ManifoldCurve(points=P, kind=kind, endpoints=endpoints, tol=tol)
+    P, tol, names = np.asarray(doc["points"], dtype=float), doc["tol"], doc["endpoints"]
+    if not (P.ndim == 2 and P.shape[0] and P.shape[1] == 3 and np.isfinite(P).all()):
+        raise ValueError(f"curve points of shape {P.shape} not allowed")
+    # a JSON number (not a bool, not a string), finite and >= 0
+    if type(tol) not in (int, float) or not 0.0 <= tol <= sys.float_info.max:
+        raise ValueError(f"curve tol must be a finite number >= 0, got {tol!r}")
+    if type(names) is not list or not all(type(name) is str for name in names):
+        raise ValueError(f"curve endpoints must be a list of names, got {names!r}")
+    endpoints = {name: float("nan") for name in names}
+    return ManifoldCurve(points=P, kind=kind, endpoints=endpoints, tol=float(tol))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +247,7 @@ def _saddle_eigendirection(
     return eigvec_for(m.jacobian(q), float(lam.real)), 2 if lam.real < 0 else 1
 
 
-# Iterations after which _grow_curve gives up on a branch.
+# Orbit points kept after which _grow_curve gives up on a branch.
 _MAX_ITERATIONS = 20000
 
 
@@ -254,48 +262,71 @@ def _grow_curve(
     h_max: float,
 ) -> ManifoldCurve:
     """Unstable curve of `step` at its fixed point q, as the orbits of the
-    seed tips q +- seed: each iteration maps the open tips by `steps`
-    applications of `step` and appends the images to their branches
-    [q, q +- seed, ...], until a tip enters the endpoint_tol ball of a
+    seed tips q +- seed: each orbit point maps the open tips by `steps`
+    applications of `step`, and the images extend their branches
+    [q, q +- seed, ...] until a tip enters the endpoint_tol ball of a
     target.  With the seed in the linear regime the orbit lies on the curve,
     one point per fundamental domain, so each branch is the polyline through
     it, re-sampled by arclength to spacing h_max at the end.  The tips
     advance in lockstep, so each application of `step` maps both in one
     batch; `step` must map rows independently.
 
+    Arrival is tested once per block of _CAPTURE_PERIOD orbit points, on all
+    of the block's points at once.  The block is kept up to its first point
+    at which a tip arrives, and the next block starts there with the tips
+    still open; the later points are discarded.  A point's image can depend
+    on the batch it is mapped in (a lone row's matrix product rounds
+    differently from the same row in a batch of two), so the discarded
+    points are mapped again in the smaller batch, and the curve is that of
+    a test after every point, bit for bit.  _MAX_ITERATIONS bounds the
+    points kept per branch.
+
     `step(Y, faces)` returns the images of the rows Y, the faces to pass
-    with them to the next call, and a count of missed searches, summed into
-    the curve's `misses`.  The faces are per-row state that travels with
-    the tips (the stable step's image faces, _ImageMesh.pull), None at the
-    first call; the rows of a branch that has arrived are dropped from
-    them.  A step that keeps no such state returns them as given."""
+    with them to the next call, and a count of missed searches, summed over
+    the kept points into the curve's `misses`.  The faces are per-row state
+    that travels with the tips (the stable step's image faces,
+    _ImageMesh.pull), None at the first call; the rows of a branch that has
+    arrived are dropped from them.  A step that keeps no such state returns
+    them as given."""
     names = list(targets)
     ends = np.array([targets[k] for k in names], dtype=float)
-    orbits = [[q, q + seed], [q, q - seed]]
+    Y = np.array([q + seed, q - seed])
+    branches = [[q[None, :], Y[:1]], [q[None, :], Y[1:]]]  # blocks of orbit points
     arrivals: list[tuple[str, float] | None] = [None, None]
     ids = [0, 1]
-    Y = np.array([orbit[-1] for orbit in orbits])
-    faces, misses = None, 0
-    for _ in range(_MAX_ITERATIONS):
-        for _ in range(steps):
-            Y, faces, missed = step(Y, faces)
-            misses += missed
-        diff = Y[:, None, :] - ends
-        # np.linalg.norm(diff, axis=2), as it computes it, without its checks
-        d = np.sqrt(np.add.reduce(diff * diff, axis=2))
+    faces, misses, kept = None, 0, 0
+    while kept < _MAX_ITERATIONS:
+        size = min(_CAPTURE_PERIOD, _MAX_ITERATIONS - kept)
+        tips = np.empty((size,) + Y.shape)
+        carried, missed = [], [0] * size
+        for i in range(size):
+            for _ in range(steps):
+                Y, faces, count = step(Y, faces)
+                missed[i] += count
+            tips[i] = Y
+            carried.append(faces)
+        diff = tips[:, :, None, :] - ends
+        # np.linalg.norm(diff, axis=3), as it computes it, without its checks
+        d = np.sqrt(np.add.reduce(diff * diff, axis=3))
+        # each tip's distance to its nearest target: the value at argmin, NaN
+        # in a row that holds one
+        near = d.min(axis=2)
+        arrived = near < endpoint_tol  # (point, tip)
+        k = int(arrived.any(axis=1).argmax()) if arrived.any() else None  # first arrival
+        n = size if k is None else k + 1
         for row, b in enumerate(ids):
-            orbits[b].append(Y[row])
-        if d.min() >= endpoint_tol:  # no tip has arrived
+            branches[b].append(tips[:n, row])
+        kept += n
+        misses += sum(missed[:n])
+        if k is None:  # no tip has arrived
             continue
-        j = d.argmin(axis=1)
-        near = d[np.arange(len(ids)), j]
-        arrived = near < endpoint_tol
-        for row in np.flatnonzero(arrived):
-            arrivals[ids[row]] = (names[j[row]], float(near[row]))
-        still = np.flatnonzero(~arrived)
+        j = d[k].argmin(axis=1)
+        for row in np.flatnonzero(arrived[k]):
+            arrivals[ids[row]] = (names[j[row]], float(near[k, row]))
+        still = np.flatnonzero(~arrived[k])
         if not still.size:
             break
-        ids, Y = [ids[row] for row in still], Y[still]
+        ids, Y, faces = [ids[row] for row in still], tips[k, still], carried[k]
         if faces is not None:
             faces = faces[still]
     else:
@@ -304,7 +335,7 @@ def _grow_curve(
             f"branch did not reach {' or '.join(names)} within {_MAX_ITERATIONS} iterations "
             f"(closest {closest:.3e})"
         )
-    plus, minus = (_resample_polyline(np.array(orbit), h_max) for orbit in orbits)
+    plus, minus = (_resample_polyline(np.concatenate(blocks), h_max) for blocks in branches)
     (name_p, d_p), (name_m, d_m) = arrivals
     return ManifoldCurve(
         points=np.vstack([minus[::-1], plus[1:]]),
@@ -571,9 +602,10 @@ def trace_stable_on_S(
     there (_ImageMesh.pull), and only a tip that has left that face is
     searched in its one-ring, then in every face.  The curve does not depend
     on where the search starts.  The returned curve's ``misses`` counts the
-    tip steps whose carried face was not certified (ring searches plus
-    all-face scans; 461 of 4,742 on the first benchmark battery of seed 1);
-    like SimplexMesh.full_scans, it is not part of the curve's JSON form.
+    kept tip steps whose carried face was not certified (ring searches
+    plus all-face scans; 461 of 4,691 on the first benchmark battery of
+    seed 1); like SimplexMesh.full_scans, it is not part of the curve's
+    JSON form.
     A branch stops within tol = 0.1 of the longest mesh edge of a repeller,
     whose location caps the polyline.  The PL map fixes a point p within
     O(h^2) of q, not q, and along e_s that offset is amplified by

@@ -402,20 +402,41 @@ class TestRecords:
     @pytest.mark.parametrize("A", [A_CLASS19] + [A for _, A in ANCHOR_MATRICES],
                              ids=["class19"] + [f"anchor{k}" for k in range(len(ANCHOR_MATRICES))])
     def test_axial_types_follow_alpha_signs(self, kind, A):
-        """The class's alpha table against the boundary portrait (Zeeman
-        1993; Jiang & Niu 2017): species j invades axial point i iff
-        alpha_ij = a_ii - a_ji > 0, so axial point i is an attractor on S
-        when no species invades it, a repeller when both do and a saddle
-        otherwise.  The matrix as given and under four seeded 2% jitters."""
+        """The class's alpha and beta tables against the boundary portrait
+        (Zeeman 1993; Jiang & Niu 2017).  Species j invades axial point i
+        iff alpha_ij = a_ii - a_ji > 0, so axial point i is an attractor on
+        S when no species invades it, a repeller when both do and a saddle
+        otherwise.  The planar point of edge {j, l} exists iff alpha_jl and
+        alpha_lj share a sign, and attracts along the edge iff both are
+        positive; the species k off the edge invades it iff
+        a_kj beta_jl + a_kl beta_lj < 1, the sum taken at the record's
+        location (beta_jl, beta_lj).  It is an attractor on S when it
+        attracts along the edge and is not invaded, a repeller when it
+        repels and is invaded, and a saddle otherwise.  The matrix as given
+        and under four seeded 2% jitters."""
         A = np.asarray(A)
         rng = np.random.default_rng(26)
         for B in [A] + [A * rng.uniform(0.98, 1.02, (3, 3)) for _ in range(4)]:
-            alpha = compute_alpha_beta(B).alpha
-            types = {r.name: r.s_type for r in find_all_fixed_points(build_model(kind, B))}
+            tables = compute_alpha_beta(B)
+            alpha = tables.alpha
+            records = {r.name: r for r in find_all_fixed_points(build_model(kind, B))}
             for i in range(3):
                 invaders = sum(alpha[i, j] > 0 for j in range(3) if j != i)
                 want = (SType.ATTRACTOR, SType.SADDLE, SType.REPELLER)[invaders]
-                assert types[f"axial_{i + 1}"] == want, (B.tolist(), i)
+                assert records[f"axial_{i + 1}"].s_type == want, (B.tolist(), i)
+            for j, l in ((0, 1), (0, 2), (1, 2)):
+                (k,) = {0, 1, 2} - {j, l}
+                rec = records.get(f"planar_{j + 1}{l + 1}")
+                if (alpha[j, l] > 0) != (alpha[l, j] > 0):
+                    assert rec is None, (B.tolist(), j, l)
+                    continue
+                x = rec.location
+                np.testing.assert_allclose(x[[j, l]], tables.beta[[j, l], [l, j]], rtol=1e-9)
+                attracts = alpha[j, l] > 0
+                invaded = B[k, j] * x[j] + B[k, l] * x[l] < 1.0
+                want = (SType.ATTRACTOR if attracts and not invaded
+                        else SType.REPELLER if invaded and not attracts else SType.SADDLE)
+                assert rec.s_type == want, (B.tolist(), j, l)
 
     def test_residual_invariant(self):
         for kind in ("leslie_gower", "atkinson_allen", "ricker"):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import csimplex
 from csimplex import classify, cli, simplex
@@ -354,7 +354,11 @@ _CURVE_DEFECTS = st.one_of(
         .filter(lambda rows: not _is_curve_points(rows)))),
     st.tuples(st.just("points"), st.just("poke"), _FUZZ_ENTRY),
     st.tuples(st.just("tol"), st.just("set"), st.one_of(_FUZZ_NON_FINITE, _FUZZ_JUNK)),
-    st.tuples(st.just("endpoints"), st.just("set"), st.sampled_from([None, 5, 1.5, True])),
+    # values that float() takes but that are no finite, non-negative JSON number
+    st.tuples(st.just("tol"), st.just("set"), st.sampled_from(
+        ["0.01", "nan", True, False, -0.5, -1, json.loads("1e400"), 10**400])),
+    st.tuples(st.just("endpoints"), st.just("set"), st.sampled_from(
+        [None, 5, 1.5, True, "axial_1", ["axial_1", 5], [["axial_1"]], {"axial_1": 0.0}])),
     st.tuples(st.just("kind"), st.just("set"), st.one_of(
         st.sampled_from(["x", "", "Stable", "unstable ", 5, True]), _FUZZ_JUNK)),
     st.tuples(st.sampled_from(["kind", "points", "endpoints", "tol"]), st.just("delete"),
@@ -393,6 +397,10 @@ def _malformed(doc: dict, key, how: str, value):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(defect=st.one_of(st.tuples(st.just("mesh"), _MESH_DEFECTS),
                         st.tuples(st.sampled_from(["stable", "unstable"]), _CURVE_DEFECTS)))
+@example(defect=("stable", ("tol", "set", "0.01")))
+@example(defect=("unstable", ("tol", "set", True)))
+@example(defect=("stable", ("tol", "set", -0.5)))
+@example(defect=("unstable", ("endpoints", "set", "axial_1")))
 def test_portrait_refuses_malformed_artifacts(portrait_inputs, defect):
     """Whatever is wrong with the shape, numbers or resolution of the mesh or
     of a curve document, portrait reports that it cannot load it and exits

@@ -112,6 +112,81 @@ def grow_branch_alone(step, q, seed, steps, targets, endpoint_tol, h_max):
     raise AssertionError("reference branch did not terminate")
 
 
+def grow_per_step(kind, step, q, seed, steps, targets, endpoint_tol, h_max):
+    """_grow_curve as it was when it tested arrival after every orbit point,
+    mapping the open tips in one batch per step: the reference that the
+    block test must equal bit for bit."""
+    names = list(targets)
+    ends = np.array([targets[k] for k in names], dtype=float)
+    orbits = [[q, q + seed], [q, q - seed]]
+    arrivals = [None, None]
+    ids = [0, 1]
+    Y = np.array([orbit[-1] for orbit in orbits])
+    faces, misses = None, 0
+    for _ in range(manifolds._MAX_ITERATIONS):
+        for _ in range(steps):
+            Y, faces, missed = step(Y, faces)
+            misses += missed
+        diff = Y[:, None, :] - ends
+        d = np.sqrt(np.add.reduce(diff * diff, axis=2))
+        for row, b in enumerate(ids):
+            orbits[b].append(Y[row])
+        if d.min() >= endpoint_tol:
+            continue
+        j = d.argmin(axis=1)
+        near = d[np.arange(len(ids)), j]
+        arrived = near < endpoint_tol
+        for row in np.flatnonzero(arrived):
+            arrivals[ids[row]] = (names[j[row]], float(near[row]))
+        still = np.flatnonzero(~arrived)
+        if not still.size:
+            break
+        ids, Y = [ids[row] for row in still], Y[still]
+        if faces is not None:
+            faces = faces[still]
+    else:
+        closest = float(np.min(np.linalg.norm(Y[:, None, :] - ends[None, :, :], axis=2)))
+        raise BranchDidNotTerminateError(
+            f"branch did not reach {' or '.join(names)} within {manifolds._MAX_ITERATIONS} "
+            f"iterations (closest {closest:.3e})"
+        )
+    plus, minus = (_resample_polyline(np.array(orbit), h_max) for orbit in orbits)
+    (name_p, d_p), (name_m, d_m) = arrivals
+    return manifolds.ManifoldCurve(
+        points=np.vstack([minus[::-1], plus[1:]]),
+        kind=kind,
+        endpoints={name_m: d_m, name_p: d_p},
+        tol=float(endpoint_tol),
+        misses=misses,
+    )
+
+
+def assert_equal_curves(curve, ref):
+    """Bit for bit: points, endpoint names, order and distances, tol and
+    misses."""
+    assert curve.kind == ref.kind
+    assert np.array_equal(curve.points, ref.points)
+    assert list(curve.endpoints.items()) == list(ref.endpoints.items())
+    assert curve.tol == ref.tol and curve.misses == ref.misses
+
+
+def grown_per_step_too(kind, step, q, seed, steps, *args):
+    """_grow_curve's curve, after checking it against grow_per_step's and
+    that it made at most 2 (_CAPTURE_PERIOD - 1) steps more calls of
+    `step`: the points discarded after the two arrivals."""
+    def counting(calls):
+        def counted(Y, faces):
+            calls.append(Y.shape[0])
+            return step(Y, faces)
+        return counted
+
+    calls, ref_calls = [], []
+    curve = _grow_curve(kind, counting(calls), q, seed, steps, *args)
+    assert_equal_curves(curve, grow_per_step(kind, counting(ref_calls), q, seed, steps, *args))
+    assert 0 <= len(calls) - len(ref_calls) <= 2 * (manifolds._CAPTURE_PERIOD - 1) * steps
+    return curve
+
+
 def tol_ball_labels(m, X, attractors, max_iter=50000, tol=1e-6, radii=None):
     """Basin labels by the tol balls alone: the loop that the capture
     ellipsoids shortcut.  Given radii (one per sorted attractor), the balls
@@ -602,12 +677,13 @@ class TestStable:
 
     def test_branches_arriving_together_on_the_same_step(self):
         """Both branches of a linear expansion by 2 arrive on the same (25th)
-        step; the curve closes with no branch left open."""
+        step, the first of a block of 8; the curve closes with no branch
+        left open."""
         q, e = np.full(3, 0.5), np.array([1.0, 0.0, 0.0])
         reach = 1e-8 * 2.0**25
         targets = {"a": q + reach * e, "b": q - reach * e}
-        curve = _grow_curve("unstable", stateless(lambda X: q + 2.0 * (X - q)), q, 1e-8 * e, 1,
-                            targets, 1e-3 * reach, 0.1 * reach)
+        curve = grown_per_step_too("unstable", stateless(lambda X: q + 2.0 * (X - q)), q,
+                                   1e-8 * e, 1, targets, 1e-3 * reach, 0.1 * reach)
         assert list(curve.endpoints) == ["b", "a"]
         assert np.allclose(curve.points[[0, -1]], [targets["b"], targets["a"]], atol=1e-3 * reach)
 
@@ -624,8 +700,8 @@ class TestStable:
             return q - np.outer(t + 0.05 * t * (1.0 - t * t), e) + 0.5 * (X - q - np.outer(t, e))
 
         h_max = 0.01
-        curve = _grow_curve("unstable", stateless(step), q, 1e-6 * e, 2, {"a": q + e, "b": q - e},
-                            1e-4, h_max)
+        curve = grown_per_step_too("unstable", stateless(step), q, 1e-6 * e, 2,
+                                   {"a": q + e, "b": q - e}, 1e-4, h_max)
         assert list(curve.endpoints) == ["b", "a"]
         t = (curve.points - q) @ e
         assert np.all(np.diff(t) > 0.0)
@@ -640,8 +716,12 @@ class TestStable:
             t = (X - q) @ e
             return X + np.outer(0.05 * t * (1.0 - t * t), e)
 
-        with pytest.raises(BranchDidNotTerminateError, match="did not reach a within"):
-            _grow_curve("unstable", stateless(step), q, 1e-6 * e, 1, {"a": q + e}, 1e-4, 0.01)
+        args = ("unstable", stateless(step), q, 1e-6 * e, 1, {"a": q + e}, 1e-4, 0.01)
+        with pytest.raises(BranchDidNotTerminateError, match="did not reach a within") as raised:
+            _grow_curve(*args)
+        with pytest.raises(BranchDidNotTerminateError) as ref:
+            grow_per_step(*args)
+        assert str(raised.value) == str(ref.value)
 
     @pytest.mark.parametrize("system, floored", [
         (("leslie_gower", 0), False), (("atkinson_allen", 6), False), (("ricker", 10), False),
@@ -746,6 +826,124 @@ class TestCarriedFaces:
         assert trace_unstable(m, q, att).misses == 0
 
 
+def doubling(q, e, lone_shift=0.0, nan_below=None):
+    """A _grow_curve step that doubles the offset from q along e.  It
+    carries each row's side of q as its face, checked at the next call,
+    and counts one missed search per row.  A row mapped on its own moves on
+    by lone_shift along e, as a lone row's rounding may differ from a
+    batched one's; a row that lands below nan_below along e becomes NaN."""
+    def step(Y, faces):
+        assert faces is None or np.array_equal(faces, np.sign((Y - q) @ e), equal_nan=True)
+        X = q + 2.0 * (Y - q)
+        if Y.shape[0] == 1:
+            X += lone_shift * e
+        if nan_below is not None:
+            X[(X - q) @ e < nan_below] = np.nan
+        return X, np.sign((X - q) @ e), Y.shape[0]
+
+    return step
+
+
+class TestBlockArrival:
+    """_grow_curve tests arrival once per block of _CAPTURE_PERIOD orbit
+    points and restarts from the first point at which a tip arrives, with
+    the tips still open.  Its curves equal, bit for bit, those of the loop
+    that tested after every point (grow_per_step)."""
+
+    @staticmethod
+    def assert_tracers_match(m, q, att, rep, mesh, monkeypatch):
+        grown = []
+
+        def both(kind, *args):
+            grown.append(kind)
+            return grown_per_step_too(kind, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(manifolds, "_grow_curve", both)
+            trace_unstable(m, q, att)
+            trace_stable_on_S(m, mesh, q, rep, att)
+        assert grown == ["unstable", "stable"]
+
+    @pytest.mark.parametrize("N", [32, 64, 128])
+    def test_readme(self, N, monkeypatch):
+        self.assert_tracers_match(*system_of(readme_map(), N), monkeypatch)
+
+    @pytest.mark.parametrize("kind", ["leslie_gower", "atkinson_allen", "ricker"])
+    @pytest.mark.parametrize("k", range(len(ANCHOR_MATRICES)))
+    def test_anchors(self, kind, k, monkeypatch):
+        self.assert_tracers_match(*anchor_system(kind, k, resolution=32), monkeypatch)
+
+    def test_benchmark_battery(self, monkeypatch, tmp_path):
+        maps = battery_maps(1, monkeypatch, tmp_path)[:9]  # the first battery
+        for m in maps:
+            self.assert_tracers_match(*system_of(m, 32), monkeypatch)
+
+    @pytest.mark.parametrize("offset", range(8))
+    @pytest.mark.parametrize("lone_shift", [0.0, 1e-9])
+    def test_arrival_at_each_offset_of_a_block(self, offset, lone_shift):
+        """Orbit point i of the plus tip lies 2^i 1e-8 from q, so it arrives
+        at point 9 + offset, in the second block.  From there the minus tip
+        is mapped on its own, and moves on by lone_shift at each step, until
+        it arrives at point 30."""
+        q, e = np.full(3, 0.5), np.array([1.0, 0.0, 0.0])
+        reach = 1e-8 * 2.0 ** (9 + offset)
+        t = -1e-8  # the minus tip along e
+        for i in range(1, 31):
+            t = 2.0 * t + (lone_shift if i > 9 + offset else 0.0)
+        targets = {"a": q + reach * e, "b": q + t * e}
+        curve = grown_per_step_too("unstable", doubling(q, e, lone_shift), q, 1e-8 * e, 1,
+                                   targets, 0.25 * reach, 0.1)
+        assert list(curve.endpoints) == ["b", "a"]
+        assert curve.misses == (9 + offset) + 30
+
+    @pytest.mark.parametrize("plus, minus", [(19, 22), (24, 25)])
+    def test_two_arrivals(self, plus, minus):
+        """The plus tip arrives at point `plus` and the minus tip at point
+        `minus`: on two steps of one block (17 to 24), and on the last point
+        of a block and the first of the next (both on one step is
+        TestStable's linear expansion).  A lone row is shifted by 1e-9, so a
+        loop that kept stepping the survivor in the old batch would give
+        another curve."""
+        q, e = np.full(3, 0.5), np.array([1.0, 0.0, 0.0])
+        targets = {"a": q + 1e-8 * 2.0**plus * e, "b": q - 1e-8 * 2.0**minus * e}
+        curve = grown_per_step_too("unstable", doubling(q, e, 1e-9), q, 1e-8 * e, 1, targets,
+                                   0.25e-8 * 2.0**min(plus, minus), 0.01)
+        assert list(curve.endpoints) == ["b", "a"]
+        assert curve.misses == plus + minus
+
+    def test_nan_tip_never_arrives(self, monkeypatch):
+        """The minus tip turns NaN at point 10 and is never near a target;
+        the plus tip arrives at point 20.  Both loops give up on the minus
+        branch with the same message."""
+        monkeypatch.setattr(manifolds, "_MAX_ITERATIONS", 40)
+        q, e = np.full(3, 0.5), np.array([1.0, 0.0, 0.0])
+        targets = {"a": q + 1e-8 * 2.0**20 * e, "b": q - e}
+        args = ("unstable", doubling(q, e, nan_below=-1e-5), q, 1e-8 * e, 1, targets, 1e-3, 0.01)
+        with pytest.raises(BranchDidNotTerminateError, match=r"\(closest nan\)") as raised:
+            _grow_curve(*args)
+        with pytest.raises(BranchDidNotTerminateError) as ref:
+            grow_per_step(*args)
+        assert str(raised.value) == str(ref.value)
+
+    @pytest.mark.parametrize("limit", [16, 21])
+    def test_gives_up_after_max_iterations_points(self, limit, monkeypatch):
+        """Both tips move by 1e-3 along e per point toward a target 1 away:
+        after `limit` points the plus tip is 0.999999 - limit 1e-3 from it,
+        which the message gives.  21 points end inside a block."""
+        monkeypatch.setattr(manifolds, "_MAX_ITERATIONS", limit)
+        q, e = np.full(3, 0.5), np.array([1.0, 0.0, 0.0])
+        args = ("unstable", stateless(lambda X: X + 1e-3 * e), q, 1e-6 * e, 1, {"a": q + e},
+                1e-4, 0.01)
+        closest = 1.0 - 1e-6 - limit * 1e-3
+        with pytest.raises(BranchDidNotTerminateError) as raised:
+            _grow_curve(*args)
+        assert str(raised.value) == (
+            f"branch did not reach a within {limit} iterations (closest {closest:.3e})")
+        with pytest.raises(BranchDidNotTerminateError) as ref:
+            grow_per_step(*args)
+        assert str(raised.value) == str(ref.value)
+
+
 class TestCustomMap:
     """A builtin map and the same law wrapped by make_custom give the same
     curves.  The custom map's fixed points come from Newton, equal to the
@@ -767,6 +965,21 @@ class TestCustomMap:
             assert custom.tol == pytest.approx(builtin.tol, rel=1e-9)
             assert custom.points.shape == builtin.points.shape
             assert np.linalg.norm(custom.points - builtin.points, axis=1).max() <= bound * builtin.tol
+
+    @pytest.mark.parametrize("system", ["readme", ("leslie_gower", 0), ("atkinson_allen", 5),
+                                        ("ricker", 10)],
+                             ids=["readme", "anchor0-lg", "anchor5-aa", "anchor10-ricker"])
+    def test_basin_raster(self, system):
+        """Given the builtin's attractors and mesh, the custom map labels
+        the raster as the builtin does, every cell resolved, though it
+        tests bare tol balls at every step where the builtin tests its
+        certified capture ellipsoids every _CAPTURE_PERIOD steps."""
+        m, _, att, _, mesh = system_of(readme_map(), 32) if system == "readme" else anchor_system(
+            *system, resolution=32)
+        custom = make_custom(3, m.growth, m.growth_jacobian)
+        builtin = basin_raster(m, mesh, att, resolution=21).labels
+        assert np.count_nonzero(builtin == -1) == 0
+        assert np.array_equal(basin_raster(custom, mesh, att, resolution=21).labels, builtin)
 
 
 class TestPullBack:
