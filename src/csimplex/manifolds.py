@@ -274,9 +274,9 @@ def _grow_curve(
     Arrival is tested once per block of _CAPTURE_PERIOD orbit points, on all
     of the block's points at once.  The block is kept up to its first point
     at which a tip arrives, and the next block starts there with the tips
-    still open; the later points are discarded.  A point's image can depend
-    on the batch it is mapped in (a lone row's matrix product rounds
-    differently from the same row in a batch of two), so the discarded
+    still open; the later points are discarded.  A step may round a row
+    by the batch it is mapped in (a custom map's `x @ A.T` can round a lone
+    row differently from the same row in a batch of two), so the discarded
     points are mapped again in the smaller batch, and the curve is that of
     a test after every point, bit for bit.  _MAX_ITERATIONS bounds the
     points kept per branch.
@@ -375,23 +375,6 @@ def trace_unstable(
 # Basins
 # ---------------------------------------------------------------------------
 
-def _profile_slopes(m: CompetitiveMap, x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """|g_i'(s_i)| and |g_i''(s_i)| at s = A x for the builtin laws, whose
-    growth rates are F_i = g_i(s_i); None for other maps.  Both decrease in
-    s_i."""
-    if m.params is None or m.kind not in ("leslie_gower", "atkinson_allen", "ricker"):
-        return None
-    r = m.params.r
-    s = x @ m.params.A.T
-    if m.kind == "ricker":
-        g1 = r * np.exp(r * (1.0 - s))
-        return g1, r * g1
-    c = m.params.c if m.params.c is not None else 0.0
-    d = 1.0 + r * s
-    g1 = (1.0 + r) * (1.0 - c) * r / d**2
-    return g1, 2.0 * r * g1 / d
-
-
 def _second_derivative_bound(m: CompetitiveMap, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
     """Bounds on sup ||D^2 T|| over the boxes [lo_k, hi_k] in R^n_+ (rows of
     lo, hi) for the builtin laws; None for other maps.
@@ -400,10 +383,9 @@ def _second_derivative_bound(m: CompetitiveMap, lo: np.ndarray, hi: np.ndarray) 
     + x_i g_i''(s_i) (a_i . h)^2, and s_i is smallest at lo.  For unit h the
     vector of these is at most max_i 2 |a_i| |g_i'| + ||(x_i |a_i|^2 |g_i''|)_i||.
     """
-    slopes = _profile_slopes(m, lo)
-    if slopes is None:
+    if m.slopes is None:
         return None
-    g1, g2 = slopes
+    g1, g2 = m.slopes(lo)
     a = np.linalg.norm(m.params.A, axis=1)
     return np.max(2.0 * a * g1, axis=-1) + np.linalg.norm(hi * a * a * g2, axis=-1)
 

@@ -25,9 +25,6 @@ __all__ = [
     "map_from_config",
 ]
 
-KINDS = ("leslie_gower", "atkinson_allen", "ricker")
-
-
 class InvalidParameterError(ValueError):
     """A model parameter violates its positivity/range constraint."""
 
@@ -94,7 +91,10 @@ class CompetitiveMap:
         DT(x)_ij   = delta_ij F_i(x) + x_i dF_i/dx_j(x)
 
     so coordinate hyperplanes are invariant by construction and the Jacobian
-    is exact (never finite-differenced).
+    is exact (never finite-differenced).  Each builtin law has the form
+    F_i(x) = g_i(s_i) with s = Ax; ``slopes(x)`` returns (|g_i'(s_i)|,
+    |g_i''(s_i)|) with shape (..., n), both decreasing in s_i.  It is None
+    for custom maps.
     """
 
     kind: str
@@ -102,6 +102,7 @@ class CompetitiveMap:
     growth: Callable[[np.ndarray], np.ndarray]
     growth_jacobian: Callable[[np.ndarray], np.ndarray]
     params: ParameterSet | None = None
+    slopes: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -112,12 +113,6 @@ class CompetitiveMap:
         F = self.growth(x)
         dF = self.growth_jacobian(x)
         return np.eye(self.n) * F[..., :, None] + x[..., :, None] * dF
-
-    def iterate(self, x: np.ndarray, steps: int) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        for _ in range(steps):
-            x = x * self.growth(x)
-        return x
 
     def orbit(self, x: np.ndarray, steps: int) -> np.ndarray:
         """Orbit segment [x, T(x), ..., T^steps(x)], stacked on axis 0."""
@@ -143,44 +138,50 @@ def _finite_at_origin(m: CompetitiveMap) -> CompetitiveMap:
     return m
 
 
-def make_leslie_gower(params: ParameterSet) -> CompetitiveMap:
-    """Leslie-Gower map: T_i(x) = (1+r_i) x_i / (1 + r_i sum_j a_ij x_j)."""
+def _rational(kind: str, params: ParameterSet, c: np.ndarray | float) -> CompetitiveMap:
+    """The rational law F_i = (1+r_i)(1-c_i) / (1 + r_i (Ax)_i) + c_i."""
     r, A = params.r, params.A
-    num = 1.0 + r
+    AT = np.ascontiguousarray(A.T)
+    num = (1.0 + r) * (1.0 - c)
+
+    def denom(x):
+        d = np.asarray(x, dtype=float) @ AT
+        d *= r
+        d += 1.0
+        return d
 
     def growth(x):
-        x = np.asarray(x, dtype=float)
-        return num / (1.0 + r * (x @ A.T))
+        F = denom(x)
+        np.divide(num, F, out=F)
+        F += c
+        return F
 
     def growth_jacobian(x):
-        x = np.asarray(x, dtype=float)
-        denom = 1.0 + r * (x @ A.T)
-        # denom ** 2 overflows for entries of A near 1e300
-        return -(num * r)[:, None] * A / denom[..., :, None] / denom[..., :, None]
+        d = denom(x)[..., :, None]
+        # d ** 2 overflows for entries of A near 1e300
+        return -(num * r)[:, None] * A / d / d
 
-    m = CompetitiveMap("leslie_gower", params.n, growth, growth_jacobian, params)
-    return _finite_at_origin(m)
+    def slopes(x):
+        d = denom(x)
+        g1 = num * r / d**2
+        return g1, 2.0 * r * g1 / d
+
+    return _finite_at_origin(CompetitiveMap(kind, params.n, growth, growth_jacobian, params, slopes))
+
+
+def make_leslie_gower(params: ParameterSet) -> CompetitiveMap:
+    """Leslie-Gower map: T_i(x) = (1+r_i) x_i / (1 + r_i sum_j a_ij x_j),
+    the Atkinson-Allen law at c = 0."""
+    if params.c is not None:
+        raise InvalidParameterError("Leslie-Gower model takes no survival fractions c")
+    return _rational("leslie_gower", params, 0.0)
 
 
 def make_atkinson_allen(params: ParameterSet) -> CompetitiveMap:
     """Atkinson-Allen map: T_i(x) = (1+r_i)(1-c_i) x_i / (1 + r_i sum_j a_ij x_j) + c_i x_i."""
     if params.c is None:
         raise InvalidParameterError("Atkinson-Allen model requires survival fractions c")
-    r, A, c = params.r, params.A, params.c
-    num = (1.0 + r) * (1.0 - c)
-
-    def growth(x):
-        x = np.asarray(x, dtype=float)
-        return num / (1.0 + r * (x @ A.T)) + c
-
-    def growth_jacobian(x):
-        x = np.asarray(x, dtype=float)
-        denom = 1.0 + r * (x @ A.T)
-        # denom ** 2 overflows for entries of A near 1e300
-        return -(num * r)[:, None] * A / denom[..., :, None] / denom[..., :, None]
-
-    m = CompetitiveMap("atkinson_allen", params.n, growth, growth_jacobian, params)
-    return _finite_at_origin(m)
+    return _rational("atkinson_allen", params, params.c)
 
 
 def make_ricker(params: ParameterSet) -> CompetitiveMap:
@@ -188,17 +189,22 @@ def make_ricker(params: ParameterSet) -> CompetitiveMap:
     if params.c is not None:
         raise InvalidParameterError("Ricker model takes no survival fractions c")
     r, A = params.r, params.A
+    AT = np.ascontiguousarray(A.T)
 
     def growth(x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(r * (1.0 - x @ A.T))
+        F = np.asarray(x, dtype=float) @ AT
+        np.subtract(1.0, F, out=F)
+        F *= r
+        return np.exp(F, out=F)
 
     def growth_jacobian(x):
-        F = growth(x)
-        return -(r[:, None] * A) * F[..., :, None]
+        return -(r[:, None] * A) * growth(x)[..., :, None]
 
-    m = CompetitiveMap("ricker", params.n, growth, growth_jacobian, params)
-    return _finite_at_origin(m)
+    def slopes(x):
+        g1 = r * growth(x)
+        return g1, r * g1
+
+    return _finite_at_origin(CompetitiveMap("ricker", params.n, growth, growth_jacobian, params, slopes))
 
 
 def make_custom(

@@ -28,7 +28,6 @@ from csimplex.existence import axial_caps
 from csimplex.manifolds import (
     _capture_ellipsoid,
     _grow_curve,
-    _profile_slopes,
     _resample_polyline,
     _saddle_eigendirection,
     _second_derivative_bound,
@@ -380,7 +379,7 @@ class TestBasins:
         m, _, _, _, _ = anchor_system(kind, 0)
         A = m.params.A
         x = np.random.default_rng(2).uniform(0.0, 1.5, (50, 3))
-        g1, g2 = _profile_slopes(m, x)
+        g1, g2 = m.slopes(x)
         t = 1e-4
         for j in range(3):
             e = np.zeros(3)
@@ -388,7 +387,7 @@ class TestBasins:
             up, mid, down = m.growth(x + e), m.growth(x), m.growth(x - e)
             assert np.allclose((down - up) / (2.0 * t) / A[:, j], g1, rtol=1e-6)
             assert np.allclose((up - 2.0 * mid + down) / t**2 / A[:, j] ** 2, g2, rtol=1e-4)
-        assert _profile_slopes(make_custom(3, m.growth, m.growth_jacobian), x) is None
+        assert make_custom(3, m.growth, m.growth_jacobian).slopes is None
 
     @pytest.mark.parametrize("kind", ["leslie_gower", "atkinson_allen", "ricker"])
     def test_second_derivative_bound_holds(self, kind):

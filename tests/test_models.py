@@ -43,8 +43,9 @@ class TestParameterValidation:
 
     def test_ricker_rejects_survival_fractions(self):
         ps = ParameterSet(r=np.ones(3), A=np.ones((3, 3)), c=np.full(3, 0.5))
-        with pytest.raises(InvalidParameterError):
-            make_ricker(ps)
+        for make in (make_ricker, make_leslie_gower):
+            with pytest.raises(InvalidParameterError, match="takes no survival fractions"):
+                make(ps)
 
     def test_atkinson_allen_requires_survival_fractions(self):
         with pytest.raises(InvalidParameterError):
@@ -100,14 +101,16 @@ class TestJacobian:
             assert np.allclose(J, np.diag(m.growth(np.zeros(3))))
 
     def test_vectorized_evaluation_matches_pointwise(self):
-        m = build_model("ricker", A_CLASS19)
         rng = np.random.default_rng(11)
-        X = rng.uniform(0.0, 2.0, (7, 3))
-        TX = m(X)
-        JX = m.jacobian(X)
-        for i in range(7):
-            assert np.allclose(TX[i], m(X[i]))
-            assert np.allclose(JX[i], m.jacobian(X[i]))
+        for kind in ALL_KINDS:
+            m = build_model(kind, A_CLASS19)
+            X = rng.uniform(0.0, 2.0, (7, 3))
+            TX, JX = m(X), m.jacobian(X)
+            for i in range(7):
+                assert np.allclose(TX[i:i + 1], m(X[i:i + 1]))
+                assert np.allclose(JX[i:i + 1], m.jacobian(X[i:i + 1]))
+                assert np.allclose(TX[i], m(X[i]))
+                assert np.allclose(JX[i], m.jacobian(X[i]))
 
 
 class TestMapProperties:
@@ -139,7 +142,9 @@ class TestMapProperties:
         x = np.array([0.4, 0.2, 0.1])
         orbit = m.orbit(x, 10)
         assert orbit.shape == (11, 3)
-        assert np.allclose(orbit[-1], m.iterate(x, 10))
+        assert np.array_equal(orbit[0], x)
+        for k in range(10):
+            assert np.array_equal(orbit[k + 1], m(orbit[k]))
 
 
 class TestCustomMaps:
