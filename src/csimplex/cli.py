@@ -739,6 +739,10 @@ def main(argv: list[str] | None = None) -> int:
         run = _Run(RunConfig.load(args.config))
         if args.command == "analyze":
             return cmd_analyze(run, args.out, args.strict)
+        # the mesh, the curves on it and the portrait are of three species
+        if run.map.n != 3:
+            raise ConfigError("model", f"{args.command} is implemented for n = 3 species, "
+                                       f"got n = {run.map.n}")
         if args.command == "simplex":
             return cmd_simplex(run, args.out)
         if args.command == "portrait":

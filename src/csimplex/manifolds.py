@@ -578,14 +578,15 @@ def trace_stable_on_S(
     stable curve of q on S is the unstable curve of T^-1 restricted to S.  It
     is grown from the contracting W-eigendirection e_s; each step is the
     mesh's PL inverse of T (SimplexMesh.pull_back), which raises
-    ManifoldError when the image of the mesh is not embedded.  Each tip
-    carries the image face of its last step: the point pulled back from
-    image face f lies on lattice face f, so the next step's search starts
-    there (_ImageMesh.pull), and only a tip that has left that face is
-    searched in its one-ring, then in every face.  The curve does not depend
-    on where the search starts.  The returned curve's ``misses`` counts the
-    kept tip steps whose carried face was not certified (ring searches
-    plus all-face scans; 461 of 4,691 on the first benchmark battery of
+    ManifoldError when the image of the mesh is not embedded or a tip's
+    direction lies in no image face.  Each tip carries the image face of
+    its last step: the point pulled back from image face f lies on lattice
+    face f, so the next step's search starts there (_ImageMesh.pull), and
+    only a tip that has left that face is searched in its one-ring, then by
+    the scan (_ImageMesh.find).  The curve does not depend on where the
+    search starts.  The returned curve's ``misses`` counts the kept tip
+    steps whose carried face was not certified (ring searches plus scans;
+    461 of 4,691 on the first benchmark battery of
     seed 1); like SimplexMesh.full_scans, it is not part of the curve's
     JSON form.
     A branch stops within tol = 0.1 of the longest mesh edge of a repeller,

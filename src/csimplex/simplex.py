@@ -275,9 +275,10 @@ class SimplexMesh:
     directions whose ray the last sweep's image did not cover (interior rays
     outside every image face, rim rays whose interpolation touches an
     invalid image, corners without a valid image); their radii are NaN.
-    ``full_scans`` counts the sweeps that located their rays by the
-    exhaustive scan rather than from the previous sweep's faces; it is not
-    part of the JSON form.
+    ``full_scans`` counts the sweeps in which any ray was scanned
+    (_ImageMesh.find) rather than certified in its face of the previous
+    sweep: the first sweep, a sweep whose image is not embedded, and one
+    that leaves some ray uncertified; it is not part of the JSON form.
     """
 
     resolution: int
@@ -326,10 +327,11 @@ class SimplexMesh:
         the simplex once; raises ManifoldError when the image fails the
         embedding test of _ImageMesh (a face flat, flipped, NaN or too thin,
         or a rim vertex off its edge).  The returned _ImageMesh also has
-        find (image face and weights of directions, by the search that the
-        graph transform uses), pull (the PL inverse from given image faces,
+        find (image face and weights of directions, by the graph
+        transform's search), pull (the PL inverse from given image faces,
         returning the faces it used, so that an orbit carries them from step
-        to step) and fixed_point (the PL map's fixed point near a point).
+        to step; it raises ManifoldError for a point in no image face) and
+        fixed_point (the PL map's fixed point near a point).
         """
         from .manifolds import ManifoldError  # manifolds imports this module
 
@@ -408,91 +410,9 @@ def directions_from_uv(uv: np.ndarray) -> np.ndarray:
 # Graph transform
 # ---------------------------------------------------------------------------
 
-def _barycentric_2d(q: np.ndarray, t0: np.ndarray, t1: np.ndarray, t2: np.ndarray):
-    """Barycentric coordinates (c0, c1, c2) of 2-D points q in triangles
-    (t0, t1, t2).  Axis 0 of every argument holds the two coordinates; the
-    remaining axes broadcast together."""
-    e1, e2, d = _triangle_edges(t0, t1, t2)
-    return _barycentric_from_edges(q, t0, e1, e2, np.where(d == 0.0, 1e-300, d))
-
-
-def _triangle_edges(t0: np.ndarray, t1: np.ndarray, t2: np.ndarray):
-    """The edges e1 = t1 - t0 and e2 = t2 - t0 of triangles, and twice their
-    signed area."""
-    e1 = t1 - t0
-    e2 = t2 - t0
-    return e1, e2, e1[0] * e2[1] - e2[0] * e1[1]
-
-
-def _barycentric_from_edges(q, t0, e1, e2, d):
-    """_barycentric_2d from the triangles' first corners, their edges and
-    twice their signed area (nonzero)."""
-    r0 = q[0] - t0[0]
-    r1 = q[1] - t0[1]
-    c1 = (r0 * e2[1] - e2[0] * r1) / d
-    c2 = (e1[0] * r1 - r0 * e1[1]) / d
-    return 1.0 - c1 - c2, c1, c2
-
-
 # A direction counts as inside a face when its smallest barycentric weight is
 # at least -_FOUND_TOL.
 _FOUND_TOL = 1e-6
-
-
-def _locate_interior(P: np.ndarray, lattice: _Lattice):
-    """Locate the interior lattice directions among the image triangles.
-
-    ``P`` (2, M) holds the first two coordinates of the image direction of
-    every lattice vertex.  The queries are the interior lattice directions
-    (lattice.queries).  Each face is scattered onto the lattice points
-    of its bounding box, padded so that no point with every barycentric
-    weight >= -_FOUND_TOL is left out; every query keeps the face with the
-    largest minimum barycentric weight, the lowest face index on ties.  This
-    is the argmax over all faces that an exhaustive scan computes,
-    restricted to the faces that can pass.
-
-    Returns (face (Q,), barycentric weights (Q, 3), found (Q,)); a query that
-    no face covers within -_FOUND_TOL has found = False.
-    """
-    N, faces, queries = lattice.N, lattice.faces, lattice.queries
-    Q = queries.shape[1]
-    # (coordinate, corner, face); np.take is much faster here than indexing
-    T = np.take(P, faces.T, axis=1)
-    # lattice-index units: the queries sit on the integer points (i, j)
-    lo = T.min(axis=1) * N
-    hi = T.max(axis=1) * N
-    # a point whose barycentric weights are all >= -eps lies at most 2 eps
-    # times the extent of the box outside it
-    pad = 1e-5 * (hi - lo) + 1e-9
-    first = np.maximum(np.ceil(lo - pad), 1.0)
-    span = np.minimum(np.floor(hi + pad), N - 2.0) - first + 1.0
-    hit = np.nonzero((span[0] > 0) & (span[1] > 0))[0]  # NaN spans fail too
-    nj = span[1, hit].astype(np.intp)
-    count = span[0, hit].astype(np.intp) * nj
-    pair_face = np.repeat(hit, count)
-    k = np.arange(pair_face.size) - np.repeat(np.cumsum(count) - count, count)
-    nj = np.repeat(nj, count)
-    pi = np.repeat(first[0, hit].astype(np.intp), count) + k // nj
-    pj = np.repeat(first[1, hit].astype(np.intp), count) + k % nj
-    inside = pi + pj <= N - 1
-    pair_face = pair_face[inside]
-    pair_query = _lattice_index(pi[inside] - 1, pj[inside] - 1, N - 3)
-
-    T_pair = np.take(T, pair_face, axis=2)
-    c0, c1, c2 = _barycentric_2d(
-        np.take(queries, pair_query, axis=1), T_pair[:, 0], T_pair[:, 1], T_pair[:, 2]
-    )
-    pair_min = np.minimum(np.minimum(c0, c1), c2)
-    best = np.full(Q, -np.inf)
-    np.maximum.at(best, pair_query, pair_min)
-    win = pair_min == best[pair_query]
-    face = np.full(Q, faces.shape[0], dtype=np.intp)
-    np.minimum.at(face, pair_query[win], pair_face[win])
-    found = best >= -_FOUND_TOL
-    face[~found] = 0
-    T_face = np.take(T, face, axis=2)
-    bary = np.stack(_barycentric_2d(queries, T_face[:, 0], T_face[:, 1], T_face[:, 2]), axis=1)
-    return face, bary, found
 
 
 # _ImageMesh.locate certifies a face when the direction's barycentric weights
@@ -501,9 +421,16 @@ def _locate_interior(P: np.ndarray, lattice: _Lattice):
 # _WARM_EPS or more.
 _WARM_EPS = 1e-9
 # units of roundoff in that bound; 45 suffice for the arithmetic of
-# _barycentric_2d
+# _ImageMesh._weights
 _ROUNDING = 64 * np.finfo(float).eps / 2
 _SQRT2 = math.sqrt(2.0)
+
+
+def _runs(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For runs of the given lengths laid end to end, the run of each
+    element and its offset in that run."""
+    run = np.repeat(np.arange(count.size), count)
+    return run, np.arange(run.size) - (np.cumsum(count) - count)[run]
 
 
 def _image(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -522,23 +449,24 @@ class _ImageMesh:
     """_ImageMesh(Y, lattice, radii): the images Y under T of the vertices
     of the mesh with the given radii on the _Lattice, seen as the triangles
     of their directions: image face f has the image directions of the
-    corners of lattice face f.  The graph transform's sweep locates its
-    rays among these faces, and as the PL inverse of T on a mesh
+    corners of lattice face f.  The graph transform's sweep finds its rays
+    among these faces, and as the PL inverse of T on a mesh
     (SimplexMesh.pull_back) the object maps points back onto the mesh.
 
     ``s`` and ``D`` are the images' coordinate sums and directions (see
     _image), ``P`` (2, M) the directions' first two coordinates, and
     ``edges`` (7, F) holds per face its first corner, its edges e1 and e2
-    from that corner and twice its signed area.
+    from that corner and twice its signed area (1e-300 where that is 0, so
+    that the weights of a flat face are defined).
 
     Embedding.  ``embedded`` holds when every rim vertex of the lattice maps
     onto its edge of the simplex (its zero coordinates stay exactly zero)
     and every face passes a rounding test.  With (sx, sy) the sums of the
     absolute coordinate differences along a face's two edges (bounds on its
     coordinate ranges) and d twice its signed area, the minimum weight that
-    _barycentric_2d computes for the face at a point of its bounding box,
-    padded as _locate_interior pads it, is within _ROUNDING (6 sx sy +
-    1e-9 (sx + sy)) / d of the exact one, or below -1/4 where that is
+    _weights computes for the face at a point of its bounding box, padded
+    as _scan pads it, is within _ROUNDING (6 sx sy + 1e-9 (sx + sy)) / d
+    of the exact one, or below -1/4 where that is
     negative; outside that box some weight is below -_FOUND_TOL.  Every face
     must be positively oriented and have this bound under _WARM_EPS.  The
     image of the rim then winds once around every interior direction, so the
@@ -550,23 +478,29 @@ class _ImageMesh:
         self.lattice, self.radii = lattice, radii
         self.s, self.D = _image(Y)
         self.P = np.ascontiguousarray(self.D[:, :2].T)
-        # (coordinate, corner, face), as in _locate_interior
+        # (coordinate, corner, face); np.take is much faster here than indexing
         T = np.take(self.P, lattice.faces.T, axis=1)
-        e1, e2, d = _triangle_edges(T[:, 0], T[:, 1], T[:, 2])
+        e1 = T[:, 1] - T[:, 0]
+        e2 = T[:, 2] - T[:, 0]
+        d = e1[0] * e2[1] - e2[0] * e1[1]
         sx, sy = np.abs(e1) + np.abs(e2)
         self.embedded = bool(
             np.all(Y[lattice.directions == 0.0] == 0.0)
             and np.all(_WARM_EPS * d > _ROUNDING * (6.0 * sx * sy + 1e-9 * (sx + sy)))
         )
         self.diam = np.max(sx + sy)  # bounds every face's diameter
-        self.edges = np.concatenate([T[:, 0], e1, e2, d[None]])
+        self.edges = np.concatenate([T[:, 0], e1, e2, np.where(d == 0.0, 1e-300, d)[None]])
 
     def _weights(self, q, faces):
         """Barycentric weights (c0, c1, c2) of directions q (2, ...) in the
         image faces (...), with the smallest of them."""
-        g = np.take(self.edges, faces, axis=1)
-        c = _barycentric_from_edges(q, g[0:2], g[2:4], g[4:6], g[6])
-        return c, np.minimum(np.minimum(c[0], c[1]), c[2])
+        x0, y0, e1x, e1y, e2x, e2y, d = np.take(self.edges, faces, axis=1)
+        r0 = q[0] - x0
+        r1 = q[1] - y0
+        c1 = (r0 * e2y - e2x * r1) / d
+        c2 = (e1x * r1 - r0 * e1y) / d
+        c0 = 1.0 - c1 - c2
+        return (c0, c1, c2), np.minimum(np.minimum(c0, c1), c2)
 
     def locate(self, q: np.ndarray, guess: np.ndarray):
         """Face, barycentric weights (m, 3) and a certified mask (m,) for the
@@ -592,9 +526,9 @@ class _ImageMesh:
 
         A certified row's face and weights are therefore those of the argmax
         of the minimum weight over all faces, lowest face index on ties: what
-        _locate_interior and a scan of every face compute, bit for bit, from
-        any guess.  When every row is certified in its guess, the guess array
-        itself is returned as the faces.
+        _scan computes, bit for bit, from any guess.  When every row is
+        certified in its guess, the guess array itself is returned as the
+        faces.
         """
         c, low = self._weights(q, guess)
         bary = np.empty((low.size, 3))  # the columns c, as np.stack(c, axis=1) at less cost
@@ -634,23 +568,92 @@ class _ImageMesh:
         certified[rest] = inside
         return face, bary, certified
 
-    def find(self, U: np.ndarray, faces: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Image face and barycentric weights (m, 3) of each direction row of
-        U: locate from the given faces (by default the lattice face that
-        contains each row), then, for the rows that it leaves uncertified,
-        the argmax of the minimum weight over every face, lowest face index
-        on ties.  The result does not depend on the faces searched from
-        (see locate); they only decide how much of the search runs."""
-        q = U[:, :2].T
-        face, c, certified = self.locate(q, self.lattice.face_of(U)[0] if faces is None else faces)
-        if certified.all():
-            return face, c
-        rest = np.nonzero(~certified)[0]
-        c_all, score = self._weights(q[:, rest, None], np.arange(self.lattice.faces.shape[0]))
-        col = np.argmax(score, axis=1)
-        face[rest] = col
-        c[rest] = np.stack([ci[np.arange(rest.size), col] for ci in c_all], axis=1)
-        return face, c
+    def find(self, q: np.ndarray, guess: np.ndarray | None = None):
+        """Face, barycentric weights (m, 3) and found mask (m,) of the
+        directions q (2, m; first two coordinates), with the number of rows
+        scanned.  On an embedded image, locate searches from the guessed
+        faces (m,) and only the rows it leaves uncertified go to _scan;
+        without a guess, or on an image that is not embedded, every row is
+        scanned.  A found row's face and weights are those of the argmax of
+        the minimum weight over every face, lowest face index on ties, so
+        the result does not depend on the guess; it only decides how much
+        of the search runs.  When every row is certified in its guess, the
+        guess array itself is returned as the faces."""
+        if guess is None or not self.embedded:
+            return (*self._scan(q), q.shape[1])
+        face, c, found = self.locate(q, guess)
+        if found.all():
+            return face, c, found, 0
+        rest = np.flatnonzero(~found)
+        face[rest], c[rest], found[rest] = self._scan(q[:, rest])
+        return face, c, found, rest.size
+
+    @functools.cached_property
+    def _buckets(self):
+        """The faces' padded boxes ``box`` (4, F: lo0, lo1, hi0, hi1) in
+        lattice-index units (direction coordinates times N), and the faces
+        bucketed by the lattice cells [a, a + 1] x [b, b + 1], 0 <= a, b < N,
+        that their boxes overlap: cell aN + b holds the faces
+        members[starts[aN + b]:starts[aN + b + 1]], ascending.  A point
+        whose barycentric weights in a face are all >= -_FOUND_TOL lies at
+        most 2 _FOUND_TOL times the extent of the face's box outside it, so
+        the box is padded by 1e-5 of its extent plus 1e-9.  Coordinates
+        outside [0, N) count in the cell at their end of the range, and a
+        box with a NaN corner is in no cell."""
+        N = self.lattice.N
+        T = np.take(self.P, self.lattice.faces.T, axis=1)
+        lo = T.min(axis=1) * N
+        hi = T.max(axis=1) * N
+        pad = 1e-5 * (hi - lo) + 1e-9
+        box = np.concatenate([lo - pad, hi + pad])
+        first = np.clip(np.floor(box[:2]), 0.0, N - 1.0)
+        # a NaN box spans no cell; float arithmetic is exact on these integers
+        span = np.nan_to_num(np.clip(np.floor(box[2:]), 0.0, N - 1.0) - first + 1.0)
+        face, k = _runs((span[0] * span[1]).astype(np.intp))  # its cells in raster order
+        width = np.take(span[1], face)
+        # the k-th cell of a face's box: row floor(k / width) of the box
+        cell = np.take(first[0] * N + first[1], face) + k + np.floor(k / width) * (N - width)
+        cell = cell.astype(np.intp)
+        # a stable sort keeps the faces ascending in a cell; it is a radix
+        # sort on 16-bit cells (N <= 256)
+        order = np.argsort(cell.astype(np.min_scalar_type(N * N - 1)), kind="stable")
+        starts = np.concatenate([[0], np.cumsum(np.bincount(cell, minlength=N * N))])
+        return box, starts, face[order]
+
+    def _scan(self, q: np.ndarray):
+        """Face, barycentric weights (m, 3) and found mask (m,) of the
+        directions q (2, m; any values, NaN included) among every image
+        face: the face with the largest minimum weight, lowest face index on
+        ties, found when that weight is >= -_FOUND_TOL.  A row meets only
+        the faces of its cell (see _buckets) whose padded box holds it; any
+        other face has a weight below -_FOUND_TOL there.  A row that no face
+        holds is not found and takes face 0."""
+        box, starts, members = self._buckets
+        N = self.lattice.N
+        m = q.shape[1]
+        x = q * N
+        # np.fmax maps NaN to the first cell, whose boxes then reject it
+        a, b = np.fmin(np.fmax(np.floor(x), 0.0), N - 1.0).astype(np.intp)
+        cell = a * N + b
+        row, pair = _runs(starts[cell + 1] - starts[cell])  # each row with each face of its cell
+        pair += np.take(starts, np.take(cell, row))
+        pair = np.take(members, pair)
+        for axis in (0, 1):  # keep the pairs whose padded box holds the row
+            xa = np.take(x[axis], row)
+            held = np.flatnonzero((np.take(box[axis], pair) <= xa) & (xa <= np.take(box[2 + axis], pair)))
+            row, pair = np.take(row, held), np.take(pair, held)
+        score = self._weights(q[:, row], pair)[1]
+        best = np.full(m, -np.inf)
+        np.maximum.at(best, row, score)
+        win = score == best[row]
+        face = np.full(m, self.lattice.faces.shape[0], dtype=np.intp)
+        np.minimum.at(face, row[win], pair[win])
+        found = best >= -_FOUND_TOL
+        face[~found] = 0
+        c = self._weights(q, face)[0]
+        bary = np.empty((m, 3))
+        bary[:, 0], bary[:, 1], bary[:, 2] = c
+        return face, bary, found
 
     def fixed_point(self, x: np.ndarray) -> np.ndarray:
         """The fixed point of the PL map near the point x, as a point of the
@@ -661,13 +664,16 @@ class _ImageMesh:
         point on f solves one 2 x 2 system.  The search starts on the face
         that contains x's direction and moves to the face that contains
         each solution outside its face; raises ManifoldError when 16 such
-        moves do not settle."""
+        moves do not settle, or when a solution lies in no face."""
         from .manifolds import ManifoldError  # manifolds imports this module
 
         x = np.asarray(x, dtype=float)
         v = x[:2] / x.sum()
         for _ in range(16):
-            f = self.find(np.append(v, 1.0 - v.sum())[None, :])[0][0]
+            face, _, found, _ = self.find(v[:, None], self.lattice.face_of(v[None, :])[0])
+            if not found[0]:  # v has left every face
+                break
+            f = face[0]
             t0, e1, e2, d = np.split(self.edges[:, f], [2, 4, 6])
             B = np.array([[e2[1], -e2[0]], [-e1[1], e1[0]]]) / d
             corners = self.lattice.directions[self.lattice.faces[f], :2]
@@ -687,11 +693,16 @@ class _ImageMesh:
         of rows not certified in the faces searched from (by default the
         lattice faces of the rows' directions; see find).  A row pulled back
         from image face f lies on lattice face f, so along an orbit the faces
-        returned are the faces to search from at the next step."""
+        returned are the faces to search from at the next step.  Raises
+        ManifoldError when a row's direction lies in no image face."""
         U = X / X.sum(axis=1, keepdims=True)
         if faces is None:
             faces = self.lattice.face_of(U)[0]
-        face, b = self.find(U, faces)
+        face, b, found, _ = self.find(U[:, :2].T, faces)
+        if not found.all():
+            from .manifolds import ManifoldError  # manifolds imports this module
+
+            raise ManifoldError(f"{np.count_nonzero(~found)} of {found.size} points lie in no image face")
         # locate returns the guess itself when it certifies every row there;
         # otherwise a row certified in its guess keeps that face, with every
         # weight above _WARM_EPS, and every other row is searched further
@@ -709,68 +720,44 @@ class _ImageMesh:
         return self.pull(np.atleast_2d(np.asarray(X, dtype=float)))[0]
 
 
-class _Transform:
-    """One prepared graph-transform pass: its lattice and the previous sweep's faces."""
+def _sweep(m: CompetitiveMap, lattice: _Lattice, radii: np.ndarray, face: np.ndarray | None):
+    """One graph-transform sweep: map the surface forward and re-sample it
+    radially, finding the interior rays from ``face``, the previous sweep's
+    faces (None at the first sweep; see _ImageMesh.find).
 
-    def __init__(self, m: CompetitiveMap, N: int):
-        if m.n != 3:
-            raise SimplexError("simplex meshing is implemented for n = 3")
-        self.m = m
-        self.lattice = _lattice(N)
-        self.face = None  # the previous sweep's face per interior query
-        self.full_scans = 0  # sweeps located by the exhaustive scan
+    Returns (new radii, the rays whose new radius is NaN, this sweep's
+    faces, the number of rays scanned).  A finite image maps the lattice's
+    rim onto the simplex's edges, so its faces cover every interior
+    direction; a ray that misses, or a rim ray whose interpolation touches
+    a vertex without a valid image (see _image), means a non-finite image,
+    and its radius is NaN.
+    """
+    U = lattice.directions
+    image = _ImageMesh(m(radii[:, None] * U), lattice, radii)
+    s, D = image.s, image.D
+    new = np.full_like(radii, np.nan)
 
-    def locate(self, image: _ImageMesh):
-        """_locate_interior(image.P, lattice), from the previous sweep's
-        faces when the image is embedded and every query is certified there
-        (see _ImageMesh.locate), and by the exhaustive scan otherwise."""
-        if self.face is not None and image.embedded:
-            located = image.locate(self.lattice.queries, self.face)
-            if located[2].all():
-                self.face = located[0]
-                return located
-        located = _locate_interior(image.P, self.lattice)
-        self.full_scans += 1
-        self.face = located[0]
-        return located
+    # corners: the axis dynamics is 1-D, the image stays on the axis
+    new[lattice.corner_idx] = s[lattice.corner_idx]
 
-    def sweep(self, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Map the surface forward and re-sample it radially.
+    # boundary edges: 1-D re-sampling in the surviving coordinate pair
+    for axis, (full_idx, query_idx) in enumerate(lattice.edge_idx):
+        if query_idx.size == 0:
+            continue
+        param_axis = 0 if axis != 0 else 1
+        new[query_idx] = _rim_radii(D[full_idx, param_axis], s[full_idx], U[query_idx, param_axis])
 
-        Returns (new radii, the rays whose new radius is NaN).  A finite
-        image maps the lattice's rim onto the simplex's edges, so its faces
-        cover every interior direction; a ray that misses, or a rim ray
-        whose interpolation touches a vertex without a valid image (see
-        _image), means a non-finite image, and its radius is NaN.
-        """
-        lattice = self.lattice
-        U = lattice.directions
-        image = _ImageMesh(self.m(radii[:, None] * U), lattice, radii)
-        s, D = image.s, image.D
-        new = np.full_like(radii, np.nan)
-
-        # corners: the axis dynamics is 1-D, the image stays on the axis
-        new[lattice.corner_idx] = s[lattice.corner_idx]
-
-        # boundary edges: 1-D re-sampling in the surviving coordinate pair
-        for axis, (full_idx, query_idx) in enumerate(lattice.edge_idx):
-            if query_idx.size == 0:
-                continue
-            param_axis = 0 if axis != 0 else 1
-            new[query_idx] = _rim_radii(
-                D[full_idx, param_axis], s[full_idx], U[query_idx, param_axis]
-            )
-
-        # interior: 2-D point location among image-direction triangles
-        face_pick, best_bary, ok = self.locate(image)
-        if not ok.all():
-            face_pick, best_bary = face_pick[ok], best_bary[ok]
-        c = np.clip(best_bary, 0.0, None)
-        # rows are summed left to right, as sum(axis=1) does, but faster
-        c /= (c[:, 0] + c[:, 1] + c[:, 2])[:, None]
-        c /= np.take(s, np.take(lattice.faces, face_pick, axis=0))
-        new[lattice.interior_idx[ok]] = 1.0 / (c[:, 0] + c[:, 1] + c[:, 2])
-        return new, np.nonzero(np.isnan(new))[0]
+    # interior: 2-D point location among image-direction triangles
+    face, best_bary, ok, scanned = image.find(lattice.queries, face)
+    face_pick = face
+    if not ok.all():
+        face_pick, best_bary = face[ok], best_bary[ok]
+    c = np.clip(best_bary, 0.0, None)
+    # rows are summed left to right, as sum(axis=1) does, but faster
+    c /= (c[:, 0] + c[:, 1] + c[:, 2])[:, None]
+    c /= np.take(s, np.take(lattice.faces, face_pick, axis=0))
+    new[lattice.interior_idx[ok]] = 1.0 / (c[:, 0] + c[:, 1] + c[:, 2])
+    return new, np.nonzero(np.isnan(new))[0], face, scanned
 
 
 def _rim_radii(alpha: np.ndarray, s: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -809,7 +796,8 @@ def compute_carrying_simplex(
     points until the maximal radial displacement drops below tol.
 
     Raises ValueError, before the first sweep, unless resolution is an
-    integer >= 1 and tol is finite and > 0.  Raises NonConvergenceError (mesh
+    integer >= 1 and tol is finite and > 0, and SimplexError unless m has
+    n = 3 species.  Raises NonConvergenceError (mesh
     attached) when max_iters sweeps do not reach tolerance, and after the
     first sweep whose residual is not finite (a map that is NaN, overflows
     or underflows to the origin somewhere on the surface); the mesh's
@@ -821,16 +809,20 @@ def compute_carrying_simplex(
         valid_tol = False
     if not valid_tol:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    transform = _Transform(m, resolution)
+    if m.n != 3:
+        raise SimplexError("simplex meshing is implemented for n = 3")
+    lattice = _lattice(resolution)
     w = axial_caps(m)
-    radii = 1.0 / (transform.lattice.directions / w[None, :]).sum(axis=1)
+    radii = 1.0 / (lattice.directions / w[None, :]).sum(axis=1)
     history: list[float] = []
     flagged = np.empty(0, dtype=np.intp)
     residual = float("inf")
-    sweeps = 0
+    sweeps = full_scans = 0
+    face = None
     for sweeps in range(1, max_iters + 1):
-        new, flagged = transform.sweep(radii)
-        residual = float(np.max(np.abs(new - radii) * transform.lattice.unorm))
+        new, flagged, face, scanned = _sweep(m, lattice, radii, face)
+        full_scans += scanned > 0
+        residual = float(np.max(np.abs(new - radii) * lattice.unorm))
         radii = new
         history.append(residual)
         if residual < tol or not np.isfinite(residual):
@@ -843,7 +835,7 @@ def compute_carrying_simplex(
         sweeps=sweeps,
         flagged=flagged,
         residual_history=history,
-        full_scans=transform.full_scans,
+        full_scans=full_scans,
     )
     if not mesh.converged:
         raise NonConvergenceError(

@@ -172,6 +172,28 @@ class TestConfigValidation:
         assert main([command, "--config", config_path(doc)]) == 2
         assert "config error: <params>: F or dF/dx is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_species_count_other_than_three(self, tmp_path, n):
+        """simplex, portrait and verify are implemented for n = 3 species:
+        for a Ricker model of n = 2 or 4 they exit 2 with a config error on
+        the model, before reading any artifact (portrait's mesh path does
+        not exist, which would exit 3), while analyze exits 0.  No command
+        prints a traceback."""
+        A = np.full((n, n), 0.5) + 0.5 * np.eye(n)
+        (tmp_path / "run.json").write_text(json.dumps({"model": {"kind": "ricker", "r": [0.2] * n,
+                                                                 "A": A.tolist()}}))
+        for command, code in (("analyze", 0), ("simplex", 2), ("portrait", 2), ("verify", 2)):
+            argv = [sys.executable, "-m", "csimplex.cli", command, "--config", "run.json",
+                    "--out", f"{command}.out"]
+            if command == "portrait":
+                argv += ["--mesh", "missing.json"]
+            run = subprocess.run(argv, env=_fresh_env(), cwd=tmp_path, capture_output=True, text=True)
+            assert "Traceback" not in run.stderr
+            assert run.returncode == code, run.stderr
+            if code == 2:
+                assert run.stderr == (f"config error: model: {command} is implemented for n = 3 species, "
+                                      f"got n = {n}\n")
+
     def test_missing_model_field_reported(self, config_path, capsys):
         doc = {"model": {"kind": "ricker", "r": [1, 1, 1]}, "seed": 0}
         assert main(["analyze", "--config", config_path(doc)]) == 2
@@ -876,11 +898,15 @@ def _csv_fields(doc: dict) -> list:
             doc["error"]]
 
 
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this csimplex."""
+    src = str(Path(csimplex.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _run_fresh(code: str, cwd=None) -> str:
     """stdout of the Python code run in a fresh interpreter on this csimplex."""
-    src = str(Path(csimplex.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True,
+    run = subprocess.run([sys.executable, "-c", code], env=_fresh_env(), cwd=cwd, capture_output=True,
                          text=True, check=True)
     return run.stdout.strip()
 

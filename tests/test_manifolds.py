@@ -36,7 +36,6 @@ from csimplex.models import ParameterSet, make_custom, make_leslie_gower, make_r
 from csimplex.portrait import basin_raster
 from csimplex.simplex import (
     SimplexMesh,
-    _barycentric_2d,
     _lattice,
     barycentric_lattice,
     compute_carrying_simplex,
@@ -1018,9 +1017,10 @@ class TestPullBack:
         """On the stable curve's points, random directions, directions next
         to the simplex's edge u1 = 0 and the vertices' image directions
         (corners of image faces), the face and weights found from the
-        lattice face and its one-ring are those of the argmax over every
-        image face, bit for bit.  Each of the three searches (the lattice
-        face, its one-ring, every face) is taken by some of the rows."""
+        lattice face are those of the argmax over every image face, bit for
+        bit, and every row is found.  Each of the three searches (the
+        lattice face, its one-ring, the scan) is taken by some of the rows,
+        and only the rows that locate leaves uncertified are scanned."""
         m, q, att, rep, mesh = anchor_system(*system, resolution=32)
         pull = mesh.pull_back(m)
         curve = trace_stable_on_S(m, mesh, q, rep, att)
@@ -1029,21 +1029,59 @@ class TestPullBack:
         X = np.vstack([curve.points, rng.dirichlet(np.ones(3), 400), near_edge,
                        m(mesh.vertices[::7])])
         U = X / X.sum(axis=1, keepdims=True)
-        face, c = pull.find(U)
+        guess = _lattice(mesh.resolution).locate(U)[0]
+        face, c, found, scanned = pull.find(U[:, :2].T, guess)
+        assert found.all()
 
         Y = m(mesh.vertices)
         P = (Y[:, :2] / Y.sum(axis=1, keepdims=True)).T
-        T = P[:, mesh.triangulation.T][:, :, None, :]  # (coordinate, corner, 1, face)
-        c_all = np.stack(_barycentric_2d(U[:, :2].T[:, :, None], T[:, 0], T[:, 1], T[:, 2]), axis=-1)
+        t0, t1, t2 = (P[:, mesh.triangulation[:, k]] for k in range(3))
+        e1, e2 = t1 - t0, t2 - t0
+        d = e1[0] * e2[1] - e2[0] * e1[1]
+        r0 = U[:, :1] - t0[0]
+        r1 = U[:, 1:2] - t0[1]
+        c1 = (r0 * e2[1] - e2[0] * r1) / d
+        c2 = (e1[0] * r1 - r0 * e1[1]) / d
+        c_all = np.stack([1.0 - c1 - c2, c1, c2], axis=-1)  # (row, face, corner)
         want = np.argmax(c_all.min(axis=-1), axis=1)
         assert np.array_equal(face, want)
         assert np.array_equal(c, c_all[np.arange(U.shape[0]), want])
 
-        guess = _lattice(mesh.resolution).locate(U)[0]
         certified = pull.locate(U[:, :2].T, guess)[2]
         assert np.any(certified & (face == guess))
         assert np.any(certified & (face != guess))
-        assert np.any(~certified)
+        assert scanned == np.count_nonzero(~certified) > 0
+
+    def test_pull_refuses_a_point_in_no_image_face(self, class19_lg, class19_mesh):
+        """A row whose direction lies outside the orthant is in no image
+        face: pull raises ManifoldError for the batch, and fixed_point
+        raises when its iterate leaves every face."""
+        pull = class19_mesh.pull_back(class19_lg)
+        X = np.array([[0.3, 0.3, 0.3], [-0.2, 0.5, 0.5]])
+        with pytest.raises(ManifoldError, match="1 of 2 points lie in no image face"):
+            pull(X)
+        assert np.all(np.isfinite(pull(X[:1])))
+        with pytest.raises(ManifoldError, match="no fixed point near"):
+            pull.fixed_point(X[1])
+
+    def test_pull_back_of_many_points_allocates_little(self, class19_lg, class19_mesh):
+        """Pulling back 2,000 on-mesh points of the class-19 Leslie-Gower
+        map at N=64 holds no (rows x faces) array: the rows that the
+        one-ring search leaves uncertified are scanned among the faces of
+        their lattice cells only (a 4.7 MB peak).  A scan of every face
+        for those rows would peak at 172 MB."""
+        import tracemalloc
+
+        pull = class19_mesh.pull_back(class19_lg)
+        X = radial_project(class19_mesh, np.random.default_rng(0).dirichlet(np.ones(3), 2000))
+        tracemalloc.start()
+        try:
+            P = pull(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(P))
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("system", [("leslie_gower", 0), ("ricker", 4)])
     def test_fixed_point_converges_to_q(self, system):

@@ -31,10 +31,7 @@ from csimplex.simplex import (
     _DISTANCE_BLOCK,
     _FOUND_TOL,
     _ImageMesh,
-    _Transform,
-    _barycentric_2d,
     _lattice,
-    _locate_interior,
     _orthant_occupied,
 )
 from conftest import A_CLASS19, ANCHOR_MATRICES, build_model
@@ -188,17 +185,21 @@ def test_lattice_builders_match_loop_reference(N):
             table[...] = table.copy()
 
 
-def test_meshes_transforms_and_images_share_the_lattice():
+def test_meshes_transforms_and_images_share_the_lattice(monkeypatch):
     """A computed mesh, the mesh loaded from its JSON form, the loaded mesh's
-    pull-back image and a graph transform at the same resolution all read
-    the one _Lattice of that resolution."""
+    pull-back image and every sweep of the graph transform at the same
+    resolution all read the one _Lattice of that resolution."""
     m = readme_ricker()
+    swept = []
+    sweep = simplex._sweep
+    monkeypatch.setattr(simplex, "_sweep", lambda m, lattice, *rest: (swept.append(lattice),
+                                                                      sweep(m, lattice, *rest))[1])
     mesh = compute_carrying_simplex(m, resolution=12, tol=1e-8)
     loaded = SimplexMesh.from_json(mesh.to_json())
     lattice = _lattice(12)
     assert mesh.lattice is lattice and loaded.lattice is lattice
     assert loaded.pull_back(m).lattice is lattice
-    assert _Transform(m, 12).lattice is lattice
+    assert len(swept) == mesh.sweeps and all(sweep is lattice for sweep in swept)
     assert mesh.directions is lattice.directions and mesh.triangulation is lattice.faces
 
 
@@ -237,7 +238,7 @@ def test_bad_tol_refused_before_the_first_sweep(tol, monkeypatch):
     """A tol that is not finite and > 0 raises ValueError before any sweep,
     where it ran every sweep and then raised NonConvergenceError."""
     sweeps = []
-    monkeypatch.setattr(simplex._Transform, "sweep", lambda self, radii: sweeps.append(1))
+    monkeypatch.setattr(simplex, "_sweep", lambda *args: sweeps.append(1))
     with pytest.raises(ValueError, match="tol must be finite and > 0"):
         compute_carrying_simplex(readme_ricker(), resolution=16, tol=tol)
     assert sweeps == []
@@ -308,21 +309,51 @@ def test_locate_regular_matches_masked_reference(N):
     assert np.array_equal(wts, want_wts)
 
 
+def brute_force_scan(P, faces, q):
+    """Oracle for _ImageMesh._scan: the barycentric weights of every
+    direction (column of q) in every face (corners P[:, faces]), computed
+    as _ImageMesh._weights computes them (a flat face's zero area read
+    as 1e-300), and per direction the first face of the largest minimum
+    weight, found where that weight is >= -_FOUND_TOL."""
+    t0, t1, t2 = (P[:, faces[:, k]] for k in range(3))
+    e1, e2 = t1 - t0, t2 - t0
+    d = e1[0] * e2[1] - e2[0] * e1[1]
+    d = np.where(d == 0.0, 1e-300, d)
+    r0 = q[0][:, None] - t0[0]
+    r1 = q[1][:, None] - t0[1]
+    c1 = (r0 * e2[1] - e2[0] * r1) / d
+    c2 = (e1[0] * r1 - r0 * e1[1]) / d
+    c = np.stack([1.0 - c1 - c2, c1, c2], axis=-1)  # (direction, face, corner)
+    score = c.min(axis=-1)
+    face = np.argmax(score, axis=1)
+    rows = np.arange(face.size)
+    return face, c[rows, face], score[rows, face] >= -_FOUND_TOL, score
+
+
 class TestLocateInterior:
-    """The rasterized locator against an argmax over every face."""
+    """Locating directions among image faces: _ImageMesh._scan against the
+    argmax over every face, on perturbed lattice images, at the interior
+    lattice directions, Dirichlet points, points one ulp either side of the
+    bucket edges k/N, the image vertices, points on the simplex's edges and
+    directions outside every face."""
 
     @staticmethod
-    def brute_force(P, faces, N):
-        U = barycentric_lattice(N)
-        queries = U[np.min(U, axis=1) > 0, :2]
-        t0, t1, t2 = (P[:, faces[:, v]] for v in range(3))
-        face = np.empty(queries.shape[0], dtype=np.intp)
-        best = np.empty(queries.shape[0])
-        for r, q in enumerate(queries):
-            score = np.min(_barycentric_2d(q[:, None], t0, t1, t2), axis=0)
-            face[r] = np.argmax(score)
-            best[r] = score[face[r]]
-        return face, best >= -_FOUND_TOL
+    def queries(P, N, rng):
+        """(2, m) directions of every kind, and the mask of those outside
+        every face."""
+        lattice = _lattice(N)
+        k = rng.integers(0, N + 1, (2, 200))
+        ulp = np.nextafter(k / N, np.where(rng.random((2, 200)) < 0.5, -np.inf, np.inf))
+        t = np.concatenate([rng.uniform(0, 1, 30), np.arange(N + 1) / N])
+        zero = np.zeros_like(t)
+        rim = np.hstack([[t, zero], [zero, t], [t, 1.0 - t]])
+        outside = np.array([[-0.5, 0.3], [0.3, -0.5], [0.9, 0.9], [0.6, 0.7], [2.0, 2.0],
+                            [-3.0, -3.0], [0.5, 1.5], [np.nan, 0.2]]).T
+        q = np.hstack([lattice.queries, rng.dirichlet(np.ones(3), 300)[:, :2].T,
+                       k / N, ulp, P, rim, outside])
+        out = np.zeros(q.shape[1], dtype=bool)
+        out[-outside.shape[1]:] = True
+        return q, out
 
     @pytest.mark.parametrize("N", [6, 9, 12, 16])
     @pytest.mark.parametrize("case", ["jittered", "folded", "shrunk", "grazing"])
@@ -343,26 +374,23 @@ class TestLocateInterior:
             # the image rim passes 1e-9 inside the outermost queries, which
             # lie outside every face but within the found tolerance
             D = 1.0 / 3.0 + (1.0 - 3.0 * (1.0 / N + 1e-9)) * (D - 1.0 / 3.0)
-        P = D.T.copy()
-        face, bary, found = _locate_interior(P, _lattice(N))
-        want_face, want_found = self.brute_force(P, faces, N)
+        image = _ImageMesh(np.column_stack([D, 1.0 - D.sum(axis=1)]), _lattice(N), np.ones(U.shape[0]))
+        P = image.P
+        q, out = self.queries(P, N, rng)
+        face, bary, found = image._scan(q)
+        want_face, want_bary, want_found, score = brute_force_scan(P, faces, q)
         assert np.array_equal(found, want_found)
         assert np.array_equal(face[found], want_face[found])
-        queries = U[np.min(U, axis=1) > 0, :2].T
-        tri = [P[:, faces[face, v]] for v in range(3)]
-        assert np.array_equal(bary[found], np.stack(_barycentric_2d(queries, *tri), axis=1)[found])
+        assert np.array_equal(bary[found], want_bary[found])
+        assert not found[out].any() and np.all(face[~found] == 0)
+        interior = found[:_lattice(N).queries.shape[1]]
         if case == "shrunk":
-            assert 0 < np.count_nonzero(~found) < found.size
+            assert 0 < np.count_nonzero(~interior) < interior.size
         if case == "grazing":
-            assert found.all()
+            assert interior.all()
         if case == "folded":
-            # overlapping faces: some query lies inside more than one face
-            t0, t1, t2 = (P[:, faces[:, v]] for v in range(3))
-            covered = [
-                np.count_nonzero(np.min(_barycentric_2d(q[:, None], t0, t1, t2), axis=0) >= 0)
-                for q in queries.T
-            ]
-            assert max(covered) > 1
+            # overlapping faces: some direction lies inside more than one face
+            assert np.count_nonzero(score >= 0, axis=1).max() > 1
 
 
 def readme_ricker():
@@ -372,14 +400,15 @@ def readme_ricker():
     return make_ricker(ParameterSet(r=np.full(3, 0.2), A=A_CLASS19))
 
 
-def image_of(transform, Y):
-    """The _ImageMesh of vertex images Y on the lattice of a _Transform."""
-    return _ImageMesh(Y, transform.lattice, np.ones(transform.lattice.directions.shape[0]))
+def image_of(lattice, Y):
+    """The _ImageMesh of vertex images Y on a _Lattice."""
+    return _ImageMesh(Y, lattice, np.ones(lattice.directions.shape[0]))
 
 
 class TestWarmLocator:
-    """Rays located from the previous sweep's faces (_ImageMesh.locate)
-    against the exhaustive scan."""
+    """Rays found from the previous sweep's faces (_ImageMesh.find, which
+    scans only the rays that locate leaves uncertified) against the
+    exhaustive scan."""
 
     @pytest.mark.parametrize(
         "kind, A",
@@ -391,27 +420,24 @@ class TestWarmLocator:
         ],
     )
     def test_every_sweep_matches_exhaustive_scan(self, monkeypatch, kind, A):
-        locate = _ImageMesh.locate
-        certified = []
+        find = _ImageMesh.find
+        scanned = []
 
-        def checked(image, q, guess):
-            got = locate(image, q, guess)
-            want = _locate_interior(image.P, image.lattice)
-            # face, weights and the scan's found mask on every certified
-            # row: the sweep uses the certified mask as its found mask
-            ok = got[2]
-            for g, w in zip(got, want):
+        def checked(image, q, guess=None):
+            got = find(image, q, guess)
+            # face, weights and found mask, every row
+            for g, w in zip(got, image._scan(q)):
                 assert g.dtype == w.dtype
-                assert np.array_equal(g[ok], w[ok])
-            certified.append(ok.all())
+                assert np.array_equal(g, w)
+            scanned.append(got[3])
             return got
 
-        monkeypatch.setattr(_ImageMesh, "locate", checked)
+        monkeypatch.setattr(_ImageMesh, "find", checked)
         m = readme_ricker() if kind == "readme" else build_model(kind, A)
         mesh = compute_carrying_simplex(m, resolution=32, tol=1e-10)
-        # the first sweep has no guess; every later image is embedded
-        assert len(certified) == mesh.sweeps - 1
-        assert all(certified)
+        # the first sweep has no guess and scans every ray; every later
+        # image is embedded and certifies every ray in its guess
+        assert scanned == [_lattice(32).queries.shape[1]] + [0] * (mesh.sweeps - 1)
         assert mesh.full_scans == 1
 
     @pytest.fixture(scope="class")
@@ -424,17 +450,18 @@ class TestWarmLocator:
     @pytest.mark.parametrize("guess", ["exact", "moved", "shuffled", "stale", "zeros"])
     def test_any_guess_gives_exhaustive_result(self, readme_image, guess):
         m, Y = readme_image
-        transform = _Transform(m, 32)
-        image = image_of(transform, Y)
-        want = _locate_interior(image.P, transform.lattice)
+        lattice = _lattice(32)
+        image = image_of(lattice, Y)
+        q = lattice.queries
+        want = image._scan(q)
         face = want[0].copy()
         rng = np.random.default_rng(3)
         if guess == "moved":
             # half the queries guess a face across an edge of theirs; no
-            # share of moved queries forces the scan
+            # share of moved queries forces a scan
             moved = rng.choice(face.size, face.size // 2, replace=False)
-            faces = transform.lattice.faces
-            ring = transform.lattice.incidence[faces[face[moved], 0]]
+            faces = lattice.faces
+            ring = lattice.incidence[faces[face[moved], 0]]
             across = (faces[ring] == faces[face[moved], 1][:, None, None]).any(-1)
             across &= ring != face[moved][:, None]
             face[moved] = ring[np.arange(moved.size), np.argmax(across, axis=1)]
@@ -443,26 +470,28 @@ class TestWarmLocator:
             face = rng.permutation(face)
         elif guess == "stale":
             plane = compute_carrying_simplex(m, resolution=32, max_iters=1, tol=1e300)
-            face = _locate_interior(image_of(transform, m(plane.vertices)).P, transform.lattice)[0]
+            face = image_of(lattice, m(plane.vertices))._scan(q)[0]
         elif guess == "zeros":
             face[:] = 0
-        transform.face = face
-        got = transform.locate(image)
+        got = image.find(q, face)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+        # only the rows that locate leaves uncertified are scanned
+        assert got[3] == np.count_nonzero(~image.locate(q, face)[2])
         if guess in ("exact", "moved"):
-            assert transform.full_scans == 0  # one face off is still certified
+            assert got[3] == 0  # one face off is still certified
         if guess in ("shuffled", "zeros"):
-            assert transform.full_scans == 1
+            assert got[3] > 0
 
     def test_queries_on_image_vertices(self):
         """A jittered lattice image whose vertices at a few lattice points stay
         put: the queries there tie at weight 0 in all six faces around the
         vertex.  Exact guesses are certified and keep the lowest face index;
-        guesses whose one-ring misses that face fall back to the scan."""
+        guesses whose one-ring misses that face send those queries, and
+        only those, to the scan."""
         N = 32
         U = barycentric_lattice(N)
-        transform = _Transform(make_leslie_gower(ParameterSet(r=np.ones(3), A=A_CLASS19)), N)
+        lattice = _lattice(N)
         jitter = np.random.default_rng(7).uniform(-0.15, 0.15, (U.shape[0], 2)) / N
         jitter[np.min(U, axis=1) == 0.0] = 0.0  # the rim stays on its edges
         pinned = [(5, 5), (10, 3), (3, 12), (8, 8), (12, 6)]
@@ -471,68 +500,69 @@ class TestWarmLocator:
         Y = U.copy()
         Y[:, :2] += jitter
         Y[:, 2] -= jitter.sum(axis=1)
-        image = image_of(transform, Y)
+        image = image_of(lattice, Y)
         assert image.embedded
-        want = _locate_interior(image.P, transform.lattice)
-        ij = np.rint(transform.lattice.queries * N)
+        q = lattice.queries
+        want = image._scan(q)
+        ij = np.rint(q * N)
         query = [np.flatnonzero((ij[0] == i) & (ij[1] == j))[0] for i, j in pinned]
         assert np.all(np.min(want[1][query], axis=1) == 0.0)
 
-        transform.face = want[0].copy()
-        for g, w in zip(transform.locate(image), want):
+        got = image.find(q, want[0].copy())
+        for g, w in zip(got, want):
             assert np.array_equal(g, w)
-        assert transform.full_scans == 0
+        assert got[3] == 0
 
         # guess the up face of cell (i + 1, j): its one-ring holds only the
         # faces around (i, j) that touch (i + 1, j), not the lowest one
         guess = want[0].copy()
-        faces = transform.lattice.faces
+        faces = lattice.faces
         cells = [{tuple(np.rint(U[v, :2] * N).astype(int)) for v in f} for f in faces]
-        for q, (i, j) in zip(query, pinned):
-            guess[q] = cells.index({(i + 1, j), (i + 2, j), (i + 1, j + 1)})
-        transform.face = guess
-        for g, w in zip(transform.locate(image), want):
+        for r, (i, j) in zip(query, pinned):
+            guess[r] = cells.index({(i + 1, j), (i + 2, j), (i + 1, j + 1)})
+        got = image.find(q, guess)
+        for g, w in zip(got, want):
             assert np.array_equal(g, w)
-        assert transform.full_scans == 1
+        assert got[3] == len(pinned)
 
     def test_flipped_face_falls_back_to_scan(self, readme_image):
         m, Y = readme_image
-        transform = _Transform(m, 32)
-        P = image_of(transform, Y).P
-        transform.face = _locate_interior(P, transform.lattice)[0]
+        lattice = _lattice(32)
+        P = image_of(lattice, Y).P
+        guess = image_of(lattice, Y)._scan(lattice.queries)[0]
         # reflect one interior vertex's image direction across the opposite
         # edge of a face
-        v = transform.lattice.interior_idx[200]
-        f = transform.lattice.incidence[v, 0]
-        a, b = (P[:, u] for u in transform.lattice.faces[f] if u != v)
+        v = lattice.interior_idx[200]
+        f = lattice.incidence[v, 0]
+        a, b = (P[:, u] for u in lattice.faces[f] if u != v)
         n = np.array([a[1] - b[1], b[0] - a[0]]) / np.hypot(*(a - b))
         d = P[:, v] - 2.0 * ((P[:, v] - a) @ n) * n
         Y = Y.copy()
         Y[v] = [d[0], d[1], 1.0 - d[0] - d[1]]
-        image = image_of(transform, Y)
-        t0, t1, t2 = (image.P[:, transform.lattice.faces[:, k]] for k in range(3))
+        image = image_of(lattice, Y)
+        t0, t1, t2 = (image.P[:, lattice.faces[:, k]] for k in range(3))
         area = (t1[0] - t0[0]) * (t2[1] - t0[1]) - (t2[0] - t0[0]) * (t1[1] - t0[1])
         assert area[f] < 0
         assert not image.embedded
-        got = transform.locate(image)
-        for g, w in zip(got, _locate_interior(image.P, transform.lattice)):
+        got = image.find(lattice.queries, guess)
+        for g, w in zip(got, image._scan(lattice.queries)):
             assert np.array_equal(g, w)
-        assert transform.full_scans == 1
+        assert got[3] == lattice.queries.shape[1]
 
     def test_rim_off_its_edge_falls_back_to_scan(self, readme_image):
         m, Y = readme_image
-        transform = _Transform(m, 32)
-        transform.face = _locate_interior(image_of(transform, Y).P, transform.lattice)[0]
+        lattice = _lattice(32)
+        guess = image_of(lattice, Y)._scan(lattice.queries)[0]
         # one rim vertex's image leaves its edge by far less than rounding
-        v = transform.lattice.edge_idx[0][1][5]
+        v = lattice.edge_idx[0][1][5]
         Y = Y.copy()
         Y[v, 0] = 1e-20 * Y[v].sum()
-        image = image_of(transform, Y)
+        image = image_of(lattice, Y)
         assert not image.embedded
-        got = transform.locate(image)
-        for g, w in zip(got, _locate_interior(image.P, transform.lattice)):
+        got = image.find(lattice.queries, guess)
+        for g, w in zip(got, image._scan(lattice.queries)):
             assert np.array_equal(g, w)
-        assert transform.full_scans == 1
+        assert got[3] == lattice.queries.shape[1]
 
     def test_full_scans_counted_and_not_serialized(self):
         mesh = compute_carrying_simplex(readme_ricker(), resolution=64, tol=1e-8)
