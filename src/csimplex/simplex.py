@@ -113,49 +113,6 @@ def lattice_triangulation(N: int) -> np.ndarray:
     return faces[keep]
 
 
-# The one-ring of a face of lattice_triangulation: (di, dj, down) of the cells
-# (i + di, j + dj) and kinds (up 0, down 1) of the faces that share a vertex
-# with the up (first) or down (second) face of cell (i, j), in raster order of
-# the cells and up before down, which is ascending face order.
-_RING_OFFSETS = np.array([
-    [(-1, -1, 1), (-1, 0, 0), (-1, 0, 1), (-1, 1, 0), (-1, 1, 1), (0, -1, 0), (0, -1, 1),
-     (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, -1, 0), (1, -1, 1), (1, 0, 0)],
-    [(-1, 0, 1), (-1, 1, 0), (-1, 1, 1), (0, -1, 1), (0, 0, 0), (0, 0, 1), (0, 1, 0),
-     (0, 1, 1), (1, -1, 0), (1, -1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0)],
-]).transpose(0, 2, 1)  # (kind, di/dj/down, 13)
-
-
-def _ring_faces(N: int) -> np.ndarray:
-    """(F, 13) faces of lattice_triangulation(N) that share a vertex with
-    each face, the face itself included, ascending and padded by repeating
-    the first (13 is the count for a face of the interior).
-
-    Cell (i, j) holds up face 2 _lattice_index(i, j, N - 1) - i and, when
-    i + j < N - 1, the down face after it; row i of cells holds N - i of
-    them.  So the face of cell (i + di, j + dj) and kind `down` lies
-    2 di (N - i) + 2 dj - |di| + down after the up face of cell (i, j), and a
-    face's ring is the faces at its _RING_OFFSETS.  Only faces next to the
-    rim have offsets outside the lattice; those are dropped and the ring
-    padded."""
-    ci, cj = _lattice_ij(N - 1)
-    keep = np.ones(2 * ci.size, dtype=bool)
-    keep[1::2] = ci + cj < N - 1
-    i, j = np.repeat(ci, 2)[keep], np.repeat(cj, 2)[keep]
-    kind = np.tile([0, 1], ci.size)[keep]
-    up = np.arange(i.size) - kind
-    ring = np.empty((i.size, 13), dtype=np.intp)
-    for k, (di, dj, down) in enumerate(_RING_OFFSETS):
-        at = np.flatnonzero(kind == k)
-        ring[at] = up[at, None] + 2 * di * (N - i[at, None]) + (2 * dj - np.abs(di) + down)
-    rim = np.flatnonzero((i == 0) | (j == 0) | (i + j >= N - 2))
-    di, dj, down = np.moveaxis(_RING_OFFSETS[kind[rim]], 1, 0)
-    c, d = i[rim, None] + di, j[rim, None] + dj
-    part = np.where((c >= 0) & (d >= 0) & (c + d <= N - 1 - down), ring[rim], -1)
-    part = np.take_along_axis(part, np.argsort(part < 0, axis=1, kind="stable"), axis=1)
-    ring[rim] = np.where(part < 0, part[:, :1], part)
-    return ring
-
-
 # The corners after corner k of a face, in cyclic order.
 _CORNERS_AFTER = np.array([[1, 2], [2, 0], [0, 1]])
 
@@ -175,12 +132,13 @@ class _Lattice:
     - ``link`` (M, 6, 2): per incident face, the edge opposite the vertex,
       as the face's corners after it in cyclic order; together they are the
       rim of the vertex's star;
-    - ``rings`` (F, 13): the one-ring of each face (see _ring_faces);
-    - ``queries`` (2, Q): the interior directions (i/N, j/N), 1 <= i, j and
-      i + j <= N - 1, in index order;
+    - ``queries`` (2, Q): the first two coordinates of the interior
+      directions, in index order;
     - the vertex index sets ``corner_idx``, ``edge_idx`` (per axis a: the
       vertices whose coordinate a is zero, and those of them that are no
       corner) and ``interior_idx``, and the directions' norms ``unorm``.
+
+    A face's one-ring is gathered from ``incidence`` (see ring).
     """
 
     def __init__(self, N: int):
@@ -195,18 +153,22 @@ class _Lattice:
         # (M, 6): each incident face, and the vertex's corner in it
         self.incidence, corner = np.divmod(order[starts[:, None] + slot], 3)
         self.link = F[self.incidence[..., None], _CORNERS_AFTER[corner]]
-        self.rings = _ring_faces(N)
-        # the interior points are the lattice of N - 3 shifted by (1, 1)
-        qi, qj = _lattice_ij(N - 3)
-        self.queries = np.stack([qi + 1, qj + 1]) / N
         self.unorm = np.linalg.norm(U, axis=1)
         corner = np.max(U, axis=1) == 1.0
         self.corner_idx = np.nonzero(corner)[0]
         self.edge_idx = tuple((np.nonzero(on)[0], np.nonzero(on & ~corner)[0]) for on in U.T == 0.0)
         self.interior_idx = np.nonzero(np.min(U, axis=1) > 0.0)[0]
+        self.queries = np.ascontiguousarray(U[self.interior_idx, :2].T)
         for table in [*vars(self).values(), *(idx for edge in self.edge_idx for idx in edge)]:
             if isinstance(table, np.ndarray):
                 table.flags.writeable = False
+
+    def ring(self, f: np.ndarray) -> np.ndarray:
+        """(m, 18) the one-ring of each face in f (m,): the faces incident to
+        its three corners.  That is each face sharing a vertex with it, the
+        face included, at least once: an interior face has 13, itself three
+        times and the faces across its edges twice."""
+        return self.incidence[self.faces[f]].reshape(-1, 18)
 
     def face_of(self, u: np.ndarray):
         """Index into ``faces`` of the face that contains each direction row
@@ -381,19 +343,33 @@ def radial_project(mesh: SimplexMesh, x: np.ndarray) -> np.ndarray:
     """Point where the ray through x meets the mesh surface.
 
     The direction u = x / sum(x) is located on the lattice and rho is
-    interpolated barycentrically on the containing face.
+    interpolated barycentrically on the containing face.  Raises
+    ZeroVectorError, before it divides, unless every row is nonnegative and
+    finite with a coordinate sum > 0 (see _row_sums).
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     X = np.atleast_2d(x)
-    sums = X.sum(axis=1)
-    if np.any(sums <= 0) or np.any(X < -1e-15):
-        raise ZeroVectorError("radial projection needs a nonzero nonnegative point")
-    U = X / sums[:, None]
+    sums = _row_sums(X)
+    if sums is None or np.any(X < -1e-15):
+        raise ZeroVectorError("radial projection needs a finite, nonzero, nonnegative point")
+    U = X / sums
     face, wts = mesh.lattice.locate(U)
     rho = (mesh.radii[mesh.triangulation[face]] * wts).sum(axis=1)
     out = rho[:, None] * U
     return out[0] if single else out
+
+
+def _row_sums(X: np.ndarray) -> np.ndarray | None:
+    """The coordinate sums (m, 1) of the point rows X, or None unless each
+    is a finite number > 0.  A row with a NaN or infinite coordinate has a
+    NaN or infinite sum, so it is refused too, as is a sum that overflows
+    (without a warning)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = X.sum(axis=1, keepdims=True)
+    # as floats: a tracer step sends a row or two, where numpy's per-call
+    # cost would be most of the test
+    return sums if all(0.0 < s < math.inf for s in sums.ravel().tolist()) else None
 
 
 def directions_from_uv(uv: np.ndarray) -> np.ndarray:
@@ -513,14 +489,15 @@ class _ImageMesh:
            negative exact minimum weight there, so a computed one below
            _WARM_EPS: the guess is certified.
         2. The other rows take the best face of the guess's one-ring R (the
-           faces that share a vertex with it, each weighed once): the
-           largest minimum weight m, lowest face index on ties.  It is
-           certified when m > _WARM_EPS, as in 1, or when m > -_WARM_EPS and
-           the row lies D >= 16 _WARM_EPS diam from the rim of the star (the
-           union of the faces) of a vertex that the best face shares with
-           the guess.  That rim is made of the edges opposite the vertex and
-           the edges of the simplex, whose distance is min(u1, u2,
-           (1 - u1 - u2) / sqrt 2).  The row is then inside that star, which
+           faces that share a vertex with it, gathered from the incidence of
+           its corners by _Lattice.ring and sorted; a face gathered twice
+           scores the same twice): the largest minimum weight m, lowest face
+           index on ties.  It is certified when m > _WARM_EPS, as in 1, or
+           when m > -_WARM_EPS and the row lies D >= 16 _WARM_EPS diam from
+           the rim of the star (the union of the faces) of a vertex that the
+           best face shares with the guess.  That rim is made of the edges
+           opposite the vertex and the edges of the simplex, whose distance
+           is min(u1, u2, (1 - u1 - u2) / sqrt 2).  The row is then inside that star, which
            R contains, and a face outside R has exact minimum weight
            <= -D / (2 diam), so a computed one below -_WARM_EPS < m.
 
@@ -538,10 +515,10 @@ class _ImageMesh:
             return guess, bary, certified
         face = guess.copy()
         rest = np.nonzero(~certified)[0]
-        ring = self.lattice.rings[guess[rest]]  # (row, face)
+        ring = np.sort(self.lattice.ring(guess[rest]), axis=1)  # (row, face)
         q = q[:, rest]
         c, score = self._weights(q[:, :, None], ring)  # (row, face)
-        # a ring is ascending, so its first maximum has the lowest face index
+        # a sorted ring's first maximum has the lowest face index
         col = score.argmax(axis=1)
         rows = np.arange(rest.size)
         best = score[rows, col]
@@ -694,8 +671,15 @@ class _ImageMesh:
         lattice faces of the rows' directions; see find).  A row pulled back
         from image face f lies on lattice face f, so along an orbit the faces
         returned are the faces to search from at the next step.  Raises
-        ManifoldError when a row's direction lies in no image face."""
-        U = X / X.sum(axis=1, keepdims=True)
+        ManifoldError, before it divides, unless every row is finite with a
+        coordinate sum > 0 (see _row_sums), and when a row's direction lies
+        in no image face."""
+        sums = _row_sums(X)
+        if sums is None:
+            from .manifolds import ManifoldError  # manifolds imports this module
+
+            raise ManifoldError("pull-back needs finite points with a coordinate sum > 0")
+        U = X / sums
         if faces is None:
             faces = self.lattice.face_of(U)[0]
         face, b, found, _ = self.find(U[:, :2].T, faces)
@@ -983,9 +967,9 @@ def _face_distances(V: np.ndarray, tris: np.ndarray, p: np.ndarray) -> np.ndarra
     return np.linalg.norm(closest - p, axis=-1)
 
 
-# Query rows per block in surface_distance.  Blocks keep the (rows, 13, 3)
+# Query rows per block in surface_distance.  Blocks keep the (rows, 18, 3)
 # candidate arrays bounded by the block, not by the number of queries.
-_DISTANCE_BLOCK = 1024
+_DISTANCE_BLOCK = 736
 # (1 + sqrt 3) * 3, the certificate's factor on N * d (see surface_distance),
 # padded for the rounding of u, of _Lattice.face_of's slack and of d
 _RING_FACTOR = 3.0 * (1.0 + np.sqrt(3.0)) * (1.0 + 1e-9)
@@ -1020,7 +1004,7 @@ def surface_distance(mesh: SimplexMesh, pts: np.ndarray) -> np.ndarray:
     dist = np.empty(pts.shape[0])
     for start in range(0, pts.shape[0], _DISTANCE_BLOCK):
         block = pts[start:start + _DISTANCE_BLOCK]
-        tris = lattice.faces[lattice.rings[_direction_faces(lattice, block)]]  # (B, 13, 3)
+        tris = lattice.faces[lattice.ring(_direction_faces(lattice, block))]  # (B, 18, 3)
         dist[start:start + block.shape[0]] = _face_distances(V, tris, block[:, None, :]).min(axis=1)
     far = np.nonzero(~_ring_certified(lattice, pts, dist))[0]
     if far.size:

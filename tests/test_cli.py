@@ -923,13 +923,9 @@ def test_commands_build_each_lattice_once(tmp_path, monkeypatch):
     two graph transforms, the loaded mesh's pull-back and verify's distances
     share one _Lattice.  Every JSON artifact they write, the traced curves
     included, is the stdlib's indent-2 text of its own document."""
-    calls = {"_ring_faces": [], "lattice_triangulation": []}
-    for name, seen in calls.items():
-        def counted(N, build=getattr(simplex, name), seen=seen):
-            seen.append(N)
-            return build(N)
-
-        monkeypatch.setattr(simplex, name, counted)
+    calls = []
+    build = simplex.lattice_triangulation
+    monkeypatch.setattr(simplex, "lattice_triangulation", lambda N: (calls.append(N), build(N))[1])
     simplex._lattice.cache_clear()
     doc = readme_config()
     doc["numeric"].update(mesh_resolution=16, basin_raster=24)
@@ -940,7 +936,7 @@ def test_commands_build_each_lattice_once(tmp_path, monkeypatch):
     assert main(["simplex", "--config", "run.json", "--out", "mesh.json"]) == 0
     assert main(["portrait", "--config", "run.json", "--mesh", "mesh.json", "--out", "p.svg"]) == 0
     assert main(["verify", "--config", "run.json", "--out", "verify.json"]) in {0, 1}
-    assert calls == {"_ring_faces": [16], "lattice_triangulation": [16]}
+    assert calls == [16]
     for name in ("report.json", "mesh.json", "stable.json", "unstable.json", "verify.json"):
         text = (tmp_path / name).read_text()
         assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", name

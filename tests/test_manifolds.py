@@ -1064,6 +1064,18 @@ class TestPullBack:
         with pytest.raises(ManifoldError, match="no fixed point near"):
             pull.fixed_point(X[1])
 
+    @pytest.mark.parametrize("row", [[1.0, -1.0, 0.0], [0.0, 0.0, 0.0], [np.nan, 1.0, 1.0],
+                                     [np.inf, 1.0, 1.0], [1e308] * 3])
+    def test_pull_refuses_a_row_without_a_finite_positive_sum(self, class19_lg, class19_mesh, row):
+        """A row that is not finite, or whose coordinate sum is not a finite
+        number > 0, is refused before it is divided by that sum."""
+        pull = class19_mesh.pull_back(class19_lg)
+        X = np.array([[0.3, 0.3, 0.3], row])
+        with pytest.raises(ManifoldError, match="coordinate sum > 0"):
+            pull(X)
+        with pytest.raises(ManifoldError, match="coordinate sum > 0"):
+            pull.pull(X[1:], np.zeros(1, dtype=np.intp))
+
     def test_pull_back_of_many_points_allocates_little(self, class19_lg, class19_mesh):
         """Pulling back 2,000 on-mesh points of the class-19 Leslie-Gower
         map at N=64 holds no (rows x faces) array: the rows that the

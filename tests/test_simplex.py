@@ -105,9 +105,8 @@ def _loop_lattice(N):
     """Reference lattice geometry built with explicit loops: directions,
     faces, incident faces (padded by repetition), the edge opposite each
     vertex in each of those faces (its corners after the vertex, in order),
-    the one-ring of each face (the faces that share a vertex with it,
-    ascending, padded by the first), the interior directions as queries
-    (2, Q), the corner, edge (per axis:
+    the one-ring of each face (the set of faces that share a vertex with
+    it), the interior directions as queries (2, Q), the corner, edge (per axis:
     the vertices on that edge, and those of them that are no corner) and
     interior index sets, and the directions' norms."""
     offset = [i * (N + 1) - i * (i - 1) // 2 for i in range(N + 2)]
@@ -135,10 +134,7 @@ def _loop_lattice(N):
             k = tri.index(v)
             ends.append((tri[(k + 1) % 3], tri[(k + 2) % 3]))
         link.append(ends)
-    rings = []
-    for tri in faces:
-        ring = sorted({f for v in tri for f in incident[v]})
-        rings.append(ring + ring[:1] * (13 - len(ring)))
+    rings = [{f for v in tri for f in incident[v]} for tri in faces]
     queries = np.asarray([(i / N, j / N) for i, j, k in ijk if min(i, j, k) > 0]).reshape(-1, 2).T
 
     def index(keep):
@@ -151,7 +147,7 @@ def _loop_lattice(N):
         "faces": faces,
         "incidence": incidence,
         "link": np.asarray(link, dtype=np.intp).reshape(M, 6, 2),
-        "rings": np.asarray(rings, dtype=np.intp),
+        "rings": rings,
         "queries": queries,
         "corner_idx": index(lambda c: N in c),
         "edge_idx": edges,
@@ -160,13 +156,18 @@ def _loop_lattice(N):
     }
 
 
-@pytest.mark.parametrize("N", range(1, 13))
+@pytest.mark.parametrize("N", [*range(1, 13), 40])
 def test_lattice_builders_match_loop_reference(N):
     want = _loop_lattice(N)
+    rings = want.pop("rings")
     lattice = _lattice(N)
     assert lattice is _lattice(N)
     assert lattice.N == N
     assert set(vars(lattice)) == {"N", *want}
+    # the ring gathered from the incidence holds each face's one-ring
+    ring = lattice.ring(np.arange(len(rings)))
+    assert ring.shape == (len(rings), 18)
+    assert [set(r) for r in ring.tolist()] == rings
     pairs = [(getattr(lattice, name), table) for name, table in want.items() if name != "edge_idx"]
     pairs += [(barycentric_lattice(N), want["directions"]),
               (lattice_triangulation(N), want["faces"])]
@@ -661,6 +662,14 @@ class TestRadialProject:
     def test_zero_vector_rejected(self, class19_mesh):
         with pytest.raises(ZeroVectorError):
             radial_project(class19_mesh, np.zeros(3))
+
+    @pytest.mark.parametrize("row", [[np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0], [1e308] * 3])
+    def test_rows_without_a_finite_sum_rejected(self, class19_mesh, row):
+        """A row that is not finite, or whose sum overflows, is refused
+        before it is divided by its sum, alone or among good rows."""
+        for x in (np.array(row), np.array([[0.3, 0.3, 0.3], row])):
+            with pytest.raises(ZeroVectorError, match="finite"):
+                radial_project(class19_mesh, x)
 
     def test_interpolates_interior_points(self, class19_lg, class19_mesh):
         rng = np.random.default_rng(9)
