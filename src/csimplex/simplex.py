@@ -129,16 +129,14 @@ class _Lattice:
     - ``incidence`` (M, 6): the faces incident to each vertex, ascending,
       padded by repeating the list from its start (every vertex lies on a
       face);
-    - ``link`` (M, 6, 2): per incident face, the edge opposite the vertex,
-      as the face's corners after it in cyclic order; together they are the
-      rim of the vertex's star;
     - ``queries`` (2, Q): the first two coordinates of the interior
       directions, in index order;
     - the vertex index sets ``corner_idx``, ``edge_idx`` (per axis a: the
       vertices whose coordinate a is zero, and those of them that are no
       corner) and ``interior_idx``, and the directions' norms ``unorm``.
 
-    A face's one-ring is gathered from ``incidence`` (see ring).
+    ``incidence`` is the one neighbour table: a face's one-ring and a
+    vertex's star are gathered from it (see ring and _ImageMesh.locate).
     """
 
     def __init__(self, N: int):
@@ -150,9 +148,7 @@ class _Lattice:
         counts = np.bincount(vert, minlength=U.shape[0])
         starts = np.cumsum(counts) - counts
         slot = np.arange(6)[None, :] % counts[:, None]
-        # (M, 6): each incident face, and the vertex's corner in it
-        self.incidence, corner = np.divmod(order[starts[:, None] + slot], 3)
-        self.link = F[self.incidence[..., None], _CORNERS_AFTER[corner]]
+        self.incidence = order[starts[:, None] + slot] // 3  # (M, 6)
         self.unorm = np.linalg.norm(U, axis=1)
         corner = np.max(U, axis=1) == 1.0
         self.corner_idx = np.nonzero(corner)[0]
@@ -404,9 +400,9 @@ _SQRT2 = math.sqrt(2.0)
 
 def _runs(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For runs of the given lengths laid end to end, the run of each
-    element and its offset in that run."""
-    run = np.repeat(np.arange(count.size), count)
-    return run, np.arange(run.size) - (np.cumsum(count) - count)[run]
+    element and its offset in that run, both of count's integer type."""
+    run = np.repeat(np.arange(count.size, dtype=count.dtype), count)
+    return run, np.arange(run.size, dtype=run.dtype) - (np.cumsum(count, dtype=run.dtype) - count)[run]
 
 
 def _image(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -454,18 +450,20 @@ class _ImageMesh:
         self.lattice, self.radii = lattice, radii
         self.s, self.D = _image(Y)
         self.P = np.ascontiguousarray(self.D[:, :2].T)
-        # (coordinate, corner, face); np.take is much faster here than indexing
-        T = np.take(self.P, lattice.faces.T, axis=1)
-        e1 = T[:, 1] - T[:, 0]
-        e2 = T[:, 2] - T[:, 0]
-        d = e1[0] * e2[1] - e2[0] * e1[1]
+        # filled in place, corner by corner; np.take is much faster here than indexing
+        self.edges = np.empty((7, lattice.faces.shape[0]))
+        t0, e1, e2, d = self.edges[:2], self.edges[2:4], self.edges[4:6], self.edges[6]
+        t0[...] = np.take(self.P, lattice.faces[:, 0], axis=1)
+        np.subtract(np.take(self.P, lattice.faces[:, 1], axis=1), t0, out=e1)
+        np.subtract(np.take(self.P, lattice.faces[:, 2], axis=1), t0, out=e2)
+        np.subtract(e1[0] * e2[1], e2[0] * e1[1], out=d)
         sx, sy = np.abs(e1) + np.abs(e2)
         self.embedded = bool(
             np.all(Y[lattice.directions == 0.0] == 0.0)
             and np.all(_WARM_EPS * d > _ROUNDING * (6.0 * sx * sy + 1e-9 * (sx + sy)))
         )
         self.diam = np.max(sx + sy)  # bounds every face's diameter
-        self.edges = np.concatenate([T[:, 0], e1, e2, np.where(d == 0.0, 1e-300, d)[None]])
+        d[d == 0.0] = 1e-300
 
     def _weights(self, q, faces):
         """Barycentric weights (c0, c1, c2) of directions q (2, ...) in the
@@ -496,10 +494,11 @@ class _ImageMesh:
            when m > -_WARM_EPS and the row lies D >= 16 _WARM_EPS diam from
            the rim of the star (the union of the faces) of a vertex that the
            best face shares with the guess.  That rim is made of the edges
-           opposite the vertex and the edges of the simplex, whose distance
-           is min(u1, u2, (1 - u1 - u2) / sqrt 2).  The row is then inside that star, which
-           R contains, and a face outside R has exact minimum weight
-           <= -D / (2 diam), so a computed one below -_WARM_EPS < m.
+           opposite the vertex (its faces' corners after it) and the edges of
+           the simplex, whose distance is min(u1, u2, (1 - u1 - u2) / sqrt 2).
+           The row is then inside that star, which R contains, and a face
+           outside R has exact minimum weight <= -D / (2 diam), so a computed
+           one below -_WARM_EPS < m.
 
         A certified row's face and weights are therefore those of the argmax
         of the minimum weight over all faces, lowest face index on ties: what
@@ -515,7 +514,8 @@ class _ImageMesh:
             return guess, bary, certified
         face = guess.copy()
         rest = np.nonzero(~certified)[0]
-        ring = np.sort(self.lattice.ring(guess[rest]), axis=1)  # (row, face)
+        stars = self.lattice.ring(guess[rest])  # (row, face): the stars of the guess's corners
+        ring = np.sort(stars, axis=1)
         q = q[:, rest]
         c, score = self._weights(q[:, :, None], ring)  # (row, face)
         # a sorted ring's first maximum has the lowest face index
@@ -530,8 +530,11 @@ class _ImageMesh:
             # in its faces, and the edges of the simplex
             faces = self.lattice.faces
             own = faces[guess[rest]]  # (row, vertex of the guess)
-            # (coordinate, row, vertex, face, end): the opposite edges' ends
-            ends = np.take(self.P, self.lattice.link[own], axis=1)
+            star = stars.reshape(-1, 3, 6)  # (row, vertex, face)
+            at = (faces[star] == own[:, :, None, None]).argmax(axis=-1)  # the vertex's corner
+            # (coordinate, row, vertex, face, end): the opposite edges' ends, the corners
+            # after the vertex in cyclic order (corner k of face f is entry 3f + k of faces)
+            ends = np.take(self.P, np.take(faces, 3 * star[..., None] + _CORNERS_AFTER[at]), axis=1)
             a = ends[..., 0]
             e = ends[..., 1] - a
             r = q[:, :, None, None] - a
@@ -578,24 +581,26 @@ class _ImageMesh:
         outside [0, N) count in the cell at their end of the range, and a
         box with a NaN corner is in no cell."""
         N = self.lattice.N
-        T = np.take(self.P, self.lattice.faces.T, axis=1)
-        lo = T.min(axis=1) * N
-        hi = T.max(axis=1) * N
-        pad = 1e-5 * (hi - lo) + 1e-9
-        box = np.concatenate([lo - pad, hi + pad])
-        first = np.clip(np.floor(box[:2]), 0.0, N - 1.0)
-        # a NaN box spans no cell; float arithmetic is exact on these integers
-        span = np.nan_to_num(np.clip(np.floor(box[2:]), 0.0, N - 1.0) - first + 1.0)
-        face, k = _runs((span[0] * span[1]).astype(np.intp))  # its cells in raster order
-        width = np.take(span[1], face)
-        # the k-th cell of a face's box: row floor(k / width) of the box
-        cell = np.take(first[0] * N + first[1], face) + k + np.floor(k / width) * (N - width)
-        cell = cell.astype(np.intp)
+        box = np.take(self.P, self.lattice.faces.T, axis=1)  # (coordinate, corner, face)
+        box = np.concatenate([box.min(axis=1), box.max(axis=1)]) * N
+        pad = 1e-5 * (box[2:] - box[:2]) + 1e-9
+        box[:2] -= pad
+        box[2:] += pad
+        # a NaN box spans no cell
+        first = np.nan_to_num(np.clip(np.floor(box[:2]), 0.0, N - 1.0)).astype(np.int32)
+        span = np.nan_to_num(np.clip(np.floor(box[2:]), 0.0, N - 1.0) - first + 1.0).astype(np.int32)
+        # the (face, cell) pairs, 32-bit, each face's cells in raster order:
+        # the k-th lies in row k // width of the face's box, column k % width
+        face, cell = _runs(span[0] * span[1])
+        row = np.take(span[1], face)
+        np.divmod(cell, row, out=(row, cell))
+        cell += row * N
+        cell += np.take(first[0] * N + first[1], face)
         # a stable sort keeps the faces ascending in a cell; it is a radix
         # sort on 16-bit cells (N <= 256)
         order = np.argsort(cell.astype(np.min_scalar_type(N * N - 1)), kind="stable")
         starts = np.concatenate([[0], np.cumsum(np.bincount(cell, minlength=N * N))])
-        return box, starts, face[order]
+        return box, starts, face[order].astype(np.intp)  # as _scan indexes
 
     def _scan(self, q: np.ndarray):
         """Face, barycentric weights (m, 3) and found mask (m,) of the

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -160,6 +161,7 @@ def _loop_lattice(N):
 def test_lattice_builders_match_loop_reference(N):
     want = _loop_lattice(N)
     rings = want.pop("rings")
+    del want["link"]  # the star rims are gathered in _ImageMesh.locate
     lattice = _lattice(N)
     assert lattice is _lattice(N)
     assert lattice.N == N
@@ -184,6 +186,19 @@ def test_lattice_builders_match_loop_reference(N):
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[...] = table.copy()
+
+
+def test_lattice_holds_only_its_listed_tables():
+    """_Lattice holds exactly the array tables its docstring lists, and at
+    N=128 they take under 1.3 MB (2.07 MB with the star rims kept as a
+    second neighbour table)."""
+    lattice = _lattice(128)
+    listed = set(re.findall(r"``(\w+)``", simplex._Lattice.__doc__))
+    tables = {name for name, t in vars(lattice).items() if isinstance(t, (np.ndarray, tuple))}
+    assert tables == listed
+    arrays = [getattr(lattice, name) for name in tables - {"edge_idx"}]
+    arrays += [idx for edge in lattice.edge_idx for idx in edge]
+    assert sum(a.nbytes for a in arrays) < 1.3e6
 
 
 def test_meshes_transforms_and_images_share_the_lattice(monkeypatch):
@@ -525,6 +540,31 @@ class TestWarmLocator:
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         assert got[3] == len(pinned)
+
+    @pytest.mark.parametrize("N", [32, 64])
+    def test_star_rims_match_loop_reference(self, N):
+        """The star rims that locate gathers from the vertex incidence for
+        its uncertified rows are the loop reference's opposite edges of the
+        guess's corners, slot for slot and end for end."""
+        m = readme_ricker()
+        lattice = _lattice(N)
+        image = image_of(lattice, m(compute_carrying_simplex(m, resolution=N, tol=1e-10).vertices))
+        taken = []
+
+        class Recorded(np.ndarray):
+            def take(self, indices, *args, **kwargs):
+                taken.append(np.asarray(indices))
+                return np.asarray(self).take(indices, *args, **kwargs)
+
+        image.P = image.P.view(Recorded)
+        # no face holds an image vertex strictly inside, so every row is
+        # uncertified in its guess and none exceeds _WARM_EPS in its ring
+        rng = np.random.default_rng(N)
+        v = rng.choice(lattice.directions.shape[0], 200, replace=False)
+        guess = rng.integers(0, lattice.faces.shape[0], v.size)
+        image.locate(np.asarray(image.P)[:, v], guess)
+        assert len(taken) == 1
+        assert np.array_equal(taken[0], _loop_lattice(N)["link"][lattice.faces[guess]])
 
     def test_flipped_face_falls_back_to_scan(self, readme_image):
         m, Y = readme_image
