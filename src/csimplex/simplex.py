@@ -133,7 +133,9 @@ class _Lattice:
       directions, in index order;
     - the vertex index sets ``corner_idx``, ``edge_idx`` (per axis a: the
       vertices whose coordinate a is zero, and those of them that are no
-      corner) and ``interior_idx``, and the directions' norms ``unorm``.
+      corner) and ``interior_idx``, and the directions' norms ``unorm``;
+    - ``zero_idx``: the flat indices into ``directions`` of its zero
+      coordinates.
 
     ``incidence`` is the one neighbour table: a face's one-ring and a
     vertex's star are gathered from it (see ring and _ImageMesh.locate).
@@ -154,6 +156,7 @@ class _Lattice:
         self.corner_idx = np.nonzero(corner)[0]
         self.edge_idx = tuple((np.nonzero(on)[0], np.nonzero(on & ~corner)[0]) for on in U.T == 0.0)
         self.interior_idx = np.nonzero(np.min(U, axis=1) > 0.0)[0]
+        self.zero_idx = np.flatnonzero(U == 0.0)
         self.queries = np.ascontiguousarray(U[self.interior_idx, :2].T)
         for table in [*vars(self).values(), *(idx for edge in self.edge_idx for idx in edge)]:
             if isinstance(table, np.ndarray):
@@ -293,7 +296,7 @@ class SimplexMesh:
         """
         from .manifolds import ManifoldError  # manifolds imports this module
 
-        image = _ImageMesh(m(self.vertices), self.lattice, self.radii)
+        image = _ImageMesh(m, self.lattice, self.radii)
         if not image.embedded:
             raise ManifoldError("the image of the mesh under T is not embedded")
         return image
@@ -405,24 +408,26 @@ def _runs(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return run, np.arange(run.size, dtype=run.dtype) - (np.cumsum(count, dtype=run.dtype) - count)[run]
 
 
-def _image(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate sums s and directions Y / s of the image points Y, both NaN
-    where s is not a normal positive float (a map that is NaN, overflows or
-    underflows to the origin there), so that 1 / s is finite elsewhere."""
-    s = Y[:, 0] + Y[:, 1] + Y[:, 2]
+def _image(Y: np.ndarray, s: np.ndarray, D: np.ndarray) -> None:
+    """Fill s and D with the coordinate sums and directions Y / s of the
+    image points Y, both NaN where s is not a normal positive float (a map
+    that is NaN, overflows or underflows to the origin there), so that 1 / s
+    is finite elsewhere."""
+    np.add(Y[:, 0], Y[:, 1], out=s)
+    s += Y[:, 2]
     bad = ~((s >= np.finfo(float).tiny) & (s < np.inf))
     if np.any(bad):
         Y = np.where(bad[:, None], np.nan, Y)
-        s = np.where(bad, np.nan, s)
-    return s, Y / s[:, None]
+        s[bad] = np.nan
+    np.divide(Y, s[:, None], out=D)
 
 
 class _ImageMesh:
-    """_ImageMesh(Y, lattice, radii): the images Y under T of the vertices
-    of the mesh with the given radii on the _Lattice, seen as the triangles
-    of their directions: image face f has the image directions of the
-    corners of lattice face f.  The graph transform's sweep finds its rays
-    among these faces, and as the PL inverse of T on a mesh
+    """_ImageMesh(m, lattice, radii): the images under the map m of the
+    vertices of the mesh with the given radii on the _Lattice, seen as the
+    triangles of their directions: image face f has the image directions of
+    the corners of lattice face f.  The graph transform's sweep finds its
+    rays among these faces, and as the PL inverse of T on a mesh
     (SimplexMesh.pull_back) the object maps points back onto the mesh.
 
     ``s`` and ``D`` are the images' coordinate sums and directions (see
@@ -430,6 +435,11 @@ class _ImageMesh:
     ``edges`` (7, F) holds per face its first corner, its edges e1 and e2
     from that corner and twice its signed area (1e-300 where that is 0, so
     that the weights of a flat face are defined).
+
+    __init__ allocates these arrays, the map's input rows and scratch rows,
+    then fills them; fill(m, radii) refills them all in place and drops the
+    cached _buckets.  The graph transform builds one image per
+    compute_carrying_simplex call and refills it every sweep (see _sweep).
 
     Embedding.  ``embedded`` holds when every rim vertex of the lattice maps
     onto its edge of the simplex (its zero coordinates stay exactly zero)
@@ -446,29 +456,51 @@ class _ImageMesh:
     face is outside every other.
     """
 
-    def __init__(self, Y, lattice: _Lattice, radii):
-        self.lattice, self.radii = lattice, radii
-        self.s, self.D = _image(Y)
-        self.P = np.ascontiguousarray(self.D[:, :2].T)
-        # filled in place, corner by corner; np.take is much faster here than indexing
-        self.edges = np.empty((7, lattice.faces.shape[0]))
-        t0, e1, e2, d = self.edges[:2], self.edges[2:4], self.edges[4:6], self.edges[6]
-        t0[...] = np.take(self.P, lattice.faces[:, 0], axis=1)
-        np.subtract(np.take(self.P, lattice.faces[:, 1], axis=1), t0, out=e1)
-        np.subtract(np.take(self.P, lattice.faces[:, 2], axis=1), t0, out=e2)
-        np.subtract(e1[0] * e2[1], e2[0] * e1[1], out=d)
-        sx, sy = np.abs(e1) + np.abs(e2)
-        self.embedded = bool(
-            np.all(Y[lattice.directions == 0.0] == 0.0)
-            and np.all(_WARM_EPS * d > _ROUNDING * (6.0 * sx * sy + 1e-9 * (sx + sy)))
-        )
-        self.diam = np.max(sx + sy)  # bounds every face's diameter
+    def __init__(self, m, lattice: _Lattice, radii):
+        self.lattice = lattice
+        M, F, Q = lattice.directions.shape[0], lattice.faces.shape[0], lattice.queries.shape[1]
+        self.s, self.D, self.P, self.edges = np.empty(M), np.empty((M, 3)), np.empty((2, M)), np.empty((7, F))
+        # scratch: the map's input, the face corners, a sweep's per-ray gathers
+        self._X, self._rows = np.empty((M, 3)), np.empty((F, 3))
+        self._gather, self._corners = np.empty((7, Q)), np.empty((Q, 3), dtype=np.intp)
+        self.fill(m, radii)
+
+    def fill(self, m, radii) -> "_ImageMesh":
+        """Refill the image in place with the images under m of the vertices
+        of the mesh with the given radii; returns the image."""
+        lattice, P, edges = self.lattice, self.P, self.edges
+        self.radii = radii
+        self.__dict__.pop("_buckets", None)
+        Y = m(np.multiply(radii[:, None], lattice.directions, out=self._X))
+        _image(Y, self.s, self.D)
+        np.copyto(P, self.D[:, :2].T)
+        # by coordinate; np.take beats indexing, and with mode "clip" fills out
+        for k in (0, 1):
+            np.take(P[k], lattice.faces, out=self._rows, mode="clip")
+            edges[k] = self._rows[:, 0]
+            np.subtract(self._rows[:, 1], self._rows[:, 0], out=edges[2 + k])
+            np.subtract(self._rows[:, 2], self._rows[:, 0], out=edges[4 + k])
+        e1x, e1y, e2x, e2y, d = edges[2:]
+        a, b, c = self._rows.reshape(3, -1)
+        np.subtract(np.multiply(e1x, e2y, out=a), np.multiply(e2x, e1y, out=b), out=d)
+        sx = np.add(np.abs(e1x, out=a), np.abs(e2x, out=b), out=a)
+        sy = np.add(np.abs(e1y, out=b), np.abs(e2y, out=c), out=b)
+        self.diam = np.max(np.add(sx, sy, out=c))  # bounds every face's diameter
+        self.embedded = bool(np.all(np.take(Y, lattice.zero_idx) == 0.0))
+        if self.embedded:  # _ROUNDING (6 sx sy + 1e-9 (sx + sy)) < _WARM_EPS d
+            np.multiply(np.multiply(sx, 6.0, out=sx), sy, out=sx)
+            np.multiply(np.add(sx, np.multiply(c, 1e-9, out=c), out=sx), _ROUNDING, out=sx)
+            self.embedded = bool(np.all(np.multiply(d, _WARM_EPS, out=b) > sx))
         d[d == 0.0] = 1e-300
+        return self
 
     def _weights(self, q, faces):
         """Barycentric weights (c0, c1, c2) of directions q (2, ...) in the
         image faces (...), with the smallest of them."""
-        x0, y0, e1x, e1y, e2x, e2y, d = np.take(self.edges, faces, axis=1)
+        # a sweep's one face per ray gathers into a buffer; the method is
+        # cheaper per call than np.take
+        out = self._gather if faces.shape == self._gather.shape[1:] else None
+        x0, y0, e1x, e1y, e2x, e2y, d = self.edges.take(faces, axis=1, out=out, mode="clip")
         r0 = q[0] - x0
         r1 = q[1] - y0
         c1 = (r0 * e2y - e2x * r1) / d
@@ -709,12 +741,16 @@ class _ImageMesh:
         return self.pull(np.atleast_2d(np.asarray(X, dtype=float)))[0]
 
 
-def _sweep(m: CompetitiveMap, lattice: _Lattice, radii: np.ndarray, face: np.ndarray | None):
+def _sweep(m: CompetitiveMap, lattice: _Lattice, radii: np.ndarray, face: np.ndarray | None,
+           image: "_ImageMesh | None", new: np.ndarray):
     """One graph-transform sweep: map the surface forward and re-sample it
-    radially, finding the interior rays from ``face``, the previous sweep's
-    faces (None at the first sweep; see _ImageMesh.find).
+    radially into ``new``, finding the interior rays from ``face``, the
+    previous sweep's faces (None at the first sweep; see _ImageMesh.find).
+    It refills ``image``, which the call's first sweep builds (image None),
+    writes every entry of ``new`` and gathers into the image's buffers, so
+    no array outlives compute_carrying_simplex but the radii it returns.
 
-    Returns (new radii, the rays whose new radius is NaN, this sweep's
+    Returns (the image, the rays whose new radius is NaN, this sweep's
     faces, the number of rays scanned).  A finite image maps the lattice's
     rim onto the simplex's edges, so its faces cover every interior
     direction; a ray that misses, or a rim ray whose interpolation touches
@@ -722,9 +758,9 @@ def _sweep(m: CompetitiveMap, lattice: _Lattice, radii: np.ndarray, face: np.nda
     and its radius is NaN.
     """
     U = lattice.directions
-    image = _ImageMesh(m(radii[:, None] * U), lattice, radii)
+    image = _ImageMesh(m, lattice, radii) if image is None else image.fill(m, radii)
     s, D = image.s, image.D
-    new = np.full_like(radii, np.nan)
+    new.fill(np.nan)
 
     # corners: the axis dynamics is 1-D, the image stays on the axis
     new[lattice.corner_idx] = s[lattice.corner_idx]
@@ -738,15 +774,16 @@ def _sweep(m: CompetitiveMap, lattice: _Lattice, radii: np.ndarray, face: np.nda
 
     # interior: 2-D point location among image-direction triangles
     face, best_bary, ok, scanned = image.find(lattice.queries, face)
-    face_pick = face
+    face_pick, rays = face, lattice.interior_idx
     if not ok.all():
-        face_pick, best_bary = face[ok], best_bary[ok]
-    c = np.clip(best_bary, 0.0, None)
+        face_pick, best_bary, rays = face[ok], best_bary[ok], rays[ok]
+    c = np.clip(best_bary, 0.0, None, out=best_bary)  # find's weights are a new array
     # rows are summed left to right, as sum(axis=1) does, but faster
     c /= (c[:, 0] + c[:, 1] + c[:, 2])[:, None]
-    c /= np.take(s, np.take(lattice.faces, face_pick, axis=0))
-    new[lattice.interior_idx[ok]] = 1.0 / (c[:, 0] + c[:, 1] + c[:, 2])
-    return new, np.nonzero(np.isnan(new))[0], face, scanned
+    corners = np.take(lattice.faces, face_pick, axis=0, out=image._corners[: face_pick.size], mode="clip")
+    c /= np.take(s, corners, out=image._rows[: face_pick.size], mode="clip")
+    new[rays] = 1.0 / (c[:, 0] + c[:, 1] + c[:, 2])
+    return image, np.nonzero(np.isnan(new))[0], face, scanned
 
 
 def _rim_radii(alpha: np.ndarray, s: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -807,15 +844,17 @@ def compute_carrying_simplex(
     flagged = np.empty(0, dtype=np.intp)
     residual = float("inf")
     sweeps = full_scans = 0
-    face = None
+    image = face = None
+    new = np.empty_like(radii)  # the sweeps swap the two radii buffers
     for sweeps in range(1, max_iters + 1):
-        new, flagged, face, scanned = _sweep(m, lattice, radii, face)
+        image, flagged, face, scanned = _sweep(m, lattice, radii, face, image, new)
         full_scans += scanned > 0
         residual = float(np.max(np.abs(new - radii) * lattice.unorm))
-        radii = new
+        radii, new = new, radii
         history.append(residual)
         if residual < tol or not np.isfinite(residual):
             break
+    del image, new  # a raised error's traceback keeps no sweep buffer alive
     mesh = SimplexMesh(
         resolution=resolution,
         radii=radii,

@@ -109,7 +109,8 @@ def _loop_lattice(N):
     the one-ring of each face (the set of faces that share a vertex with
     it), the interior directions as queries (2, Q), the corner, edge (per axis:
     the vertices on that edge, and those of them that are no corner) and
-    interior index sets, and the directions' norms."""
+    interior index sets, the directions' norms and the flat indices of their
+    zero coordinates."""
     offset = [i * (N + 1) - i * (i - 1) // 2 for i in range(N + 2)]
     ijk = [(i, j, N - i - j) for i in range(N + 1) for j in range(N + 1 - i)]
     U = np.asarray(ijk, dtype=float) / N
@@ -154,6 +155,8 @@ def _loop_lattice(N):
         "edge_idx": edges,
         "interior_idx": index(lambda c: min(c) > 0),
         "unorm": np.asarray([math.sqrt(a * a + b * b + c * c) for a, b, c in U]),
+        "zero_idx": np.asarray([3 * v + a for v, c in enumerate(ijk) for a in range(3) if c[a] == 0],
+                               dtype=np.intp),
     }
 
 
@@ -191,7 +194,7 @@ def test_lattice_builders_match_loop_reference(N):
 def test_lattice_holds_only_its_listed_tables():
     """_Lattice holds exactly the array tables its docstring lists, and at
     N=128 they take under 1.3 MB (2.07 MB with the star rims kept as a
-    second neighbour table)."""
+    second neighbour table; the zero coordinates' flat indices take 3 KB)."""
     lattice = _lattice(128)
     listed = set(re.findall(r"``(\w+)``", simplex._Lattice.__doc__))
     tables = {name for name, t in vars(lattice).items() if isinstance(t, (np.ndarray, tuple))}
@@ -390,7 +393,7 @@ class TestLocateInterior:
             # the image rim passes 1e-9 inside the outermost queries, which
             # lie outside every face but within the found tolerance
             D = 1.0 / 3.0 + (1.0 - 3.0 * (1.0 / N + 1e-9)) * (D - 1.0 / 3.0)
-        image = _ImageMesh(np.column_stack([D, 1.0 - D.sum(axis=1)]), _lattice(N), np.ones(U.shape[0]))
+        image = image_of(_lattice(N), np.column_stack([D, 1.0 - D.sum(axis=1)]))
         P = image.P
         q, out = self.queries(P, N, rng)
         face, bary, found = image._scan(q)
@@ -418,7 +421,7 @@ def readme_ricker():
 
 def image_of(lattice, Y):
     """The _ImageMesh of vertex images Y on a _Lattice."""
-    return _ImageMesh(Y, lattice, np.ones(lattice.directions.shape[0]))
+    return _ImageMesh(lambda X: Y, lattice, np.ones(lattice.directions.shape[0]))
 
 
 class TestWarmLocator:
