@@ -408,18 +408,18 @@ def _runs(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return run, np.arange(run.size, dtype=run.dtype) - (np.cumsum(count, dtype=run.dtype) - count)[run]
 
 
-def _image(Y: np.ndarray, s: np.ndarray, D: np.ndarray) -> None:
-    """Fill s and D with the coordinate sums and directions Y / s of the
-    image points Y, both NaN where s is not a normal positive float (a map
-    that is NaN, overflows or underflows to the origin there), so that 1 / s
-    is finite elsewhere."""
+def _image(Y: np.ndarray, s: np.ndarray, P: np.ndarray) -> None:
+    """Fill s and P (2, M) with the coordinate sums and the first two
+    coordinates of the directions Y / s of the image points Y, both NaN where
+    s is not a normal positive float (a map that is NaN, overflows or
+    underflows to the origin there), so that 1 / s is finite elsewhere."""
     np.add(Y[:, 0], Y[:, 1], out=s)
     s += Y[:, 2]
     bad = ~((s >= np.finfo(float).tiny) & (s < np.inf))
     if np.any(bad):
         Y = np.where(bad[:, None], np.nan, Y)
         s[bad] = np.nan
-    np.divide(Y, s[:, None], out=D)
+    np.divide(Y[:, :2].T, s, out=P)
 
 
 class _ImageMesh:
@@ -430,8 +430,8 @@ class _ImageMesh:
     rays among these faces, and as the PL inverse of T on a mesh
     (SimplexMesh.pull_back) the object maps points back onto the mesh.
 
-    ``s`` and ``D`` are the images' coordinate sums and directions (see
-    _image), ``P`` (2, M) the directions' first two coordinates, and
+    ``s`` holds the images' coordinate sums and ``P`` (2, M) the first two
+    coordinates of their directions (see _image), and
     ``edges`` (7, F) holds per face its first corner, its edges e1 and e2
     from that corner and twice its signed area (1e-300 where that is 0, so
     that the weights of a flat face are defined).
@@ -459,7 +459,7 @@ class _ImageMesh:
     def __init__(self, m, lattice: _Lattice, radii):
         self.lattice = lattice
         M, F, Q = lattice.directions.shape[0], lattice.faces.shape[0], lattice.queries.shape[1]
-        self.s, self.D, self.P, self.edges = np.empty(M), np.empty((M, 3)), np.empty((2, M)), np.empty((7, F))
+        self.s, self.P, self.edges = np.empty(M), np.empty((2, M)), np.empty((7, F))
         # scratch: the map's input, the face corners, a sweep's per-ray gathers
         self._X, self._rows = np.empty((M, 3)), np.empty((F, 3))
         self._gather, self._corners = np.empty((7, Q)), np.empty((Q, 3), dtype=np.intp)
@@ -472,8 +472,7 @@ class _ImageMesh:
         self.radii = radii
         self.__dict__.pop("_buckets", None)
         Y = m(np.multiply(radii[:, None], lattice.directions, out=self._X))
-        _image(Y, self.s, self.D)
-        np.copyto(P, self.D[:, :2].T)
+        _image(Y, self.s, P)
         # by coordinate; np.take beats indexing, and with mode "clip" fills out
         for k in (0, 1):
             np.take(P[k], lattice.faces, out=self._rows, mode="clip")
@@ -759,7 +758,7 @@ def _sweep(m: CompetitiveMap, lattice: _Lattice, radii: np.ndarray, face: np.nda
     """
     U = lattice.directions
     image = _ImageMesh(m, lattice, radii) if image is None else image.fill(m, radii)
-    s, D = image.s, image.D
+    s, P = image.s, image.P
     new.fill(np.nan)
 
     # corners: the axis dynamics is 1-D, the image stays on the axis
@@ -770,7 +769,7 @@ def _sweep(m: CompetitiveMap, lattice: _Lattice, radii: np.ndarray, face: np.nda
         if query_idx.size == 0:
             continue
         param_axis = 0 if axis != 0 else 1
-        new[query_idx] = _rim_radii(D[full_idx, param_axis], s[full_idx], U[query_idx, param_axis])
+        new[query_idx] = _rim_radii(P[param_axis, full_idx], s[full_idx], U[query_idx, param_axis])
 
     # interior: 2-D point location among image-direction triangles
     face, best_bary, ok, scanned = image.find(lattice.queries, face)

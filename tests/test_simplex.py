@@ -5,6 +5,7 @@ import json
 import math
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -614,6 +615,17 @@ class TestWarmLocator:
         assert "full_scans" not in mesh.to_json()
 
 
+def holed_map(lg):
+    """The map lg, NaN where x1 > 0.3 and x2 > 0.2."""
+
+    def growth(x):
+        x = np.asarray(x, dtype=float)
+        hole = (x[..., 0] > 0.3) & (x[..., 1] > 0.2)
+        return np.where(hole[..., None], np.nan, lg.growth(x))
+
+    return make_custom(3, growth, lg.growth_jacobian)
+
+
 class TestConvergence:
     def test_symmetric_control_is_the_plane(self, symmetric_lg, symmetric_mesh):
         # oracle: T maps the plane sum(x) = 1 into itself
@@ -652,13 +664,7 @@ class TestConvergence:
         first sweep leaves the rays under the hole uncovered, the rim rays
         on the edge x3 = 0 among them, and the transform stops there instead
         of iterating to max_iters."""
-
-        def growth(x):
-            x = np.asarray(x, dtype=float)
-            hole = (x[..., 0] > 0.3) & (x[..., 1] > 0.2)
-            return np.where(hole[..., None], np.nan, class19_lg.growth(x))
-
-        m = make_custom(3, growth, class19_lg.growth_jacobian)
+        m = holed_map(class19_lg)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonConvergenceError) as err:
@@ -690,6 +696,159 @@ class TestConvergence:
         coarse_r = coarse.radii * np.linalg.norm(shared, axis=1)
         h = coarse.max_edge_length()
         assert np.max(np.abs(fine_at_shared - coarse_r)) < h
+
+
+def _allocating_image(Y, lattice):
+    """s, D, P, edges, embedded and diam of the image points Y, each a new
+    array, computed as _ImageMesh computed them before it filled buffers in
+    place (D holds the image directions, which P now holds alone)."""
+    s = Y[:, 0] + Y[:, 1] + Y[:, 2]
+    bad = ~((s >= np.finfo(float).tiny) & (s < np.inf))
+    D = np.where(bad[:, None], np.nan, Y) / np.where(bad, np.nan, s)[:, None]
+    s = np.where(bad, np.nan, s)
+    P = np.ascontiguousarray(D[:, :2].T)
+    corner = np.take(P, lattice.faces.T, axis=1)  # (coordinate, corner, face)
+    e1, e2 = corner[:, 1] - corner[:, 0], corner[:, 2] - corner[:, 0]
+    d = e1[0] * e2[1] - e2[0] * e1[1]
+    sx, sy = np.abs(e1) + np.abs(e2)
+    embedded = bool(
+        np.all(Y[lattice.directions == 0.0] == 0.0)
+        and np.all(simplex._WARM_EPS * d > simplex._ROUNDING * (6.0 * sx * sy + 1e-9 * (sx + sy)))
+    )
+    diam = np.max(sx + sy)
+    d[d == 0.0] = 1e-300
+    return s, D, P, np.concatenate([corner[:, 0], e1, e2, d[None]]), embedded, diam
+
+
+def _allocating_transform(m, N, max_iters=simplex.DEFAULT_MAX_ITERS):
+    """The graph transform at tol 1e-8 as a loop that allocates its arrays
+    afresh every sweep: a new _ImageMesh, whose arrays must equal
+    _allocating_image's, and new radii.  Returns (radii, residual history,
+    sweeps, flagged rays, full scans)."""
+    lattice = _lattice(N)
+    U = lattice.directions
+    radii = 1.0 / (U / axial_caps(m)[None, :]).sum(axis=1)
+    history, flagged, face, full_scans, sweeps = [], np.empty(0, dtype=np.intp), None, 0, 0
+    for sweeps in range(1, max_iters + 1):
+        image = _ImageMesh(m, lattice, radii)
+        s, D, *want = _allocating_image(m(radii[:, None] * U), lattice)
+        for got, w in zip([image.s, image.P, image.edges, image.embedded, image.diam], [s, *want]):
+            assert np.array_equal(got, w, equal_nan=True)
+        new = np.full_like(radii, np.nan)
+        new[lattice.corner_idx] = s[lattice.corner_idx]
+        for axis, (full_idx, query_idx) in enumerate(lattice.edge_idx):
+            if query_idx.size:
+                p = 1 if axis == 0 else 0
+                new[query_idx] = simplex._rim_radii(D[full_idx, p], s[full_idx], U[query_idx, p])
+        face, bary, ok, scanned = image.find(lattice.queries, face)
+        c = np.clip(bary[ok], 0.0, None)
+        c /= (c[:, 0] + c[:, 1] + c[:, 2])[:, None]
+        c /= s[lattice.faces[face[ok]]]
+        new[lattice.interior_idx[ok]] = 1.0 / (c[:, 0] + c[:, 1] + c[:, 2])
+        full_scans += scanned > 0
+        residual = float(np.max(np.abs(new - radii) * lattice.unorm))
+        radii, flagged = new, np.nonzero(np.isnan(new))[0]
+        history.append(residual)
+        if residual < 1e-8 or not np.isfinite(residual):
+            break
+    return radii, history, sweeps, flagged, full_scans
+
+
+def assert_allocating_mesh(mesh, m, N, max_iters=simplex.DEFAULT_MAX_ITERS):
+    """The mesh is _allocating_transform's, bit for bit, and owns its radii."""
+    radii, history, sweeps, flagged, full_scans = _allocating_transform(m, N, max_iters)
+    assert mesh.radii.tobytes() == radii.tobytes()
+    assert np.array_equal(mesh.residual_history, history, equal_nan=True)
+    assert (mesh.sweeps, mesh.full_scans) == (sweeps, full_scans)
+    assert np.array_equal(mesh.flagged, flagged)
+    assert mesh.radii.base is None and mesh.radii.flags.owndata
+
+
+class TestSweepBuffers:
+    """compute_carrying_simplex refills one _ImageMesh and two radii buffers
+    per call instead of allocating its arrays every sweep."""
+
+    @pytest.mark.parametrize("N", [32, 64, 128])
+    def test_readme_matches_allocating_loop(self, N):
+        m = readme_ricker()
+        assert_allocating_mesh(compute_carrying_simplex(m, resolution=N, tol=1e-8), m, N)
+
+    @pytest.mark.parametrize("kind", ["leslie_gower", "atkinson_allen", "ricker"])
+    def test_anchors_match_allocating_loop(self, kind):
+        for _, A in ANCHOR_MATRICES:
+            m = build_model(kind, A)
+            assert_allocating_mesh(compute_carrying_simplex(m, resolution=32, tol=1e-8), m, 32)
+
+    def test_flagged_mesh_matches_allocating_loop(self, class19_lg):
+        m = holed_map(class19_lg)
+        with pytest.raises(NonConvergenceError) as err:
+            compute_carrying_simplex(m, resolution=32, tol=1e-8)
+        assert err.value.mesh.flagged.size > 0
+        assert_allocating_mesh(err.value.mesh, m, 32)
+
+    def test_unconverged_mesh_matches_allocating_loop(self):
+        m = readme_ricker()
+        with pytest.raises(NonConvergenceError) as err:
+            compute_carrying_simplex(m, resolution=64, tol=1e-8, max_iters=2)
+        assert_allocating_mesh(err.value.mesh, m, 64, max_iters=2)
+
+    def test_back_to_back_calls_share_no_state(self, class19_lg):
+        """Different maps, different N and the same map twice, one call
+        after another: each mesh is the one a lone call computes, and no two
+        share memory."""
+        m = readme_ricker()
+        calls = [(m, 32), (class19_lg, 64), (m, 32), (m, 32)]
+        meshes = [compute_carrying_simplex(mm, resolution=N, tol=1e-8) for mm, N in calls]
+        for mesh, (mm, N) in zip(meshes, calls):
+            assert_allocating_mesh(mesh, mm, N)
+        for a, b in zip(meshes, meshes[1:]):
+            assert not np.shares_memory(a.radii, b.radii)
+
+    def test_no_sweep_buffer_outlives_the_call(self, monkeypatch):
+        """Every sweep of a call refills one image, and nothing holds it once
+        the call returns or raises, not even the error's traceback."""
+        images = []
+        sweep = simplex._sweep
+
+        def recorded(*args):
+            got = sweep(*args)
+            images.append((id(got[0]), weakref.ref(got[0])))
+            return got
+
+        monkeypatch.setattr(simplex, "_sweep", recorded)
+        m = readme_ricker()
+        mesh = compute_carrying_simplex(m, resolution=32, tol=1e-8)
+        assert len(images) == mesh.sweeps and len({key for key, _ in images}) == 1
+        assert images[0][1]() is None
+        images.clear()
+        with pytest.raises(NonConvergenceError) as err:
+            compute_carrying_simplex(m, resolution=32, tol=1e-8, max_iters=2)
+        assert err.value.mesh.sweeps == 2 and len({key for key, _ in images}) == 1
+        assert images[0][1]() is None
+
+    def test_pull_back_image_equals_the_refilled_sweep_image(self, monkeypatch):
+        """SimplexMesh.pull_back builds its image with the fill that a sweep
+        refills the call's image with: refilled at the converged radii, the
+        last sweep's image has the pull-back image's arrays, and the refill
+        drops its cached buckets, so its buckets and scan are those of the
+        pull-back image too."""
+        swept = []
+        sweep = simplex._sweep
+        monkeypatch.setattr(simplex, "_sweep", lambda *args: swept.append(sweep(*args)) or swept[-1])
+        m = readme_ricker()
+        mesh = compute_carrying_simplex(m, resolution=64, tol=1e-8)
+        image, _, face, _ = swept[-1]
+        lattice = mesh.lattice
+        image._buckets  # cached for the previous radii
+        assert sweep(m, lattice, mesh.radii, face, image, np.empty_like(mesh.radii))[0] is image
+        pulled = mesh.pull_back(m)
+        assert image.radii is mesh.radii
+        for name in ["s", "P", "edges", "embedded", "diam"]:
+            assert np.array_equal(getattr(image, name), getattr(pulled, name)), name
+        for got, want in zip(image._buckets, pulled._buckets):
+            assert np.array_equal(got, want)
+        for got, want in zip(image._scan(lattice.queries), pulled._scan(lattice.queries)):
+            assert np.array_equal(got, want)
 
 
 class TestRadialProject:
