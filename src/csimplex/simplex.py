@@ -436,10 +436,10 @@ class _ImageMesh:
     from that corner and twice its signed area (1e-300 where that is 0, so
     that the weights of a flat face are defined).
 
-    __init__ allocates these arrays, the map's input rows and scratch rows,
-    then fills them; fill(m, radii) refills them all in place and drops the
-    cached _buckets.  The graph transform builds one image per
-    compute_carrying_simplex call and refills it every sweep (see _sweep).
+    __init__ allocates these arrays and its scratch rows, then fills them;
+    fill(m, radii) refills them all in place and drops the cached _buckets.
+    The graph transform builds one image per compute_carrying_simplex call,
+    refills it every sweep and lets it go on return (see _sweep).
 
     Embedding.  ``embedded`` holds when every rim vertex of the lattice maps
     onto its edge of the simplex (its zero coordinates stay exactly zero)
@@ -460,9 +460,11 @@ class _ImageMesh:
         self.lattice = lattice
         M, F, Q = lattice.directions.shape[0], lattice.faces.shape[0], lattice.queries.shape[1]
         self.s, self.P, self.edges = np.empty(M), np.empty((2, M)), np.empty((7, F))
-        # scratch: the map's input, the face corners, a sweep's per-ray gathers
-        self._X, self._rows = np.empty((M, 3)), np.empty((F, 3))
-        self._gather, self._corners = np.empty((7, Q)), np.empty((Q, 3), dtype=np.intp)
+        # the faces' corners by corner, so that a gather fills whole rows; scratch:
+        # the map's input, per-face rows, a sweep's per-ray edges, corners and sums
+        self._corners = np.ascontiguousarray(lattice.faces.T)
+        self._X, self._rows, self._gather = np.empty((M, 3)), np.empty((3, F)), np.empty((7, Q))
+        self._ray_corners, self._ray_s = np.empty((3, Q), dtype=np.intp), np.empty((3, Q))
         self.fill(m, radii)
 
     def fill(self, m, radii) -> "_ImageMesh":
@@ -473,14 +475,13 @@ class _ImageMesh:
         self.__dict__.pop("_buckets", None)
         Y = m(np.multiply(radii[:, None], lattice.directions, out=self._X))
         _image(Y, self.s, P)
-        # by coordinate; np.take beats indexing, and with mode "clip" fills out
-        for k in (0, 1):
-            np.take(P[k], lattice.faces, out=self._rows, mode="clip")
-            edges[k] = self._rows[:, 0]
-            np.subtract(self._rows[:, 1], self._rows[:, 0], out=edges[2 + k])
-            np.subtract(self._rows[:, 2], self._rows[:, 0], out=edges[4 + k])
+        # np.take beats indexing, and with mode "clip" fills out
+        t0, corners = edges[:2], self._corners
+        np.take(P, corners[0], axis=1, out=t0, mode="clip")
+        np.subtract(np.take(P, corners[1], axis=1, out=edges[2:4], mode="clip"), t0, out=edges[2:4])
+        np.subtract(np.take(P, corners[2], axis=1, out=edges[4:6], mode="clip"), t0, out=edges[4:6])
         e1x, e1y, e2x, e2y, d = edges[2:]
-        a, b, c = self._rows.reshape(3, -1)
+        a, b, c = self._rows
         np.subtract(np.multiply(e1x, e2y, out=a), np.multiply(e2x, e1y, out=b), out=d)
         sx = np.add(np.abs(e1x, out=a), np.abs(e2x, out=b), out=a)
         sy = np.add(np.abs(e1y, out=b), np.abs(e2y, out=c), out=b)
@@ -538,7 +539,7 @@ class _ImageMesh:
         faces.
         """
         c, low = self._weights(q, guess)
-        bary = np.empty((low.size, 3))  # the columns c, as np.stack(c, axis=1) at less cost
+        bary = np.empty((3, low.size)).T  # the columns c, as np.stack(c, axis=1) at less cost
         bary[:, 0], bary[:, 1], bary[:, 2] = c
         certified = low > _WARM_EPS
         if certified.all():
@@ -612,7 +613,7 @@ class _ImageMesh:
         outside [0, N) count in the cell at their end of the range, and a
         box with a NaN corner is in no cell."""
         N = self.lattice.N
-        box = np.take(self.P, self.lattice.faces.T, axis=1)  # (coordinate, corner, face)
+        box = np.take(self.P, self._corners, axis=1)  # (coordinate, corner, face)
         box = np.concatenate([box.min(axis=1), box.max(axis=1)]) * N
         pad = 1e-5 * (box[2:] - box[:2]) + 1e-9
         box[:2] -= pad
@@ -664,7 +665,7 @@ class _ImageMesh:
         found = best >= -_FOUND_TOL
         face[~found] = 0
         c = self._weights(q, face)[0]
-        bary = np.empty((m, 3))
+        bary = np.empty((3, m)).T  # as in locate
         bary[:, 0], bary[:, 1], bary[:, 2] = c
         return face, bary, found
 
@@ -773,15 +774,16 @@ def _sweep(m: CompetitiveMap, lattice: _Lattice, radii: np.ndarray, face: np.nda
 
     # interior: 2-D point location among image-direction triangles
     face, best_bary, ok, scanned = image.find(lattice.queries, face)
-    face_pick, rays = face, lattice.interior_idx
+    face_pick, rays, c = face, lattice.interior_idx, best_bary.T  # find's new weights by column
     if not ok.all():
-        face_pick, best_bary, rays = face[ok], best_bary[ok], rays[ok]
-    c = np.clip(best_bary, 0.0, None, out=best_bary)  # find's weights are a new array
-    # rows are summed left to right, as sum(axis=1) does, but faster
-    c /= (c[:, 0] + c[:, 1] + c[:, 2])[:, None]
-    corners = np.take(lattice.faces, face_pick, axis=0, out=image._corners[: face_pick.size], mode="clip")
-    c /= np.take(s, corners, out=image._rows[: face_pick.size], mode="clip")
-    new[rays] = 1.0 / (c[:, 0] + c[:, 1] + c[:, 2])
+        face_pick, rays, c = face[ok], rays[ok], c[:, ok]
+    np.clip(c, 0.0, None, out=c)
+    # each ray's weights are summed left to right, as sum(axis=1) does
+    c /= c[0] + c[1] + c[2]
+    k = face_pick.size
+    corners = np.take(image._corners, face_pick, axis=1, out=image._ray_corners[:, :k], mode="clip")
+    c /= np.take(s, corners, out=image._ray_s[:, :k], mode="clip")
+    new[rays] = 1.0 / (c[0] + c[1] + c[2])
     return image, np.nonzero(np.isnan(new))[0], face, scanned
 
 
