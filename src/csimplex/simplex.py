@@ -436,8 +436,10 @@ class _ImageMesh:
     from that corner and twice its signed area (1e-300 where that is 0, so
     that the weights of a flat face are defined).
 
-    __init__ allocates these arrays and its scratch rows, then fills them;
+    __init__ allocates these arrays and its scratch, then fills them;
     fill(m, radii) refills them all in place and drops the cached _buckets.
+    The scratch is one block for steps that never overlap: the fill's map
+    input and rows, find's per-ray edges, the sweep tail's per-ray sums.
     The graph transform builds one image per compute_carrying_simplex call,
     refills it every sweep and lets it go on return (see _sweep).
 
@@ -460,11 +462,10 @@ class _ImageMesh:
         self.lattice = lattice
         M, F, Q = lattice.directions.shape[0], lattice.faces.shape[0], lattice.queries.shape[1]
         self.s, self.P, self.edges = np.empty(M), np.empty((2, M)), np.empty((7, F))
-        # the faces' corners by corner, so that a gather fills whole rows; scratch:
-        # the map's input, per-face rows, a sweep's per-ray edges, corners and sums
-        self._corners = np.ascontiguousarray(lattice.faces.T)
-        self._X, self._rows, self._gather = np.empty((M, 3)), np.empty((3, F)), np.empty((7, Q))
-        self._ray_corners, self._ray_s = np.empty((3, Q), dtype=np.intp), np.empty((3, Q))
+        self._corners = np.ascontiguousarray(lattice.faces.T)  # a gather fills whole rows
+        self._ray_corners, w = np.empty((3, Q), dtype=np.intp), np.empty(max(3 * M, 3 * F, 7 * Q))
+        self._X, self._rows, self._gather, self._ray_s = (
+            w[: a * b].reshape(a, b) for a, b in [(M, 3), (3, F), (7, Q), (3, Q)])
         self.fill(m, radii)
 
     def fill(self, m, radii) -> "_ImageMesh":
@@ -475,6 +476,7 @@ class _ImageMesh:
         self.__dict__.pop("_buckets", None)
         Y = m(np.multiply(radii[:, None], lattice.directions, out=self._X))
         _image(Y, self.s, P)
+        self.embedded = bool(np.all(np.take(Y, lattice.zero_idx) == 0.0))  # Y may be _X, under the rows
         # np.take beats indexing, and with mode "clip" fills out
         t0, corners = edges[:2], self._corners
         np.take(P, corners[0], axis=1, out=t0, mode="clip")
@@ -486,7 +488,6 @@ class _ImageMesh:
         sx = np.add(np.abs(e1x, out=a), np.abs(e2x, out=b), out=a)
         sy = np.add(np.abs(e1y, out=b), np.abs(e2y, out=c), out=b)
         self.diam = np.max(np.add(sx, sy, out=c))  # bounds every face's diameter
-        self.embedded = bool(np.all(np.take(Y, lattice.zero_idx) == 0.0))
         if self.embedded:  # _ROUNDING (6 sx sy + 1e-9 (sx + sy)) < _WARM_EPS d
             np.multiply(np.multiply(sx, 6.0, out=sx), sy, out=sx)
             np.multiply(np.add(sx, np.multiply(c, 1e-9, out=c), out=sx), _ROUNDING, out=sx)
@@ -497,16 +498,16 @@ class _ImageMesh:
     def _weights(self, q, faces):
         """Barycentric weights (c0, c1, c2) of directions q (2, ...) in the
         image faces (...), with the smallest of them."""
-        # a sweep's one face per ray gathers into a buffer; the method is
-        # cheaper per call than np.take
+        # a sweep's (Q,) faces gather into scratch (the method costs less than
+        # np.take); the weights are computed in, and returned as, gathered rows
         out = self._gather if faces.shape == self._gather.shape[1:] else None
         x0, y0, e1x, e1y, e2x, e2y, d = self.edges.take(faces, axis=1, out=out, mode="clip")
-        r0 = q[0] - x0
-        r1 = q[1] - y0
-        c1 = (r0 * e2y - e2x * r1) / d
-        c2 = (e1x * r1 - r0 * e1y) / d
-        c0 = 1.0 - c1 - c2
-        return (c0, c1, c2), np.minimum(np.minimum(c0, c1), c2)
+        r0, r1 = np.subtract(q[0], x0, out=x0), np.subtract(q[1], y0, out=y0)
+        # c1 = (r0 e2y - e2x r1) / d, c2 = (e1x r1 - r0 e1y) / d, c0 = 1 - c1 - c2
+        c1 = np.divide(np.subtract(r0 * e2y, np.multiply(e2x, r1, out=e2x), out=e2x), d, out=e2x)
+        c2 = np.divide(np.subtract(e1x * r1, np.multiply(r0, e1y, out=e1y), out=e1y), d, out=e1y)
+        c0 = np.subtract(np.subtract(1.0, c1, out=e1x), c2, out=e1x)
+        return (c0, c1, c2), np.minimum(np.minimum(c0, c1, out=d), c2, out=d)
 
     def locate(self, q: np.ndarray, guess: np.ndarray):
         """Face, barycentric weights (m, 3) and a certified mask (m,) for the
@@ -845,8 +846,7 @@ def compute_carrying_simplex(
     flagged = np.empty(0, dtype=np.intp)
     residual = float("inf")
     sweeps = full_scans = 0
-    image = face = None
-    new = np.empty_like(radii)  # the sweeps swap the two radii buffers
+    image, face, new = None, None, np.empty_like(radii)  # the sweeps swap two radii buffers
     for sweeps in range(1, max_iters + 1):
         image, flagged, face, scanned = _sweep(m, lattice, radii, face, image, new)
         full_scans += scanned > 0

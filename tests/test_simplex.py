@@ -792,6 +792,22 @@ class TestSweepBuffers:
             compute_carrying_simplex(m, resolution=64, tol=1e-8, max_iters=2)
         assert_allocating_mesh(err.value.mesh, m, 64, max_iters=2)
 
+    def test_map_that_returns_its_input_rows(self):
+        """A map may write its image into its input rows and return them.
+        Those rows share the image's scratch block with the rows of the
+        fill's rounding test, so the fill reads the image before it writes
+        them: the mesh is that of the map returning a new array."""
+        m = readme_ricker()
+
+        class InPlace:
+            n, params = m.n, m.params
+
+            def __call__(self, X):
+                X[...] = m(X)
+                return X
+
+        assert_allocating_mesh(compute_carrying_simplex(InPlace(), resolution=32, tol=1e-8), m, 32)
+
     def test_back_to_back_calls_share_no_state(self, class19_lg):
         """Different maps, different N and the same map twice, one call
         after another: each mesh is the one a lone call computes, and no two
