@@ -124,8 +124,9 @@ class _Lattice:
     stale, and every caller of _lattice(N) shares it, so its arrays are
     read-only.
 
-    - ``directions`` (barycentric_lattice) and ``faces``
-      (lattice_triangulation);
+    - ``directions`` (barycentric_lattice), ``corners`` (3, F): row k
+      holds corner k of every face of lattice_triangulation, and ``faces``
+      (F, 3), its transposed view;
     - ``incidence`` (M, 6): the faces incident to each vertex, ascending,
       padded by repeating the list from its start (every vertex lies on a
       face);
@@ -144,7 +145,8 @@ class _Lattice:
     def __init__(self, N: int):
         self.N = N
         self.directions = U = barycentric_lattice(N)
-        self.faces = F = lattice_triangulation(N)
+        self.corners = np.ascontiguousarray(lattice_triangulation(N).T)  # a gather fills whole rows
+        self.faces = F = self.corners.T
         vert = F.ravel()
         order = np.argsort(vert, kind="stable")  # face order kept per vertex
         counts = np.bincount(vert, minlength=U.shape[0])
@@ -437,7 +439,8 @@ class _ImageMesh:
     that the weights of a flat face are defined).
 
     __init__ allocates these arrays and its scratch, then fills them;
-    fill(m, radii) refills them all in place and drops the cached _buckets.
+    fill(m, radii) refills them all in place and drops the cached _buckets
+    and the faces that pull's carried step memoized (_face).
     The scratch is one block for steps that never overlap: the fill's map
     input and rows, find's per-ray edges, the sweep tail's per-ray sums.
     The graph transform builds one image per compute_carrying_simplex call,
@@ -462,7 +465,7 @@ class _ImageMesh:
         self.lattice = lattice
         M, F, Q = lattice.directions.shape[0], lattice.faces.shape[0], lattice.queries.shape[1]
         self.s, self.P, self.edges = np.empty(M), np.empty((2, M)), np.empty((7, F))
-        self._corners = np.ascontiguousarray(lattice.faces.T)  # a gather fills whole rows
+        self._corners = lattice.corners
         self._ray_corners, w = np.empty((3, Q), dtype=np.intp), np.empty(max(3 * M, 3 * F, 7 * Q))
         self._X, self._rows, self._gather, self._ray_s = (
             w[: a * b].reshape(a, b) for a, b in [(M, 3), (3, F), (7, Q), (3, Q)])
@@ -474,6 +477,7 @@ class _ImageMesh:
         lattice, P, edges = self.lattice, self.P, self.edges
         self.radii = radii
         self.__dict__.pop("_buckets", None)
+        self._face_memo = {}  # see _face
         Y = m(np.multiply(radii[:, None], lattice.directions, out=self._X))
         _image(Y, self.s, P)
         self.embedded = bool(np.all(np.take(Y, lattice.zero_idx) == 0.0))  # Y may be _X, under the rows
@@ -566,8 +570,9 @@ class _ImageMesh:
             star = stars.reshape(-1, 3, 6)  # (row, vertex, face)
             at = (faces[star] == own[:, :, None, None]).argmax(axis=-1)  # the vertex's corner
             # (coordinate, row, vertex, face, end): the opposite edges' ends, the corners
-            # after the vertex in cyclic order (corner k of face f is entry 3f + k of faces)
-            ends = np.take(self.P, np.take(faces, 3 * star[..., None] + _CORNERS_AFTER[at]), axis=1)
+            # after the vertex in cyclic order (corner k of face f is entry kF + f of corners)
+            corner = star[..., None] + faces.shape[0] * _CORNERS_AFTER[at]
+            ends = np.take(self.P, np.take(self._corners, corner), axis=1)
             a = ends[..., 0]
             e = ends[..., 1] - a
             r = q[:, :, None, None] - a
@@ -702,6 +707,42 @@ class _ImageMesh:
                 return self(np.append(v, 1.0 - v.sum())[None, :])[0]
         raise ManifoldError(f"the PL map has no fixed point near {x}")
 
+    def _face(self, f: int):
+        """Image face f in Python floats, as pull's carried step reads it: its
+        7 ``edges`` values, the directions of its lattice corners by
+        coordinate (3 rows, one entry per corner) and the corners' radii.
+        It is memoized per face until the next fill."""
+        memo = self._face_memo.get(f)
+        if memo is None:
+            corners = self.lattice.faces[f]
+            memo = self._face_memo[f] = (*self.edges[:, f].tolist(), self.lattice.directions[corners].T.tolist(),
+                                         self.radii[corners].tolist())
+        return memo
+
+    def _pull_carried(self, X: np.ndarray, faces: np.ndarray) -> np.ndarray | None:
+        """pull's result at the point rows X if every row has a finite
+        coordinate sum > 0 and is certified in its face (locate's rule 1),
+        else None.  Each row is computed in Python floats, by the float
+        operations of the array path in their order, so bit for bit."""
+        out = []
+        for (x0, x1, x2), f in zip(X.tolist(), faces.tolist()):
+            s = x0 + x1 + x2
+            if not 0.0 < s < math.inf:
+                return None
+            t0x, t0y, e1x, e1y, e2x, e2y, d, U, rho = self._face(f)
+            # as _weights computes them
+            r0, r1 = x0 / s - t0x, x1 / s - t0y
+            c1 = (r0 * e2y - e2x * r1) / d
+            c2 = (e1x * r1 - r0 * e1y) / d
+            c0 = 1.0 - c1 - c2
+            if not (c0 > _WARM_EPS and c1 > _WARM_EPS and c2 > _WARM_EPS):
+                return None
+            total = c0 + c1 + c2
+            b0, b1, b2 = c0 / total, c1 / total, c2 / total
+            den = b0 / rho[0] + b1 / rho[1] + b2 / rho[2]
+            out.append([(b0 * u0 + b1 * u1 + b2 * u2) / den for u0, u1, u2 in U])
+        return np.array(out).reshape(-1, 3)
+
     def pull(self, X: np.ndarray, faces: np.ndarray | None = None):
         """The PL inverse of T at the point rows X, a float array (m, 3) (see
         SimplexMesh.pull_back), with the image faces it used and the number
@@ -711,7 +752,19 @@ class _ImageMesh:
         returned are the faces to search from at the next step.  Raises
         ManifoldError, before it divides, unless every row is finite with a
         coordinate sum > 0 (see _row_sums), and when a row's direction lies
-        in no image face."""
+        in no image face.
+
+        Two paths give the same floats.  With faces given (a tracer's
+        carried faces), _pull_carried steps the rows one at a time in Python
+        floats, which for the one or two rows of a tracer step costs a
+        fraction of numpy's per-call overhead; it returns the faces given
+        and 0 misses.  Without faces, or when a row is refused or not
+        certified in its face, the whole call runs the array path: the row
+        check, find, and the harmonic combination of the face's corners."""
+        if faces is not None:
+            points = self._pull_carried(X, faces)
+            if points is not None:
+                return points, faces, 0
         sums = _row_sums(X)
         if sums is None:
             from .manifolds import ManifoldError  # manifolds imports this module

@@ -36,6 +36,7 @@ from csimplex.models import ParameterSet, make_custom, make_leslie_gower, make_r
 from csimplex.portrait import basin_raster
 from csimplex.simplex import (
     SimplexMesh,
+    _WARM_EPS,
     _lattice,
     barycentric_lattice,
     compute_carrying_simplex,
@@ -815,6 +816,47 @@ class TestCarriedFaces:
         for m in maps:
             self.assert_same_curve(*system_of(m, 32), monkeypatch)
 
+    @pytest.mark.parametrize("system", ["readme-32", "readme-128", ("leslie_gower", 0), ("ricker", 4)])
+    def test_carried_step_matches_the_array_path(self, system, monkeypatch):
+        """Every pull the stable tracer sends with carried faces returns the
+        points, faces and misses that find and the harmonic combination of
+        the array path give, bit for bit, whether the step ran in Python
+        floats (certified in its faces) or fell back to the arrays."""
+        if isinstance(system, str):
+            m, q, att, rep, mesh = system_of(readme_map(), int(system.split("-")[1]))
+        else:
+            m, q, att, rep, mesh = anchor_system(*system, resolution=32)
+        calls, grow = [], manifolds._grow_curve
+
+        def recording(kind, step, *args):
+            def recorded(X, faces):
+                got = step(X, faces)
+                calls.append((step.__self__, X.copy(), None if faces is None else faces.copy(), got))
+                return got
+
+            return grow(kind, recorded, *args)
+
+        monkeypatch.setattr(manifolds, "_grow_curve", recording)
+        trace_stable_on_S(m, mesh, q, rep, att)
+        carried = [call for call in calls if call[2] is not None]
+        assert len(carried) == len(calls) - 1  # the first step carries no faces
+        uncertified = lone = 0
+        for image, X, faces, (points, face, misses) in carried:
+            U = X / X.sum(axis=1, keepdims=True)
+            want_face, b, found, _ = image.find(U[:, :2].T, faces)
+            assert found.all()
+            want_misses = int(np.count_nonzero((want_face != faces) | (b.min(axis=1) <= _WARM_EPS)))
+            b = np.maximum(b, 0.0)
+            b /= b.sum(axis=1, keepdims=True)
+            corners = image.lattice.faces[want_face]
+            num = np.einsum("ik,ikj->ij", b, image.lattice.directions[corners])
+            want = num / (b / image.radii[corners]).sum(axis=1, keepdims=True)
+            assert np.array_equal(points, want) and points.shape == want.shape
+            assert np.array_equal(face, want_face) and misses == want_misses
+            uncertified += want_misses > 0
+            lone += X.shape[0] == 1
+        assert uncertified > 0 and lone > 0
+
     def test_misses_not_serialized(self):
         m, q, att, rep, mesh = anchor_system("ricker", 4, resolution=32)
         curve = trace_stable_on_S(m, mesh, q, rep, att)
@@ -1068,13 +1110,21 @@ class TestPullBack:
                                      [np.inf, 1.0, 1.0], [1e308] * 3])
     def test_pull_refuses_a_row_without_a_finite_positive_sum(self, class19_lg, class19_mesh, row):
         """A row that is not finite, or whose coordinate sum is not a finite
-        number > 0, is refused before it is divided by that sum."""
+        number > 0, is refused before it is divided by that sum.  With
+        carried faces, the Python-float step refuses it too, after a first
+        row that is certified in its face, and neither path warns (the suite
+        turns a RuntimeWarning into an error)."""
         pull = class19_mesh.pull_back(class19_lg)
         X = np.array([[0.3, 0.3, 0.3], row])
         with pytest.raises(ManifoldError, match="coordinate sum > 0"):
             pull(X)
         with pytest.raises(ManifoldError, match="coordinate sum > 0"):
             pull.pull(X[1:], np.zeros(1, dtype=np.intp))
+        face = pull.pull(X[:1])[1]
+        _, got, misses = pull.pull(X[:1], face)
+        assert got is face and misses == 0  # certified in its face
+        with pytest.raises(ManifoldError, match="coordinate sum > 0"):
+            pull.pull(X, np.repeat(face, 2))
 
     def test_pull_back_of_many_points_allocates_little(self, class19_lg, class19_mesh):
         """Pulling back 2,000 on-mesh points of the class-19 Leslie-Gower

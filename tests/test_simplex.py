@@ -105,7 +105,8 @@ class TestLattice:
 
 def _loop_lattice(N):
     """Reference lattice geometry built with explicit loops: directions,
-    faces, incident faces (padded by repetition), the edge opposite each
+    faces (and the same table by corner), incident faces (padded by
+    repetition), the edge opposite each
     vertex in each of those faces (its corners after the vertex, in order),
     the one-ring of each face (the set of faces that share a vertex with
     it), the interior directions as queries (2, Q), the corner, edge (per axis:
@@ -148,6 +149,7 @@ def _loop_lattice(N):
     return {
         "directions": U,
         "faces": faces,
+        "corners": np.asarray([[tri[k] for tri in faces] for k in range(3)], dtype=np.intp),
         "incidence": incidence,
         "link": np.asarray(link, dtype=np.intp).reshape(M, 6, 2),
         "rings": rings,
@@ -202,7 +204,9 @@ def test_lattice_holds_only_its_listed_tables():
     assert tables == listed
     arrays = [getattr(lattice, name) for name in tables - {"edge_idx"}]
     arrays += [idx for edge in lattice.edge_idx for idx in edge]
-    assert sum(a.nbytes for a in arrays) < 1.3e6
+    # faces is a view of the table by corner and takes no memory of its own
+    assert lattice.faces.base is lattice.corners
+    assert sum(a.nbytes for a in arrays if a is not lattice.faces) < 1.3e6
 
 
 def test_meshes_transforms_and_images_share_the_lattice(monkeypatch):
@@ -865,6 +869,33 @@ class TestSweepBuffers:
             assert np.array_equal(got, want)
         for got, want in zip(image._scan(lattice.queries), pulled._scan(lattice.queries)):
             assert np.array_equal(got, want)
+
+    def test_image_reads_the_lattice_table_of_faces_by_corner(self):
+        """The image gathers face corners from the lattice's (3, F) table,
+        whose transposed view is ``faces``: no image holds a copy."""
+        m = readme_ricker()
+        mesh = compute_carrying_simplex(m, resolution=32, tol=1e-8)
+        image = mesh.pull_back(m)
+        assert image._corners is mesh.lattice.corners
+        assert np.shares_memory(image._corners, mesh.lattice.faces)
+
+    def test_refill_drops_the_faces_a_carried_step_read(self):
+        """pull's step from carried faces reads each face's edges, corners
+        and radii through a memo, which a refill drops: refilled at other
+        radii, the image pulls back as a new image at those radii does."""
+        m = readme_ricker()
+        fine = compute_carrying_simplex(m, resolution=32, tol=1e-8)
+        coarse = compute_carrying_simplex(m, resolution=32, tol=1e-3)
+        X = radial_project(fine, np.random.default_rng(3).dirichlet(np.ones(3), 50))
+        image = coarse.pull_back(m)
+        image.pull(X, image.pull(X)[1])  # the memo holds the coarse faces
+        fresh = fine.pull_back(m)
+        face = fresh.pull(X)[1]
+        image.fill(m, fine.radii)
+        got, want = image.pull(X, face), fresh.pull(X, face)
+        assert got[1] is face and got[2] == 0  # every row certified in its face
+        assert np.array_equal(got[0], want[0])
+        assert not np.array_equal(got[0], coarse.pull_back(m).pull(X, face)[0])
 
 
 class TestRadialProject:
