@@ -126,10 +126,11 @@ class ManifoldCurve:
         return np.concatenate([[0.0], np.cumsum(seg)])
 
     def distance_to(self, x: np.ndarray) -> float:
-        """Distance from x to the polyline (segment-wise)."""
+        """Distance from x to the polyline (segment-wise); to its point, on
+        a one-point curve."""
         x = np.asarray(x, dtype=float)
-        a = self.points[:-1]
-        b = self.points[1:]
+        P = self.points
+        a, b = (P[:-1], P[1:]) if P.shape[0] > 1 else (P, P)  # one point: one segment of length 0
         ab = b - a
         denom = (ab * ab).sum(axis=1)
         denom[denom == 0.0] = 1.0
@@ -521,6 +522,9 @@ def basin_of_batch(
     names = sorted(attractors)
     att = np.array([attractors[k] for k in names], dtype=float)
     X = np.array(np.atleast_2d(X), dtype=float)
+    labels = np.full(X.shape[0], -1, dtype=np.intp)
+    if not labels.size:  # no orbit to hold: no map call
+        return labels
     regions = [(p, None, tol * tol) for p in att]
     if not np.any(X < 0.0):
         for k, p in enumerate(att):
@@ -532,7 +536,6 @@ def basin_of_batch(
                 regions[k] = (p, W, cap.radius * cap.radius * (1.0 - margin))
     bare = any(W is None for _, W, _ in regions)
     period = 1 if bare else _CAPTURE_PERIOD
-    labels = np.full(X.shape[0], -1, dtype=np.intp)
     active = np.arange(X.shape[0])  # input row of each orbit held
     done = np.zeros(X.shape[0], dtype=bool)  # held orbits already labelled
     n_done = 0

@@ -346,31 +346,22 @@ def radial_project(mesh: SimplexMesh, x: np.ndarray) -> np.ndarray:
     The direction u = x / sum(x) is located on the lattice and rho is
     interpolated barycentrically on the containing face.  Raises
     ZeroVectorError, before it divides, unless every row is nonnegative and
-    finite with a coordinate sum > 0 (see _row_sums).
+    finite with a coordinate sum > 0.  A row with a NaN or infinite
+    coordinate has a NaN or infinite sum, so it is refused too, as is a sum
+    that overflows (without a warning).
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     X = np.atleast_2d(x)
-    sums = _row_sums(X)
-    if sums is None or np.any(X < -1e-15):
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = X.sum(axis=1, keepdims=True)
+    if not np.all((sums > 0.0) & (sums < np.inf)) or np.any(X < -1e-15):
         raise ZeroVectorError("radial projection needs a finite, nonzero, nonnegative point")
     U = X / sums
     face, wts = mesh.lattice.locate(U)
     rho = (mesh.radii[mesh.triangulation[face]] * wts).sum(axis=1)
     out = rho[:, None] * U
     return out[0] if single else out
-
-
-def _row_sums(X: np.ndarray) -> np.ndarray | None:
-    """The coordinate sums (m, 1) of the point rows X, or None unless each
-    is a finite number > 0.  A row with a NaN or infinite coordinate has a
-    NaN or infinite sum, so it is refused too, as is a sum that overflows
-    (without a warning)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = X.sum(axis=1, keepdims=True)
-    # as floats: a tracer step sends a row or two, where numpy's per-call
-    # cost would be most of the test
-    return sums if all(0.0 < s < math.inf for s in sums.ravel().tolist()) else None
 
 
 def directions_from_uv(uv: np.ndarray) -> np.ndarray:
@@ -440,7 +431,7 @@ class _ImageMesh:
 
     __init__ allocates these arrays and its scratch, then fills them;
     fill(m, radii) refills them all in place and drops the cached _buckets
-    and the faces that pull's carried step memoized (_face).
+    and the faces that pull memoized (_face).
     The scratch is one block for steps that never overlap: the fill's map
     input and rows, find's per-ray edges, the sweep tail's per-ray sums.
     The graph transform builds one image per compute_carrying_simplex call,
@@ -708,10 +699,10 @@ class _ImageMesh:
         raise ManifoldError(f"the PL map has no fixed point near {x}")
 
     def _face(self, f: int):
-        """Image face f in Python floats, as pull's carried step reads it: its
-        7 ``edges`` values, the directions of its lattice corners by
-        coordinate (3 rows, one entry per corner) and the corners' radii.
-        It is memoized per face until the next fill."""
+        """Image face f in Python floats, as pull reads it: its 7 ``edges``
+        values, the directions of its lattice corners by coordinate (3 rows,
+        one entry per corner) and the corners' radii.  It is memoized per
+        face until the next fill."""
         memo = self._face_memo.get(f)
         if memo is None:
             corners = self.lattice.faces[f]
@@ -719,76 +710,67 @@ class _ImageMesh:
                                          self.radii[corners].tolist())
         return memo
 
-    def _pull_carried(self, X: np.ndarray, faces: np.ndarray) -> np.ndarray | None:
-        """pull's result at the point rows X if every row has a finite
-        coordinate sum > 0 and is certified in its face (locate's rule 1),
-        else None.  Each row is computed in Python floats, by the float
-        operations of the array path in their order, so bit for bit."""
-        out = []
-        for (x0, x1, x2), f in zip(X.tolist(), faces.tolist()):
-            s = x0 + x1 + x2
-            if not 0.0 < s < math.inf:
-                return None
-            t0x, t0y, e1x, e1y, e2x, e2y, d, U, rho = self._face(f)
-            # as _weights computes them
-            r0, r1 = x0 / s - t0x, x1 / s - t0y
-            c1 = (r0 * e2y - e2x * r1) / d
-            c2 = (e1x * r1 - r0 * e1y) / d
-            c0 = 1.0 - c1 - c2
-            if not (c0 > _WARM_EPS and c1 > _WARM_EPS and c2 > _WARM_EPS):
-                return None
-            total = c0 + c1 + c2
-            b0, b1, b2 = c0 / total, c1 / total, c2 / total
-            den = b0 / rho[0] + b1 / rho[1] + b2 / rho[2]
-            out.append([(b0 * u0 + b1 * u1 + b2 * u2) / den for u0, u1, u2 in U])
-        return np.array(out).reshape(-1, 3)
-
     def pull(self, X: np.ndarray, faces: np.ndarray | None = None):
         """The PL inverse of T at the point rows X, a float array (m, 3) (see
         SimplexMesh.pull_back), with the image faces it used and the number
         of rows not certified in the faces searched from (by default the
-        lattice faces of the rows' directions; see find).  A row pulled back
-        from image face f lies on lattice face f, so along an orbit the faces
-        returned are the faces to search from at the next step.  Raises
-        ManifoldError, before it divides, unless every row is finite with a
-        coordinate sum > 0 (see _row_sums), and when a row's direction lies
-        in no image face.
+        lattice faces of the rows' directions, _Lattice.face_of).  A row
+        pulled back from image face f lies on lattice face f, so along an
+        orbit the faces returned are the faces to search from at the next
+        step.  Raises ManifoldError, before it divides, unless every row is
+        finite with a coordinate sum > 0, and when a row's direction lies in
+        no image face.  The image must be embedded (pull_back checks).
 
-        Two paths give the same floats.  With faces given (a tracer's
-        carried faces), _pull_carried steps the rows one at a time in Python
-        floats, which for the one or two rows of a tracer step costs a
-        fraction of numpy's per-call overhead; it returns the faces given
-        and 0 misses.  Without faces, or when a row is refused or not
-        certified in its face, the whole call runs the array path: the row
-        check, find, and the harmonic combination of the face's corners."""
-        if faces is not None:
-            points = self._pull_carried(X, faces)
-            if points is not None:
-                return points, faces, 0
-        sums = _row_sums(X)
-        if sums is None:
-            from .manifolds import ManifoldError  # manifolds imports this module
+        Each row is computed in Python floats, which for the one or two rows
+        of a tracer step costs a fraction of numpy's per-call overhead: its
+        weights in its face by _weights' expressions, certified by locate's
+        rule 1.  Only the rows that fail it go to find, whose weights are
+        clipped at 0.  Every row is then combined by the harmonic rule.  The
+        floats are those of the array operations that find and the harmonic
+        combination would run on the whole call, bit for bit.  When every
+        row is certified in its face, the faces given are returned."""
+        U = []
+        for x0, x1, x2 in X.tolist():
+            s = x0 + x1 + x2  # as X.sum(axis=1) adds a row of 3
+            if not 0.0 < s < math.inf:  # NaN fails too
+                from .manifolds import ManifoldError  # manifolds imports this module
 
-            raise ManifoldError("pull-back needs finite points with a coordinate sum > 0")
-        U = X / sums
+                raise ManifoldError("pull-back needs finite points with a coordinate sum > 0")
+            U.append((x0 / s, x1 / s))
         if faces is None:
-            faces = self.lattice.face_of(U)[0]
-        face, b, found, _ = self.find(U[:, :2].T, faces)
-        if not found.all():
-            from .manifolds import ManifoldError  # manifolds imports this module
+            faces = self.lattice.face_of(np.array(U).reshape(-1, 2))[0]
+        memo, rows, rest = self._face_memo, [], []  # per row: its weights and face; the uncertified rows
+        for (u0, u1), f in zip(U, faces.tolist()):
+            face = memo.get(f) or self._face(f)
+            t0x, t0y, e1x, e1y, e2x, e2y, d = face[:7]
+            # as _weights computes them
+            r0, r1 = u0 - t0x, u1 - t0y
+            c1 = (r0 * e2y - e2x * r1) / d
+            c2 = (e1x * r1 - r0 * e1y) / d
+            c0 = 1.0 - c1 - c2
+            if not (c0 > _WARM_EPS and c1 > _WARM_EPS and c2 > _WARM_EPS):
+                rest.append(len(rows))
+            rows.append((c0, c1, c2, face))
+        if rest:
+            face, b, found, _ = self.find(np.array([U[k] for k in rest]).T, faces[rest])
+            if not found.all():
+                from .manifolds import ManifoldError  # manifolds imports this module
 
-            raise ManifoldError(f"{np.count_nonzero(~found)} of {found.size} points lie in no image face")
-        # locate returns the guess itself when it certifies every row there;
-        # otherwise a row certified in its guess keeps that face, with every
-        # weight above _WARM_EPS, and every other row is searched further
-        misses = 0
-        if face is not faces:
-            misses = int(np.count_nonzero((face != faces) | (b.min(axis=1) <= _WARM_EPS)))
-        b = np.maximum(b, 0.0)
-        b /= b.sum(axis=1, keepdims=True)
-        corners = self.lattice.faces[face]
-        num = np.einsum("ik,ikj->ij", b, self.lattice.directions[corners])
-        return num / (b / self.radii[corners]).sum(axis=1, keepdims=True), face, misses
+                raise ManifoldError(f"{np.count_nonzero(~found)} of {len(rows)} points lie in no image face")
+            faces = faces.copy()
+            faces[rest] = face
+            for k, (c0, c1, c2), f in zip(rest, b.tolist(), face.tolist()):
+                rows[k] = (max(c0, 0.0), max(c1, 0.0), max(c2, 0.0), self._face(f))  # as np.maximum(b, 0.0)
+        out = []
+        for c0, c1, c2, face in rows:
+            (v00, v01, v02), (v10, v11, v12), (v20, v21, v22) = face[7]
+            rho0, rho1, rho2 = face[8]
+            total = c0 + c1 + c2
+            b0, b1, b2 = c0 / total, c1 / total, c2 / total
+            den = b0 / rho0 + b1 / rho1 + b2 / rho2
+            out.append([(b0 * v00 + b1 * v01 + b2 * v02) / den, (b0 * v10 + b1 * v11 + b2 * v12) / den,
+                        (b0 * v20 + b1 * v21 + b2 * v22) / den])
+        return np.array(out).reshape(-1, 3), faces, len(rest)
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         """The PL inverse of T at the point rows X (see SimplexMesh.pull_back)."""

@@ -36,6 +36,7 @@ from csimplex.models import ParameterSet, make_custom, make_leslie_gower, make_r
 from csimplex.portrait import basin_raster
 from csimplex.simplex import (
     SimplexMesh,
+    _ImageMesh,
     _WARM_EPS,
     _lattice,
     barycentric_lattice,
@@ -337,6 +338,23 @@ class TestBasins:
         x = np.array([[0.0, 0.4, 0.0]])
         labels = basin_of_batch(ref["m"], x, ref["att"])
         assert sorted(ref["att"])[labels[0]] == "axial_2"
+
+    def test_zero_rows_make_no_map_call(self, ref):
+        """An empty batch holds no orbit: it is labelled at once, with no
+        map call, not even for the capture ellipsoids."""
+        calls = []
+
+        def growth(x):
+            calls.append(np.shape(x))
+            return ref["m"].growth(x)
+
+        counted = dataclasses.replace(ref["m"], growth=growth)
+        labels = basin_of_batch(counted, np.empty((0, 3)), ref["att"])
+        assert labels.shape == (0,) and labels.dtype == np.intp
+        assert calls == []
+        name = sorted(ref["att"])[0]
+        assert basin_of_batch(counted, ref["att"][name][None, :], ref["att"])[0] == 0
+        assert calls  # the count sees the map calls of a batch of one
 
     def test_q_is_unresolved(self, ref):
         labels = basin_of_batch(ref["m"], ref["q"][None, :], ref["att"], max_iter=2000)
@@ -764,6 +782,15 @@ def readme_map():
     return make_ricker(ParameterSet(r=np.full(3, 0.2), A=A_CLASS19))
 
 
+def warm_search_rows(m, mesh, curve):
+    """Rows spread over the image: the stable curve's points, random
+    directions, directions next to the simplex's edge u1 = 0 and the
+    vertices' image directions (corners of image faces)."""
+    rng = np.random.default_rng(5)
+    near_edge = rng.dirichlet(np.ones(3), 100) * [1e-5, 1.0, 1.0]
+    return np.vstack([curve.points, rng.dirichlet(np.ones(3), 400), near_edge, m(mesh.vertices[::7])])
+
+
 def trace_relocating(m, mesh, q, rep, att, monkeypatch):
     """trace_stable_on_S with every step located from the lattice face of
     each tip's direction (find's default guess), as the tracer did before
@@ -818,34 +845,40 @@ class TestCarriedFaces:
 
     @pytest.mark.parametrize("system", ["readme-32", "readme-128", ("leslie_gower", 0), ("ricker", 4)])
     def test_carried_step_matches_the_array_path(self, system, monkeypatch):
-        """Every pull the stable tracer sends with carried faces returns the
-        points, faces and misses that find and the harmonic combination of
-        the array path give, bit for bit, whether the step ran in Python
-        floats (certified in its faces) or fell back to the arrays."""
+        """Every pull of the stable tracer (its steps, with or without
+        carried faces, fixed_point's final pull and the seed search's 2-row
+        calls) and a pull of the many rows of warm_search_rows from their
+        lattice faces return the points, faces and misses that find and the
+        harmonic combination give on the whole call as arrays, bit for bit.
+        The misses are the rows that locate's rule 1 leaves uncertified in
+        the faces searched from: every weight there above _WARM_EPS."""
         if isinstance(system, str):
             m, q, att, rep, mesh = system_of(readme_map(), int(system.split("-")[1]))
         else:
             m, q, att, rep, mesh = anchor_system(*system, resolution=32)
-        calls, grow = [], manifolds._grow_curve
+        calls, pull = [], _ImageMesh.pull
 
-        def recording(kind, step, *args):
-            def recorded(X, faces):
-                got = step(X, faces)
-                calls.append((step.__self__, X.copy(), None if faces is None else faces.copy(), got))
-                return got
+        def recorded(image, X, faces=None):
+            got = pull(image, X, faces)
+            calls.append((image, X.copy(), faces, None if faces is None else faces.copy(), got))
+            return got
 
-            return grow(kind, recorded, *args)
-
-        monkeypatch.setattr(manifolds, "_grow_curve", recording)
-        trace_stable_on_S(m, mesh, q, rep, att)
-        carried = [call for call in calls if call[2] is not None]
-        assert len(carried) == len(calls) - 1  # the first step carries no faces
+        monkeypatch.setattr(_ImageMesh, "pull", recorded)
+        curve = trace_stable_on_S(m, mesh, q, rep, att)
+        mesh.pull_back(m).pull(warm_search_rows(m, mesh, curve))
+        faceless = [X.shape[0] for _, X, given, _, _ in calls if given is None]
+        # fixed_point's final pull, then the seed search and the first step,
+        # then the many rows
+        assert faceless[0] == 1 and set(faceless[1:-1]) == {2} and faceless[-1] > 500
         uncertified = lone = 0
-        for image, X, faces, (points, face, misses) in carried:
+        for image, X, given, faces, (points, face, misses) in calls:
             U = X / X.sum(axis=1, keepdims=True)
-            want_face, b, found, _ = image.find(U[:, :2].T, faces)
+            guess = image.lattice.face_of(U)[0] if faces is None else faces
+            want_face, b, found, _ = image.find(U[:, :2].T, guess)
             assert found.all()
-            want_misses = int(np.count_nonzero((want_face != faces) | (b.min(axis=1) <= _WARM_EPS)))
+            low = image._weights(U[:, :2].T, guess)[1]
+            want_misses = int(np.count_nonzero(~(low > _WARM_EPS)))
+            assert want_misses == np.count_nonzero((want_face != guess) | (b.min(axis=1) <= _WARM_EPS))
             b = np.maximum(b, 0.0)
             b /= b.sum(axis=1, keepdims=True)
             corners = image.lattice.faces[want_face]
@@ -853,6 +886,8 @@ class TestCarriedFaces:
             want = num / (b / image.radii[corners]).sum(axis=1, keepdims=True)
             assert np.array_equal(points, want) and points.shape == want.shape
             assert np.array_equal(face, want_face) and misses == want_misses
+            if given is not None and not misses:
+                assert face is given  # returned as they were given
             uncertified += want_misses > 0
             lone += X.shape[0] == 1
         assert uncertified > 0 and lone > 0
@@ -1056,20 +1091,14 @@ class TestPullBack:
 
     @pytest.mark.parametrize("system", [("leslie_gower", 0), ("ricker", 4), ("atkinson_allen", 9)])
     def test_warm_search_matches_exhaustive_scan(self, system):
-        """On the stable curve's points, random directions, directions next
-        to the simplex's edge u1 = 0 and the vertices' image directions
-        (corners of image faces), the face and weights found from the
+        """On warm_search_rows, the face and weights found from the
         lattice face are those of the argmax over every image face, bit for
         bit, and every row is found.  Each of the three searches (the
         lattice face, its one-ring, the scan) is taken by some of the rows,
         and only the rows that locate leaves uncertified are scanned."""
         m, q, att, rep, mesh = anchor_system(*system, resolution=32)
         pull = mesh.pull_back(m)
-        curve = trace_stable_on_S(m, mesh, q, rep, att)
-        rng = np.random.default_rng(5)
-        near_edge = rng.dirichlet(np.ones(3), 100) * [1e-5, 1.0, 1.0]
-        X = np.vstack([curve.points, rng.dirichlet(np.ones(3), 400), near_edge,
-                       m(mesh.vertices[::7])])
+        X = warm_search_rows(m, mesh, trace_stable_on_S(m, mesh, q, rep, att))
         U = X / X.sum(axis=1, keepdims=True)
         guess = _lattice(mesh.resolution).locate(U)[0]
         face, c, found, scanned = pull.find(U[:, :2].T, guess)
@@ -1108,12 +1137,13 @@ class TestPullBack:
 
     @pytest.mark.parametrize("row", [[1.0, -1.0, 0.0], [0.0, 0.0, 0.0], [np.nan, 1.0, 1.0],
                                      [np.inf, 1.0, 1.0], [1e308] * 3])
-    def test_pull_refuses_a_row_without_a_finite_positive_sum(self, class19_lg, class19_mesh, row):
+    def test_pull_refuses_a_row_without_a_finite_positive_sum(self, class19_lg, class19_mesh, row,
+                                                               monkeypatch):
         """A row that is not finite, or whose coordinate sum is not a finite
-        number > 0, is refused before it is divided by that sum.  With
-        carried faces, the Python-float step refuses it too, after a first
-        row that is certified in its face, and neither path warns (the suite
-        turns a RuntimeWarning into an error)."""
+        number > 0, is refused before it is divided by that sum, with faces
+        given or not.  After a first row that is certified in its face, or
+        one that is not, it is refused before find runs, and no call warns
+        (the suite turns a RuntimeWarning into an error)."""
         pull = class19_mesh.pull_back(class19_lg)
         X = np.array([[0.3, 0.3, 0.3], row])
         with pytest.raises(ManifoldError, match="coordinate sum > 0"):
@@ -1125,13 +1155,21 @@ class TestPullBack:
         assert got is face and misses == 0  # certified in its face
         with pytest.raises(ManifoldError, match="coordinate sum > 0"):
             pull.pull(X, np.repeat(face, 2))
+        off = np.array([[0.2, 0.3, 0.5], row])
+        assert pull.pull(off[:1])[2] == 1  # not certified in its lattice face
+        with monkeypatch.context() as patch:
+            patch.setattr(_ImageMesh, "find", lambda *args: pytest.fail("find ran"))
+            for faces in (None, np.zeros(2, dtype=np.intp)):
+                with pytest.raises(ManifoldError, match="coordinate sum > 0"):
+                    pull.pull(off, faces)
 
     def test_pull_back_of_many_points_allocates_little(self, class19_lg, class19_mesh):
         """Pulling back 2,000 on-mesh points of the class-19 Leslie-Gower
         map at N=64 holds no (rows x faces) array: the rows that the
         one-ring search leaves uncertified are scanned among the faces of
-        their lattice cells only (a 4.7 MB peak).  A scan of every face
-        for those rows would peak at 172 MB."""
+        their lattice cells only.  The peak, 9.1 MB, includes the rows as
+        Python floats and the faces they visit in the _face memo.  A scan
+        of every face for those rows would peak at 172 MB."""
         import tracemalloc
 
         pull = class19_mesh.pull_back(class19_lg)
@@ -1360,6 +1398,13 @@ class TestM2Expansion:
 
 
 class TestCurveJson:
+    def test_one_point_curve_distance(self):
+        """curve_from_json accepts a curve of one point; the distance to it
+        is the distance to that point."""
+        curve = curve_from_json({"kind": "stable", "points": [[0.2, 0.3, 0.5]], "endpoints": [], "tol": 0.0})
+        assert curve.distance_to([0.2, 0.3, 0.5]) == 0.0
+        assert curve.distance_to(np.array([0.2, 0.3, 2.5])) == 2.0
+
     def test_round_trip(self, ref):
         curve = trace_unstable(ref["m"], ref["q"], ref["att"])
         doc = curve_to_json(curve)
